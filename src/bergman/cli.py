@@ -56,10 +56,9 @@ def _symbol(name: str):
 
 
 def _rule_for(domain, args):
-    radial = args.radial_n or (20 if domain.kind == "hartogs" else 32)
-    angular = args.angular_n or (48 if domain.kind == "hartogs" else 64)
-    grading = args.grading or 2.0
-    return quad.build_rule(domain, radial, angular, grading)
+    radial, angular = (20, 48) if domain.kind == "hartogs" else (32, 64)
+    return quad.build_rule(domain, args.radial_n or radial, args.angular_n or angular,
+                           args.grading or 2.0)
 
 
 def _emit(payload: str, out):
@@ -101,11 +100,9 @@ def cmd_norm(args):
         rule = quad.build_rule(domain, args.radial_n or 24, args.angular_n or 112)
         keep = np.abs(rule.nodes[:, 0]) <= 0.88
         matrix = on.discretize_berezin(domain, rule, row_nodes=rule.nodes[keep])
-        est = on.estimate_norm(matrix, p)
     else:
         matrix = on.discretize_berezin_radial(radial_n=args.radial_n or 200, depth=34.0)
-        est = on.estimate_norm(matrix, p)
-    _emit(est.to_json() + "\n", args.out)
+    _emit(on.estimate_norm(matrix, p).to_json() + "\n", args.out)
     return 0
 
 
@@ -137,9 +134,8 @@ def cmd_reproduce(args):
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.out:
         if args.format == "csv":
-            lines = ["id,name,passed,seconds"]
-            for r in results:
-                lines.append(f"{r.ident},{r.name},{int(r.passed)},{format(r.seconds, '.12g')}")
+            # no seconds column: the report must be byte-identical across runs
+            lines = ["id,name,passed"] + [f"{r.ident},{r.name},{int(r.passed)}" for r in results]
             payload = "\n".join(lines) + "\n"
         else:
             payload = jsonfmt.dumps([r.row() for r in results]) + "\n"
@@ -149,48 +145,40 @@ def cmd_reproduce(args):
 
 
 def build_parser():
+    """Each subcommand declares only the flags it reads; any other flag exits 2."""
     ap = argparse.ArgumentParser(prog="bergman", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_z=False, need_w=False):
-        p.add_argument("--domain", default="disc")
-        p.add_argument("--radial-n", type=int, default=None)
-        p.add_argument("--angular-n", type=int, default=None)
-        p.add_argument("--grading", type=float, default=None)
+    def command(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        if need_z:
-            p.add_argument("--z", required=True)
-        if need_w:
-            p.add_argument("--w", required=True)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("kernel", help="evaluate the Bergman kernel at (z, w)")
-    common(p, need_z=True, need_w=True)
-    p.set_defaults(fn=cmd_kernel)
-
-    p = sub.add_parser("berezin", help="Berezin transform of a symbol at z")
-    common(p, need_z=True)
-    p.add_argument("--symbol", default="one")
-    p.set_defaults(fn=cmd_berezin)
-
-    p = sub.add_parser("norm", help="discrete L^p operator norm estimate")
-    common(p)
-    p.add_argument("--p", default="2")
-    p.set_defaults(fn=cmd_norm)
-
-    p = sub.add_parser("br-scan", help="kernel-ratio scan with divergence flag")
-    common(p)
-    p.set_defaults(fn=cmd_br_scan)
-
-    p = sub.add_parser("blowup", help="Hartogs blow-up table as CSV")
-    common(p)
-    p.add_argument("--eps", default="1e-1,1e-2,1e-3,1e-4")
-    p.set_defaults(fn=cmd_blowup)
-
-    p = sub.add_parser("reproduce", help="run the full reproduction suite")
-    common(p)
-    p.set_defaults(fn=cmd_reproduce)
+    command("kernel", cmd_kernel, "evaluate the Bergman kernel at (z, w)", "domain", "z", "w")
+    command("berezin", cmd_berezin, "Berezin transform of a symbol at z", "domain", "z",
+            "symbol", "radial-n", "angular-n", "grading")
+    command("norm", cmd_norm, "discrete L^p operator norm estimate", "domain", "p",
+            "radial-n", "angular-n")
+    command("br-scan", cmd_br_scan, "kernel-ratio scan with divergence flag", "domain")
+    command("blowup", cmd_blowup, "Hartogs blow-up table as CSV", "eps", "radial-n")
+    command("reproduce", cmd_reproduce, "run the full reproduction suite", "format")
     return ap
+
+
+_FLAGS = {
+    "domain": dict(default="disc"),
+    "z": dict(required=True),
+    "w": dict(required=True),
+    "symbol": dict(default="one"),
+    "p": dict(default="2"),
+    "eps": dict(default="1e-1,1e-2,1e-3,1e-4"),
+    "radial-n": dict(type=int, default=None),
+    "angular-n": dict(type=int, default=None),
+    "grading": dict(type=float, default=None),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
 
 
 def main(argv=None) -> int:
@@ -203,10 +191,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit2 as exc:
         return exc.code
-    except BergmanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BergmanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,14 +150,243 @@ def disc_profile() -> ReinhardtProfile:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A model domain tag with dimension and optional Reinhardt profile."""
+    """A model domain: kind tag, dimension and optional Reinhardt profile.
+
+    Each kind is a subclass that holds every formula of that kind, and
+    ``DomainSpec(kind, dim, profile)`` returns an instance of the subclass
+    registered for ``kind``: that lookup is the one dispatch on the kind.
+    Every kind defines ``volume()`` and the strict membership ``contains(p)``
+    of one point, whose inequalities carry the relative slack BOUNDARY_MARGIN.
+    Kernels take broadcasting (..., dim) complex arrays; a single point is the
+    one-point case of the same formula.
+    """
 
     kind: str
     dim: int
     profile: Optional[ReinhardtProfile] = None
 
+    # origin grading of quadrature rules when the caller gives none; None: the boundary grading
+    default_origin_grading = None
+
+    def __new__(cls, kind=None, *args, **kwargs):
+        if cls is DomainSpec:
+            if kind not in _KINDS:
+                raise UnsupportedKind(f"unknown domain kind {kind!r}")
+            cls = _KINDS[kind]
+        return super().__new__(cls)
+
     def __str__(self):
         return f"{self.kind}({self.dim})"
+
+    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """K(a, b) over broadcasting (..., dim) arrays."""
+        raise UnsupportedKind(f"no closed-form kernel on {self}; "
+                              "use reinhardt_kernel for profile-based domains")
+
+    def diag(self, z: np.ndarray) -> np.ndarray:
+        """K(z, z) over (..., dim) arrays; the Hartogs form is cancellation-safe."""
+        raise UnsupportedKind(f"no closed-form kernel on {self}")
+
+    def sample(self, rng) -> CPoint:
+        """One point from the bulk of the domain, drawn from ``rng``."""
+        raise UnsupportedKind(f"no interior sampler on {self}")
+
+    def scan_grid(self, level: int) -> list[CPoint]:
+        """The br_scan grid, accumulating at the singular loci; ``level`` refines it."""
+        raise UnsupportedKind(f"no scan grid on {self}")
+
+    def reinhardt_profile(self) -> ReinhardtProfile:
+        raise UnsupportedKind(f"no Reinhardt profile for {self.kind}")
+
+    def kernel_at(self, a: CPoint, b: CPoint) -> complex:
+        """K(a, b) at one pair of points: the one-point case of ``kernel``."""
+        return complex(self.kernel(np.array([a]), np.array(b))[0])
+
+    def diag_at(self, p: CPoint) -> float:
+        """K(p, p) at one point; raises NonpositiveDiagonal unless positive and finite."""
+        val = float(self.diag(np.array([p]))[0])
+        if not (val > 0.0 and math.isfinite(val)):
+            raise NonpositiveDiagonal(f"K(z,z)={val} at z={p} on {self}")
+        return val
+
+
+def _scan_axes(level: int):
+    """Radial count, depth (radii reach 1 - 10^(-depth)) and phases of a scan grid."""
+    n_r = 8 * (level + 1)
+    n_th = 4 * (level + 1)
+    return n_r, 3.0 + 3.0 * level, np.exp(2j * np.pi * np.arange(n_th) / n_th)
+
+
+def _pair_scan_grid(level: int, scale: float) -> list[CPoint]:
+    n_r, depth, angles = _scan_axes(level)
+    radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / scale
+    return [(r1 * a1, r2 * a2) for r1 in radii for r2 in radii
+            for a1 in angles[::2] for a2 in angles[::2]]
+
+
+class _Polydisc(DomainSpec):
+    _sample_radius = 0.60
+
+    def volume(self):
+        return math.pi ** self.dim
+
+    def contains(self, p):
+        return all(abs(c) < 1.0 - BOUNDARY_MARGIN for c in p)
+
+    def kernel(self, a, b):
+        out = 1.0
+        for i in range(self.dim):
+            out = out / (np.pi * (1.0 - a[..., i] * np.conj(b[..., i])) ** 2)
+        return out
+
+    def diag(self, z):
+        out = 1.0
+        for i in range(self.dim):
+            out = out / (np.pi * (1.0 - np.abs(z[..., i]) ** 2) ** 2)
+        return out
+
+    def sample(self, rng):
+        return tuple((0.05 + self._sample_radius * math.sqrt(rng.random()))
+                     * cmath.exp(2j * math.pi * rng.random()) for _ in range(self.dim))
+
+    def scan_grid(self, level):
+        return _pair_scan_grid(level, 1.0)
+
+
+class _Disc(_Polydisc):
+    """The unit disc: the polydisc of dimension one, sampled and scanned closer to the edge."""
+
+    _sample_radius = 0.75
+    _scan_center = (0.0,)
+
+    def reinhardt_profile(self):
+        return disc_profile()
+
+    def scan_grid(self, level):
+        n_r, depth, angles = _scan_axes(level)
+        radii = np.concatenate([self._scan_center, 1.0 - np.logspace(-depth, -0.3, n_r)])
+        return [(r * a,) for r in radii for a in angles]
+
+
+class _PuncturedDisc(_Disc):
+    _scan_center = ()
+
+    def contains(self, p):
+        return 0.0 < abs(p[0]) < 1.0 - BOUNDARY_MARGIN
+
+
+class _Ball(DomainSpec):
+    def volume(self):
+        return math.pi ** self.dim / math.factorial(self.dim)
+
+    def contains(self, p):
+        return sum(abs(c) ** 2 for c in p) < 1.0 - BOUNDARY_MARGIN
+
+    def kernel(self, a, b):
+        n = self.dim
+        inner = 0.0
+        for i in range(n):
+            inner = inner + a[..., i] * np.conj(b[..., i])
+        return math.factorial(n) / (np.pi ** n * (1.0 - inner) ** (n + 1))
+
+    def diag(self, z):
+        n = self.dim
+        x = np.sum(np.abs(z) ** 2, axis=-1)
+        return math.factorial(n) / (np.pi ** n * (1.0 - x) ** (n + 1))
+
+    def sample(self, rng):
+        v = rng.normal(size=2 * self.dim)
+        v /= np.linalg.norm(v)
+        rad = 0.7 * rng.random() ** (1.0 / (2 * self.dim))
+        return tuple(complex(rad * v[2 * i], rad * v[2 * i + 1]) for i in range(self.dim))
+
+    def scan_grid(self, level):
+        return _pair_scan_grid(level, math.sqrt(2.0))
+
+
+class _HalfPlane(DomainSpec):
+    def volume(self):
+        return math.inf
+
+    def contains(self, p):
+        return p[0].imag > BOUNDARY_MARGIN * max(1.0, abs(p[0]))
+
+    def kernel(self, a, b):
+        return -1.0 / (np.pi * (a[..., 0] - np.conj(b[..., 0])) ** 2)
+
+    def diag(self, z):
+        return 1.0 / (4.0 * np.pi * z[..., 0].imag ** 2)
+
+    def sample(self, rng):
+        return (complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-1.5, 1.5)),)
+
+    def scan_grid(self, level):
+        n_r, depth, _ = _scan_axes(level)
+        ys = np.logspace(-depth, depth / 2.0, 2 * n_r)
+        return [(complex(x, y),) for y in ys for x in np.linspace(-2.0, 2.0, 5)]
+
+
+class _Hartogs(DomainSpec):
+    """The Hartogs triangle |z2| < |z1| < 1."""
+
+    default_origin_grading = 3.0
+
+    def volume(self):
+        return math.pi ** 2 / 2.0
+
+    def contains(self, p):
+        r1, r2 = abs(p[0]), abs(p[1])
+        m = 1.0 - BOUNDARY_MARGIN
+        return r1 < m and r2 < r1 * m
+
+    def kernel(self, a, b):
+        x = a[..., 0] * np.conj(b[..., 0])
+        y = a[..., 1] * np.conj(b[..., 1])
+        return x / (np.pi ** 2 * (x - y) ** 2 * (1.0 - x) ** 2)
+
+    def diag(self, z):
+        # |z1|^2 - |z2|^2 as (|z1| - |z2|)(|z1| + |z2|), so accuracy survives
+        # near the singular edge
+        r1 = np.abs(z[..., 0])
+        r2 = np.abs(z[..., 1])
+        d = (r1 - r2) * (r1 + r2)
+        return r1 * r1 / (np.pi ** 2 * d * d * (1.0 - r1 * r1) ** 2)
+
+    def sample(self, rng):
+        r1 = 0.15 + 0.55 * rng.random()
+        t = (0.05 + 0.65 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        z1 = r1 * cmath.exp(2j * math.pi * rng.random())
+        return (z1, z1 * t)
+
+    def reinhardt_profile(self):
+        return hartogs_profile()
+
+    def scan_grid(self, level):
+        n_r, depth, angles = _scan_axes(level)
+        r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
+                              1.0 - np.logspace(-depth, -0.6, n_r // 2)])
+        return [(r1 * a, r1 * t * a) for r1 in r1s for t in (0.0, 0.3, 0.9) for a in angles[::2]]
+
+
+class _Reinhardt(DomainSpec):
+    """A domain given by its Reinhardt profile; kernels come from reinhardt_kernel."""
+
+    def volume(self):
+        prof = self.profile
+        if prof.dim == 1:
+            return math.pi * prof.r1_max ** 2
+        return scipy.integrate.quad(lambda r: 2.0 * math.pi * r * math.pi * prof.bound(r) ** 2,
+                                    0.0, prof.r1_max, limit=200)[0]
+
+    def contains(self, p):
+        return self.profile.contains_moduli([abs(c) for c in p])
+
+    def reinhardt_profile(self):
+        return self.profile
+
+
+_KINDS = {"disc": _Disc, "punctured-disc": _PuncturedDisc, "ball": _Ball, "polydisc": _Polydisc,
+          "half-plane": _HalfPlane, "hartogs": _Hartogs, "reinhardt": _Reinhardt}
 
 
 def disc() -> DomainSpec:
@@ -209,55 +438,24 @@ def domain_by_name(name: str) -> DomainSpec:
         raise UnsupportedKind(f"unknown domain name {name!r}; choose from {sorted(_BY_NAME)}")
 
 
+def _as_nodes(nodes) -> np.ndarray:
+    W = np.asarray(nodes)
+    return W[:, None] if W.ndim == 1 else W
+
+
 def volume(domain: DomainSpec) -> float:
     """Lebesgue volume of the domain (may be infinite)."""
-    if domain.kind in ("disc", "punctured-disc"):
-        return math.pi
-    if domain.kind == "polydisc":
-        return math.pi ** domain.dim
-    if domain.kind == "ball":
-        return math.pi ** domain.dim / math.factorial(domain.dim)
-    if domain.kind == "hartogs":
-        return math.pi ** 2 / 2.0
-    if domain.kind == "half-plane":
-        return math.inf
-    if domain.kind == "reinhardt":
-        prof = domain.profile
-        if prof.dim == 1:
-            return math.pi * prof.r1_max ** 2
-        val, _ = scipy.integrate.quad(
-            lambda r: 2.0 * math.pi * r * math.pi * prof.bound(r) ** 2,
-            0.0, prof.r1_max, limit=200,
-        )
-        return val
-    raise UnsupportedKind(domain.kind)
+    return domain.volume()
 
 
 def contains(domain: DomainSpec, z) -> bool:
     """Strict membership; inequalities carry a relative slack of 1e-12."""
-    p = as_point(z, domain.dim)
-    m = 1.0 - BOUNDARY_MARGIN
-    if domain.kind == "disc":
-        return abs(p[0]) < m
-    if domain.kind == "punctured-disc":
-        return 0.0 < abs(p[0]) < m
-    if domain.kind == "polydisc":
-        return all(abs(c) < m for c in p)
-    if domain.kind == "ball":
-        return sum(abs(c) ** 2 for c in p) < m
-    if domain.kind == "half-plane":
-        return p[0].imag > BOUNDARY_MARGIN * max(1.0, abs(p[0]))
-    if domain.kind == "hartogs":
-        r1, r2 = abs(p[0]), abs(p[1])
-        return r1 < m and r2 < r1 * m
-    if domain.kind == "reinhardt":
-        return domain.profile.contains_moduli([abs(c) for c in p])
-    raise UnsupportedKind(domain.kind)
+    return domain.contains(as_point(z, domain.dim))
 
 
 def require_inside(domain: DomainSpec, z) -> CPoint:
     p = as_point(z, domain.dim)
-    if not contains(domain, p):
+    if not domain.contains(p):
         raise PointOutsideDomain(f"{p} is not strictly inside {domain}")
     return p
 
@@ -272,50 +470,12 @@ def kernel(domain: DomainSpec, z, w) -> complex:
     Both arguments must lie strictly inside the domain.  Reinhardt domains are
     served by :func:`reinhardt_kernel` instead.
     """
-    if domain.kind == "reinhardt":
-        raise UnsupportedKind("use reinhardt_kernel for profile-based domains")
-    zp = require_inside(domain, z)
-    wp = require_inside(domain, w)
-    return _kernel_point(domain, zp, wp)
-
-
-def _kernel_point(domain: DomainSpec, z: CPoint, w: CPoint) -> complex:
-    if domain.kind in ("disc", "punctured-disc"):
-        return 1.0 / (math.pi * (1.0 - z[0] * w[0].conjugate()) ** 2)
-    if domain.kind == "polydisc":
-        out = 1.0 + 0.0j
-        for a, b in zip(z, w):
-            out *= 1.0 / (math.pi * (1.0 - a * b.conjugate()) ** 2)
-        return out
-    if domain.kind == "ball":
-        n = domain.dim
-        inner = sum(a * b.conjugate() for a, b in zip(z, w))
-        return math.factorial(n) / (math.pi ** n * (1.0 - inner) ** (n + 1))
-    if domain.kind == "half-plane":
-        return -1.0 / (math.pi * (z[0] - w[0].conjugate()) ** 2)
-    if domain.kind == "hartogs":
-        a = z[0] * w[0].conjugate()
-        b = z[1] * w[1].conjugate()
-        return a / (math.pi ** 2 * (a - b) ** 2 * (1.0 - a) ** 2)
-    raise UnsupportedKind(domain.kind)
+    return domain.kernel_at(require_inside(domain, z), require_inside(domain, w))
 
 
 def kernel_diag(domain: DomainSpec, z) -> float:
-    """K(z, z), evaluated in a cancellation-safe form.
-
-    On the Hartogs triangle the factor |z1|^2 - |z2|^2 is computed as
-    (|z1| - |z2|)(|z1| + |z2|) so accuracy survives near the singular edge.
-    """
-    zp = require_inside(domain, z)
-    if domain.kind == "hartogs":
-        r1, r2 = abs(zp[0]), abs(zp[1])
-        d = (r1 - r2) * (r1 + r2)
-        val = r1 * r1 / (math.pi ** 2 * d * d * (1.0 - r1 * r1) ** 2)
-    else:
-        val = _kernel_point(domain, zp, zp).real
-    if not (val > 0.0 and math.isfinite(val)):
-        raise NonpositiveDiagonal(f"K(z,z)={val} at z={zp} on {domain}")
-    return val
+    """K(z, z) at one point, cancellation-safe near the Hartogs edge (see ``diag``)."""
+    return domain.diag_at(require_inside(domain, z))
 
 
 def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
@@ -324,100 +484,51 @@ def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
     Membership of the nodes is the caller's responsibility (they normally come
     from a quadrature rule).
     """
-    zp = as_point(z, domain.dim)
-    W = np.asarray(nodes)
-    if W.ndim == 1:
-        W = W[:, None]
-    if domain.kind in ("disc", "punctured-disc"):
-        return 1.0 / (np.pi * (1.0 - W[:, 0] * np.conj(zp[0])) ** 2)
-    if domain.kind == "polydisc":
-        out = np.ones(W.shape[0], dtype=complex)
-        for i, c in enumerate(zp):
-            out /= np.pi * (1.0 - W[:, i] * np.conj(c)) ** 2
-        return out
-    if domain.kind == "ball":
-        n = domain.dim
-        inner = np.zeros(W.shape[0], dtype=complex)
-        for i, c in enumerate(zp):
-            inner += W[:, i] * np.conj(c)
-        return math.factorial(n) / (np.pi ** n * (1.0 - inner) ** (n + 1))
-    if domain.kind == "half-plane":
-        return -1.0 / (np.pi * (W[:, 0] - np.conj(zp[0])) ** 2)
-    if domain.kind == "hartogs":
-        a = W[:, 0] * np.conj(zp[0])
-        b = W[:, 1] * np.conj(zp[1])
-        return a / (np.pi ** 2 * (a - b) ** 2 * (1.0 - a) ** 2)
-    raise UnsupportedKind(domain.kind)
+    return domain.kernel(_as_nodes(nodes), np.asarray(as_point(z, domain.dim)))
 
 
 def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
     """Vectorized K(w_j, w_j) with the same stabilized Hartogs form as kernel_diag."""
-    W = np.asarray(nodes)
-    if W.ndim == 1:
-        W = W[:, None]
-    if domain.kind == "hartogs":
-        r1 = np.abs(W[:, 0])
-        r2 = np.abs(W[:, 1])
-        d = (r1 - r2) * (r1 + r2)
-        return r1 * r1 / (np.pi ** 2 * d * d * (1.0 - r1 * r1) ** 2)
-    if domain.kind in ("disc", "punctured-disc"):
-        x = np.abs(W[:, 0]) ** 2
-        return 1.0 / (np.pi * (1.0 - x) ** 2)
-    if domain.kind == "polydisc":
-        out = np.ones(W.shape[0])
-        for i in range(domain.dim):
-            out /= np.pi * (1.0 - np.abs(W[:, i]) ** 2) ** 2
-        return out
-    if domain.kind == "ball":
-        n = domain.dim
-        x = np.sum(np.abs(W) ** 2, axis=1)
-        return math.factorial(n) / (np.pi ** n * (1.0 - x) ** (n + 1))
-    if domain.kind == "half-plane":
-        return 1.0 / (4.0 * np.pi * W[:, 0].imag ** 2)
-    raise UnsupportedKind(domain.kind)
+    return domain.diag(_as_nodes(nodes))
 
 
 def kernel_ratio(domain: DomainSpec, z, w) -> float:
     """|K(w, z)| / K(z, z); a domain has a bounded kernel ratio when its supremum is finite."""
     zp = require_inside(domain, z)
-    wp = require_inside(domain, w)
-    diag = kernel_diag(domain, zp)
-    return abs(_kernel_point(domain, wp, zp)) / diag
+    return abs(domain.kernel_at(require_inside(domain, w), zp)) / domain.diag_at(zp)
 
 
 def normalized_kernel(domain: DomainSpec, z) -> Callable:
     """Return w -> K(w, z)/sqrt(K(z, z)), a unit vector of A^2 for each z.
 
-    The returned callable accepts a single point or an (N, dim) node array.
+    The returned callable maps an (N, dim) node array (or (N,) on
+    one-dimensional domains) to an array, and a single point to a complex.
     """
     zp = require_inside(domain, z)
-    root = math.sqrt(kernel_diag(domain, zp))
+    root = math.sqrt(domain.diag_at(zp))
 
     def k_z(w):
-        if isinstance(w, np.ndarray) and w.ndim >= 1 and w.size > domain.dim:
+        if isinstance(w, np.ndarray) and w.ndim >= 1:
             return kernel_values(domain, zp, w) / root
-        wp = as_point(w, domain.dim)
-        return _kernel_point(domain, wp, zp) / root
+        return domain.kernel_at(as_point(w, domain.dim), zp) / root
 
     return k_z
+
+
+def sample_interior(domain: DomainSpec, n: int, seed: int = 0) -> list[CPoint]:
+    """Draw ``n`` seeded points from the bulk of the domain.
+
+    Radii stay away from the boundary (and from the singular loci of the
+    Hartogs triangle) so kernel-peak integrands remain resolvable at the
+    default quadrature resolutions.
+    """
+    rng = np.random.default_rng(seed)
+    return [domain.sample(rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # Reinhardt monomial machinery
 # ---------------------------------------------------------------------------
-
-def _as_profile(domain_or_profile) -> ReinhardtProfile:
-    if isinstance(domain_or_profile, ReinhardtProfile):
-        return domain_or_profile
-    d = domain_or_profile
-    if d.kind == "reinhardt":
-        return d.profile
-    if d.kind in ("disc", "punctured-disc"):
-        return disc_profile()
-    if d.kind == "hartogs":
-        return hartogs_profile()
-    raise UnsupportedKind(f"no Reinhardt profile for {d.kind}")
-
 
 def monomial_l2_norm2(domain_or_profile, exponents) -> float:
     """Squared L^2 norm of the monomial z^alpha, or ``inf`` when divergent.
@@ -428,7 +539,9 @@ def monomial_l2_norm2(domain_or_profile, exponents) -> float:
     """
     from .quadrature import tail_exponent_classify  # deferred: quadrature imports this module
 
-    profile = _as_profile(domain_or_profile)
+    profile = domain_or_profile
+    if not isinstance(profile, ReinhardtProfile):
+        profile = profile.reinhardt_profile()
     alpha = tuple(int(a) for a in (exponents if not np.isscalar(exponents) else (exponents,)))
     if len(alpha) != profile.dim:
         raise ValueError(f"expected {profile.dim} exponents, got {len(alpha)}")
@@ -579,42 +692,3 @@ def _geometric_tail(mags):
     if rho >= 1.0:
         return None
     return nz[-1][1] * rho / (1.0 - rho)
-
-
-# ---------------------------------------------------------------------------
-# deterministic interior sampling (shared by tests and the CLI harness)
-# ---------------------------------------------------------------------------
-
-def sample_interior(domain: DomainSpec, n: int, seed: int = 0) -> list[CPoint]:
-    """Draw ``n`` seeded points from the bulk of the domain.
-
-    Radii stay away from the boundary (and from the singular loci of the
-    Hartogs triangle) so kernel-peak integrands remain resolvable at the
-    default quadrature resolutions.
-    """
-    rng = np.random.default_rng(seed)
-    pts: list[CPoint] = []
-    while len(pts) < n:
-        if domain.kind in ("disc", "punctured-disc"):
-            r = 0.05 + 0.75 * math.sqrt(rng.random())
-            pts.append((r * cmath.exp(2j * math.pi * rng.random()),))
-        elif domain.kind == "polydisc":
-            pts.append(tuple(
-                (0.05 + 0.60 * math.sqrt(rng.random())) * cmath.exp(2j * math.pi * rng.random())
-                for _ in range(domain.dim)
-            ))
-        elif domain.kind == "ball":
-            v = rng.normal(size=2 * domain.dim)
-            v /= np.linalg.norm(v)
-            rad = 0.7 * rng.random() ** (1.0 / (2 * domain.dim))
-            pts.append(tuple(complex(rad * v[2 * i], rad * v[2 * i + 1]) for i in range(domain.dim)))
-        elif domain.kind == "hartogs":
-            r1 = 0.15 + 0.55 * rng.random()
-            t = (0.05 + 0.65 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
-            z1 = r1 * cmath.exp(2j * math.pi * rng.random())
-            pts.append((z1, z1 * t))
-        elif domain.kind == "half-plane":
-            pts.append((complex(rng.uniform(-2, 2), 10.0 ** rng.uniform(-1.5, 1.5)),))
-        else:
-            raise UnsupportedKind(domain.kind)
-    return pts

@@ -45,10 +45,6 @@ class TruncationInsufficient(BergmanError):
     """A truncated series has an estimated tail above tolerance."""
 
 
-class NoConvergence(BergmanError):
-    """An iterative scheme stalled before reaching its tolerance."""
-
-
 class EmptyFamily(BergmanError):
     """A witness sweep was requested over an empty parameter family."""
 

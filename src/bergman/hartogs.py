@@ -89,9 +89,7 @@ def _check_eps(eps: float, open_right: bool = False) -> float:
 
 def blowup_symbol(eps: float, w) -> float:
     """The symbol |w1|^(-2 + 2 eps) at a point of the triangle."""
-    eps = _check_eps(eps)
-    wp = require_inside(_HARTOGS, w)
-    return abs(wp[0]) ** (2.0 * eps - 2.0)
+    return float(blowup_symbol_values(eps, np.array([require_inside(_HARTOGS, w)]))[0])
 
 
 def blowup_symbol_values(eps: float, nodes: np.ndarray) -> np.ndarray:
@@ -154,7 +152,7 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     eps = _check_eps(eps)
     zp = require_inside(_HARTOGS, z)
     z1, z2 = zp
-    diag = kernel_diag(_HARTOGS, zp)
+    diag = _HARTOGS.diag_at(zp)
     th = 2.0 * np.pi * np.arange(angular_n) / angular_n
     wth = 2.0 * np.pi / angular_n
     phase = np.exp(1j * th)
@@ -185,7 +183,7 @@ def diagonal_identity_check(z, tol: float = 1e-12) -> bool:
     zp = require_inside(_HARTOGS, z)
     r1 = abs(zp[0])
     t2 = abs(zp[1] / zp[0]) ** 2
-    lhs = 1.0 / (math.pi ** 2 * r1 ** 2 * kernel_diag(_HARTOGS, zp))
+    lhs = 1.0 / (math.pi ** 2 * r1 ** 2 * _HARTOGS.diag_at(zp))
     rhs = (1.0 - t2) ** 2 * (1.0 - r1 ** 2) ** 2
     eps = np.finfo(float).eps
     eff = max(tol, 8.0 * eps / max(1.0 - t2, eps))

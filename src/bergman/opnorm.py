@@ -80,11 +80,8 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
         raise NonpositiveDiagonal("K(z, z) must be positive at every row node")
     out = np.empty((rows.shape[0], len(rule)))
-    for i0 in range(0, rows.shape[0], 256):
-        blk = rows[i0:i0 + 256]
-        for i, zrow in enumerate(blk):
-            kv = kernel_values(domain, tuple(zrow), rule.nodes)
-            out[i0 + i] = np.abs(kv) ** 2 / diag[i0 + i]
+    for i, zrow in enumerate(rows):
+        out[i] = np.abs(kernel_values(domain, tuple(zrow), rule.nodes)) ** 2 / diag[i]
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
             "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}
     return OperatorMatrix(out, rows, rule.nodes, rule.weights, meta)
@@ -221,9 +218,10 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
     w = A.col_weights
     res = dict(A.meta)
     if math.isinf(p):
+        # the entries built here are nonnegative, so the row sums are the absolute row sums
         value = float(np.max(A.row_sums()))
         res["converged"] = True
-        return NormEstimate(value, p, "p-power-iteration", "approximate", res)
+        return NormEstimate(value, p, "max-row-sum", "exact", res)
     if A.entries.shape[0] != A.entries.shape[1]:
         raise ValueError("finite-p estimation needs a square matrix (rows = columns)")
     if p == 2.0:
@@ -372,36 +370,6 @@ class BRScanReport:
         })
 
 
-def _scan_grid(domain: DomainSpec, level: int):
-    """Deterministic grids accumulating at the singular loci of each domain."""
-    kind = domain.kind
-    n_r = 8 * (level + 1)
-    n_th = 4 * (level + 1)
-    depth = 3.0 + 3.0 * level  # radii reach 1 - 10^(-depth)
-    angles = np.exp(2j * np.pi * np.arange(n_th) / n_th)
-    if kind in ("disc", "punctured-disc", "half-plane"):
-        if kind == "half-plane":
-            ys = np.logspace(-depth, depth / 2.0, 2 * n_r)
-            xs = np.linspace(-2.0, 2.0, 5)
-            return [(complex(x, y),) for y in ys for x in xs]
-        radii = np.concatenate([[0.0] if kind == "disc" else [],
-                                1.0 - np.logspace(-depth, -0.3, n_r)])
-        return [(r * a,) for r in radii for a in angles]
-    if kind in ("ball", "polydisc"):
-        radii = 1.0 - np.logspace(-depth, -0.3, n_r)
-        if kind == "ball":
-            radii = radii / math.sqrt(2.0)
-        return [(r1 * a1, r2 * a2)
-                for r1 in radii[:: max(1, n_r // 6)] for r2 in radii[:: max(1, n_r // 6)]
-                for a1 in angles[:: 2] for a2 in angles[:: 2]]
-    if kind == "hartogs":
-        r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
-                              1.0 - np.logspace(-depth, -0.6, n_r // 2)])
-        ts = np.array([0.0, 0.3, 0.9])
-        return [(r1 * a, r1 * t * a) for r1 in r1s for t in ts for a in angles[:: 2]]
-    raise UnsupportedKind(kind)
-
-
 def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
     """Sampled extrema of |K(w,z)| / K(z,z) with a refinement divergence flag.
 
@@ -414,8 +382,8 @@ def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
     global_sup = 0.0
     inf_seen = math.inf
     for level in (0, 1):
-        zg = z_grid if z_grid is not None else _scan_grid(domain, level)
-        wg = w_grid if w_grid is not None else _scan_grid(domain, level)
+        zg = z_grid if z_grid is not None else domain.scan_grid(level)
+        wg = w_grid if w_grid is not None else domain.scan_grid(level)
         wnodes = np.asarray([list(p) for p in wg], dtype=complex)
         sup = 0.0
         for z in zg:

@@ -12,7 +12,6 @@ results are bit-reproducible.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -89,10 +88,6 @@ class QuadratureRule:
     def dim(self) -> int:
         return self.nodes.shape[1]
 
-    def node_points(self):
-        for row in self.nodes:
-            yield tuple(row)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -109,6 +104,12 @@ class GridFunction:
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("grid function has non-finite entries")
 
+    def values_on(self, rule: QuadratureRule) -> np.ndarray:
+        """The samples, refused unless they were taken on ``rule`` itself."""
+        if self.rule is not rule:
+            raise ValueError("grid function belongs to a different rule")
+        return self.values
+
 
 def compensated_sum(values: np.ndarray) -> float:
     """Deterministic compensated sum: pairwise chunks, then exact fsum of partials."""
@@ -119,9 +120,7 @@ def compensated_sum(values: np.ndarray) -> float:
 
 def evaluate_on_rule(rule: QuadratureRule, f) -> np.ndarray:
     if isinstance(f, GridFunction):
-        if f.rule is not rule and len(f.values) != len(rule):
-            raise ValueError("grid function belongs to a different rule")
-        return f.values
+        return f.values_on(rule)
     if isinstance(f, np.ndarray):
         if len(f) != len(rule):
             raise ValueError("value array length does not match the rule")
@@ -155,54 +154,33 @@ def build_rule(domain: DomainSpec, radial_n: int, angular_n: int,
     """Tensor rule in polar/toroidal coordinates for a model domain.
 
     ``grading`` controls clustering toward outer boundaries and the Hartogs
-    edge; ``origin_grading`` (default: 3 on the Hartogs triangle, else equal
-    to ``grading``) controls clustering toward r = 0 where integrands such as
-    negative powers of |w1| concentrate.
+    edge; ``origin_grading`` (default: the domain's ``default_origin_grading``,
+    3 on the Hartogs triangle, else ``grading``) controls clustering toward
+    r = 0 where integrands such as negative powers of |w1| concentrate.
     """
     if radial_n < 4 or angular_n < 4:
         raise InvalidResolution("radial_n and angular_n must both be >= 4")
     if grading < 1.0 or (origin_grading is not None and origin_grading < 1.0):
         raise InvalidResolution("grading exponents must be >= 1")
-
-    kind = domain.kind
-    if kind in ("disc", "punctured-disc"):
-        og = grading if origin_grading is None else origin_grading
-        return _disc_rule(kind, radial_n, angular_n, grading, og)
-    if kind == "polydisc":
-        og = grading if origin_grading is None else origin_grading
-        return _polydisc_rule(domain.dim, radial_n, angular_n, grading, og)
-    if kind == "ball":
-        if domain.dim != 2:
-            raise UnsupportedKind("ball rules are implemented for dimension 2")
-        og = grading if origin_grading is None else origin_grading
-        return _ball2_rule(radial_n, angular_n, grading, og)
-    if kind == "hartogs":
-        og = 3.0 if origin_grading is None else origin_grading
-        return _hartogs_rule(radial_n, angular_n, grading, og)
-    raise UnsupportedKind(f"no quadrature rule for domain kind {kind!r}")
+    builder = _RULE_BUILDERS.get(domain.kind)
+    if builder is None:
+        raise UnsupportedKind(f"no quadrature rule for domain kind {domain.kind!r}")
+    if origin_grading is None:
+        origin_grading = domain.default_origin_grading or grading
+    return builder(domain, radial_n, angular_n, grading, origin_grading)
 
 
 def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
 
 
-def _disc_polar(radial_n, angular_n, grading, origin_grading):
+def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
+    """Tensor power of the polar disc rule; the disc is the case dim = 1."""
+    dim = domain.dim
     r, wr = _radial_line(radial_n, origin_grading, grading)
     th, wth = _angles(angular_n)
-    z = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    w = ((r * wr)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
-    return z, w
-
-
-def _disc_rule(kind, radial_n, angular_n, grading, origin_grading):
-    z, w = _disc_polar(radial_n, angular_n, grading, origin_grading)
-    meta = RuleMeta(kind, 1, radial_n, angular_n, grading, origin_grading,
-                    (2 * radial_n, angular_n))
-    return QuadratureRule(z[:, None], w, meta)
-
-
-def _polydisc_rule(dim, radial_n, angular_n, grading, origin_grading):
-    z1, w1 = _disc_polar(radial_n, angular_n, grading, origin_grading)
+    z1 = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    w1 = ((r * wr)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
     nodes = z1[:, None]
     weights = w1
     for _ in range(dim - 1):
@@ -210,12 +188,14 @@ def _polydisc_rule(dim, radial_n, angular_n, grading, origin_grading):
             [np.repeat(nodes, len(z1), axis=0),
              np.tile(z1, len(weights))[:, None]], axis=1)
         weights = (weights[:, None] * w1[None, :]).ravel()
-    meta = RuleMeta("polydisc", dim, radial_n, angular_n, grading, origin_grading,
+    meta = RuleMeta(domain.kind, dim, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, angular_n) * dim)
     return QuadratureRule(nodes, weights, meta)
 
 
-def _ball2_rule(radial_n, angular_n, grading, origin_grading):
+def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
+    if domain.dim != 2:
+        raise UnsupportedKind("ball rules are implemented for dimension 2")
     # z1 = rho cos(a) e^{i t1}, z2 = rho sin(a) e^{i t2};
     # dV = rho^3 cos(a) sin(a) drho da dt1 dt2
     rho, wrho = _radial_line(radial_n, origin_grading, grading)
@@ -233,7 +213,7 @@ def _ball2_rule(radial_n, angular_n, grading, origin_grading):
     return QuadratureRule(np.stack([z1, z2], axis=1), w, meta)
 
 
-def _hartogs_rule(radial_n, angular_n, grading, origin_grading):
+def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
     # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2
     r, wr = _radial_line(radial_n, origin_grading, grading)
     sa, wsa = _gauss(radial_n, 0.0, 0.5)
@@ -254,6 +234,10 @@ def _hartogs_rule(radial_n, angular_n, grading, origin_grading):
     meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, angular_n, 2 * radial_n, angular_n))
     return QuadratureRule(np.stack([z1, z2], axis=1), w, meta)
+
+
+_RULE_BUILDERS = {"disc": _polydisc_rule, "punctured-disc": _polydisc_rule, "polydisc": _polydisc_rule,
+                  "ball": _ball2_rule, "hartogs": _hartogs_rule}
 
 
 def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
@@ -314,18 +298,19 @@ _MAGIC = b"bergman-rule v1"
 
 
 def save_rule(rule: QuadratureRule, path: str) -> None:
+    """One text header line, then N records (Re z_1, Im z_1, ..., Re z_dim, Im z_dim, w)."""
     m = rule.meta
     header = (f"{_MAGIC.decode()} kind={m.domain} dim={m.dim} n={len(rule)} "
               f"radial_n={m.radial_n} angular_n={m.angular_n} "
-              f"grading={m.grading!r} origin_grading={m.origin_grading!r} region={m.region}\n")
+              f"grading={m.grading!r} origin_grading={m.origin_grading!r} "
+              f"shape={','.join(map(str, m.shape))} region={m.region}\n")
+    records = np.empty((len(rule), 2 * rule.dim + 1), dtype="<f8")
+    records[:, 0:-1:2] = rule.nodes.real
+    records[:, 1:-1:2] = rule.nodes.imag
+    records[:, -1] = rule.weights
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for row, w in zip(rule.nodes, rule.weights):
-            rec = []
-            for c in row:
-                rec.extend((c.real, c.imag))
-            rec.append(float(w))
-            fh.write(struct.pack("<" + "d" * len(rec), *rec))
+        fh.write(records.tobytes())
 
 
 def load_rule(path: str) -> QuadratureRule:
@@ -339,7 +324,9 @@ def load_rule(path: str) -> QuadratureRule:
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, 2 * dim + 1)
     nodes = (data[:, 0:2 * dim:2] + 1j * data[:, 1:2 * dim:2]).astype(complex)
     weights = np.ascontiguousarray(data[:, -1])
+    # files written before the shape was recorded load with shape ()
+    shape = tuple(int(s) for s in fields.get("shape", "").split(",") if s)
     meta = RuleMeta(fields["kind"], dim, int(fields["radial_n"]), int(fields["angular_n"]),
                     float(fields["grading"]), float(fields["origin_grading"]),
-                    shape=(), region=fields.get("region", "full"))
+                    shape=shape, region=fields.get("region", "full"))
     return QuadratureRule(nodes, weights, meta)

@@ -232,14 +232,10 @@ def check_05_hartogs_kernel() -> CheckResult:
         want = delta * (1 - delta ** 2) ** 2 / (eps * (1 - delta * eps) ** 2)
         worst_path = max(worst_path, _rel(got, want))
 
-    flags = {}
-    sup_disc = 0.0
-    for d in (dom.disc(), dom.ball(2), dom.polydisc(2), dom.upper_half_plane(),
-              dom.hartogs_triangle()):
-        rep = on.br_scan(d)
-        flags[d.kind] = rep.divergent
-        if d.kind == "disc":
-            sup_disc = rep.supremum
+    reports = {d.kind: on.br_scan(d) for d in (dom.disc(), dom.ball(2), dom.polydisc(2),
+                                               dom.upper_half_plane(), dom.hartogs_triangle())}
+    flags = {kind: rep.divergent for kind, rep in reports.items()}
+    sup_disc = reports["disc"].supremum
     flags_ok = (flags["hartogs"] and not flags["disc"] and not flags["ball"]
                 and not flags["polydisc"] and not flags["half-plane"])
     passed = (worst_series <= 1e-8 and worst_path <= 1e-10 and flags_ok

@@ -16,7 +16,7 @@ import numpy as np
 from . import hartogs as _hartogs
 from .domains import (
     DomainSpec,
-    kernel_diag,
+    domain_by_name,
     kernel_diag_values,
     kernel_values,
     require_inside,
@@ -56,7 +56,7 @@ def _eval_nodes(rule: QuadratureRule) -> np.ndarray:
 
 def symbol_values(phi: Symbol, rule: QuadratureRule) -> np.ndarray:
     if isinstance(phi, GridFunction):
-        vals = phi.values
+        vals = phi.values_on(rule)
     elif isinstance(phi, np.ndarray):
         vals = phi
     else:
@@ -78,7 +78,7 @@ def _csum(values: np.ndarray) -> complex:
 def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule) -> complex:
     """B phi(z) = int phi(w) |k_z(w)|^2 dV(w) by quadrature on ``rule``."""
     zp = require_inside(domain, z)
-    diag = kernel_diag(domain, zp)
+    diag = domain.diag_at(zp)
     vals = symbol_values(phi, rule)
     kz2 = np.abs(kernel_values(domain, zp, rule.nodes)) ** 2 / diag
     return _csum(rule.weights * kz2 * vals)
@@ -92,7 +92,7 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule) ->
     the transform is not self-adjoint.
     """
     zp = require_inside(domain, z)
-    kernel_diag(domain, zp)  # validates the running positivity assumption at z
+    domain.diag_at(zp)  # validates the running positivity assumption at z
     vals = symbol_values(psi, rule)
     num = np.abs(kernel_values(domain, zp, rule.nodes)) ** 2
     den = kernel_diag_values(domain, rule.nodes)
@@ -185,9 +185,6 @@ def basis_at(basis: str, truncation: int, z) -> np.ndarray:
     raise UnsupportedKind(f"unknown basis {basis!r}")
 
 
-_BASIS_DOMAIN = {"disc": "disc", "hartogs": "hartogs"}
-
-
 def berezin_of_operator(op: BasisOperator, z) -> complex:
     """Berezin transform <T k_z, k_z> of a basis-truncated operator.
 
@@ -195,11 +192,9 @@ def berezin_of_operator(op: BasisOperator, z) -> complex:
     sum_{m,n} T[m][n] u_n(z) conj(u_m(z)).  The captured mass sum |u_n|^2
     must be within 1e-8 of 1, else the truncation cannot represent k_z at z.
     """
-    from .domains import disc as _disc, hartogs_triangle as _ht
-
-    domain = _disc() if op.basis == "disc" else _ht()
+    domain = domain_by_name(op.basis)
     zp = require_inside(domain, z)
-    diag = kernel_diag(domain, zp)
+    diag = domain.diag_at(zp)
     u = np.conj(basis_at(op.basis, op.truncation, zp)) / math.sqrt(diag)
     gap = 1.0 - float(np.sum(np.abs(u) ** 2))
     if gap > 1e-8:

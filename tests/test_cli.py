@@ -97,6 +97,21 @@ class TestScanAndBlowup:
         assert "slope" in err
 
 
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["br-scan", "--domain", "disc", "--grading", "3"],
+        ["br-scan", "--domain", "disc", "--format", "csv"],
+        ["kernel", "--domain", "disc", "--z", "0", "--w", "0", "--radial-n", "8"],
+        ["blowup", "--eps", "1e-1,1e-2", "--domain", "hartogs"],
+        ["reproduce", "--domain", "disc"],
+    ], ids=["br-scan --grading", "br-scan --format", "kernel --radial-n", "blowup --domain",
+            "reproduce --domain"])
+    def test_ignored_flag_is_config_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+
 class TestDeterminism:
     def test_identical_payloads(self, capsys):
         argv = ["br-scan", "--domain", "disc"]
@@ -167,5 +182,15 @@ class TestReproduceCommand:
         code, _, _ = run_cli(capsys, ["reproduce", "--out", path, "--format", "csv"])
         assert code == 0
         lines = open(path).read().strip().split("\n")
-        assert lines[0] == "id,name,passed,seconds"
+        assert lines[0] == "id,name,passed"
         assert lines[1].startswith("10,")
+
+    def test_csv_report_is_byte_identical(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", [reproduce.check_10_boas])
+        payloads = []
+        for name in ("a.csv", "b.csv"):
+            path = os.path.join(tmp_path, name)
+            assert run_cli(capsys, ["reproduce", "--out", path, "--format", "csv"])[0] == 0
+            with open(path, "rb") as fh:
+                payloads.append(fh.read())
+        assert payloads[0] == payloads[1]

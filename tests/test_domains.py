@@ -63,7 +63,8 @@ class TestKernelValues:
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     def test_hermitian_symmetry_and_positive_diagonal(self, domain):
-        pts = dom.sample_interior(domain, 100, seed=hash(domain.kind) % 1000)
+        # a fixed seed per domain: hash() of a str changes between processes
+        pts = dom.sample_interior(domain, 100, seed=100 + ALL_DOMAINS.index(domain))
         for i in range(0, 100, 2):
             z, w = pts[i], pts[i + 1]
             kzw = dom.kernel(domain, z, w)
@@ -180,6 +181,69 @@ class TestNormalizedKernel:
         vec = k(pts)
         assert vec[0] == pytest.approx(k((0.4 + 0.1j, 0.1 + 0.05j)))
         assert vec[1] == pytest.approx(k((0.6 + 0j, 0.3 + 0j)))
+
+    @pytest.mark.parametrize("domain,w", [(dom.disc(), (0.3 - 0.2j,)),
+                                          (dom.hartogs_triangle(), (0.4 + 0.1j, 0.1 + 0.05j))],
+                             ids=str)
+    def test_one_node_array(self, domain, w):
+        k = dom.normalized_kernel(domain, (0.5,) if domain.dim == 1 else (0.5, 0.2))
+        vec = k(np.array([w]))
+        assert vec.shape == (1,)
+        assert vec[0] == k(w)
+
+
+# Hypothesis draws three radii fractions and three angles; each kind maps them
+# to a point strictly inside it.
+COORDS = st.tuples(*[st.floats(0.001, 0.999)] * 3, *[st.floats(0.0, 2 * math.pi)] * 3)
+
+
+def _point(domain, c):
+    rs, ts = c[:3], c[3:]
+    polar = [r * cmath.exp(1j * t) for r, t in zip(rs, ts)]
+    if domain.kind == "half-plane":
+        return (complex(20.0 * rs[0] - 10.0, 10.0 ** (6.0 * rs[1] - 3.0)),)
+    if domain.kind == "hartogs":
+        return (polar[0], polar[0] * polar[1])
+    if domain.kind == "ball":
+        return tuple(p / math.sqrt(domain.dim) for p in polar[:domain.dim])
+    return tuple(polar[:domain.dim])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+class TestOneFormula:
+    """Scalar calls are the one-point case of the array formulas."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    @given(a=COORDS, b=COORDS)
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_is_one_point_case(self, domain, a, b):
+        z, w = _point(domain, a), _point(domain, b)
+        assert _bits(dom.kernel(domain, w, z)) == _bits(dom.kernel_values(domain, z, [w])[0])
+        assert _bits(dom.kernel_diag(domain, z)) == _bits(dom.kernel_diag_values(domain, [z])[0])
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    @given(a=COORDS, b=COORDS)
+    @settings(max_examples=60, deadline=None)
+    def test_hermitian(self, domain, a, b):
+        z, w = _point(domain, a), _point(domain, b)
+        kzw = dom.kernel(domain, z, w)
+        assert abs(kzw - dom.kernel(domain, w, z).conjugate()) <= 1e-12 * abs(kzw)
+
+    @pytest.mark.parametrize("domain", [d for d in ALL_DOMAINS
+                                        if d.kind in ("disc", "polydisc", "ball", "hartogs")],
+                             ids=str)
+    @given(a=COORDS, b=COORDS, phases=st.tuples(*[st.floats(0.0, 2 * math.pi)] * 3))
+    @settings(max_examples=60, deadline=None)
+    def test_rotation_invariance(self, domain, a, b, phases):
+        z, w = _point(domain, a), _point(domain, b)
+        rot = [cmath.exp(1j * t) for t in phases[:domain.dim]]
+        zr = tuple(u * c for u, c in zip(rot, z))
+        wr = tuple(u * c for u, c in zip(rot, w))
+        k = abs(dom.kernel(domain, z, w))
+        assert abs(abs(dom.kernel(domain, zr, wr)) - k) <= 1e-11 * k
 
 
 class TestMonomialNorms:

@@ -105,6 +105,11 @@ class TestEstimateNorm:
         est = on.estimate_norm(small_matrix, math.inf)
         assert est.value == pytest.approx(1.0, abs=1e-6)
 
+    def test_p_infinity_is_exact_max_row_sum(self, small_matrix):
+        est = on.estimate_norm(small_matrix, math.inf)
+        assert est.value == float(np.max(small_matrix.row_sums()))
+        assert (est.method, est.bound_kind) == ("max-row-sum", "exact")
+
     def test_sector_norms_decrease(self):
         sigmas = [on.estimate_norm(on.discretize_berezin_radial(120, 30.0, sector=q), 2.0).value
                   for q in range(4)]

@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -93,6 +94,15 @@ class TestIntegrate:
         assert quad.integrate(rule, gf).real == pytest.approx(math.pi)
         assert quad.integrate(rule, np.ones(len(rule))).real == pytest.approx(math.pi)
 
+    def test_foreign_grid_function_rejected(self):
+        # same length, other weights: integrating would give 1.3969 instead of pi/2
+        rule = quad.build_rule(dom.disc(), 8, 16)
+        other = quad.build_rule(dom.disc(), 8, 16, grading=3.0)
+        gf = quad.GridFunction(rule, np.abs(rule.nodes[:, 0]) ** 2)
+        assert quad.integrate(rule, gf).real == pytest.approx(math.pi / 2)
+        with pytest.raises(ValueError):
+            quad.integrate(other, gf)
+
     def test_non_finite_rejected(self):
         rule = quad.build_rule(dom.disc(), 8, 8)
         with pytest.raises(NonFiniteValue):
@@ -149,6 +159,33 @@ class TestSerialization:
         assert back.meta.domain == "hartogs"
         f = lambda w: np.abs(w[:, 0]) ** 2
         assert quad.integrate(back, f) == quad.integrate(rule, f)
+
+    @pytest.mark.parametrize("domain", [dom.disc(), dom.polydisc(2)], ids=str)
+    def test_meta_round_trip_and_record_bytes(self, tmp_path, domain):
+        rule = quad.build_rule(domain, 4, 4)
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(rule, path)
+        assert quad.load_rule(path).meta == rule.meta
+        # the records are the bytes of one struct.pack per row
+        want = b"".join(
+            struct.pack("<" + "d" * (2 * rule.dim + 1),
+                        *[x for c in row for x in (c.real, c.imag)], float(w))
+            for row, w in zip(rule.nodes, rule.weights))
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert fh.read() == want
+
+    def test_header_without_shape_loads(self, tmp_path):
+        rule = quad.build_rule(dom.disc(), 4, 4)
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(rule, path)
+        with open(path, "rb") as fh:
+            header, body = fh.readline(), fh.read()
+        with open(path, "wb") as fh:
+            fh.write(header.replace(b" shape=8,4", b"") + body)
+        back = quad.load_rule(path)
+        assert back.meta.shape == ()
+        np.testing.assert_array_equal(back.nodes, rule.nodes)
 
     def test_reject_garbage(self, tmp_path):
         path = os.path.join(tmp_path, "junk.bin")

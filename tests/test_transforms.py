@@ -58,6 +58,13 @@ class TestBerezin:
         got = tr.berezin(dom.disc(), gf, 0.2 + 0j, disc_rule)
         assert got.real == pytest.approx(1.0, abs=1e-8)
 
+    def test_foreign_grid_function_rejected(self, disc_rule):
+        # the same symbol sampled on another rule of the same length
+        other = quad.build_rule(dom.disc(), 24, 48, grading=3.0)
+        gf = quad.GridFunction(other, np.abs(other.nodes[:, 0]) ** 2)
+        with pytest.raises(ValueError):
+            tr.berezin(dom.disc(), gf, 0.2 + 0j, disc_rule)
+
     def test_punctured_disc_normalization(self, disc_rule):
         domain = dom.punctured_disc()
         for z in dom.sample_interior(domain, 5, seed=19):
