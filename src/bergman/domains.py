@@ -204,10 +204,15 @@ class DomainSpec:
 
     def diag_at(self, p: CPoint) -> float:
         """K(p, p) at one point; raises NonpositiveDiagonal unless positive and finite."""
-        val = float(self.diag(np.array([p]))[0])
-        if not (val > 0.0 and math.isfinite(val)):
-            raise NonpositiveDiagonal(f"K(z,z)={val} at z={p} on {self}")
-        return val
+        return float(self.positive_diag(np.array([p]))[0])
+
+    def positive_diag(self, Z: np.ndarray) -> np.ndarray:
+        """K(z, z) over (M, dim) points; raises NonpositiveDiagonal unless all positive and finite."""
+        vals = self.diag(Z)
+        bad = ~((vals > 0.0) & np.isfinite(vals))
+        if np.any(bad):
+            raise NonpositiveDiagonal(f"K(z,z)={vals[bad][0]} at z={Z[bad][0]} on {self}")
+        return vals
 
 
 def _scan_axes(level: int):
@@ -287,7 +292,12 @@ class _Ball(DomainSpec):
         inner = 0.0
         for i in range(n):
             inner = inner + a[..., i] * np.conj(b[..., i])
-        return math.factorial(n) / (np.pi ** n * (1.0 - inner) ** (n + 1))
+        # q^(n+1) by repeated multiplication: a complex ** is about twice as slow
+        q = 1.0 - inner
+        power = q
+        for _ in range(n):
+            power = power * q
+        return math.factorial(n) / (np.pi ** n * power)
 
     def diag(self, z):
         n = self.dim
@@ -458,6 +468,19 @@ def require_inside(domain: DomainSpec, z) -> CPoint:
     if not domain.contains(p):
         raise PointOutsideDomain(f"{p} is not strictly inside {domain}")
     return p
+
+
+def inside_points(domain: DomainSpec, z) -> tuple[np.ndarray, bool]:
+    """``z`` as an (M, dim) complex array whose rows lie strictly inside ``domain``.
+
+    An (M, dim) ndarray is a batch of M points; anything else is one point,
+    the case M = 1, which the returned flag marks.
+    """
+    if not (isinstance(z, np.ndarray) and z.ndim == 2):
+        return np.array([require_inside(domain, z)]), True
+    for row in z:
+        require_inside(domain, row)
+    return z.astype(complex), False
 
 
 # ---------------------------------------------------------------------------

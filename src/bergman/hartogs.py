@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import hartogs_triangle, kernel_diag, kernel_values, require_inside
+from .domains import hartogs_triangle, kernel_diag, require_inside
 from .errors import (
     EpsilonOutOfRange,
     InadmissibleIndex,
@@ -308,11 +308,11 @@ def weak_pairing(j: int) -> float:
 
 
 def weak_pairing_by_quadrature(j: int, rule) -> float:
-    """The same pairing evaluated as an honest integral against a rule."""
+    """The same pairing as an honest integral against a rule: |P[1/w1](z)| / sqrt(K(z,z))."""
+    from .transforms import bergman_project  # deferred: transforms imports this module
+
     if j < 2:
         raise ValueError("j must be >= 2")
     z = (1.0 / j + 0j, 0j)
-    root = math.sqrt(kernel_diag(_HARTOGS, z))
-    kz = kernel_values(_HARTOGS, z, rule.nodes)
-    integrand = np.conj(kz) / (rule.nodes[:, 0] * root)
-    return abs(complex(np.sum(rule.weights * integrand)))
+    projected = bergman_project(_HARTOGS, lambda w: 1.0 / w[:, 0], z, rule)
+    return abs(projected) / math.sqrt(kernel_diag(_HARTOGS, z))

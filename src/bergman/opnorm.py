@@ -23,15 +23,9 @@ from typing import Optional
 import numpy as np
 
 from . import jsonfmt
-from .domains import (
-    DomainSpec,
-    disc,
-    kernel_diag,
-    kernel_diag_values,
-    kernel_values,
-)
-from .errors import EmptyFamily, NonpositiveDiagonal, UnsupportedKind
-from .quadrature import QuadratureRule, tail_exponent_classify
+from .domains import DomainSpec, disc, inside_points
+from .errors import EmptyFamily, NonFiniteValue, UnsupportedKind
+from .quadrature import QuadratureRule, _row_blocks, tail_exponent_classify
 
 
 @dataclass(frozen=True)
@@ -76,12 +70,10 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     rows = rule.nodes if row_nodes is None else np.asarray(row_nodes)
     if rows.ndim == 1:
         rows = rows[:, None]
-    diag = kernel_diag_values(domain, rows)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise NonpositiveDiagonal("K(z, z) must be positive at every row node")
+    diag = domain.positive_diag(rows)
     out = np.empty((rows.shape[0], len(rule)))
-    for i, zrow in enumerate(rows):
-        out[i] = np.abs(kernel_values(domain, tuple(zrow), rule.nodes)) ** 2 / diag[i]
+    for r in _row_blocks(rows.shape[0], len(rule)):
+        out[r] = np.abs(domain.kernel(rule.nodes[None], rows[r, None])) ** 2 / diag[r, None]
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
             "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}
     return OperatorMatrix(out, rows, rule.nodes, rule.weights, meta)
@@ -210,8 +202,8 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
 
     p = 2 is the largest singular value of the weight-symmetrized matrix and
     p = infinity the maximal weighted row sum, both exact for the discrete
-    operator; other p yield certified lower bounds (dual ascent refined by a
-    radial-power witness sweep when column nodes expose radii).
+    operator; other p yield certified lower bounds (dual ascent, refined on
+    disc matrices by the radial-power witness sweep).
     """
     if not 1.0 < p:
         raise ValueError("p must lie in (1, infinity]")
@@ -241,14 +233,13 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
     best, converged, iters = _dual_ascent_pnorm(M, p, x0=w.copy())
     method = "p-power-iteration"
     res.update({"converged": converged, "iterations": iters})
-    try:
+    # the radial powers (1 - |z|^2)^b are witnesses on the disc only
+    if A.meta.get("domain") == str(disc()):
         wit = witness_lower_bound(disc(), p, matrix=A)
         if wit.value > best:
             best = wit.value
             method = "witness-sweep"
             res["witness"] = wit.resolution.get("witness")
-    except (UnsupportedKind, EmptyFamily):
-        pass
     return NormEstimate(best, p, method, "lower", res)
 
 
@@ -319,6 +310,9 @@ def witness_lower_bound(domain: DomainSpec, p: float, family=None,
         tested += 1
         f = x1 ** a * (1.0 - u) ** b
         ratio = _weighted_pnorm(w, matrix.apply(f), p) / _weighted_pnorm(w, f, p)
+        if not math.isfinite(ratio):
+            raise NonFiniteValue(f"witness (a, b) = ({a}, {b}) gives the ratio {ratio}; "
+                                 "its nodes are not in the unit disc")
         if ratio > best:
             best, best_params = ratio, (a, b)
     if tested == 0:
@@ -385,15 +379,20 @@ def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
         zg = z_grid if z_grid is not None else domain.scan_grid(level)
         wg = w_grid if w_grid is not None else domain.scan_grid(level)
         wnodes = np.asarray([list(p) for p in wg], dtype=complex)
+        Z, _ = inside_points(domain, np.array(zg, dtype=complex).reshape(len(zg), domain.dim))
+        diag = domain.positive_diag(Z)
         sup = 0.0
-        for z in zg:
-            ratios = np.abs(kernel_values(domain, z, wnodes)) / kernel_diag(domain, z)
-            j = int(np.argmax(ratios))
+        for r in _row_blocks(len(Z), len(wnodes)):
+            ratios = np.abs(domain.kernel(wnodes[None], Z[r, None])) / diag[r, None]
+            # per z its first maximizing w; across z the first largest wins, as in z order
+            j = np.argmax(ratios, axis=1)
+            row_max = ratios[np.arange(len(j)), j]
+            i = int(np.argmax(row_max))
             inf_seen = min(inf_seen, float(np.min(ratios)))
-            sup = max(sup, float(ratios[j]))
-            if ratios[j] > global_sup:
-                global_sup = float(ratios[j])
-                arg = (tuple(z), tuple(wnodes[j]))
+            sup = max(sup, float(row_max[i]))
+            if row_max[i] > global_sup:
+                global_sup = float(row_max[i])
+                arg = (tuple(zg[r.start + i]), tuple(wnodes[j[i]]))
         sups.append(sup)
         if z_grid is not None and w_grid is not None:
             break

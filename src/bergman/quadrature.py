@@ -6,7 +6,11 @@ integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
 Sums are accumulated in a fixed node order with compensated summation, so
-results are bit-reproducible.
+results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
+then an exact fsum of the chunk sums.  Operators evaluate the kernel at many
+points in node blocks of about 2^17 entries and gather each chunk's summands
+before reducing it, so the blocked sum reproduces ``compensated_sum`` chunk
+for chunk, bit for bit, whatever the number of points.
 """
 
 from __future__ import annotations
@@ -111,11 +115,57 @@ class GridFunction:
         return self.values
 
 
+# nodes per pairwise-summed chunk of compensated_sum
+_CHUNK = 65536
+# entries of one evaluated kernel block (M points x block nodes)
+_BLOCK = 1 << 17
+# entries of the (points x chunk) buffer a blocked sum reduces at once
+_BUFFER = 16 * _BLOCK
+
+
 def compensated_sum(values: np.ndarray) -> float:
     """Deterministic compensated sum: pairwise chunks, then exact fsum of partials."""
     v = np.asarray(values, dtype=float)
-    partials = [float(np.sum(v[i:i + 65536])) for i in range(0, len(v), 65536)]
+    partials = [float(np.sum(v[i:i + _CHUNK])) for i in range(0, len(v), _CHUNK)]
     return math.fsum(partials)
+
+
+def _slices(start: int, stop: int, step: int) -> list:
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def _row_blocks(rows: int, cols: int) -> list:
+    """Slices of ``rows`` so that each (block, cols) evaluation holds about _BLOCK entries."""
+    return _slices(0, rows, max(1, _BLOCK // max(1, cols)))
+
+
+def _kernel_sums(domain: DomainSpec, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarray:
+    """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
+    of ``summand(k, s, r)``, where k = K(w_s, Z_r) for a node slice s and a point slice r.
+
+    Node blocks of about _BLOCK entries are gathered into one (points, chunk)
+    array per _CHUNK nodes and reduced along its rows, so each sum equals
+    ``compensated_sum`` of that point's full summand array, bit for bit.
+    Points go in groups that keep that array within _BUFFER entries.
+    Returns an (M,) complex array; real summands give zero imaginary parts.
+    """
+    n = len(rule)
+    sums = np.zeros(len(Z), dtype=complex)
+    for r in _slices(0, len(Z), max(1, _BUFFER // max(1, min(n, _CHUNK)))):
+        step = max(1, min(_CHUNK, _BLOCK // (r.stop - r.start)))
+        re, im = [], []
+        for c in range(0, n, _CHUNK):
+            blocks = [summand(domain.kernel(rule.nodes[None, s], Z[r, None]), s, r)
+                      for s in _slices(c, min(c + _CHUNK, n), step)]
+            buf = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+            re.append(np.sum(buf.real, axis=1))
+            if np.iscomplexobj(buf):
+                im.append(np.sum(buf.imag, axis=1))
+        if re:
+            sums.real[r] = [math.fsum(col) for col in zip(*re)]
+        if im:
+            sums.imag[r] = [math.fsum(col) for col in zip(*im)]
+    return sums
 
 
 def evaluate_on_rule(rule: QuadratureRule, f) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -107,6 +107,15 @@ def _rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def _one(w):
+    return np.ones(len(w))
+
+
+def _grid(rule) -> dict:
+    """The grid a check ran on, read from the rule itself."""
+    return asdict(rule.meta) | {"nodes": len(rule)}
+
+
 # ---------------------------------------------------------------------------
 # the thirteen checks
 # ---------------------------------------------------------------------------
@@ -121,33 +130,31 @@ def check_01_normalization() -> CheckResult:
     measured = {}
     passed = True
     for domain, rule, tol, seed in cases:
-        worst = 0.0
-        for z in dom.sample_interior(domain, 20, seed=seed):
-            k = dom.normalized_kernel(domain, z)
-            mass = quad.integrate(rule, np.abs(k(rule.nodes)) ** 2).real
-            worst = max(worst, abs(mass - 1.0))
+        # ||k_z||^2 = int |K(w,z)|^2 / K(z,z) dV(w) = B1(z)
+        points = np.array(dom.sample_interior(domain, 20, seed=seed))
+        masses = bz.berezin(domain, _one, points, rule).real
+        worst = float(np.max(np.abs(masses - 1.0)))
         measured[domain.kind] = worst
         passed &= worst <= tol
     return CheckResult(1, "normalized kernel has unit mass", passed, measured,
                        "1e-8 disc/bidisc, 1e-6 ball/hartogs",
-                       resolution={"rules": ["disc(24,112)", "ball(28,48)",
-                                             "bidisc(16,48)", "hartogs(20,48)"]})
+                       resolution={"rules": [_grid(rule) for _, rule, _, _ in cases],
+                                   "points": 20})
 
 
 def check_02_b_one() -> CheckResult:
     domain = dom.disc()
     rule = rule_disc_rows()
-    worst_pt = 0.0
-    for z in dom.sample_interior(domain, 20, seed=2):
-        val = bz.berezin(domain, lambda w: np.ones(len(w)), z, rule)
-        worst_pt = max(worst_pt, abs(val - 1.0))
-    rows = berezin_row_matrix().row_sums()
-    worst_row = float(np.max(np.abs(rows - 1.0)))
+    vals = bz.berezin(domain, _one, np.array(dom.sample_interior(domain, 20, seed=2)), rule)
+    worst_pt = float(np.max(np.abs(vals - 1.0)))
+    matrix = berezin_row_matrix()
+    worst_row = float(np.max(np.abs(matrix.row_sums() - 1.0)))
     passed = worst_pt <= 1e-8 and worst_row <= 1e-6
     return CheckResult(2, "B1 = 1 pointwise and on matrix rows", passed,
                        {"pointwise": worst_pt, "rowsum": worst_row},
                        "1e-8 points, 1e-6 rows",
-                       resolution={"rule": "disc(24,112)", "rows": "|z| <= 0.88"})
+                       resolution={"rule": _grid(rule), "points": len(vals),
+                                   "rows": matrix.meta["rows"], "row_cut": "|z| <= 0.88"})
 
 
 def _bump(c, r):
@@ -159,8 +166,7 @@ def _bump(c, r):
 
 def check_03_adjoint() -> CheckResult:
     domain = dom.disc()
-    one = lambda w: np.ones(len(w))
-    val = bz.berezin_adjoint(domain, one, 0j, rule_disc()).real
+    val = bz.berezin_adjoint(domain, _one, 0j, rule_disc()).real
     dev_third = abs(val - 1.0 / 3.0)
 
     rng = np.random.default_rng(33)
@@ -177,11 +183,9 @@ def check_03_adjoint() -> CheckResult:
         pa_in = quad.disc_patch_rule(c1, r1, 26, 36)
         pb_out = quad.disc_patch_rule(c1, r1, 30, 40)
         pb_in = quad.disc_patch_rule(c2, r2, 32, 44)
-        bphi = np.array([bz.berezin(domain, phi, tuple(z), pa_in)
-                         for z in pa_out.nodes])
+        bphi = bz.berezin(domain, phi, pa_out.nodes, pa_in)
         lhs = bz.pairing(pa_out, bphi, psi(pa_out.nodes[:, 0])).real
-        bstar = np.array([bz.berezin_adjoint(domain, psi, tuple(w), pb_in)
-                          for w in pb_out.nodes])
+        bstar = bz.berezin_adjoint(domain, psi, pb_out.nodes, pb_in)
         rhs = bz.pairing(pb_out, phi(pb_out.nodes[:, 0]), np.conj(bstar)).real
         worst_dual = max(worst_dual, abs(lhs - rhs) / abs(lhs))
     passed = dev_third <= 1e-8 and worst_dual <= 1e-6
@@ -299,13 +303,14 @@ def check_08_blowup() -> CheckResult:
 def check_09_weak_pairing() -> CheckResult:
     worst_closed = max(abs(ht.weak_pairing(j) - math.pi * (1 - j ** -2))
                        for j in range(2, 11))
-    qv = ht.weak_pairing_by_quadrature(3, rule_hartogs())
+    rule = rule_hartogs()
+    qv = ht.weak_pairing_by_quadrature(3, rule)
     qdev = _rel(qv, math.pi * (1 - 1.0 / 9.0))
     passed = worst_closed <= 1e-8 and qdev <= 1e-4
     return CheckResult(9, "weak pairing along (1/j, 0)", passed,
                        {"closed_dev": worst_closed, "quadrature_rel": qdev},
                        "1e-8 closed (j=2..10); 1e-4 quadrature (j=3)",
-                       resolution={"rule": "hartogs(20,48)"})
+                       resolution={"rule": _grid(rule)})
 
 
 def check_10_boas() -> CheckResult:
@@ -332,18 +337,17 @@ def check_11_product_norm() -> CheckResult:
 def check_12_schur_probe() -> CheckResult:
     domain = dom.disc()
     f = lambda w: (1.0 - np.abs(w)) ** -0.3
-    rows = [(r,) for r in 1.0 - np.logspace(math.log10(0.04), math.log10(0.6), 80)]
-    maxima = []
-    for rule in (rule_disc(), rule_disc_fine()):
-        vals = [bz.absolute_projection(domain, f, z, rule) / (1.0 - abs(z[0])) ** -0.3
-                for z in rows]
-        maxima.append(max(vals))
+    radii = 1.0 - np.logspace(math.log10(0.04), math.log10(0.6), 80)
+    weight = (1.0 - radii) ** -0.3
+    rules = (rule_disc(), rule_disc_fine())
+    maxima = [float(np.max(bz.absolute_projection(domain, f, radii[:, None].astype(complex), rule)
+                           / weight)) for rule in rules]
     growth = maxima[1] / maxima[0]
     passed = math.isfinite(maxima[1]) and growth < 1.05
     return CheckResult(12, "Schur probe: P+ rho^-0.3 / rho^-0.3 stays put", passed,
                        {"max_base": maxima[0], "max_fine": maxima[1], "growth": growth},
                        "finite, growth < 5% under refinement doubling",
-                       resolution={"rules": "disc(32,64) -> disc(64,128)", "rows": 80})
+                       resolution={"rules": [_grid(rule) for rule in rules], "rows": len(radii)})
 
 
 def check_13_domination() -> CheckResult:
@@ -363,14 +367,15 @@ def check_13_domination() -> CheckResult:
         all_ok &= bz.pointwise_domination(domain, phi, z, 4.0, rule)
 
     # on the Hartogs triangle no fixed constant dominates: the blow-up symbol defeats C = 4
+    hrule = rule_hartogs_origin()
     hres = bz.pointwise_domination(dom.hartogs_triangle(),
                                    lambda w: ht.blowup_symbol_values(0.02, w),
-                                   (0.5, 0.0), 4.0, rule_hartogs_origin())
+                                   (0.5, 0.0), 4.0, hrule)
     passed = all_ok and not hres
     return CheckResult(13, "pointwise domination |B phi| <= 4 P+|phi| on the disc", passed,
                        {"disc_all_hold": all_ok, "hartogs_counterexample_holds": hres},
                        "50 random symbol/point pairs; Hartogs must fail",
-                       resolution={"rule": "disc(32,64)", "C": 4.0})
+                       resolution={"rule": _grid(rule), "hartogs_rule": _grid(hrule), "C": 4.0})
 
 
 ALL_CHECKS = [

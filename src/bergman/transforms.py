@@ -14,15 +14,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import hartogs as _hartogs
-from .domains import (
-    DomainSpec,
-    domain_by_name,
-    kernel_diag_values,
-    kernel_values,
-    require_inside,
-)
+from .domains import DomainSpec, domain_by_name, inside_points, require_inside
 from .errors import NonFiniteSymbol, TruncationInsufficient, UnsupportedKind
-from .quadrature import GridFunction, QuadratureRule, compensated_sum
+from .quadrature import GridFunction, QuadratureRule, _kernel_sums, compensated_sum
 
 
 @dataclass(frozen=True)
@@ -75,44 +69,54 @@ def _csum(values: np.ndarray) -> complex:
     return complex(compensated_sum(values), 0.0)
 
 
-def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule) -> complex:
-    """B phi(z) = int phi(w) |k_z(w)|^2 dV(w) by quadrature on ``rule``."""
-    zp = require_inside(domain, z)
-    diag = domain.diag_at(zp)
+def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
+    """B phi(z) = int phi(w) |k_z(w)|^2 dV(w) by quadrature on ``rule``.
+
+    ``z`` is one point (the result is a complex) or an (M, dim) array of
+    points (the result is an (M,) complex array); the same holds for the
+    adjoint and both projections.
+    """
+    Z, single = inside_points(domain, z)
+    diag = domain.positive_diag(Z)
     vals = symbol_values(phi, rule)
-    kz2 = np.abs(kernel_values(domain, zp, rule.nodes)) ** 2 / diag
-    return _csum(rule.weights * kz2 * vals)
+    w = rule.weights
+    sums = _kernel_sums(domain, rule, Z,
+                        lambda k, s, r: w[s] * (np.abs(k) ** 2 / diag[r, None]) * vals[s])
+    return complex(sums[0]) if single else sums
 
 
-def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule) -> complex:
+def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     """Adjoint transform K(z,z) int |k_z(w)|^2 psi(w) / K(w,w) dV(w).
 
     This is the multiplication-conjugated form of the Berezin transform; on
     the disc it sends the constant 1 to 1/3 at the origin, witnessing that
     the transform is not self-adjoint.
     """
-    zp = require_inside(domain, z)
-    domain.diag_at(zp)  # validates the running positivity assumption at z
+    Z, single = inside_points(domain, z)
+    domain.positive_diag(Z)  # validates the running positivity assumption at z
     vals = symbol_values(psi, rule)
-    num = np.abs(kernel_values(domain, zp, rule.nodes)) ** 2
-    den = kernel_diag_values(domain, rule.nodes)
-    return _csum(rule.weights * num * vals / den)
+    w = rule.weights
+    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: (
+        w[s] * np.abs(k) ** 2 * vals[s] / domain.diag(rule.nodes[s])))
+    return complex(sums[0]) if single else sums
 
 
-def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule) -> float:
-    """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|."""
-    zp = require_inside(domain, z)
+def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
+    """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|; real valued."""
+    Z, single = inside_points(domain, z)
     vals = np.abs(symbol_values(f, rule))
-    absk = np.abs(kernel_values(domain, zp, rule.nodes))
-    return _csum(rule.weights * absk * vals).real
+    w = rule.weights
+    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: w[s] * np.abs(k) * vals[s]).real
+    return float(sums[0]) if single else sums
 
 
-def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule) -> complex:
+def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P f(z) = int K(z, w) f(w) dV(w); the identity on sampled holomorphic functions."""
-    zp = require_inside(domain, z)
+    Z, single = inside_points(domain, z)
     vals = symbol_values(f, rule)
-    kzw = np.conj(kernel_values(domain, zp, rule.nodes))
-    return _csum(rule.weights * kzw * vals)
+    w = rule.weights
+    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: w[s] * np.conj(k) * vals[s])
+    return complex(sums[0]) if single else sums
 
 
 def pairing(rule: QuadratureRule, f_values: np.ndarray, g_values: np.ndarray) -> complex:

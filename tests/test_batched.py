@@ -1,0 +1,177 @@
+"""Operators over point arrays: the blocked pass against per-point references."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bergman.domains as dom
+from bergman import opnorm as on
+from bergman import quadrature as quad
+from bergman import transforms as tr
+from bergman.errors import PointOutsideDomain
+
+OPERATORS = ("berezin", "berezin_adjoint", "absolute_projection", "bergman_project")
+
+DOMAINS = {
+    "disc": (dom.disc(), (12, 48)),
+    "punctured-disc": (dom.punctured_disc(), (12, 48)),
+    "ball2": (dom.ball(2), (6, 12)),
+    "bidisc": (dom.polydisc(2), (5, 12)),
+    "hartogs": (dom.hartogs_triangle(), (5, 12)),
+}
+
+
+def _real_symbol(w):
+    return np.abs(w if w.ndim == 1 else w[:, 0]) ** 2 + 0.5
+
+
+def _complex_symbol(w):
+    first = w if w.ndim == 1 else w[:, -1]
+    return np.exp(1j * first.real) + first
+
+
+def _reference(op, domain, phi, z, rule):
+    """The per-point operator: its summands over the whole rule, then compensated_sum."""
+    zp = dom.require_inside(domain, z)
+    vals = tr.symbol_values(phi, rule)
+    k = dom.kernel_values(domain, zp, rule.nodes)
+    w = rule.weights
+    if op == "berezin":
+        terms = w * (np.abs(k) ** 2 / dom.kernel_diag(domain, zp)) * vals
+    elif op == "berezin_adjoint":
+        terms = w * np.abs(k) ** 2 * vals / dom.kernel_diag_values(domain, rule.nodes)
+    elif op == "absolute_projection":
+        return quad.compensated_sum(w * np.abs(k) * np.abs(vals))
+    else:
+        terms = w * np.conj(k) * vals
+    if np.iscomplexobj(terms):
+        return complex(quad.compensated_sum(terms.real), quad.compensated_sum(terms.imag))
+    return complex(quad.compensated_sum(terms), 0.0)
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def _points(domain, m, seed):
+    return np.array(dom.sample_interior(domain, m, seed=seed), dtype=complex)
+
+
+@pytest.fixture(scope="module")
+def rules():
+    return {name: quad.build_rule(domain, *res) for name, (domain, res) in DOMAINS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+@pytest.mark.parametrize("op", OPERATORS)
+@pytest.mark.parametrize("phi", [_real_symbol, _complex_symbol], ids=["real", "complex"])
+def test_batched_equals_per_point_bit_for_bit(rules, name, op, phi):
+    domain, rule = DOMAINS[name][0], rules[name]
+    fn = getattr(tr, op)
+    for m in (1, 2, 37):
+        points = _points(domain, m, seed=m)
+        batched = fn(domain, phi, points, rule)
+        assert batched.shape == (m,)
+        single = [fn(domain, phi, tuple(z), rule) for z in points]
+        assert type(single[0]) is (float if op == "absolute_projection" else complex)
+        assert _bits(batched) == _bits(np.array(single))
+        assert _bits(single) == _bits([_reference(op, domain, phi, tuple(z), rule)
+                                       for z in points])
+
+
+@pytest.fixture(scope="module")
+def long_rules():
+    # 163,840 disc nodes and 230,400 Hartogs nodes, cut to any length below
+    return {"disc": (dom.disc(), quad.build_rule(dom.disc(), 80, 1024)),
+            "hartogs": (dom.hartogs_triangle(), quad.build_rule(dom.hartogs_triangle(), 10, 24))}
+
+
+CHUNK = 65536
+
+
+@given(name=st.sampled_from(["disc", "hartogs"]),
+       n=st.sampled_from([1, 4000, CHUNK - 1, CHUNK, 2 * CHUNK, CHUNK + 4321, 2 * CHUNK + 7])
+       | st.integers(1, 2 * CHUNK + 30000),
+       m=st.sampled_from([1, 2, 37]), op=st.sampled_from(OPERATORS))
+@settings(max_examples=25, deadline=None)
+def test_chunk_boundaries(long_rules, name, n, m, op):
+    domain, full = long_rules[name]
+    rule = quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
+    points = _points(domain, m, seed=n)
+    batched = getattr(tr, op)(domain, _complex_symbol, points, rule)
+    ref = [_reference(op, domain, _complex_symbol, tuple(z), rule) for z in points]
+    assert _bits(batched) == _bits(np.array(ref, dtype=batched.dtype))
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+@pytest.mark.parametrize("op", OPERATORS)
+def test_one_point_outside_is_refused(rules, name, op):
+    domain, rule = DOMAINS[name][0], rules[name]
+    points = _points(domain, 5, seed=3)
+    points[3] = points[3] / np.max(np.abs(points[3])) * 1.5  # off the closure
+    with pytest.raises(PointOutsideDomain):
+        getattr(tr, op)(domain, _real_symbol, points, rule)
+
+
+def test_wrong_dimension_is_refused(rules):
+    with pytest.raises(ValueError):
+        tr.berezin(dom.ball(2), _real_symbol, np.zeros((3, 1), dtype=complex), rules["ball2"])
+
+
+@pytest.mark.parametrize("name", ["disc", "hartogs"])
+def test_discretize_berezin_equals_row_loop(rules, name):
+    domain, rule = DOMAINS[name][0], rules[name]
+    rows = rule.nodes if name == "disc" else _points(domain, 300, seed=9)
+    diag = dom.kernel_diag_values(domain, rows)
+    ref = np.empty((len(rows), len(rule)))
+    for i, z in enumerate(rows):
+        ref[i] = np.abs(dom.kernel_values(domain, tuple(z), rule.nodes)) ** 2 / diag[i]
+    got = on.discretize_berezin(domain, rule, row_nodes=None if name == "disc" else rows)
+    assert _bits(got.entries) == _bits(ref)
+
+
+def _br_scan_reference(domain, zg, wg):
+    """The per-z scan loop: first maximizing w per z, first z reaching the overall maximum."""
+    wnodes = np.asarray([list(p) for p in wg], dtype=complex)
+    sup, arg, inf_seen = 0.0, None, math.inf
+    for z in zg:
+        ratios = np.abs(dom.kernel_values(domain, z, wnodes)) / dom.kernel_diag(domain, z)
+        j = int(np.argmax(ratios))
+        inf_seen = min(inf_seen, float(np.min(ratios)))
+        if ratios[j] > sup:
+            sup, arg = float(ratios[j]), (tuple(z), tuple(wnodes[j]))
+    return sup, arg, inf_seen
+
+
+@pytest.mark.parametrize("name", ["ball2", "hartogs"])
+def test_br_scan_ties_and_blocks_match_the_loop(name):
+    domain = DOMAINS[name][0]
+    grid = domain.scan_grid(1)
+    # each point twice, in two orders, across many row blocks: the first occurrence must win
+    zg = grid + grid[::-1]
+    rep = on.br_scan(domain, z_grid=zg, w_grid=grid)
+    sup, arg, inf_seen = _br_scan_reference(domain, zg, grid)
+    assert rep.supremum == sup and rep.resolution["infimum"] == inf_seen
+    assert rep.argmax == arg
+    assert rep.argmax[0] is not None and zg.index(rep.argmax[0]) < len(grid)
+
+
+def test_buffer_bounds_the_working_memory():
+    domain = dom.hartogs_triangle()
+    points = _points(domain, 20, seed=5)
+    buffer_bytes = 20 * CHUNK * 16
+    peaks = []
+    for radial_n in (10, 14):  # 230,400 and 451,584 nodes
+        rule = quad.build_rule(domain, radial_n, 24)
+        ones = np.ones(len(rule))
+        tracemalloc.start()
+        try:
+            tr.berezin(domain, ones, points, rule)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 2.5 * buffer_bytes
+    assert abs(peaks[1] - peaks[0]) <= 0.01 * buffer_bytes

@@ -194,3 +194,15 @@ class TestReproduceCommand:
             with open(path, "rb") as fh:
                 payloads.append(fh.read())
         assert payloads[0] == payloads[1]
+
+    def test_records_name_the_rules_used(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(reproduce, "ALL_CHECKS",
+                            [reproduce.check_09_weak_pairing, reproduce.check_12_schur_probe])
+        path = os.path.join(tmp_path, "report.json")
+        assert run_cli(capsys, ["reproduce", "--out", path])[0] == 0
+        weak, schur = (r["resolution"] for r in json.loads(open(path).read()))
+        assert weak["rule"]["domain"] == "hartogs"
+        assert (weak["rule"]["radial_n"], weak["rule"]["angular_n"]) == (20, 48)
+        assert weak["rule"]["nodes"] == len(reproduce.rule_hartogs()) == 40 ** 2 * 48 ** 2
+        assert [(g["radial_n"], g["angular_n"], g["nodes"]) for g in schur["rules"]] == [
+            (32, 64, 64 * 64), (64, 128, 128 * 128)]

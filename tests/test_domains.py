@@ -246,6 +246,20 @@ class TestOneFormula:
         assert abs(abs(dom.kernel(domain, zr, wr)) - k) <= 1e-11 * k
 
 
+class TestBallKernelPower:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_repeated_product_matches_the_power(self, n):
+        # the kernel forms (1 - <a, b>)^(n+1) by repeated multiplication
+        domain = dom.ball(n)
+        rng = np.random.default_rng(40 + n)
+        a = np.array([domain.sample(rng) for _ in range(200)])
+        b = np.array([domain.sample(rng) for _ in range(200)])
+        inner = np.sum(a * np.conj(b), axis=-1)
+        power = math.factorial(n) / (np.pi ** n * (1.0 - inner) ** (n + 1))
+        got = domain.kernel(a, b)
+        assert np.max(np.abs(got - power) / np.abs(power)) <= 1e-15 * (n + 1)
+
+
 class TestMonomialNorms:
     def test_disc_monomials(self):
         for n in range(6):

@@ -10,7 +10,7 @@ import bergman.domains as dom
 from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import EmptyFamily
+from bergman.errors import EmptyFamily, NonFiniteValue
 from bergman.quadrature import QuadratureRule, RuleMeta
 
 
@@ -145,6 +145,16 @@ class TestEstimateNorm:
         with pytest.raises(EmptyFamily):
             on.witness_lower_bound(dom.disc(), 2.0, family=[(0.0, -0.8)],
                                    matrix=radial_matrix)
+
+    def test_finite_p_on_hartogs_skips_the_disc_witness(self):
+        # a quarter of these nodes have |w1|^2 + |w2|^2 > 1, where (1 - u)^b is NaN
+        domain = dom.hartogs_triangle()
+        matrix = on.discretize_berezin(domain, quad.build_rule(domain, 4, 6))
+        est = on.estimate_norm(matrix, 3.0)
+        assert est.method == "p-power-iteration" and "witness" not in est.resolution
+        assert math.isfinite(est.value)
+        with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
+            on.witness_lower_bound(domain, 3.0, matrix=matrix)
 
     def test_trivial_witness_constant(self, radial_matrix):
         # the constant function alone certifies norm >= 1 - quadrature slack
