@@ -55,10 +55,15 @@ def _symbol(name: str):
     raise SystemExit2(f"unknown symbol {name!r}; use one, abs2, or blowup:<eps>")
 
 
+def _given(value, default):
+    """The flag's value, or ``default`` when it was not given (0 is given, not unset)."""
+    return default if value is None else value
+
+
 def _rule_for(domain, args):
     radial, angular = (20, 48) if domain.kind == "hartogs" else (32, 64)
-    return quad.build_rule(domain, args.radial_n or radial, args.angular_n or angular,
-                           args.grading or 2.0)
+    return quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular),
+                           _given(args.grading, 2.0))
 
 
 def _emit(payload: str, out):
@@ -97,11 +102,11 @@ def cmd_norm(args):
     if domain.kind != "disc":
         raise SystemExit2("norm estimation is wired for the disc discretizations")
     if math.isinf(p):
-        rule = quad.build_rule(domain, args.radial_n or 24, args.angular_n or 112)
+        rule = quad.build_rule(domain, _given(args.radial_n, 24), _given(args.angular_n, 112))
         keep = np.abs(rule.nodes[:, 0]) <= 0.88
         matrix = on.discretize_berezin(domain, rule, row_nodes=rule.nodes[keep])
     else:
-        matrix = on.discretize_berezin_radial(radial_n=args.radial_n or 200, depth=34.0)
+        matrix = on.discretize_berezin_radial(radial_n=_given(args.radial_n, 200), depth=34.0)
     _emit(on.estimate_norm(matrix, p).to_json() + "\n", args.out)
     return 0
 
@@ -115,7 +120,7 @@ def cmd_br_scan(args):
 
 def cmd_blowup(args):
     eps_list = [float(tok) for tok in args.eps.split(",")]
-    table = ht.blowup_table(eps_list, radial_n=args.radial_n or 160)
+    table = ht.blowup_table(eps_list, radial_n=_given(args.radial_n, 160))
     _emit(table.to_csv(), args.out)
     print(f"fitted log-log slope: {table.slope:.6f}", file=sys.stderr)
     return 0

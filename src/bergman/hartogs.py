@@ -16,13 +16,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import digamma
 
 from .domains import hartogs_triangle, kernel_diag, require_inside
 from .errors import (
     EpsilonOutOfRange,
     InadmissibleIndex,
+    NonFiniteValue,
     TruncationInsufficient,
 )
+from .quadrature import _graded_panel, gauss_legendre
 
 _HARTOGS = hartogs_triangle()
 
@@ -157,14 +160,14 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     wth = 2.0 * np.pi / angular_n
     phase = np.exp(1j * th)
 
-    xg, wg = np.polynomial.legendre.leggauss(radial_n)
+    xg, wg = gauss_legendre(radial_n)
     u = np.concatenate([0.425 * (xg + 1.0), 0.85 + 0.075 * (xg + 1.0)])
     wu = np.concatenate([0.425 * wg, 0.075 * wg])
     r = u ** (1.0 / (2.0 * eps))
     outer = np.abs(1.0 - r[:, None] * phase[None, :] * np.conj(z1)) ** 4
     i_outer = float(np.sum(wu[:, None] * wth / outer))
 
-    sg, wsg = np.polynomial.legendre.leggauss(s_n)
+    sg, wsg = gauss_legendre(s_n)
     s = 0.5 * (sg + 1.0)
     ws = 0.5 * wsg
     inner = np.abs(np.conj(z1) - s[:, None] * phase[None, :] * np.conj(z2)) ** 4
@@ -194,60 +197,67 @@ def diagonal_identity_check(z, tol: float = 1e-12) -> bool:
 # the L^2 norm of the transformed symbol and the blow-up table
 # ---------------------------------------------------------------------------
 
-def _phi_series(x: np.ndarray, eps: float) -> np.ndarray:
-    """Phi(x) = sum_{k>=0} x^k / (k + eps) for x in [0, 1), vectorized.
+PHI_SPLIT = 0.5  # Phi is summed directly below x = PHI_SPLIT, by DLMF 15.8.10 from there on
+PHI_TERMS = 60  # terms of either series
+_K = np.arange(PHI_TERMS, dtype=float)
 
-    Moderate x uses the direct series; x near 1 uses the resummation
-    Phi = 1/eps - log(1-x) - eps * sum_{k>=1} x^k / (k (k+eps)), whose series
-    converges absolutely up to x = 1.
+
+def _phi_series(t: np.ndarray, eps: float) -> np.ndarray:
+    """Phi(x) = sum_{k>=0} x^k / (k + eps) = 2F1(1, eps; 1 + eps; x) / eps at x = 1 - t.
+
+    Taking t in (0, 1] rather than x keeps the distance to the pole x = 1
+    exact for nodes crowding it (and 1 - t is exact where x is needed).
+    Below x = PHI_SPLIT the power series is summed directly; from there on,
+    the logarithmic case c - a - b = 0 of the expansion about x = 1 (DLMF
+    15.8.10 with a = 1, b = eps, c = 1 + eps):
+
+        Phi(x) = sum_k (eps)_k / k! [psi(k+1) - psi(k+eps) - ln t] t^k.
+
+    Both series have positive terms with ratios at most 1/2, so PHI_TERMS
+    terms leave a tail below 2^-59 of the sum.  scipy's ``hyp2f1`` is not
+    used: it returns 1.15e17 at eps = 0.01, x = 1 - 1e-14, where Phi is 132.2.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    lo = x < 0.95
-    if np.any(lo):
-        xs = x[lo]
-        kmax = 60 if xs.size == 0 else max(60, int(40.0 / -math.log(max(xs.max(), 1e-12))) + 2)
-        k = np.arange(kmax, dtype=float)
-        out[lo] = np.sum(xs[None, :] ** k[:, None] / (k + eps)[:, None], axis=0)
-    if np.any(~lo):
-        xs = x[~lo]
-        k = np.arange(1, 100_001, dtype=float)
-        denom = (k * (k + eps))[:, None]
-        corr = np.empty_like(xs)
-        for i0 in range(0, len(xs), 64):
-            blk = xs[i0:i0 + 64]
-            corr[i0:i0 + 64] = np.sum(blk[None, :] ** k[:, None] / denom, axis=0)
-        out[~lo] = 1.0 / eps - np.log1p(-xs) - eps * corr
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    direct = t > 1.0 - PHI_SPLIT
+    x = 1.0 - t[direct]
+    out[direct] = np.sum(x[None, :] ** _K[:, None] / (_K + eps)[:, None], axis=0)
+    near = t[~direct]
+    # (eps)_k / k! = prod_{j<k} (j + eps) / (j + 1)
+    rising = np.cumprod(np.concatenate([[1.0], (_K[:-1] + eps) / _K[1:]]))
+    psi = (digamma(_K + 1.0) - digamma(_K + eps))[:, None]
+    out[~direct] = np.sum(rising[:, None] * (psi - np.log(near)[None, :])
+                          * near[None, :] ** _K[:, None], axis=0)
     return out
 
 
-def _bf_profile(x: np.ndarray, eps: float) -> np.ndarray:
-    """The transformed symbol as a function of x = |z1|^2, in resummed form."""
-    one = 1.0 - x
-    return 1.0 + (1.0 - eps) * one + (1.0 - eps) ** 2 * one ** 2 * _phi_series(x, eps)
+def _bf_profile(t: np.ndarray, eps: float) -> np.ndarray:
+    """The transformed symbol as a function of t = 1 - |z1|^2, in resummed form."""
+    return 1.0 + (1.0 - eps) * t + (1.0 - eps) ** 2 * t ** 2 * _phi_series(t, eps)
+
+
+# panels (t_lo, t_hi, grading toward t = 0) of the radial integral in t = 1 - |z1|^2
+L2_PANELS = ((0.1, 1.0, 1.0), (0.001, 0.1, 1.0), (0.0, 0.001, 3.0))
 
 
 def bblowup_symbol_l2_norm(eps: float, radial_n: int = 160) -> float:
     """L^2 norm of the transformed blow-up symbol via the radial reduction.
 
     The profile depends on |z1| alone and each z2 fiber contributes
-    pi |z1|^2, so the squared norm is pi^2 * int_0^1 x * profile(x)^2 dx.
+    pi |z1|^2, so the squared norm is pi^2 * int_0^1 x * profile(x)^2 dx,
+    integrated in t = 1 - x over L2_PANELS with ``radial_n`` Gauss nodes each.
     """
     eps = _check_eps(eps, open_right=True)
-    xg, wg = np.polynomial.legendre.leggauss(radial_n)
-    panels = [(0.0, 0.9, 1.0, None), (0.9, 0.999, 1.0, None), (0.999, 1.0, 3.0, "hi")]
     total = 0.0
-    for lo, hi, grading, toward in panels:
-        if toward is None:
-            x = 0.5 * (hi - lo) * (xg + 1.0) + lo
-            w = 0.5 * (hi - lo) * wg
-        else:
-            s = 0.5 * (xg + 1.0)
-            x = hi - (hi - lo) * (1.0 - s) ** grading
-            w = (hi - lo) * grading * (1.0 - s) ** (grading - 1.0) * 0.5 * wg
-        prof = _bf_profile(x, eps)
-        total += float(np.sum(w * x * prof * prof))
-    return math.pi * math.sqrt(total)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for lo, hi, grading in L2_PANELS:
+            t, w = _graded_panel(radial_n, lo, hi, grading, "lo")
+            prof = _bf_profile(t, eps)
+            total += float(np.sum(w * (1.0 - t) * prof * prof))
+    norm = math.pi * math.sqrt(total)
+    if not math.isfinite(norm):
+        raise NonFiniteValue(f"the transformed symbol's L^2 norm overflows at eps = {eps!r}")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -285,6 +295,7 @@ def blowup_table(eps_list, radial_n: int = 160) -> BlowupTable:
         eps = _check_eps(eps, open_right=True)
         nf = blowup_symbol_norm(eps)
         lower = NORM_BULGE / eps
+        # the norm overflows, and raises, at eps below ~1e-154, before any other entry can
         ratio_q = bblowup_symbol_l2_norm(eps, radial_n) / nf
         rows.append(BlowupRow(eps, nf, lower, lower / nf, ratio_q))
     if len(rows) >= 2:

@@ -25,7 +25,7 @@ import numpy as np
 from . import jsonfmt
 from .domains import DomainSpec, disc, inside_points
 from .errors import EmptyFamily, NonFiniteValue, UnsupportedKind
-from .quadrature import QuadratureRule, _row_blocks, tail_exponent_classify
+from .quadrature import QuadratureRule, _row_blocks, gauss_legendre, tail_exponent_classify
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
 
 def _log_radial_grid(n: int, depth: float):
     """Gauss nodes in tau = -log(1 - u); returns (u, eta=1-u, du weights)."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = gauss_legendre(n)
     tau = 0.5 * depth * (x + 1.0)
     eta = np.exp(-tau)
     return 1.0 - eta, eta, eta * (0.5 * depth * w)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -30,8 +31,18 @@ from .errors import (
 )
 
 
-def _gauss(n: int, lo: float, hi: float):
+@lru_cache
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1]: one read-only pair per n."""
+    if n < 1:
+        raise InvalidResolution(f"Gauss-Legendre order must be >= 1, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss(n: int, lo: float, hi: float):
+    x, w = gauss_legendre(n)
     return 0.5 * (hi - lo) * x + 0.5 * (lo + hi), 0.5 * (hi - lo) * w
 
 

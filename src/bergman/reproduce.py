@@ -288,16 +288,21 @@ def check_07_blowup_transform() -> CheckResult:
 
 def check_08_blowup() -> CheckResult:
     eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
-    table = ht.blowup_table(eps_list)
+    radial_n = 160
+    table = ht.blowup_table(eps_list, radial_n)
     margin = min(r.ratio_quadrature - r.ratio_lower * 0.99 for r in table.rows)
     monotone = all(a.ratio_quadrature < b.ratio_quadrature
                    for a, b in zip(table.rows, table.rows[1:]))
     passed = margin >= 0.0 and -0.55 <= table.slope <= -0.45 and monotone
+    panels = [{"t=1-|z1|^2": [lo, hi], "grading_toward_0": g, "nodes": radial_n}
+              for lo, hi, g in ht.L2_PANELS]
+    phi = {f"x < {ht.PHI_SPLIT}": "direct", f"x >= {ht.PHI_SPLIT}": "DLMF 15.8.10",
+           "terms": ht.PHI_TERMS}
     return CheckResult(8, "blow-up of the transform-to-symbol norm ratio", passed,
                        {"slope": table.slope, "min_margin": margin,
                         "ratios": [r.ratio_quadrature for r in table.rows]},
                        "ratio >= bound - 1%; slope in [-0.55, -0.45]",
-                       resolution={"radial_n": 160, "eps": list(eps_list)})
+                       resolution={"eps": list(eps_list), "panels": panels, "phi": phi})
 
 
 def check_09_weak_pairing() -> CheckResult:

@@ -112,6 +112,32 @@ class TestFlags:
         assert "unrecognized arguments" in err
 
 
+class TestResolutionFlags:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ["blowup", "--eps", "1e-1,1e-2", "--radial-n"],
+        ["norm", "--domain", "disc", "--p", "2", "--radial-n"],
+        ["norm", "--domain", "disc", "--p", "inf", "--radial-n"],
+        ["berezin", "--domain", "disc", "--z", "0.3", "--radial-n"],
+        ["berezin", "--domain", "disc", "--z", "0.3", "--angular-n"],
+        ["berezin", "--domain", "disc", "--z", "0.3", "--grading"],
+    ], ids=["blowup", "norm p=2", "norm p=inf", "berezin radial", "berezin angular",
+            "berezin grading"])
+    def test_nonpositive_resolution_is_config_error(self, capsys, argv, value):
+        # 0 is a given value, not an unset flag that falls back to the default
+        code, out, err = run_cli(capsys, argv + [value])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("eps", ["1e-300", "1e-320"])
+    def test_non_finite_blowup_is_config_error(self, capsys, eps):
+        code, out, err = run_cli(capsys, ["blowup", "--eps", f"1e-2,{eps}"])
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err or "overflows" in err
+
+
 class TestDeterminism:
     def test_identical_payloads(self, capsys):
         argv = ["br-scan", "--domain", "disc"]
@@ -206,3 +232,17 @@ class TestReproduceCommand:
         assert weak["rule"]["nodes"] == len(reproduce.rule_hartogs()) == 40 ** 2 * 48 ** 2
         assert [(g["radial_n"], g["angular_n"], g["nodes"]) for g in schur["rules"]] == [
             (32, 64, 64 * 64), (64, 128, 128 * 128)]
+
+    def test_blowup_record_names_its_method(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", [reproduce.check_08_blowup])
+        payloads = []
+        for name in ("a.json", "b.json"):
+            path = os.path.join(tmp_path, name)
+            assert run_cli(capsys, ["reproduce", "--out", path])[0] == 0
+            with open(path, "rb") as fh:
+                payloads.append(fh.read())
+        assert payloads[0] == payloads[1]
+        res = json.loads(payloads[0])[0]["resolution"]
+        assert [(p["t=1-|z1|^2"], p["grading_toward_0"], p["nodes"]) for p in res["panels"]] == [
+            ([0.1, 1.0], 1.0, 160), ([0.001, 0.1], 1.0, 160), ([0.0, 0.001], 3.0, 160)]
+        assert res["phi"] == {"x < 0.5": "direct", "x >= 0.5": "DLMF 15.8.10", "terms": 60}

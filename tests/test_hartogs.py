@@ -11,6 +11,7 @@ from bergman import quadrature as quad
 from bergman.errors import (
     EpsilonOutOfRange,
     InadmissibleIndex,
+    NonFiniteValue,
     TruncationInsufficient,
 )
 
@@ -165,6 +166,60 @@ class TestBlowup:
     def test_eps_validation(self):
         with pytest.raises(EpsilonOutOfRange):
             ht.blowup_table([1.0])
+
+
+class TestPhiSeries:
+    """Phi(x) = sum_k x^k / (k + eps), taken at t = 1 - x."""
+
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3, 1e-4])
+    def test_against_lerchphi(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        for x in (0.1, 0.49, 0.5, 0.8, 0.95, 1 - 1e-4, 1 - 1e-8, 1 - 1e-14):
+            t = 1.0 - x
+            got = ht._phi_series(np.array([t]), eps)[0]
+            want = mpmath.lerchphi(1 - mpmath.mpf(t), 1, eps)
+            assert abs(got - want) <= 1e-14 * want, (eps, x)
+
+    def test_profile_matches_the_truncated_series(self):
+        # the resummed profile against berezin_blowup_closed's own series route
+        for eps in (0.5, 0.1, 0.01):
+            for r in np.linspace(0.1, 0.998, 25):
+                closed = ht.berezin_blowup_closed(eps, (r, 0.0))
+                profile = ht._bf_profile(np.array([1.0 - r * r]), eps)[0]
+                assert abs(profile - closed) <= 1e-11 * closed, (eps, r)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.01, 1e-4])
+    def test_continuous_across_the_split(self, eps):
+        # t = 1 - x; x = 1/2 and the float below it go to different branches
+        t_split = 1.0 - ht.PHI_SPLIT
+        ts = np.array([np.nextafter(t_split, 0.0), t_split, np.nextafter(t_split, 1.0)])
+        vals = ht._phi_series(ts, eps)
+        assert np.all(np.abs(np.diff(vals)) <= 4e-16 * vals[1])
+
+    def test_l2_norm_at_eps_one_half(self):
+        # Phi(x) = 2 artanh(sqrt x) / sqrt x at eps = 1/2
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+
+        def integrand(x):
+            r, t = mpmath.sqrt(x), 1 - x
+            profile = 1 + t / 2 + t ** 2 * mpmath.atanh(r) / (2 * r)
+            return x * profile ** 2
+
+        want = mpmath.pi * mpmath.sqrt(mpmath.quad(integrand, [0, 1]))
+        assert abs(ht.bblowup_symbol_l2_norm(0.5) - want) <= 1e-14 * want
+
+
+class TestNonFiniteBlowup:
+    def test_norm_overflow_raises(self):
+        with pytest.raises(NonFiniteValue):
+            ht.bblowup_symbol_l2_norm(1e-300)
+
+    @pytest.mark.parametrize("eps", [1e-300, 1e-320])
+    def test_table_refuses_non_finite_rows(self, eps):
+        with pytest.raises(NonFiniteValue):
+            ht.blowup_table([1e-2, eps])
 
 
 class TestWeakPairing:

@@ -49,6 +49,26 @@ class TestRuleWeights:
             quad.build_rule(dom.disc(), 16, 16, grading=0.5)
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [1, 7, 160])
+    def test_equals_leggauss(self, n):
+        x, w = quad.gauss_legendre(n)
+        x0, w0 = np.polynomial.legendre.leggauss(n)
+        assert x.tobytes() == x0.tobytes() and w.tobytes() == w0.tobytes()
+
+    def test_cached_and_read_only(self):
+        first = quad.gauss_legendre(12)
+        assert quad.gauss_legendre(12) is first
+        for arr in first:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_nonpositive_order(self, n):
+        with pytest.raises(InvalidResolution):
+            quad.gauss_legendre(n)
+
+
 class TestIntegrate:
     def test_disc_constant(self):
         rule = quad.build_rule(dom.disc(), 24, 24)
