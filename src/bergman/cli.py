@@ -105,6 +105,8 @@ def cmd_norm(args):
         rule = quad.build_rule(domain, _given(args.radial_n, 24), _given(args.angular_n, 112))
         keep = np.abs(rule.nodes[:, 0]) <= 0.88
         matrix = on.discretize_berezin(domain, rule, row_nodes=rule.nodes[keep])
+    elif args.angular_n is not None:
+        raise SystemExit2("--angular-n applies to --p inf; the finite-p matrix has no angular grid")
     else:
         matrix = on.discretize_berezin_radial(radial_n=_given(args.radial_n, 200), depth=34.0)
     _emit(on.estimate_norm(matrix, p).to_json() + "\n", args.out)

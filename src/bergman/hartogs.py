@@ -22,6 +22,7 @@ from .domains import hartogs_triangle, kernel_diag, require_inside
 from .errors import (
     EpsilonOutOfRange,
     InadmissibleIndex,
+    InvalidResolution,
     NonFiniteValue,
     TruncationInsufficient,
 )
@@ -155,6 +156,8 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     eps = _check_eps(eps)
     zp = require_inside(_HARTOGS, z)
     z1, z2 = zp
+    if angular_n < 1:
+        raise InvalidResolution(f"angular_n must be >= 1, got {angular_n}")
     diag = _HARTOGS.diag_at(zp)
     th = 2.0 * np.pi * np.arange(angular_n) / angular_n
     wth = 2.0 * np.pi / angular_n

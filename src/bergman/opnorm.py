@@ -25,7 +25,7 @@ import numpy as np
 from . import jsonfmt
 from .domains import DomainSpec, disc, inside_points
 from .errors import EmptyFamily, NonFiniteValue, UnsupportedKind
-from .quadrature import QuadratureRule, _row_blocks, gauss_legendre, tail_exponent_classify
+from .quadrature import QuadratureRule, _map, _row_blocks, gauss_legendre, tail_exponent_classify
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,9 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
         rows = rows[:, None]
     diag = domain.positive_diag(rows)
     out = np.empty((rows.shape[0], len(rule)))
-    for r in _row_blocks(rows.shape[0], len(rule)):
+    def fill(r):  # each row block writes its own rows
         out[r] = np.abs(domain.kernel(rule.nodes[None], rows[r, None])) ** 2 / diag[r, None]
+    _map(fill, _row_blocks(rows.shape[0], len(rule)), out.size)
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
             "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}
     return OperatorMatrix(out, rows, rule.nodes, rule.weights, meta)

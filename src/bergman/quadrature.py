@@ -10,12 +10,17 @@ results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
 then an exact fsum of the chunk sums.  Operators evaluate the kernel at many
 points in node blocks of about 2^17 entries and gather each chunk's summands
 before reducing it, so the blocked sum reproduces ``compensated_sum`` chunk
-for chunk, bit for bit, whatever the number of points.
+for chunk, bit for bit, whatever the number of points.  A call of at least
+2^21 point-node entries sums its chunks on a thread pool, one thread per core
+the process may run on; the calling thread fsums the chunk sums in chunk
+order, so no value depends on the pool.  Smaller calls stay serial.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -132,6 +137,9 @@ _CHUNK = 65536
 _BLOCK = 1 << 17
 # entries of the (points x chunk) buffer a blocked sum reduces at once
 _BUFFER = 16 * _BLOCK
+# the cores this process may run on; the pool's threads start on its first call
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(_CORES) if _CORES > 1 else None
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -145,6 +153,14 @@ def _slices(start: int, stop: int, step: int) -> list:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
+def _map(fn, items: list, entries: int) -> list:
+    """``[fn(item) for item in items]`` in item order; on the pool for at least two
+    items and _BUFFER point-node ``entries``, else serially, starting no thread."""
+    if _POOL is None or len(items) < 2 or entries < _BUFFER:
+        return [fn(item) for item in items]
+    return list(_POOL.map(fn, items))
+
+
 def _row_blocks(rows: int, cols: int) -> list:
     """Slices of ``rows`` so that each (block, cols) evaluation holds about _BLOCK entries."""
     return _slices(0, rows, max(1, _BLOCK // max(1, cols)))
@@ -155,26 +171,35 @@ def _kernel_sums(domain: DomainSpec, rule: QuadratureRule, Z: np.ndarray, summan
     of ``summand(k, s, r)``, where k = K(w_s, Z_r) for a node slice s and a point slice r.
 
     Node blocks of about _BLOCK entries are gathered into one (points, chunk)
-    array per _CHUNK nodes and reduced along its rows, so each sum equals
+    array per _CHUNK nodes, of at most _BUFFER entries, and reduced along its
+    rows through ``_map``; fsumming those in chunk order makes each sum equal
     ``compensated_sum`` of that point's full summand array, bit for bit.
-    Points go in groups that keep that array within _BUFFER entries.
     Returns an (M,) complex array; real summands give zero imaginary parts.
     """
     n = len(rule)
-    sums = np.zeros(len(Z), dtype=complex)
-    for r in _slices(0, len(Z), max(1, _BUFFER // max(1, min(n, _CHUNK)))):
+    groups = _slices(0, len(Z), max(1, _BUFFER // max(1, min(n, _CHUNK))))
+    chunks = range(0, n, _CHUNK)
+
+    def chunk_sums(item):
+        r, c = item
         step = max(1, min(_CHUNK, _BLOCK // (r.stop - r.start)))
-        re, im = [], []
-        for c in range(0, n, _CHUNK):
-            blocks = [summand(domain.kernel(rule.nodes[None, s], Z[r, None]), s, r)
-                      for s in _slices(c, min(c + _CHUNK, n), step)]
-            buf = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-            re.append(np.sum(buf.real, axis=1))
-            if np.iscomplexobj(buf):
-                im.append(np.sum(buf.imag, axis=1))
-        if re:
-            sums.real[r] = [math.fsum(col) for col in zip(*re)]
-        if im:
+        buf = None
+        for s in _slices(c, min(c + _CHUNK, n), step):
+            # a one-node block is evaluated twice over: numpy multiplies a one-entry
+            # array through other loops than a 1-D one, and they differ in the last bit
+            idx = s if s.stop - s.start > 1 else [s.start, s.start]
+            block = summand(domain.kernel(rule.nodes[None, idx], Z[r, None]), idx, r)
+            if buf is None:
+                buf = np.empty((r.stop - r.start, min(_CHUNK, n - c)), block.dtype)
+            buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
+        return np.sum(buf.real, axis=1), np.sum(buf.imag, axis=1) if np.iscomplexobj(buf) else None
+
+    parts = _map(chunk_sums, [(r, c) for r in groups for c in chunks], len(Z) * n)
+    sums = np.zeros(len(Z), dtype=complex)
+    for i, r in enumerate(groups if n else ()):
+        re, im = zip(*parts[i * len(chunks):(i + 1) * len(chunks)])
+        sums.real[r] = [math.fsum(col) for col in zip(*re)]
+        if im[0] is not None:
             sums.imag[r] = [math.fsum(col) for col in zip(*im)]
     return sums
 
@@ -263,15 +288,15 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
     alpha_n = max(8, radial_n // 2 + 4)
     al, wal = _gauss(alpha_n, 0.0, math.pi / 2)
     th, wth = _angles(angular_n)
-    R, A, T1, T2 = np.meshgrid(rho, al, th, th, indexing="ij")
-    z1 = (R * np.cos(A) * np.exp(1j * T1)).ravel()
-    z2 = (R * np.sin(A) * np.exp(1j * T2)).ravel()
+    phase = np.exp(1j * th)
+    z1 = (rho[:, None] * np.cos(al))[:, :, None, None] * phase[:, None]
+    z2 = (rho[:, None] * np.sin(al))[:, :, None, None] * phase
     w = np.einsum("i,j,k,l->ijkl",
                   rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal,
                   np.full(angular_n, wth), np.full(angular_n, wth)).ravel()
     meta = RuleMeta("ball", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, alpha_n, angular_n, angular_n))
-    return QuadratureRule(np.stack([z1, z2], axis=1), w, meta)
+    return QuadratureRule(np.stack(np.broadcast_arrays(z1, z2), axis=-1).reshape(-1, 2), w, meta)
 
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):

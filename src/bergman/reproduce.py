@@ -46,7 +46,7 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# shared cached rules
+# rules, cached where several checks share them
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -64,12 +64,11 @@ def rule_disc_fine():
     return quad.build_rule(dom.disc(), 64, 128)
 
 
-@lru_cache(maxsize=None)
+# check 01 alone uses these two (187 MB of nodes): built per call, not cached
 def rule_bidisc():
     return quad.build_rule(dom.polydisc(2), 16, 48)
 
 
-@lru_cache(maxsize=None)
 def rule_ball2():
     return quad.build_rule(dom.ball(2), 28, 48)
 

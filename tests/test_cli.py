@@ -111,6 +111,15 @@ class TestFlags:
         assert code == 2
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize("p", ["2", "3"])
+    def test_angular_n_at_finite_p_is_config_error(self, capsys, p):
+        # the radial-sector matrix of p = 2, 3 has no angular grid to size
+        code, out, err = run_cli(capsys, ["norm", "--domain", "disc", "--p", p,
+                                          "--angular-n", "5"])
+        assert code == 2
+        assert out == ""
+        assert "--angular-n" in err
+
 
 class TestResolutionFlags:
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -11,6 +11,7 @@ from bergman import quadrature as quad
 from bergman.errors import (
     EpsilonOutOfRange,
     InadmissibleIndex,
+    InvalidResolution,
     NonFiniteValue,
     TruncationInsufficient,
 )
@@ -119,6 +120,11 @@ class TestClosedFormTransform:
     def test_insufficient_truncation(self):
         with pytest.raises(TruncationInsufficient):
             ht.berezin_blowup_closed(0.1, (0.9, 0.1), truncation=10)
+
+    @pytest.mark.parametrize("angular_n", [0, -3])
+    def test_quadrature_refuses_empty_angular_grid(self, angular_n):
+        with pytest.raises(InvalidResolution):
+            ht.berezin_blowup_by_quadrature(0.1, (0.3, 0.1), angular_n=angular_n)
 
 
 class TestIdentity:
