@@ -11,9 +11,9 @@ then an exact fsum of the chunk sums.  Operators evaluate the kernel at many
 points in node blocks of about 2^17 entries and gather each chunk's summands
 before reducing it, so the blocked sum reproduces ``compensated_sum`` chunk
 for chunk, bit for bit, whatever the number of points.  A call of at least
-2^21 point-node entries sums its chunks on a thread pool, one thread per core
-the process may run on; the calling thread fsums the chunk sums in chunk
-order, so no value depends on the pool.  Smaller calls stay serial.
+2^21 point-node entries runs on a thread pool, one thread per core the process
+may run on; its threads split one serial pass's block and buffer sizes, and
+the calling thread fsums the chunk sums in chunk order.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ _CHUNK = 65536
 _BLOCK = 1 << 17
 # entries of the (points x chunk) buffer a blocked sum reduces at once
 _BUFFER = 16 * _BLOCK
-# the cores this process may run on; the pool's threads start on its first call
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL = ThreadPoolExecutor(_CORES) if _CORES > 1 else None
 
@@ -153,40 +152,41 @@ def _slices(start: int, stop: int, step: int) -> list:
     return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
 
 
+def _workers(entries: int) -> int:
+    """Threads sharing a call of ``entries`` point-node entries: _CORES from _BUFFER on, else 1."""
+    return _CORES if _POOL is not None and entries >= _BUFFER else 1
+
+
 def _map(fn, items: list, entries: int) -> list:
-    """``[fn(item) for item in items]`` in item order; on the pool for at least two
-    items and _BUFFER point-node ``entries``, else serially, starting no thread."""
-    if _POOL is None or len(items) < 2 or entries < _BUFFER:
-        return [fn(item) for item in items]
-    return list(_POOL.map(fn, items))
+    """``[fn(item) for item in items]`` in item order, pooled for 2+ items if _workers(entries) > 1."""
+    return list((_POOL.map if len(items) > 1 and _workers(entries) > 1 else map)(fn, items))
 
 
 def _row_blocks(rows: int, cols: int) -> list:
-    """Slices of ``rows`` so that each (block, cols) evaluation holds about _BLOCK entries."""
-    return _slices(0, rows, max(1, _BLOCK // max(1, cols)))
+    """Slices of ``rows`` so that each (block, cols) evaluation holds _BLOCK / workers entries."""
+    return _slices(0, rows, max(1, _BLOCK // _workers(rows * cols) // max(1, cols)))
 
 
 def _kernel_sums(domain: DomainSpec, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
     of ``summand(k, s, r)``, where k = K(w_s, Z_r) for a node slice s and a point slice r.
 
-    Node blocks of about _BLOCK entries are gathered into one (points, chunk)
-    array per _CHUNK nodes, of at most _BUFFER entries, and reduced along its
-    rows through ``_map``; fsumming those in chunk order makes each sum equal
+    Node blocks of about _BLOCK / workers entries are gathered into one (points,
+    chunk) array per _CHUNK nodes, of at most _BUFFER / workers entries, and reduced
+    along its rows through ``_map``; fsumming those in chunk order makes each sum equal
     ``compensated_sum`` of that point's full summand array, bit for bit.
     Returns an (M,) complex array; real summands give zero imaginary parts.
     """
-    n = len(rule)
-    groups = _slices(0, len(Z), max(1, _BUFFER // max(1, min(n, _CHUNK))))
+    n, workers = len(rule), _workers(len(Z) * len(rule))
+    groups = _slices(0, len(Z), max(1, _BUFFER // workers // max(1, min(n, _CHUNK))))
     chunks = range(0, n, _CHUNK)
 
     def chunk_sums(item):
         r, c = item
-        step = max(1, min(_CHUNK, _BLOCK // (r.stop - r.start)))
+        step = max(1, min(_CHUNK, _BLOCK // workers // (r.stop - r.start)))
         buf = None
         for s in _slices(c, min(c + _CHUNK, n), step):
-            # a one-node block is evaluated twice over: numpy multiplies a one-entry
-            # array through other loops than a 1-D one, and they differ in the last bit
+            # a lone node goes in twice: one-entry blocks take a numpy loop differing in the last bit
             idx = s if s.stop - s.start > 1 else [s.start, s.start]
             block = summand(domain.kernel(rule.nodes[None, idx], Z[r, None]), idx, r)
             if buf is None:

@@ -127,7 +127,7 @@ def test_wrong_dimension_is_refused(rules):
 
 
 class _CountingPool:
-    """The module pool, counting the calls that reach it."""
+    """A pool standing in for the module's, counting the calls that reach it."""
 
     def __init__(self, pool):
         self.pool, self.calls = pool, 0
@@ -137,15 +137,22 @@ class _CountingPool:
         return self.pool.map(fn, items)
 
 
+def _lend_pool(monkeypatch, executor, workers):
+    """Make ``executor`` the module pool of ``workers`` threads, counting its calls."""
+    counting = _CountingPool(executor)
+    monkeypatch.setattr(quad, "_POOL", counting)
+    monkeypatch.setattr(quad, "_CORES", workers)
+    return counting
+
+
 @pytest.fixture
 def pool(monkeypatch):
     # on a one-core host the module has no pool; lend it one so the pooled path runs
-    own = None if quad._POOL else ThreadPoolExecutor(2)
-    counting = _CountingPool(quad._POOL or own)
-    monkeypatch.setattr(quad, "_POOL", counting)
-    yield counting
-    if own:
-        own.shutdown()
+    if quad._POOL:
+        yield _lend_pool(monkeypatch, quad._POOL, quad._CORES)
+    else:
+        with ThreadPoolExecutor(2) as own:
+            yield _lend_pool(monkeypatch, own, 2)
 
 
 @pytest.mark.parametrize("name, m", [pytest.param("disc", None, id="disc"),
@@ -224,8 +231,9 @@ def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypat
     monkeypatch.setattr(quad, "_POOL", None)
     serial = both()
     interval = sys.getswitchinterval()
-    with ThreadPoolExecutor(2 * quad._CORES + 1) as many:
-        monkeypatch.setattr(quad, "_POOL", _CountingPool(many))
+    workers = 2 * quad._CORES + 1
+    with ThreadPoolExecutor(workers) as many:
+        _lend_pool(monkeypatch, many, workers)
         sys.setswitchinterval(1e-6)
         try:
             pooled = both()
@@ -254,12 +262,14 @@ def test_call_below_the_gate_starts_no_thread():
     assert out.split() == ["1", "1"]
 
 
-def test_buffer_bounds_the_working_memory(pool):
-    # The (points x chunk) buffers of the workers that run at once, not the
-    # rule, set the peak: it stays within 2.5 buffers on two rules 8.4x apart.
+def _assert_peak_within_buffers(pool):
+    # The workers that run at once split one (points x chunk) buffer and one kernel
+    # block between them, so neither the rule nor the number of workers sets the
+    # peak: it stays within 2.5 buffers on two rules 8.4x apart.
     domain = dom.hartogs_triangle()
     points = _points(domain, 20, seed=5)
     buffer_bytes = 20 * CHUNK * 16
+    calls = pool.calls
     for radial_n in (10, 29):  # 230,400 and 1,937,664 nodes
         rule = quad.build_rule(domain, radial_n, 24)
         ones = np.ones(len(rule))
@@ -270,4 +280,14 @@ def test_buffer_bounds_the_working_memory(pool):
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * buffer_bytes
-    assert pool.calls == 2
+    assert pool.calls == calls + 2
+
+
+def test_buffer_bounds_the_working_memory(pool):
+    _assert_peak_within_buffers(pool)
+
+
+def test_buffer_bounds_the_working_memory_of_more_workers_than_cores(monkeypatch):
+    workers = 2 * quad._CORES + 1
+    with ThreadPoolExecutor(workers) as many:
+        _assert_peak_within_buffers(_lend_pool(monkeypatch, many, workers))
