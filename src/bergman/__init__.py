@@ -24,8 +24,6 @@ from .domains import (
     normalized_kernel,
     polydisc,
     punctured_disc,
-    reinhardt,
-    reinhardt_kernel,
     sample_interior,
     upper_half_plane,
     volume,
@@ -41,18 +39,11 @@ from .quadrature import (
     tail_exponent_classify,
 )
 from .transforms import (
-    BasisOperator,
-    OperatorSymbol,
     absolute_projection,
     berezin,
     berezin_adjoint,
-    berezin_of_operator,
     bergman_project,
-    bounded,
-    identity_operator,
-    p_integrable,
     pointwise_domination,
-    toeplitz_matrix,
 )
 from .opnorm import (
     BRScanReport,

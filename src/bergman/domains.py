@@ -1,9 +1,9 @@
 """Model domains in C^n and their Bergman kernels.
 
 Closed-form kernels are available for the unit disc, the unit ball, polydiscs,
-the upper half plane, the punctured disc and the Hartogs triangle.  General
-Reinhardt domains are handled by a monomial series engine driven by declared
-radial asymptotics.
+the upper half plane, the punctured disc and the Hartogs triangle.  A
+Reinhardt profile (a rotation-invariant domain in modulus space with declared
+radial asymptotics) classifies and measures the square-integrable monomials.
 
 All integrals use unnormalized Lebesgue volume, so the disc kernel carries the
 1/pi factor explicitly.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.integrate
@@ -22,7 +22,6 @@ import scipy.integrate
 from .errors import (
     NonpositiveDiagonal,
     PointOutsideDomain,
-    SeriesDivergenceSuspected,
     UndeclaredAsymptotics,
     UnsupportedKind,
 )
@@ -65,17 +64,6 @@ class ReinhardtProfile:
     exponent_at_inf: Optional[float] = None
     allows_negative: tuple[bool, ...] = (False, False)
     _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def contains_moduli(self, radii: Sequence[float]) -> bool:
-        r1 = radii[0]
-        if not 0.0 <= r1 < self.r1_max * (1.0 - BOUNDARY_MARGIN):
-            return False
-        if self.allows_negative[0] and r1 <= 0.0:
-            return False
-        if self.dim == 1:
-            return True
-        cap = self.bound(r1)
-        return radii[1] < cap * (1.0 - BOUNDARY_MARGIN)
 
 
 def validate_profile(profile: ReinhardtProfile, rel_tol: float = 0.01) -> None:
@@ -150,10 +138,10 @@ def disc_profile() -> ReinhardtProfile:
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """A model domain: kind tag, dimension and optional Reinhardt profile.
+    """A model domain: kind tag and dimension.
 
     Each kind is a subclass that holds every formula of that kind, and
-    ``DomainSpec(kind, dim, profile)`` returns an instance of the subclass
+    ``DomainSpec(kind, dim)`` returns an instance of the subclass
     registered for ``kind``: that lookup is the one dispatch on the kind.
     Every kind defines ``volume()`` and the strict membership ``contains(p)``
     of one point, whose inequalities carry the relative slack BOUNDARY_MARGIN.
@@ -163,7 +151,6 @@ class DomainSpec:
 
     kind: str
     dim: int
-    profile: Optional[ReinhardtProfile] = None
 
     # origin grading of quadrature rules when the caller gives none; None: the boundary grading
     default_origin_grading = None
@@ -180,8 +167,7 @@ class DomainSpec:
 
     def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """K(a, b) over broadcasting (..., dim) arrays."""
-        raise UnsupportedKind(f"no closed-form kernel on {self}; "
-                              "use reinhardt_kernel for profile-based domains")
+        raise UnsupportedKind(f"no closed-form kernel on {self}")
 
     def diag(self, z: np.ndarray) -> np.ndarray:
         """K(z, z) over (..., dim) arrays; the Hartogs form is cancellation-safe."""
@@ -194,9 +180,6 @@ class DomainSpec:
     def scan_grid(self, level: int) -> list[CPoint]:
         """The br_scan grid, accumulating at the singular loci; ``level`` refines it."""
         raise UnsupportedKind(f"no scan grid on {self}")
-
-    def reinhardt_profile(self) -> ReinhardtProfile:
-        raise UnsupportedKind(f"no Reinhardt profile for {self.kind}")
 
     def kernel_at(self, a: CPoint, b: CPoint) -> complex:
         """K(a, b) at one pair of points: the one-point case of ``kernel``."""
@@ -263,9 +246,6 @@ class _Disc(_Polydisc):
 
     _sample_radius = 0.75
     _scan_center = (0.0,)
-
-    def reinhardt_profile(self):
-        return disc_profile()
 
     def scan_grid(self, level):
         n_r, depth, angles = _scan_axes(level)
@@ -368,9 +348,6 @@ class _Hartogs(DomainSpec):
         z1 = r1 * cmath.exp(2j * math.pi * rng.random())
         return (z1, z1 * t)
 
-    def reinhardt_profile(self):
-        return hartogs_profile()
-
     def scan_grid(self, level):
         n_r, depth, angles = _scan_axes(level)
         r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
@@ -378,25 +355,8 @@ class _Hartogs(DomainSpec):
         return [(r1 * a, r1 * t * a) for r1 in r1s for t in (0.0, 0.3, 0.9) for a in angles[::2]]
 
 
-class _Reinhardt(DomainSpec):
-    """A domain given by its Reinhardt profile; kernels come from reinhardt_kernel."""
-
-    def volume(self):
-        prof = self.profile
-        if prof.dim == 1:
-            return math.pi * prof.r1_max ** 2
-        return scipy.integrate.quad(lambda r: 2.0 * math.pi * r * math.pi * prof.bound(r) ** 2,
-                                    0.0, prof.r1_max, limit=200)[0]
-
-    def contains(self, p):
-        return self.profile.contains_moduli([abs(c) for c in p])
-
-    def reinhardt_profile(self):
-        return self.profile
-
-
 _KINDS = {"disc": _Disc, "punctured-disc": _PuncturedDisc, "ball": _Ball, "polydisc": _Polydisc,
-          "half-plane": _HalfPlane, "hartogs": _Hartogs, "reinhardt": _Reinhardt}
+          "half-plane": _HalfPlane, "hartogs": _Hartogs}
 
 
 def disc() -> DomainSpec:
@@ -425,10 +385,6 @@ def punctured_disc() -> DomainSpec:
 
 def hartogs_triangle() -> DomainSpec:
     return DomainSpec("hartogs", 2)
-
-
-def reinhardt(profile: ReinhardtProfile) -> DomainSpec:
-    return DomainSpec("reinhardt", profile.dim, profile)
 
 
 _BY_NAME = {
@@ -490,8 +446,7 @@ def inside_points(domain: DomainSpec, z) -> tuple[np.ndarray, bool]:
 def kernel(domain: DomainSpec, z, w) -> complex:
     """Bergman kernel K(z, w) of a closed-form domain.
 
-    Both arguments must lie strictly inside the domain.  Reinhardt domains are
-    served by :func:`reinhardt_kernel` instead.
+    Both arguments must lie strictly inside the domain.
     """
     return domain.kernel_at(require_inside(domain, z), require_inside(domain, w))
 
@@ -553,7 +508,7 @@ def sample_interior(domain: DomainSpec, n: int, seed: int = 0) -> list[CPoint]:
 # Reinhardt monomial machinery
 # ---------------------------------------------------------------------------
 
-def monomial_l2_norm2(domain_or_profile, exponents) -> float:
+def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     """Squared L^2 norm of the monomial z^alpha, or ``inf`` when divergent.
 
     Convergence is decided by power comparison on the declared asymptotics of
@@ -562,9 +517,6 @@ def monomial_l2_norm2(domain_or_profile, exponents) -> float:
     """
     from .quadrature import tail_exponent_classify  # deferred: quadrature imports this module
 
-    profile = domain_or_profile
-    if not isinstance(profile, ReinhardtProfile):
-        profile = profile.reinhardt_profile()
     alpha = tuple(int(a) for a in (exponents if not np.isscalar(exponents) else (exponents,)))
     if len(alpha) != profile.dim:
         raise ValueError(f"expected {profile.dim} exponents, got {len(alpha)}")
@@ -611,107 +563,3 @@ def monomial_l2_norm2(domain_or_profile, exponents) -> float:
                                   limit=400, epsabs=0.0, epsrel=1e-11)
     profile._norm_cache[alpha] = val
     return val
-
-
-def monomial_admissible(domain_or_profile, exponents) -> bool:
-    return math.isfinite(monomial_l2_norm2(domain_or_profile, exponents))
-
-
-@dataclass(frozen=True)
-class SeriesKernelValue:
-    """Partial kernel series with a geometric tail estimate."""
-
-    value: complex
-    tail_estimate: float
-    degree_used: int
-    capped: bool
-
-
-def _admissible_indices_of_degree(profile: ReinhardtProfile, degree: int):
-    """All admissible multi-indices with sum of |alpha_i| equal to ``degree``."""
-    out = []
-    if profile.dim == 1:
-        rng = [degree] if degree >= 0 else []
-        for a in rng:
-            if monomial_admissible(profile, (a,)):
-                out.append((a,))
-        if degree > 0 and profile.allows_negative[0] and monomial_admissible(profile, (-degree,)):
-            out.append((-degree,))
-        return out
-    for a2 in range(0, degree + 1):
-        rest = degree - a2
-        cands = {rest} if rest == 0 else {rest, -rest}
-        for a1 in sorted(cands):
-            if a1 < 0 and not profile.allows_negative[0]:
-                continue
-            if monomial_admissible(profile, (a1, a2)):
-                out.append((a1, a2))
-    return out
-
-
-def reinhardt_kernel(profile: ReinhardtProfile, z, w, truncation: int = 80) -> SeriesKernelValue:
-    """Kernel of a Reinhardt domain by monomial series, summed in total-degree order.
-
-    Terms are z^alpha conj(w^alpha) / ||z^alpha||^2 over admissible alpha with
-    sum |alpha_i| <= truncation.  Summation stops early once the estimated
-    geometric tail falls below 1e-10 of the partial sum; if the per-degree
-    contributions keep growing, SeriesDivergenceSuspected is raised.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    zp = as_point(z, profile.dim)
-    wp = as_point(w, profile.dim)
-    if not profile.contains_moduli([abs(c) for c in zp]):
-        raise PointOutsideDomain(f"{zp} not in profile {profile.name!r}")
-    if not profile.contains_moduli([abs(c) for c in wp]):
-        raise PointOutsideDomain(f"{wp} not in profile {profile.name!r}")
-
-    total = 0.0 + 0.0j
-    degree_mags = []
-    degree = 0
-    for degree in range(truncation + 1):
-        mag = 0.0
-        for alpha in _admissible_indices_of_degree(profile, degree):
-            n2 = monomial_l2_norm2(profile, alpha)
-            term = 1.0 + 0.0j
-            for c, cw, a in zip(zp, wp, alpha):
-                term *= c ** a * (cw ** a).conjugate()
-            term /= n2
-            total += term
-            mag += abs(term)
-        degree_mags.append(mag)
-        scale = max(abs(total), 1e-300)
-        recent = max(degree_mags[-3:])
-        if degree >= 2 and recent <= 1e-12 * scale:
-            # remaining terms are below roundoff of the partial sum
-            return SeriesKernelValue(total, recent, degree, capped=False)
-        tail = _geometric_tail(degree_mags)
-        if tail is not None and tail <= 1e-10 * scale:
-            return SeriesKernelValue(total, tail, degree, capped=False)
-    tail = _geometric_tail(degree_mags)
-    if tail is None:
-        raise SeriesDivergenceSuspected(
-            f"per-degree terms are not decaying after degree {degree} "
-            f"(last magnitudes {degree_mags[-3:]})"
-        )
-    return SeriesKernelValue(total, tail, degree, capped=True)
-
-
-def _geometric_tail(mags):
-    """Tail estimate from the decay ratio of the last few per-degree magnitudes."""
-    if len(mags) >= 2 and mags[-1] == 0.0 and mags[-2] == 0.0:
-        # a zero coordinate kills every remaining term exactly
-        return 0.0
-    nz = [(i, m) for i, m in enumerate(mags) if m > 0.0]
-    if not nz:
-        return None
-    if len(nz) < 3:
-        return None
-    recent = nz[-4:]
-    ratios = []
-    for (i0, m0), (i1, m1) in zip(recent[:-1], recent[1:]):
-        ratios.append((m1 / m0) ** (1.0 / (i1 - i0)))
-    rho = max(ratios)
-    if rho >= 1.0:
-        return None
-    return nz[-1][1] * rho / (1.0 - rho)

@@ -21,10 +21,6 @@ class UndeclaredAsymptotics(BergmanError):
     """A Reinhardt profile lacks the exponent data needed to classify a tail."""
 
 
-class SeriesDivergenceSuspected(BergmanError):
-    """Partial sums of a kernel series stopped decreasing."""
-
-
 class InvalidResolution(BergmanError):
     """Quadrature resolution parameters are out of range."""
 
@@ -39,10 +35,6 @@ class NonFiniteSymbol(BergmanError):
 
 class BorderlineExponent(BergmanError):
     """A power-law exponent is too close to -1 to classify reliably."""
-
-
-class TruncationInsufficient(BergmanError):
-    """A truncated series has an estimated tail above tolerance."""
 
 
 class EmptyFamily(BergmanError):

@@ -24,9 +24,9 @@ from .errors import (
     InadmissibleIndex,
     InvalidResolution,
     NonFiniteValue,
-    TruncationInsufficient,
 )
 from .quadrature import _graded_panel, gauss_legendre
+from .transforms import bergman_project
 
 _HARTOGS = hartogs_triangle()
 
@@ -44,20 +44,6 @@ def basis_coefficient(n: int, m: int) -> float:
     if not admissible(n, m):
         raise InadmissibleIndex(f"(n, m) = ({n}, {m}) needs m >= 0 and n + m >= -1")
     return (m + 1) * (n + m + 2) / math.pi ** 2
-
-
-def basis_indices(truncation: int) -> list[tuple[int, int]]:
-    """Admissible (n, m) ordered by k = n + m + 1, then m, both capped at ``truncation``."""
-    return [(k - m - 1, m) for k in range(truncation + 1) for m in range(truncation + 1)]
-
-
-def basis_values(indices, z) -> np.ndarray:
-    """Orthonormal basis functions sqrt(basis_coefficient) z1^n z2^m at one point."""
-    z1, z2 = complex(z[0]), complex(z[1])
-    out = np.empty(len(indices), dtype=complex)
-    for i, (n, m) in enumerate(indices):
-        out[i] = math.sqrt(basis_coefficient(n, m)) * z1 ** n * z2 ** m
-    return out
 
 
 def kernel_series(w, z, truncation: int = 90) -> complex:
@@ -112,36 +98,15 @@ def blowup_symbol_norm(eps: float) -> float:
 # closed-form Berezin transform of blowup_symbol
 # ---------------------------------------------------------------------------
 
-def _blowup_series_tail(x: float, k_max: int) -> float:
-    """Upper bound for sum_{k > k_max} (k+1)^2 x^k / (k + eps), any eps > 0."""
-    q = k_max + 2
-    one = 1.0 - x
-    return x ** (k_max + 1) * (q * q / one + 2.0 * q * x / one ** 2 + x * (1.0 + x) / one ** 3)
-
-
-def berezin_blowup_closed(eps: float, z, truncation: int | None = None) -> float:
+def berezin_blowup_closed(eps: float, z) -> float:
     """Closed-form transform of the blow-up symbol; depends on z only through |z1|.
 
-    ``truncation`` caps the series; when omitted it is chosen so the bounded
-    tail stays below 1e-10 of the partial sum.  Arguments with |z1| > 0.999
-    are refused since the geometric tail control degenerates there.
+    The series (1 - x)^2 sum_k (k+1)^2 x^k / (k + eps) at x = |z1|^2, in the
+    resummed form of ``_bf_profile``, which holds up to the edge |z1| -> 1.
     """
     eps = _check_eps(eps)
     zp = require_inside(_HARTOGS, z)
-    x = abs(zp[0]) ** 2
-    if abs(zp[0]) > 0.999:
-        raise TruncationInsufficient("refusing |z1| > 0.999; series tail control degenerates")
-    if truncation is None:
-        truncation = 64
-        while _blowup_series_tail(x, truncation) > 1e-10 / eps and truncation < 4_000_000:
-            truncation *= 2
-    k = np.arange(truncation + 1, dtype=float)
-    partial = float(np.sum((k + 1.0) ** 2 / (k + eps) * x ** k))
-    tail = _blowup_series_tail(x, truncation)
-    if tail > 1e-10 * partial:
-        raise TruncationInsufficient(
-            f"tail bound {tail:.3e} exceeds 1e-10 of the partial sum at truncation {truncation}")
-    return (1.0 - x) ** 2 * partial
+    return float(_bf_profile(np.array([1.0 - abs(zp[0]) ** 2]), eps)[0])
 
 
 def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
@@ -177,23 +142,6 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     i_inner = float(np.sum((s * ws)[:, None] * wth / inner))
 
     return abs(z1) ** 2 / (2.0 * eps * np.pi ** 4 * diag) * i_outer * i_inner
-
-
-def diagonal_identity_check(z, tol: float = 1e-12) -> bool:
-    """Verify 1 / (pi^2 |z1|^2 K(z,z)) = (1 - |z2/z1|^2)^2 (1 - |z1|^2)^2 at z.
-
-    Near the singular edge |z2| -> |z1| the displayed right-hand product
-    cancels in 1 - |z2/z1|^2, so the tolerance widens by the forward rounding
-    error of that subtraction; away from the edge it stays at ``tol``.
-    """
-    zp = require_inside(_HARTOGS, z)
-    r1 = abs(zp[0])
-    t2 = abs(zp[1] / zp[0]) ** 2
-    lhs = 1.0 / (math.pi ** 2 * r1 ** 2 * _HARTOGS.diag_at(zp))
-    rhs = (1.0 - t2) ** 2 * (1.0 - r1 ** 2) ** 2
-    eps = np.finfo(float).eps
-    eff = max(tol, 8.0 * eps / max(1.0 - t2, eps))
-    return abs(lhs - rhs) <= eff * max(abs(lhs), abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +271,6 @@ def weak_pairing(j: int) -> float:
 
 def weak_pairing_by_quadrature(j: int, rule) -> float:
     """The same pairing as an honest integral against a rule: |P[1/w1](z)| / sqrt(K(z,z))."""
-    from .transforms import bergman_project  # deferred: transforms imports this module
-
     if j < 2:
         raise ValueError("j must be >= 2")
     z = (1.0 / j + 0j, 0j)

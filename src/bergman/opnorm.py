@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jsonfmt
 from .domains import DomainSpec, disc, inside_points
-from .errors import EmptyFamily, NonFiniteValue, UnsupportedKind
+from .errors import EmptyFamily, NonFiniteValue
 from .quadrature import QuadratureRule, _map, _row_blocks, gauss_legendre, tail_exponent_classify
 
 
@@ -168,46 +168,103 @@ def _weighted_pnorm(w, values, p):
     return float(np.sum(w * v ** p) ** (1.0 / p))
 
 
-def _dual_ascent_pnorm(M: np.ndarray, p: float, x0: np.ndarray,
+def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray,
                        tol: float = 1e-10, max_iter: int = 300):
-    """Power scheme for the induced p-norm of an unweighted matrix.
+    """Power scheme for the induced p-norm of an unweighted operator M.
 
-    Produces a monotone sequence of lower bounds; for entrywise nonnegative M
-    and a positive start it converges to a stationary ratio.
+    ``apply`` and ``apply_t`` act as M and its transpose on arrays of x0's
+    shape, and norms are taken over all entries.  Produces a monotone sequence
+    of lower bounds; for entrywise nonnegative M and a positive start it
+    converges to a stationary ratio.
     """
     q = p / (p - 1.0)
     x = np.abs(x0)
-    x /= np.linalg.norm(x, ord=p)
+    x /= np.linalg.norm(x.ravel(), ord=p)
     best = 0.0
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        y = M @ x
-        gamma = float(np.linalg.norm(y, ord=p))
+        y = apply(x)
+        gamma = float(np.linalg.norm(y.ravel(), ord=p))
         if gamma == 0.0:
             converged = True
             break
-        z = M.T @ (np.abs(y) ** (p - 1.0) * np.sign(y))
+        z = apply_t(np.abs(y) ** (p - 1.0) * np.sign(y))
         stalled = iters > 1 and gamma <= best * (1.0 + tol)
         best = max(best, gamma)
-        if stalled or np.linalg.norm(z, ord=q) <= float(z @ x) * (1.0 + 1e-14):
+        z_dot_x = float(z.ravel() @ x.ravel())
+        if stalled or np.linalg.norm(z.ravel(), ord=q) <= z_dot_x * (1.0 + 1e-14):
             converged = True
             break
         x = np.abs(z) ** (q - 1.0) * np.sign(z)
-        x /= np.linalg.norm(x, ord=p)
+        x /= np.linalg.norm(x.ravel(), ord=p)
     return best, converged, iters
 
 
-def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
-    """Discrete weighted L^p -> L^p norm of the operator matrix.
+def _power_sigma(gram, start: np.ndarray, tol: float = 1e-12, max_iter: int = 5000):
+    """Largest singular value of S by power iteration on S^T S, given by its action ``gram``."""
+    v = start / np.linalg.norm(start.ravel())
+    sigma = 0.0
+    for _ in range(max_iter):
+        v_new = gram(v)
+        nrm = float(np.linalg.norm(v_new.ravel()))
+        if nrm == 0.0:
+            return 0.0, True
+        new_sigma = math.sqrt(nrm)
+        v = v_new / nrm
+        if abs(new_sigma - sigma) <= tol * new_sigma:
+            return new_sigma, True
+        sigma = new_sigma
+    return sigma, False
 
+
+def _kronecker_norm(factors, p: float) -> NormEstimate:
+    """Norm of A1 kron A2 on the tensor grid, from the factors' actions alone.
+
+    An array X on the grid (nodes of A1 by nodes of A2) maps to M1 X M2^T, so
+    no (n1 n2)^2 matrix is formed and the product of the factor norms is never
+    assumed.  At p = 2 the power iteration runs on (S1 kron S2)^T (S1 kron S2),
+    which acts as X -> G1 X G2 with the factor Gram matrices Gi = Si^T Si.
+    """
+    if len(factors) != 2 or not all(isinstance(f, OperatorMatrix) and f.is_square
+                                    for f in factors):
+        raise ValueError("a Kronecker operator is a pair of square OperatorMatrix factors")
+    if math.isinf(p):
+        raise ValueError("Kronecker operators are estimated at finite p only")
+    A1, A2 = factors
+    w1, w2 = A1.col_weights, A2.col_weights
+    n = len(w1) * len(w2)
+    res = {"factors": [dict(A1.meta), dict(A2.meta)], "rows": n, "cols": n}
+    if p == 2.0:
+        r1, r2 = np.sqrt(w1), np.sqrt(w2)
+        S1 = r1[:, None] * A1.entries * r1[None, :]
+        S2 = r2[:, None] * A2.entries * r2[None, :]
+        G1, G2 = S1.T @ S1, S2.T @ S2
+        value, res["converged"] = _power_sigma(lambda X: G1 @ X @ G2, np.outer(r1, r2))
+        return NormEstimate(value, p, "kronecker-power-iteration", "approximate", res)
+    q = p / (p - 1.0)
+    M1 = w1[:, None] ** (1.0 / p) * A1.entries * w1[None, :] ** (1.0 / q)
+    M2 = w2[:, None] ** (1.0 / p) * A2.entries * w2[None, :] ** (1.0 / q)
+    best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
+        lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2))
+    return NormEstimate(best, p, "p-power-iteration", "lower", res)
+
+
+def estimate_norm(A, p: float) -> NormEstimate:
+    """Discrete weighted L^p -> L^p norm of an operator matrix or a Kronecker product.
+
+    ``A`` is an OperatorMatrix, or a pair (A1, A2) of square ones standing for
+    A1 kron A2 on the tensor grid with product weights.  For a single matrix,
     p = 2 is the largest singular value of the weight-symmetrized matrix and
     p = infinity the maximal weighted row sum, both exact for the discrete
     operator; other p yield certified lower bounds (dual ascent, refined on
-    disc matrices by the radial-power witness sweep).
+    disc matrices by the radial-power witness sweep).  A Kronecker product is
+    estimated by power iteration at p = 2 and dual ascent at other finite p.
     """
     if not 1.0 < p:
         raise ValueError("p must lie in (1, infinity]")
+    if isinstance(A, tuple):
+        return _kronecker_norm(A, p)
     w = A.col_weights
     res = dict(A.meta)
     if math.isinf(p):
@@ -215,7 +272,7 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
         value = float(np.max(A.row_sums()))
         res["converged"] = True
         return NormEstimate(value, p, "max-row-sum", "exact", res)
-    if A.entries.shape[0] != A.entries.shape[1]:
+    if not A.is_square:
         raise ValueError("finite-p estimation needs a square matrix (rows = columns)")
     if p == 2.0:
         root = np.sqrt(w)
@@ -224,14 +281,14 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
             value = float(np.linalg.svd(S, compute_uv=False)[0])
             res["converged"] = True
         else:
-            value, conv = _power_sigma(S, np.sqrt(w))
-            res["converged"] = conv
+            value, res["converged"] = _power_sigma(lambda v: S.T @ (S @ v), root)
         return NormEstimate(value, p, "weighted-svd", "approximate", res)
 
     # weighted induced p-norm via M = W^(1/p) A W^(1/q)
     q = p / (p - 1.0)
     M = w[:, None] ** (1.0 / p) * A.entries * w[None, :] ** (1.0 / q)
-    best, converged, iters = _dual_ascent_pnorm(M, p, x0=w.copy())
+    best, converged, iters = _dual_ascent_pnorm(lambda x: M @ x, lambda x: M.T @ x, p,
+                                                x0=w.copy())
     method = "p-power-iteration"
     res.update({"converged": converged, "iterations": iters})
     # the radial powers (1 - |z|^2)^b are witnesses on the disc only
@@ -242,24 +299,6 @@ def estimate_norm(A: OperatorMatrix, p: float) -> NormEstimate:
             method = "witness-sweep"
             res["witness"] = wit.resolution.get("witness")
     return NormEstimate(best, p, method, "lower", res)
-
-
-def _power_sigma(S: np.ndarray, start: np.ndarray, tol: float = 1e-12,
-                 max_iter: int = 5000):
-    """Largest singular value by power iteration on S^T S."""
-    v = start / np.linalg.norm(start)
-    sigma = 0.0
-    for _ in range(max_iter):
-        v_new = S.T @ (S @ v)
-        nrm = float(np.linalg.norm(v_new))
-        if nrm == 0.0:
-            return 0.0, True
-        new_sigma = math.sqrt(nrm)
-        v = v_new / nrm
-        if abs(new_sigma - sigma) <= tol * new_sigma:
-            return new_sigma, True
-        sigma = new_sigma
-    return sigma, False
 
 
 DEFAULT_WITNESS_POWERS = (0.0, 1.0, 2.0)
@@ -275,12 +314,8 @@ def witness_lower_bound(domain: DomainSpec, p: float, family=None,
     The default family is the radial powers |z1|^a (1 - |z|^2)^b; each member
     is screened for membership in L^p by power comparison, and the ratios
     ||B f||_p / ||f||_p are evaluated through the discrete operator, so the
-    bound never exceeds the matched discrete norm.  On the Hartogs triangle
-    ``family=("hartogs-blowup", eps_list)`` sweeps the symbols |w1|^(-2+2 eps),
-    whose L^2 ratios grow without bound as eps shrinks.
+    bound never exceeds the matched discrete norm.
     """
-    if isinstance(family, tuple) and len(family) == 2 and family[0] == "hartogs-blowup":
-        return _blowup_witness(domain, p, family[1])
     if family is None:
         family = [(a, b) for a in DEFAULT_WITNESS_POWERS for b in DEFAULT_WITNESS_BOUNDARY]
     if matrix is None:
@@ -321,26 +356,6 @@ def witness_lower_bound(domain: DomainSpec, p: float, family=None,
     res = dict(matrix.meta)
     res.update({"witness": best_params, "family_size": tested, "converged": True})
     return NormEstimate(best, p, "witness-sweep", "lower", res)
-
-
-def _blowup_witness(domain: DomainSpec, p: float, eps_list) -> NormEstimate:
-    from . import hartogs as ht
-
-    if domain.kind != "hartogs":
-        raise UnsupportedKind("the blowup_symbol family lives on the Hartogs triangle")
-    if p != 2.0:
-        raise UnsupportedKind("blowup_symbol ratios are computed in L^2 only")
-    eps_list = list(eps_list)
-    if not eps_list:
-        raise EmptyFamily("no eps values supplied")
-    best, best_eps = -math.inf, None
-    for eps in eps_list:
-        ratio = ht.bblowup_symbol_l2_norm(eps) / ht.blowup_symbol_norm(eps)
-        if ratio > best:
-            best, best_eps = ratio, eps
-    return NormEstimate(best, p, "witness-sweep", "lower",
-                        {"witness": ("blowup", best_eps), "family_size": len(eps_list),
-                         "converged": True, "domain": "hartogs(2)"})
 
 
 # ---------------------------------------------------------------------------
@@ -413,46 +428,10 @@ def product_norm_check(p: float, resolution: int = 120,
     """(estimated ||P+|| on the bidisc, squared disc estimate) at matched grids.
 
     The bidisc operator is the Kronecker product of the factor discretization
-    on the tensor radial grid; its norm is estimated iteratively without
+    on the tensor radial grid; ``estimate_norm`` iterates on it without
     reference to the factor result.
     """
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, infinity)")
     m = discretize_absolute_radial(radial_n=resolution, depth=depth)
-    w = m.col_weights
-    if p == 2.0:
-        root = np.sqrt(w)
-        S = root[:, None] * m.entries * root[None, :]
-        disc_val = float(np.linalg.svd(S, compute_uv=False)[0])
-        V = np.outer(root, root)
-        V /= np.linalg.norm(V)
-        sigma = 0.0
-        for _ in range(4000):
-            Y = S @ V @ S  # (S kron S) acting on vec(V)
-            nrm = np.linalg.norm(Y)
-            V = Y / nrm
-            if abs(nrm - sigma) <= 1e-13 * nrm:
-                sigma = nrm
-                break
-            sigma = nrm
-        return sigma, disc_val ** 2
-    q = p / (p - 1.0)
-    M = w[:, None] ** (1.0 / p) * m.entries * w[None, :] ** (1.0 / q)
-    disc_val, _, _ = _dual_ascent_pnorm(M, p, x0=w.copy())
-
-    def big_apply(mat, V):
-        return mat @ V @ mat.T
-
-    X = np.outer(w, w)
-    X = np.abs(X) / np.linalg.norm(X.ravel(), ord=p)
-    best = 0.0
-    for _ in range(300):
-        Y = big_apply(M, X)
-        gamma = np.linalg.norm(Y.ravel(), ord=p)
-        Z = big_apply(M.T, np.abs(Y) ** (p - 1.0) * np.sign(Y))
-        if gamma <= best * (1.0 + 1e-12):
-            break
-        best = gamma
-        X = np.abs(Z) ** (q - 1.0) * np.sign(Z)
-        X /= np.linalg.norm(X.ravel(), ord=p)
-    return best, disc_val ** 2
+    return estimate_norm((m, m), p).value, estimate_norm(m, p).value ** 2

@@ -1,47 +1,21 @@
 """The Berezin transform, its adjoint, and the Bergman projections.
 
 Everything here is a quadrature evaluation of an integral against the kernel
-machinery in :mod:`bergman.domains`; operators on the Bergman space are
-represented by their matrices in an explicit orthonormal basis.
+machinery in :mod:`bergman.domains`.  A symbol is a callable of the rule's
+nodes, an ndarray of one value per node, or a GridFunction.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from . import hartogs as _hartogs
-from .domains import DomainSpec, domain_by_name, inside_points, require_inside
-from .errors import NonFiniteSymbol, TruncationInsufficient, UnsupportedKind
+from .domains import DomainSpec, inside_points
+from .errors import NonFiniteSymbol
 from .quadrature import GridFunction, QuadratureRule, _kernel_sums, compensated_sum
 
-
-@dataclass(frozen=True)
-class OperatorSymbol:
-    """A symbol phi with its declared integrability class.
-
-    ``kind`` is "bounded" or "p-integrable"; the callable receives an (N,)
-    complex array on one-dimensional domains and an (N, dim) array otherwise.
-    """
-
-    fn: Callable
-    kind: str = "bounded"
-    p: Optional[float] = None
-    name: str = ""
-
-
-Symbol = Union[OperatorSymbol, Callable]
-
-
-def bounded(fn: Callable, name: str = "") -> OperatorSymbol:
-    return OperatorSymbol(fn, "bounded", None, name)
-
-
-def p_integrable(fn: Callable, p: float, name: str = "") -> OperatorSymbol:
-    return OperatorSymbol(fn, "p-integrable", p, name)
+Symbol = Union[Callable, np.ndarray, GridFunction]
 
 
 def _eval_nodes(rule: QuadratureRule) -> np.ndarray:
@@ -54,8 +28,7 @@ def symbol_values(phi: Symbol, rule: QuadratureRule) -> np.ndarray:
     elif isinstance(phi, np.ndarray):
         vals = phi
     else:
-        fn = phi.fn if isinstance(phi, OperatorSymbol) else phi
-        vals = np.asarray(fn(_eval_nodes(rule)))
+        vals = np.asarray(phi(_eval_nodes(rule)))
     if vals.shape != (len(rule),):
         raise NonFiniteSymbol("symbol must produce one value per node")
     if not np.all(np.isfinite(vals)):
@@ -131,91 +104,3 @@ def pointwise_domination(domain: DomainSpec, phi: Symbol, z, C: float,
     rhs = C * absolute_projection(domain, phi, z, rule)
     slack = 1e-8 + 1e-6 * max(lhs, rhs)
     return lhs <= rhs + slack
-
-
-# ---------------------------------------------------------------------------
-# operators in an explicit orthonormal basis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasisOperator:
-    """Matrix entries T[m][n] = <T e_n, e_m> in a truncated orthonormal basis.
-
-    ``basis`` is "disc" (monomials z^n, n <= truncation) or "hartogs"
-    (bi-indexed monomials ordered by k = n+m+1 then m, both capped at
-    truncation).  ``matrix`` may be None for the identity operator.
-    """
-
-    basis: str
-    truncation: int
-    matrix: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        k = len(basis_indices(self.basis, self.truncation))
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
-            if m.shape != (k, k):
-                raise ValueError(f"matrix must be {k} x {k} for this basis")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("matrix entries must be finite")
-            object.__setattr__(self, "matrix", m)
-
-
-def identity_operator(basis: str, truncation: int) -> BasisOperator:
-    return BasisOperator(basis, truncation, None)
-
-
-def diagonal_operator(basis: str, truncation: int, diag) -> BasisOperator:
-    k = len(basis_indices(basis, truncation))
-    return BasisOperator(basis, truncation, np.diag(np.asarray(diag, dtype=complex)[:k]))
-
-
-def basis_indices(basis: str, truncation: int):
-    if basis == "disc":
-        return list(range(truncation + 1))
-    if basis == "hartogs":
-        return _hartogs.basis_indices(truncation)
-    raise UnsupportedKind(f"unknown basis {basis!r}")
-
-
-def basis_at(basis: str, truncation: int, z) -> np.ndarray:
-    """Values e_n(z) of the orthonormal basis at one point."""
-    if basis == "disc":
-        z0 = complex(z[0]) if not np.isscalar(z) else complex(z)
-        n = np.arange(truncation + 1)
-        return np.sqrt((n + 1) / math.pi) * z0 ** n
-    if basis == "hartogs":
-        return _hartogs.basis_values(_hartogs.basis_indices(truncation), z)
-    raise UnsupportedKind(f"unknown basis {basis!r}")
-
-
-def berezin_of_operator(op: BasisOperator, z) -> complex:
-    """Berezin transform <T k_z, k_z> of a basis-truncated operator.
-
-    With u_n(z) = conj(e_n(z)) / sqrt(K(z,z)) this is the quadratic form
-    sum_{m,n} T[m][n] u_n(z) conj(u_m(z)).  The captured mass sum |u_n|^2
-    must be within 1e-8 of 1, else the truncation cannot represent k_z at z.
-    """
-    domain = domain_by_name(op.basis)
-    zp = require_inside(domain, z)
-    diag = domain.diag_at(zp)
-    u = np.conj(basis_at(op.basis, op.truncation, zp)) / math.sqrt(diag)
-    gap = 1.0 - float(np.sum(np.abs(u) ** 2))
-    if gap > 1e-8:
-        raise TruncationInsufficient(
-            f"basis truncation {op.truncation} misses {gap:.2e} of the normalized kernel at {zp}")
-    if op.matrix is None:
-        return complex(np.sum(np.abs(u) ** 2))
-    return complex(np.vdot(u, op.matrix @ u))
-
-
-def toeplitz_matrix(domain: DomainSpec, phi: Symbol, rule: QuadratureRule,
-                    truncation: int) -> BasisOperator:
-    """Matrix of the Toeplitz operator f -> P(phi f) in the disc basis."""
-    if domain.kind != "disc":
-        raise UnsupportedKind("Toeplitz matrices are assembled on the disc basis only")
-    vals = symbol_values(phi, rule)
-    n = np.arange(truncation + 1)
-    E = np.sqrt((n + 1) / math.pi)[None, :] * rule.nodes[:, 0][:, None] ** n[None, :]
-    T = np.conj(E).T @ (E * (rule.weights * vals)[:, None])
-    return BasisOperator("disc", truncation, T)

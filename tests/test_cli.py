@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestScanAndBlowup:
         code, out, err = run_cli(capsys, ["blowup", "--eps", "1e-1,1e-2",
                                           "--radial-n", "96", "--out", path])
         assert code == 0
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == "eps,norm_f,lower_bound_Bf,ratio_lower,ratio_quadrature"
         assert len(lines) == 3
         assert "slope" in err
@@ -200,7 +201,7 @@ class TestReproduceCommand:
         code, out, _ = run_cli(capsys, ["reproduce", "--out", path])
         assert code == 0
         assert "PASS" in out and "2/2 checks passed" in out
-        rows = json.loads(open(path).read())
+        rows = json.loads(Path(path).read_text())
         assert len(rows) == 2 and all(r["passed"] for r in rows)
 
     def test_failure_exit_code(self, capsys, monkeypatch):
@@ -216,7 +217,7 @@ class TestReproduceCommand:
         path = os.path.join(tmp_path, "report.csv")
         code, _, _ = run_cli(capsys, ["reproduce", "--out", path, "--format", "csv"])
         assert code == 0
-        lines = open(path).read().strip().split("\n")
+        lines = Path(path).read_text().strip().split("\n")
         assert lines[0] == "id,name,passed"
         assert lines[1].startswith("10,")
 
@@ -231,11 +232,34 @@ class TestReproduceCommand:
         assert payloads[0] == payloads[1]
 
     def test_records_name_the_rules_used(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(reproduce, "ALL_CHECKS",
-                            [reproduce.check_09_weak_pairing, reproduce.check_12_schur_probe])
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", [
+            reproduce.check_03_adjoint, reproduce.check_04_disc_norms,
+            reproduce.check_06_blowup_symbol_norm, reproduce.check_07_blowup_transform,
+            reproduce.check_09_weak_pairing, reproduce.check_11_product_norm,
+            reproduce.check_12_schur_probe])
         path = os.path.join(tmp_path, "report.json")
         assert run_cli(capsys, ["reproduce", "--out", path])[0] == 0
-        weak, schur = (r["resolution"] for r in json.loads(open(path).read()))
+        adjoint, norms, symbol, transform, weak, product, schur = (
+            r["resolution"] for r in json.loads(Path(path).read_text()))
+        assert (adjoint["rule"]["radial_n"], adjoint["rule"]["angular_n"]) == (32, 64)
+        assert len(adjoint["patch_rules"]) == 5
+        for trial in adjoint["patch_rules"]:
+            assert [(g["radial_n"], g["angular_n"], g["nodes"]) for g in trial] == [
+                (24, 32, 24 * 32), (26, 36, 26 * 36), (30, 40, 30 * 40), (32, 44, 32 * 44)]
+            assert all(g["region"].startswith("patch(") for g in trial)
+        assert (norms["radial"]["radial_n"], norms["radial"]["depth"]) == (200, 34.0)
+        assert norms["radial"]["reduction"] == "radial-sector"
+        assert (norms["rows_rule"]["radial_n"], norms["rows_rule"]["angular_n"]) == (24, 112)
+        assert 0 < norms["rows"] < norms["rows_rule"]["nodes"]
+        assert (symbol["rule"]["radial_n"], symbol["rule"]["angular_n"],
+                symbol["rule"]["origin_grading"]) == (64, 4, 15.0)
+        assert transform["substitution"] == {"radial_n": 160, "s_n": 120, "angular_n": 128}
+        assert (transform["generic"]["radial_n"], transform["generic"]["angular_n"],
+                transform["generic"]["origin_grading"]) == (32, 24, 12.0)
+        assert transform["generic"]["nodes"] == len(reproduce.rule_hartogs_origin())
+        assert [(f["kind"], f["radial_n"], f["depth"]) for f in product["factors"]] == [
+            ("absolute", 120, 30.0)] * 2
+        assert product["rows"] == 120 ** 2 and product["converged"]
         assert weak["rule"]["domain"] == "hartogs"
         assert (weak["rule"]["radial_n"], weak["rule"]["angular_n"]) == (20, 48)
         assert weak["rule"]["nodes"] == len(reproduce.rule_hartogs()) == 40 ** 2 * 48 ** 2

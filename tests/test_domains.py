@@ -1,4 +1,4 @@
-"""Kernel formulas, membership, ratios, and the Reinhardt series engine."""
+"""Kernel formulas, membership, ratios, and Reinhardt monomial norms."""
 
 import cmath
 import math
@@ -8,12 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
-from bergman.errors import (
-    InadmissibleIndex,
-    PointOutsideDomain,
-    UndeclaredAsymptotics,
-    UnsupportedKind,
-)
+from bergman.errors import PointOutsideDomain, UndeclaredAsymptotics
 
 ALL_DOMAINS = [dom.disc(), dom.ball(2), dom.polydisc(2), dom.polydisc(3),
                dom.upper_half_plane(), dom.punctured_disc(), dom.hartogs_triangle()]
@@ -55,11 +50,6 @@ class TestKernelValues:
             prod = (dom.kernel(dom.disc(), z[0], w[0]) * dom.kernel(dom.disc(), z[1], w[1]))
             got = dom.kernel(d2, z, w)
             assert abs(got - prod) <= 1e-14 * abs(got)
-
-    def test_reinhardt_kind_routed_elsewhere(self):
-        rd = dom.reinhardt(dom.disc_profile())
-        with pytest.raises(UnsupportedKind):
-            dom.kernel(rd, 0j, 0j)
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     def test_hermitian_symmetry_and_positive_diagonal(self, domain):
@@ -299,23 +289,3 @@ class TestMonomialNorms:
                 bound=lambda r: 1.0 / (1.0 + r),
                 exponent_at_zero=0.0, exponent_at_inf=-2.0))
 
-
-class TestReinhardtKernel:
-    def test_boas_vanishes_at_origin(self):
-        got = dom.reinhardt_kernel(dom.boas_profile(), (0j, 0j), (0j, 0j), truncation=12)
-        assert got.value == 0
-
-    def test_disc_profile_at_origin(self):
-        got = dom.reinhardt_kernel(dom.disc_profile(), 0j, 0j, truncation=12)
-        assert got.value.real == pytest.approx(1 / math.pi, rel=1e-12)
-
-    def test_hartogs_series_matches_closed_form(self):
-        got = dom.reinhardt_kernel(dom.hartogs_profile(), (0.5, 0.2), (0.5, 0.2),
-                                   truncation=80)
-        want = dom.kernel(dom.hartogs_triangle(), (0.5, 0.2), (0.5, 0.2))
-        assert abs(got.value - want) <= 1e-8 * abs(want)
-        assert not got.capped
-
-    def test_point_outside_profile(self):
-        with pytest.raises(PointOutsideDomain):
-            dom.reinhardt_kernel(dom.hartogs_profile(), (0.2, 0.5), (0.2, 0.1))

@@ -128,13 +128,6 @@ class TestEstimateNorm:
                                      matrix=small_matrix)
         assert wit.value == pytest.approx(1.0, abs=1e-6)
 
-    def test_hartogs_blowup_family_grows(self):
-        vals = [on.witness_lower_bound(dom.hartogs_triangle(), 2.0,
-                                       family=("hartogs-blowup", [eps])).value
-                for eps in (1e-1, 1e-2, 1e-3)]
-        assert vals[0] < vals[1] < vals[2]
-        assert vals[2] > 8.0
-
     def test_witness_p2_soundness_and_strength(self, radial_matrix):
         wit = on.witness_lower_bound(dom.disc(), 2.0, matrix=radial_matrix)
         sigma = on.estimate_norm(radial_matrix, 2.0).value
@@ -221,3 +214,40 @@ class TestProductNorms:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             on.product_norm_check(math.inf)
+
+
+class TestKroneckerNorm:
+    @pytest.fixture(scope="class")
+    def factor(self):
+        return on.discretize_absolute_radial(radial_n=20, depth=30.0)
+
+    @pytest.fixture(scope="class")
+    def dense(self, factor):
+        # A kron A on the tensor grid: index i * n + j is the node pair (i, j)
+        n = factor.col_nodes.shape[0]
+        nodes = np.hstack([np.repeat(factor.col_nodes, n, axis=0),
+                           np.tile(factor.col_nodes, (n, 1))])
+        return on.OperatorMatrix(np.kron(factor.entries, factor.entries), nodes, nodes,
+                                 np.kron(factor.col_weights, factor.col_weights))
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+    def test_matches_the_dense_kronecker_matrix(self, factor, dense, p):
+        got = on.estimate_norm((factor, factor), p)
+        want = on.estimate_norm(dense, p)
+        assert abs(got.value - want.value) <= 1e-9 * want.value
+        assert got.resolution["rows"] == got.resolution["cols"] == 400
+        assert got.resolution["converged"]
+
+    def test_factors_need_not_agree(self, factor):
+        other = on.discretize_absolute_radial(radial_n=12, depth=20.0)
+        got = on.estimate_norm((factor, other), 2.0).value
+        want = on.estimate_norm(factor, 2.0).value * on.estimate_norm(other, 2.0).value
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_refuses_p_infinity(self, factor):
+        with pytest.raises(ValueError):
+            on.estimate_norm((factor, factor), math.inf)
+
+    def test_refuses_non_square_factors(self, factor, small_matrix):
+        with pytest.raises(ValueError):
+            on.estimate_norm((factor, small_matrix), 2.0)

@@ -1,4 +1,4 @@
-"""Berezin transform, adjoint, projections, and basis operators."""
+"""Berezin transform, adjoint and projections."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 import bergman.domains as dom
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import NonFiniteSymbol, TruncationInsufficient
+from bergman.errors import NonFiniteSymbol
 
 ONE = lambda w: np.ones(len(w))
 
@@ -48,9 +48,16 @@ class TestBerezin:
             tr.berezin(dom.disc(), lambda w: np.where(np.abs(w) < 0.5, np.inf, 1.0),
                        (0.2,), disc_rule)
 
-    def test_operator_symbol_wrapper(self, disc_rule):
-        sym = tr.bounded(ONE, name="one")
-        assert tr.berezin(dom.disc(), sym, 0.2 + 0j, disc_rule).real == pytest.approx(1.0, abs=1e-10)
+    def test_abs2_closed_form(self):
+        # B(|w|^2)(z) = x + (1-x)^2 (-log(1-x) - x) / x^2 at x = |z|^2, and 1/2 at z = 0
+        rule = quad.build_rule(dom.disc(), 32, 64)
+        pts = [z for z in dom.sample_interior(dom.disc(), 40, seed=21) if abs(z[0]) <= 0.55][:10]
+        assert len(pts) == 10
+        for z in [(0j,)] + pts:
+            x = abs(z[0]) ** 2
+            want = 0.5 if x == 0.0 else x + (1 - x) ** 2 * (-math.log1p(-x) - x) / x ** 2
+            got = tr.berezin(dom.disc(), lambda w: np.abs(w) ** 2, z, rule)
+            assert abs(got - want) <= 1e-14, z
 
     def test_grid_function_symbol(self, disc_rule):
         import bergman.quadrature as quad
@@ -113,47 +120,6 @@ class TestProjections:
     def test_absolute_projection_bidisc(self, bidisc_rule):
         got = tr.absolute_projection(dom.polydisc(2), ONE, (0j, 0j), bidisc_rule)
         assert got == pytest.approx(1.0, rel=1e-12)
-
-
-class TestBasisOperators:
-    def test_identity_everywhere(self):
-        op = tr.identity_operator("disc", 48)
-        for z in (0j, 0.3 + 0.4j, -0.55 + 0j):
-            assert tr.berezin_of_operator(op, z).real == pytest.approx(1.0, abs=1e-10)
-
-    def test_toeplitz_diagonal(self, disc_rule):
-        op = tr.toeplitz_matrix(dom.disc(), lambda w: np.abs(w) ** 2, disc_rule, 12)
-        n = np.arange(13)
-        np.testing.assert_allclose(np.diag(op.matrix).real, (n + 1) / (n + 2), atol=1e-10)
-        off = op.matrix - np.diag(np.diag(op.matrix))
-        assert np.max(np.abs(off)) <= 1e-10
-
-    def test_diagonal_operator_at_origin(self):
-        n = np.arange(41)
-        op = tr.diagonal_operator("disc", 40, (n + 1) / (n + 2))
-        got = tr.berezin_of_operator(op, 0j)
-        assert got.real == pytest.approx(0.5, abs=1e-12)
-
-    def test_hartogs_identity(self):
-        op = tr.identity_operator("hartogs", 60)
-        got = tr.berezin_of_operator(op, (0.5, 0.2))
-        assert got.real == pytest.approx(1.0, abs=1e-6)
-
-    def test_truncation_guard(self):
-        op = tr.identity_operator("disc", 10)
-        with pytest.raises(TruncationInsufficient):
-            tr.berezin_of_operator(op, 0.95 + 0j)
-
-    def test_toeplitz_consistent_with_symbol_transform(self, disc_rule):
-        phi = lambda w: np.abs(w) ** 2
-        op = tr.toeplitz_matrix(dom.disc(), phi, disc_rule, 40)
-        pts = [z for z in dom.sample_interior(dom.disc(), 40, seed=21)
-               if abs(z[0]) <= 0.55][:10]
-        assert len(pts) == 10
-        for z in pts:
-            via_matrix = tr.berezin_of_operator(op, z)
-            via_symbol = tr.berezin(dom.disc(), phi, z, disc_rule)
-            assert abs(via_matrix - via_symbol) <= 1e-6
 
 
 class TestDomination:
