@@ -44,6 +44,7 @@ from .transforms import (
     berezin_adjoint,
     bergman_project,
     pointwise_domination,
+    unit_mass,
 )
 from .opnorm import (
     BRScanReport,

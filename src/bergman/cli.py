@@ -102,9 +102,9 @@ def cmd_norm(args):
     if domain.kind != "disc":
         raise SystemExit2("norm estimation is wired for the disc discretizations")
     if math.isinf(p):
-        rule = quad.build_rule(domain, _given(args.radial_n, 24), _given(args.angular_n, 112))
-        keep = np.abs(rule.nodes[:, 0]) <= 0.88
-        matrix = on.discretize_berezin(domain, rule, row_nodes=rule.nodes[keep])
+        radial, angular = reproduce.ROWS_GRID
+        rule = quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular))
+        matrix = reproduce.berezin_row_matrix(rule)
     elif args.angular_n is not None:
         raise SystemExit2("--angular-n applies to --p inf; the finite-p matrix has no angular grid")
     else:

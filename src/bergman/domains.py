@@ -181,6 +181,10 @@ class DomainSpec:
         """The br_scan grid, accumulating at the singular loci; ``level`` refines it."""
         raise UnsupportedKind(f"no scan grid on {self}")
 
+    def factor_points(self, Z: np.ndarray) -> np.ndarray:
+        """The (M, dim) points Z in product coordinates: column i is the point in factor disc i."""
+        raise UnsupportedKind(f"{self} is not a product of discs")
+
     def kernel_at(self, a: CPoint, b: CPoint) -> complex:
         """K(a, b) at one pair of points: the one-point case of ``kernel``."""
         return complex(self.kernel(np.array([a]), np.array(b))[0])
@@ -239,6 +243,9 @@ class _Polydisc(DomainSpec):
 
     def scan_grid(self, level):
         return _pair_scan_grid(level, 1.0)
+
+    def factor_points(self, Z):
+        return Z
 
 
 class _Disc(_Polydisc):
@@ -328,6 +335,10 @@ class _Hartogs(DomainSpec):
         r1, r2 = abs(p[0]), abs(p[1])
         m = 1.0 - BOUNDARY_MARGIN
         return r1 < m and r2 < r1 * m
+
+    def factor_points(self, Z):
+        # (z1, z2) -> (z1, z2/z1) maps the triangle onto the product of the punctured disc and the disc
+        return np.stack([Z[:, 0], Z[:, 1] / Z[:, 0]], axis=1)
 
     def kernel(self, a, b):
         x = a[..., 0] * np.conj(b[..., 0])

@@ -171,14 +171,17 @@ def _phi_series(t: np.ndarray, eps: float) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     direct = t > 1.0 - PHI_SPLIT
-    x = 1.0 - t[direct]
-    out[direct] = np.sum(x[None, :] ** _K[:, None] / (_K + eps)[:, None], axis=0)
-    near = t[~direct]
-    # (eps)_k / k! = prod_{j<k} (j + eps) / (j + 1)
-    rising = np.cumprod(np.concatenate([[1.0], (_K[:-1] + eps) / _K[1:]]))
-    psi = (digamma(_K + 1.0) - digamma(_K + eps))[:, None]
-    out[~direct] = np.sum(rising[:, None] * (psi - np.log(near)[None, :])
-                          * near[None, :] ** _K[:, None], axis=0)
+    # each branch builds its coefficients only when it has points
+    if np.any(direct):
+        x = 1.0 - t[direct]
+        out[direct] = np.sum(x[None, :] ** _K[:, None] / (_K + eps)[:, None], axis=0)
+    if not np.all(direct):
+        near = t[~direct]
+        # (eps)_k / k! = prod_{j<k} (j + eps) / (j + 1)
+        rising = np.cumprod(np.concatenate([[1.0], (_K[:-1] + eps) / _K[1:]]))
+        psi = (digamma(_K + 1.0) - digamma(_K + eps))[:, None]
+        out[~direct] = np.sum(rising[:, None] * (psi - np.log(near)[None, :])
+                              * near[None, :] ** _K[:, None], axis=0)
     return out
 
 

@@ -89,11 +89,18 @@ class RuleMeta:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain."""
+    """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain.
+
+    ``factors`` are the 1-D disc rules a product rule is built from, one per
+    coordinate of ``DomainSpec.factor_points``: a polydisc rule is their tensor
+    product, and a Hartogs rule the product of the rules in z1 and in z2/z1,
+    weighted by the Jacobian |z1|^2.  Other rules, and loaded ones, have none.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     meta: RuleMeta
+    factors: tuple = ()
 
     def __post_init__(self):
         if self.nodes.ndim == 1:
@@ -260,23 +267,30 @@ def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
 
 
+def _polar_rule(x, wx, angular_n: int, meta: RuleMeta) -> QuadratureRule:
+    """The disc rule x e^{i th} with weights x wx dth: radii x (weights wx) times equispaced angles."""
+    th, wth = _angles(angular_n)
+    z = (x[:, None] * np.exp(1j * th)[None, :]).ravel()
+    w = ((x * wx)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
+    return QuadratureRule(z[:, None], w, meta)
+
+
 def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     """Tensor power of the polar disc rule; the disc is the case dim = 1."""
     dim = domain.dim
-    r, wr = _radial_line(radial_n, origin_grading, grading)
-    th, wth = _angles(angular_n)
-    z1 = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
-    w1 = ((r * wr)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
-    nodes = z1[:, None]
-    weights = w1
+    factor = _polar_rule(*_radial_line(radial_n, origin_grading, grading), angular_n,
+                         RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading,
+                                  (2 * radial_n, angular_n)))
+    z, n = factor.nodes[:, 0], len(factor)
+    nodes = np.empty((n,) * dim + (dim,), dtype=complex)
+    for i in range(dim):
+        nodes[..., i] = z.reshape((n,) + (1,) * (dim - 1 - i))
+    weights = factor.weights
     for _ in range(dim - 1):
-        nodes = np.concatenate(
-            [np.repeat(nodes, len(z1), axis=0),
-             np.tile(z1, len(weights))[:, None]], axis=1)
-        weights = (weights[:, None] * w1[None, :]).ravel()
+        weights = np.multiply.outer(weights, factor.weights)
     meta = RuleMeta(domain.kind, dim, radial_n, angular_n, grading, origin_grading,
-                    (2 * radial_n, angular_n) * dim)
-    return QuadratureRule(nodes, weights, meta)
+                    factor.meta.shape * dim)
+    return QuadratureRule(nodes.reshape(-1, dim), weights.ravel(), meta, (factor,) * dim)
 
 
 def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
@@ -300,26 +314,28 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
 
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
-    # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2
+    # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2 = |z1|^2 dA(z1) dA(z2/z1)
     r, wr = _radial_line(radial_n, origin_grading, grading)
     sa, wsa = _gauss(radial_n, 0.0, 0.5)
     sb, wsb = _graded_panel(radial_n, 0.5, 1.0, grading, "hi")
     s = np.concatenate([sa, sb])
     ws = np.concatenate([wsa, wsb])
-    th, wth = _angles(angular_n)
-    phase = np.exp(1j * th)
-    z1 = np.broadcast_to(
-        r[:, None, None, None] * phase[None, :, None, None],
-        (len(r), angular_n, len(s), angular_n)).ravel()
-    z2 = z1 * np.broadcast_to(
-        s[None, None, :, None] * phase[None, None, None, :],
-        (len(r), angular_n, len(s), angular_n)).ravel()
-    w = np.einsum("i,j,k,l->ijkl",
-                  r ** 3 * wr, np.full(angular_n, wth),
-                  s * ws, np.full(angular_n, wth)).ravel()
-    meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading,
-                    (2 * radial_n, angular_n, 2 * radial_n, angular_n))
-    return QuadratureRule(np.stack([z1, z2], axis=1), w, meta)
+    shape = (2 * radial_n, angular_n)
+    f1 = _polar_rule(r, wr, angular_n,
+                     RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading, shape))
+    # the s line is ungraded on [0, 1/2]
+    f2 = _polar_rule(s, ws, angular_n,
+                     RuleMeta("disc", 1, radial_n, angular_n, grading, 1.0, shape))
+    # written in place: one (N, 2) array, no raveled coordinate copies
+    nodes = np.empty((len(f1), len(f2), 2), dtype=complex)
+    nodes[..., 0] = f1.nodes
+    # t * z1, not z1 * t: the complex product rounds differently with its operands swapped
+    np.multiply(f2.nodes[:, 0], f1.nodes, out=nodes[..., 1])
+    # the factor weights r wr dt1 and s ws dt2 times the Jacobian r^2, rounded as r^3 wr
+    wth = np.full(angular_n, _angles(angular_n)[1])
+    w = np.einsum("i,j,k,l->ijkl", r ** 3 * wr, wth, s * ws, wth).ravel()
+    meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading, shape * 2)
+    return QuadratureRule(nodes.reshape(-1, 2), w, meta, (f1, f2))
 
 
 _RULE_BUILDERS = {"disc": _polydisc_rule, "punctured-disc": _polydisc_rule, "polydisc": _polydisc_rule,

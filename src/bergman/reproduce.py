@@ -54,9 +54,22 @@ def rule_disc():
     return quad.build_rule(dom.disc(), 32, 64)
 
 
+# The "rows" Berezin matrix of checks 02 and 04 and of `bergman norm --p inf`:
+# columns on the disc(*ROWS_GRID) rule, rows cut to its nodes with |z| <= ROW_CUT,
+# where the column rule resolves B1 = 1.
+ROWS_GRID = (24, 112)
+ROW_CUT = 0.88
+
+
+def berezin_row_matrix(rule) -> on.OperatorMatrix:
+    """The disc Berezin matrix on ``rule``, its rows cut to the nodes with |z| <= ROW_CUT."""
+    keep = np.abs(rule.nodes[:, 0]) <= ROW_CUT
+    return on.discretize_berezin(dom.disc(), rule, row_nodes=rule.nodes[keep])
+
+
 @lru_cache(maxsize=None)
 def rule_disc_rows():
-    return quad.build_rule(dom.disc(), 24, 112)
+    return quad.build_rule(dom.disc(), *ROWS_GRID)
 
 
 @lru_cache(maxsize=None)
@@ -92,13 +105,11 @@ def rule_hartogs_radial():
 
 @lru_cache(maxsize=None)
 def berezin_row_sums():
-    """Row sums of the Berezin matrix on rule_disc_rows, rows cut at |z| <= 0.88.
+    """Row sums of ``berezin_row_matrix(rule_disc_rows())``.
 
     Checks 02 and 04 read only these; the 173 MB matrix is dropped once summed.
     """
-    rule = rule_disc_rows()
-    keep = np.abs(rule.nodes[:, 0]) <= 0.88
-    return on.discretize_berezin(dom.disc(), rule, row_nodes=rule.nodes[keep]).row_sums()
+    return berezin_row_matrix(rule_disc_rows()).row_sums()
 
 
 @lru_cache(maxsize=None)
@@ -136,16 +147,25 @@ def check_01_normalization() -> CheckResult:
     passed = True
     for domain, make_rule, tol, seed in cases:
         rule = make_rule()
-        # ||k_z||^2 = int |K(w,z)|^2 / K(z,z) dV(w) = B1(z)
+        # ||k_z||^2 = int |K(w,z)|^2 / K(z,z) dV(w) = B1(z); a product over the factors where the rule has them
         points = np.array(dom.sample_interior(domain, 20, seed=seed))
-        masses = bz.berezin(domain, _one, points, rule).real
+        masses = bz.unit_mass(domain, points, rule)
         worst = float(np.max(np.abs(masses - 1.0)))
         measured[domain.kind] = worst
-        grids.append(_grid(rule))
         passed &= worst <= tol
+        grid = _grid(rule)
+        if rule.factors:
+            grid["factors"] = [_grid(f) for f in rule.factors]
+        if len(rule.factors) > 1:
+            # the full-dimensional blocked pass at the first point witnesses the factored sum
+            direct = float(bz.berezin(domain, _one, points[:1], rule)[0].real)
+            gap = abs(masses[0] - direct) / direct
+            measured[f"{domain.kind}_factored_vs_direct"] = gap
+            passed &= gap <= 1e-13
+        grids.append(grid)
         del rule
     return CheckResult(1, "normalized kernel has unit mass", passed, measured,
-                       "1e-8 disc/bidisc, 1e-6 ball/hartogs",
+                       "1e-8 disc/bidisc, 1e-6 ball/hartogs; factored vs direct 1e-13 relative",
                        resolution={"rules": grids, "points": 20})
 
 
@@ -161,7 +181,7 @@ def check_02_b_one() -> CheckResult:
                        {"pointwise": worst_pt, "rowsum": worst_row},
                        "1e-8 points, 1e-6 rows",
                        resolution={"rule": _grid(rule), "points": len(vals),
-                                   "rows": len(row_sums), "row_cut": "|z| <= 0.88"})
+                                   "rows": len(row_sums), "row_cut": f"|z| <= {ROW_CUT}"})
 
 
 def _bump(c, r):
@@ -226,12 +246,17 @@ def check_04_disc_norms() -> CheckResult:
                         "p3_target": target3},
                        "5% at p=2; 1e-6 at p=inf; [0.8, 1.01] x target at p=3",
                        resolution={"radial": radial.meta, "rows": len(row_sums),
-                                   "rows_rule": _grid(rule_disc_rows())})
+                                   "rows_rule": _grid(rule_disc_rows()),
+                                   "p2": {"method": est2.method,
+                                          "converged": est2.resolution["converged"]},
+                                   "p3": {key: wit3.resolution[key]
+                                          for key in ("witness", "family_size")}})
 
 
 def check_05_hartogs_kernel() -> CheckResult:
     domain = dom.hartogs_triangle()
     rng = np.random.default_rng(55)
+    truncation = 90
     worst_series = 0.0
     for _ in range(20):
         z1 = rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.random())
@@ -239,7 +264,7 @@ def check_05_hartogs_kernel() -> CheckResult:
         z = (z1, z1 * rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.random()))
         w = (w1, w1 * rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.random()))
         exact = dom.kernel(domain, w, z)
-        series = ht.kernel_series(w, z, truncation=90)
+        series = ht.kernel_series(w, z, truncation=truncation)
         worst_series = max(worst_series, abs(series - exact) / abs(exact))
 
     worst_path = 0.0
@@ -261,7 +286,10 @@ def check_05_hartogs_kernel() -> CheckResult:
                        {"series_rel": worst_series, "path_rel": worst_path,
                         "disc_sup": sup_disc, "flags": flags},
                        "1e-8 series; 1e-10 path; disc sup in [3.92, 4]",
-                       resolution={"series_truncation": 90, "scan": "default grids"})
+                       resolution={"series_truncation": truncation,
+                                   "scan": {kind: {key: rep.resolution[key]
+                                                   for key in ("levels", "sup_base", "sup_fine")}
+                                            for kind, rep in reports.items()}})
 
 
 def check_06_blowup_symbol_norm() -> CheckResult:

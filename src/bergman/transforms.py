@@ -11,11 +11,13 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .domains import DomainSpec, inside_points
+from .domains import DomainSpec, disc, inside_points
 from .errors import NonFiniteSymbol
 from .quadrature import GridFunction, QuadratureRule, _kernel_sums, compensated_sum
 
 Symbol = Union[Callable, np.ndarray, GridFunction]
+
+_DISC = disc()
 
 
 def _eval_nodes(rule: QuadratureRule) -> np.ndarray:
@@ -56,6 +58,31 @@ def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     sums = _kernel_sums(domain, rule, Z,
                         lambda k, s, r: w[s] * (np.abs(k) ** 2 / diag[r, None]) * vals[s])
     return complex(sums[0]) if single else sums
+
+
+def _ones(w):
+    return np.ones(len(w))
+
+
+def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
+    """||k_z||^2 = B1(z) = int |K(w,z)|^2 / K(z,z) dV(w) on ``rule``, real valued.
+
+    ``z`` follows the one-point/(M, dim) convention of ``berezin``.  On a rule
+    built with ``factors`` for this domain, the weights, |K|^2 and K(z, z) are
+    products over the factors in the coordinates ``domain.factor_points``, so
+    the same quadrature sum is the product of the disc B1 on each factor rule:
+    O(M sum n_i) work instead of O(M prod n_i).  Other rules take the blocked
+    pass of ``berezin``.
+    """
+    Z, single = inside_points(domain, z)
+    if rule.factors and rule.meta.domain == domain.kind:
+        P = domain.factor_points(Z)
+        masses = 1.0
+        for i, factor in enumerate(rule.factors):
+            masses = masses * berezin(_DISC, _ones, P[:, i:i + 1], factor).real
+    else:
+        masses = berezin(domain, _ones, Z, rule).real
+    return float(masses[0]) if single else masses
 
 
 def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):

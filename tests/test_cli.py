@@ -251,6 +251,8 @@ class TestReproduceCommand:
         assert norms["radial"]["reduction"] == "radial-sector"
         assert (norms["rows_rule"]["radial_n"], norms["rows_rule"]["angular_n"]) == (24, 112)
         assert 0 < norms["rows"] < norms["rows_rule"]["nodes"]
+        assert norms["p2"] == {"method": "weighted-svd", "converged": True}
+        assert norms["p3"]["family_size"] > 0 and len(norms["p3"]["witness"]) == 2
         assert (symbol["rule"]["radial_n"], symbol["rule"]["angular_n"],
                 symbol["rule"]["origin_grading"]) == (64, 4, 15.0)
         assert transform["substitution"] == {"radial_n": 160, "s_n": 120, "angular_n": 128}
@@ -265,6 +267,43 @@ class TestReproduceCommand:
         assert weak["rule"]["nodes"] == len(reproduce.rule_hartogs()) == 40 ** 2 * 48 ** 2
         assert [(g["radial_n"], g["angular_n"], g["nodes"]) for g in schur["rules"]] == [
             (32, 64, 64 * 64), (64, 128, 128 * 128)]
+
+    @pytest.fixture
+    def fresh_row_sums(self):
+        reproduce.berezin_row_sums.cache_clear()
+        yield
+        reproduce.berezin_row_sums.cache_clear()
+
+    def test_unit_mass_rows_and_scan_records(self, capsys, tmp_path, monkeypatch, fresh_row_sums):
+        # a cut other than the pinned one shows that the record and `norm --p inf` both read it
+        monkeypatch.setattr(reproduce, "ROW_CUT", 0.8)
+        monkeypatch.setattr(reproduce, "ALL_CHECKS", [
+            reproduce.check_01_normalization, reproduce.check_02_b_one,
+            reproduce.check_05_hartogs_kernel])
+        path = os.path.join(tmp_path, "report.json")
+        assert run_cli(capsys, ["reproduce", "--out", path])[0] == 0
+        unit, rows, kernel = json.loads(Path(path).read_text())
+        disc, ball, bidisc, hartogs = unit["resolution"]["rules"]
+        assert "factors" not in ball
+        assert [(f["radial_n"], f["angular_n"], f["nodes"]) for f in disc["factors"]] == [
+            (24, 112, 48 * 112)]
+        assert [(f["domain"], f["radial_n"], f["angular_n"], f["nodes"])
+                for f in bidisc["factors"]] == [("disc", 16, 48, 32 * 48)] * 2
+        assert [(f["domain"], f["origin_grading"], f["nodes"]) for f in hartogs["factors"]] == [
+            ("disc", 3.0, 40 * 48), ("disc", 1.0, 40 * 48)]
+        assert bidisc["nodes"] == (32 * 48) ** 2 and hartogs["nodes"] == (40 * 48) ** 2
+        for kind in ("polydisc", "hartogs"):
+            assert 0.0 <= unit["measured"][f"{kind}_factored_vs_direct"] <= 1e-13
+        assert rows["resolution"]["row_cut"] == "|z| <= 0.8"
+        # `norm --p inf` reads the same row matrix
+        code, out, _ = run_cli(capsys, ["norm", "--p", "inf"])
+        assert code == 0 and json.loads(out)["resolution"]["rows"] == rows["resolution"]["rows"]
+        assert kernel["resolution"]["series_truncation"] == 90
+        scan = kernel["resolution"]["scan"]
+        assert sorted(scan) == ["ball", "disc", "half-plane", "hartogs", "polydisc"]
+        assert all(s["levels"] == 2 for s in scan.values())
+        assert scan["hartogs"]["sup_fine"] >= 10 * scan["hartogs"]["sup_base"]
+        assert max(scan["disc"]["sup_base"], scan["disc"]["sup_fine"]) == kernel["measured"]["disc_sup"]
 
     def test_blowup_record_names_its_method(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(reproduce, "ALL_CHECKS", [reproduce.check_08_blowup])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
-from bergman.errors import PointOutsideDomain, UndeclaredAsymptotics
+from bergman.errors import PointOutsideDomain, UndeclaredAsymptotics, UnsupportedKind
 
 ALL_DOMAINS = [dom.disc(), dom.ball(2), dom.polydisc(2), dom.polydisc(3),
                dom.upper_half_plane(), dom.punctured_disc(), dom.hartogs_triangle()]
@@ -234,6 +234,34 @@ class TestOneFormula:
         wr = tuple(u * c for u, c in zip(rot, w))
         k = abs(dom.kernel(domain, z, w))
         assert abs(abs(dom.kernel(domain, zr, wr)) - k) <= 1e-11 * k
+
+
+# a point (a1, a1 t) of the Hartogs triangle: |a1| in [0.01, 0.99], |t| <= 0.95
+HARTOGS_PAIR = st.tuples(st.floats(0.01, 0.99), st.floats(0.0, 0.95),
+                         st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+
+
+class TestHartogsProductStructure:
+    """(z1, z2) -> (z1, z2/z1) carries the Hartogs kernel onto disc kernels."""
+
+    @given(a=HARTOGS_PAIR, b=HARTOGS_PAIR)
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_factors_over_the_discs(self, a, b):
+        a1, ta = a[0] * cmath.exp(1j * a[2]), a[1] * cmath.exp(1j * a[3])
+        b1, tb = b[0] * cmath.exp(1j * b[2]), b[1] * cmath.exp(1j * b[3])
+        h, d = dom.hartogs_triangle(), dom.disc()
+        got = dom.kernel(h, (a1, a1 * ta), (b1, b1 * tb))
+        want = dom.kernel(d, a1, b1) * dom.kernel(d, ta, tb) / (a1 * b1.conjugate())
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_factor_points(self):
+        Z = np.array([[0.5 + 0.1j, 0.2 - 0.3j], [0.05j, 0.01]])
+        P = dom.hartogs_triangle().factor_points(Z)
+        assert P[:, 0].tobytes() == Z[:, 0].tobytes()
+        np.testing.assert_allclose(P[:, 1] * Z[:, 0], Z[:, 1], rtol=1e-15)
+        assert dom.polydisc(2).factor_points(Z) is Z
+        with pytest.raises(UnsupportedKind):
+            dom.ball(2).factor_points(Z)
 
 
 class TestBallKernelPower:

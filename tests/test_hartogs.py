@@ -204,6 +204,20 @@ class TestPhiSeries:
         vals = ht._phi_series(ts, eps)
         assert np.all(np.abs(np.diff(vals)) <= 4e-16 * vals[1])
 
+    @pytest.mark.parametrize("eps", [0.5, 0.01])
+    def test_each_side_of_the_split_alone(self, eps, monkeypatch):
+        # t > 1 - PHI_SPLIT is summed directly, the rest by DLMF 15.8.10
+        direct = np.array([0.6, 0.75, 1.0])
+        near = np.array([1e-12, 0.2, 0.5])
+        both = ht._phi_series(np.concatenate([direct, near]), eps)
+        assert ht._phi_series(near, eps).tobytes() == both[3:].tobytes()
+
+        def refuse(*args):
+            raise AssertionError("DLMF coefficients built for a call without such points")
+
+        monkeypatch.setattr(ht, "digamma", refuse)
+        assert ht._phi_series(direct, eps).tobytes() == both[:3].tobytes()
+
     def test_l2_norm_at_eps_one_half(self):
         # Phi(x) = 2 artanh(sqrt x) / sqrt x at eps = 1/2
         mpmath = pytest.importorskip("mpmath")

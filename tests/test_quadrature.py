@@ -49,6 +49,91 @@ class TestRuleWeights:
             quad.build_rule(dom.disc(), 16, 16, grading=0.5)
 
 
+def _reference_polydisc(dim, radial_n, angular_n, grading, origin_grading):
+    """The polydisc builder's formulas as first written: the disc rule, then repeat/tile."""
+    r, wr = quad._radial_line(radial_n, origin_grading, grading)
+    th = 2.0 * np.pi * np.arange(angular_n) / angular_n
+    wth = 2.0 * np.pi / angular_n
+    z1 = (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    w1 = ((r * wr)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
+    nodes, weights = z1[:, None], w1
+    for _ in range(dim - 1):
+        nodes = np.concatenate([np.repeat(nodes, len(z1), axis=0),
+                                np.tile(z1, len(weights))[:, None]], axis=1)
+        weights = (weights[:, None] * w1[None, :]).ravel()
+    return nodes, weights
+
+
+def _reference_hartogs(radial_n, angular_n, grading, origin_grading):
+    """The Hartogs builder's formulas as first written, on raveled 4-D coordinates.
+
+    z2 is formed as t * z1: numpy evaluated the written ``z1 * <temporary t>`` in that
+    operand order on every rule of 2^14 nodes or more (its temporary elision), and the
+    complex product rounds differently with its operands swapped.
+    """
+    r, wr = quad._radial_line(radial_n, origin_grading, grading)
+    sa, wsa = quad._gauss(radial_n, 0.0, 0.5)
+    sb, wsb = quad._graded_panel(radial_n, 0.5, 1.0, grading, "hi")
+    s, ws = np.concatenate([sa, sb]), np.concatenate([wsa, wsb])
+    th = 2.0 * np.pi * np.arange(angular_n) / angular_n
+    wth = 2.0 * np.pi / angular_n
+    phase = np.exp(1j * th)
+    shape = (len(r), angular_n, len(s), angular_n)
+    z1 = np.broadcast_to(r[:, None, None, None] * phase[None, :, None, None], shape).ravel()
+    t = np.broadcast_to(s[None, None, :, None] * phase[None, None, None, :], shape).ravel()
+    w = np.einsum("i,j,k,l->ijkl", r ** 3 * wr, np.full(angular_n, wth),
+                  s * ws, np.full(angular_n, wth)).ravel()
+    return np.stack([z1, t * z1], axis=1), w
+
+
+class TestProductFactors:
+    """Polydisc and Hartogs rules are built from their 1-D factor rules."""
+
+    @pytest.mark.parametrize("dim,res", [(1, (8, 16)), (1, (6, 10, 3.0, 1.5)),
+                                         (2, (6, 8)), (2, (5, 7, 3.0, 2.0)),
+                                         (3, (4, 6)), (3, (4, 5, 1.5, 4.0))])
+    def test_polydisc_bit_identical_to_reference(self, dim, res):
+        rule = quad.build_rule(dom.polydisc(dim), *res)
+        nodes, weights = _reference_polydisc(dim, res[0], res[1], *(res[2:] or (2.0, 2.0)))
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+        assert len(rule.factors) == dim
+        for f in rule.factors:
+            assert f.meta.domain == "disc" and f.meta.shape == (2 * res[0], res[1])
+            assert f.nodes.tobytes() == nodes[:len(f), -1].tobytes()
+            assert not f.factors
+
+    @pytest.mark.parametrize("res", [(8, 16), (8, 16, 3.0, 1.5), (6, 24, 1.0, 6.0)])
+    def test_hartogs_bit_identical_to_reference(self, res):
+        rule = quad.build_rule(dom.hartogs_triangle(), *res)
+        nodes, weights = _reference_hartogs(res[0], res[1], *(res[2:] or (2.0, 3.0)))
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
+        f1, f2 = rule.factors
+        n2 = len(f2)
+        assert f1.nodes.tobytes() == nodes[::n2, 0].tobytes()
+        assert (f2.nodes[:, 0] * f1.nodes[0, 0]).tobytes() == nodes[:n2, 1].tobytes()
+        assert (f1.meta.origin_grading, f2.meta.origin_grading) == (rule.meta.origin_grading, 1.0)
+
+    @pytest.mark.parametrize("domain", [dom.hartogs_triangle(), dom.polydisc(2), dom.disc()],
+                             ids=str)
+    def test_factor_weights_times_jacobian_are_the_weights(self, domain):
+        rule = quad.build_rule(domain, 6, 8)
+        product = rule.factors[0].weights
+        for f in rule.factors[1:]:
+            product = np.multiply.outer(product, f.weights)
+        if domain.kind == "hartogs":
+            product = product * np.abs(rule.factors[0].nodes) ** 2  # the Jacobian |z1|^2
+        np.testing.assert_allclose(product.ravel(), rule.weights, rtol=1e-14, atol=0.0)
+
+    def test_ball_patch_and_loaded_rules_have_none(self, tmp_path):
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(quad.build_rule(dom.polydisc(2), 4, 4), path)
+        assert quad.load_rule(path).factors == ()
+        assert quad.build_rule(dom.ball(2), 4, 4).factors == ()
+        assert quad.disc_patch_rule(0.1, 0.2).factors == ()
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [1, 7, 160])
     def test_equals_leggauss(self, n):

@@ -1,6 +1,7 @@
 """Berezin transform, adjoint and projections."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import bergman.domains as dom
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import NonFiniteSymbol
+from bergman.errors import NonFiniteSymbol, PointOutsideDomain
 
 ONE = lambda w: np.ones(len(w))
 
@@ -134,3 +135,71 @@ class TestDomination:
             phi = lambda w, c=c: c[0] + c[1] * w.real + c[2] * np.abs(w) ** 2
             z = (0.1 + 0.8 * rng.random()) * np.exp(2j * np.pi * rng.random())
             assert tr.pointwise_domination(dom.disc(), phi, z, 4.0, disc_rule)
+
+
+def _hartogs_points(rng, m):
+    """Seeded Hartogs points, the last two at |z2|/|z1| = 0.9 and at |z1| = 0.05."""
+    r1 = np.concatenate([rng.uniform(0.1, 0.9, m - 2), [0.6, 0.05]])
+    t = np.concatenate([rng.uniform(0.0, 0.8, m - 2), [0.9, 0.5]])
+    z1 = r1 * np.exp(2j * np.pi * rng.random(m))
+    return np.stack([z1, z1 * t * np.exp(2j * np.pi * rng.random(m))], axis=1)
+
+
+def _polydisc_points(rng, m, dim):
+    r = np.concatenate([rng.uniform(0.05, 0.9, (m - 1, dim)), np.full((1, dim), 0.05)])
+    return r * np.exp(2j * np.pi * rng.random((m, dim)))
+
+
+class TestUnitMass:
+    """unit_mass: the B1 sum factored over a product rule, or the blocked pass."""
+
+    CASES = [(dom.polydisc(2), (6, 12)), (dom.polydisc(3), (4, 6)), (dom.hartogs_triangle(), (8, 16))]
+
+    @pytest.mark.parametrize("domain,res", CASES, ids=[str(d) for d, _ in CASES])
+    def test_factored_equals_the_full_pass(self, domain, res):
+        rule = quad.build_rule(domain, *res)
+        rng = np.random.default_rng(7)
+        Z = (_hartogs_points(rng, 8) if domain.kind == "hartogs"
+             else _polydisc_points(rng, 8, domain.dim))
+        factored = tr.unit_mass(domain, Z, rule)
+        direct = tr.berezin(domain, ONE, Z, rule).real
+        assert factored.shape == (8,) and factored.dtype == float
+        np.testing.assert_allclose(factored, direct, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("domain,res", CASES + [(dom.disc(), (12, 24))],
+                             ids=[str(d) for d, _ in CASES] + ["disc(1)"])
+    def test_one_point_equals_the_batch_bit_for_bit(self, domain, res):
+        rule = quad.build_rule(domain, *res)
+        Z = np.array(dom.sample_interior(domain, 5, seed=9))
+        batch = tr.unit_mass(domain, Z, rule)
+        for z, b in zip(Z, batch):
+            one = tr.unit_mass(domain, tuple(z), rule)
+            assert isinstance(one, float) and one == b
+
+    def test_disc_factor_is_the_rule_itself(self):
+        rule = quad.build_rule(dom.disc(), 12, 24)
+        Z = np.array(dom.sample_interior(dom.disc(), 6, seed=3))
+        assert tr.unit_mass(dom.disc(), Z, rule).tobytes() == tr.berezin(
+            dom.disc(), ONE, Z, rule).real.tobytes()
+
+    @pytest.mark.parametrize("domain", [dom.hartogs_triangle(), dom.polydisc(2)], ids=str)
+    def test_loaded_rule_takes_the_pass(self, tmp_path, domain):
+        rule = quad.build_rule(domain, 6, 12)
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(rule, path)
+        loaded = quad.load_rule(path)
+        Z = np.array(dom.sample_interior(domain, 6, seed=4))
+        fallback = tr.unit_mass(domain, Z, loaded)
+        assert fallback.tobytes() == tr.berezin(domain, ONE, Z, loaded).real.tobytes()
+        np.testing.assert_allclose(fallback, tr.unit_mass(domain, Z, rule), rtol=1e-13, atol=0.0)
+
+    def test_rule_of_another_domain_takes_the_pass(self):
+        rule = quad.build_rule(dom.hartogs_triangle(), 6, 12)
+        Z = np.array([[0.3 + 0.1j, 0.1 - 0.05j]])
+        assert tr.unit_mass(dom.polydisc(2), Z, rule)[0] == tr.berezin(
+            dom.polydisc(2), ONE, Z, rule).real[0]
+
+    def test_point_outside_is_refused(self):
+        rule = quad.build_rule(dom.hartogs_triangle(), 6, 12)
+        with pytest.raises(PointOutsideDomain):
+            tr.unit_mass(dom.hartogs_triangle(), np.array([[0.3, 0.1], [0.3, 0.4]]), rule)
