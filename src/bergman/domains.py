@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.integrate
 
 from .errors import (
     NonpositiveDiagonal,
     PointOutsideDomain,
     UndeclaredAsymptotics,
+    UnresolvedIntegral,
     UnsupportedKind,
 )
 
@@ -519,12 +519,34 @@ def sample_interior(domain: DomainSpec, n: int, seed: int = 0) -> list[CPoint]:
 # Reinhardt monomial machinery
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre nodes of the monomial-norm rule, whose value must agree with
+# the rule of twice as many nodes to MONOMIAL_REL_AGREEMENT
+MONOMIAL_NODES = 64
+MONOMIAL_REL_AGREEMENT = 1e-11
+
+
+def _radial_integral(f: Callable[[float], float], r1_max: float, n: int) -> float:
+    """int_0^r1_max f(r) dr by n-node Gauss-Legendre, in u = r/(1+r) when r1_max is infinite."""
+    from .quadrature import _gauss  # deferred: quadrature imports this module
+
+    if math.isinf(r1_max):
+        u, wu = _gauss(n, 0.0, 1.0)
+        r, w = u / (1.0 - u), wu / (1.0 - u) ** 2
+    else:
+        r, w = _gauss(n, 0.0, r1_max)
+    return float(np.sum(w * np.array([f(x) for x in r.tolist()])))
+
+
 def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     """Squared L^2 norm of the monomial z^alpha, or ``inf`` when divergent.
 
     Convergence is decided by power comparison on the declared asymptotics of
-    the radial bound; the finite value is then computed by quadrature of the
-    reduced radial integral.
+    the radial bound.  In one dimension the finite value is the closed form
+    2 pi r1_max^(2a+2) / (2a+2).  In two it is the reduced radial integral by
+    Gauss-Legendre quadrature on (0, r1_max), taken in u = r/(1+r) when
+    r1_max is infinite; this is exact for the Hartogs (a polynomial in r) and
+    Boas (a polynomial in u) profiles.  The MONOMIAL_NODES and doubled rules
+    must agree to MONOMIAL_REL_AGREEMENT, or UnresolvedIntegral is raised.
     """
     from .quadrature import tail_exponent_classify  # deferred: quadrature imports this module
 
@@ -545,8 +567,7 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
         if not tail_exponent_classify([(2 * a1 + 1, "zero")]):
             profile._norm_cache[alpha] = math.inf
             return math.inf
-        val, _ = scipy.integrate.quad(lambda r: 2.0 * math.pi * r ** (2 * a1 + 1),
-                                      0.0, profile.r1_max, limit=200)
+        val = 2.0 * math.pi * profile.r1_max ** (2 * a1 + 2) / (2 * a1 + 2)
         profile._norm_cache[alpha] = val
         return val
 
@@ -570,7 +591,11 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     def outer(r):
         return 4.0 * math.pi ** 2 / (2 * a2 + 2) * r ** (2 * a1 + 1) * profile.bound(r) ** (2 * a2 + 2)
 
-    val, _ = scipy.integrate.quad(outer, 0.0, profile.r1_max,
-                                  limit=400, epsabs=0.0, epsrel=1e-11)
+    coarse, val = (_radial_integral(outer, profile.r1_max, n)
+                   for n in (MONOMIAL_NODES, 2 * MONOMIAL_NODES))
+    if not abs(val - coarse) <= MONOMIAL_REL_AGREEMENT * abs(val):
+        raise UnresolvedIntegral(
+            f"profile {profile.name!r}, exponents {alpha}: {MONOMIAL_NODES} and "
+            f"{2 * MONOMIAL_NODES} Gauss-Legendre nodes give {coarse!r} and {val!r}")
     profile._norm_cache[alpha] = val
     return val

@@ -33,6 +33,10 @@ class NonFiniteSymbol(BergmanError):
     """An operator symbol produced NaN or infinity at a quadrature node."""
 
 
+class UnresolvedIntegral(BergmanError):
+    """A quadrature rule and its refinement disagree beyond the stated tolerance."""
+
+
 class BorderlineExponent(BergmanError):
     """A power-law exponent is too close to -1 to classify reliably."""
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma
 
 from .domains import hartogs_triangle, kernel_diag, require_inside
 from .errors import (
@@ -151,6 +150,33 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
 PHI_SPLIT = 0.5  # Phi is summed directly below x = PHI_SPLIT, by DLMF 15.8.10 from there on
 PHI_TERMS = 60  # terms of either series
 _K = np.arange(PHI_TERMS, dtype=float)
+# the digamma gaps recur down from k = _PSI_TOP, where the 4 terms of DLMF 5.11.2
+# leave a relative error below 1e-19
+_PSI_TOP = PHI_TERMS + 15
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30)  # B_2, B_4, B_6, B_8
+
+
+def _psi_gaps(eps: float) -> np.ndarray:
+    """psi(k + 1) - psi(k + eps) for k < PHI_TERMS, free of cancellation.
+
+    With h = 1 - eps, psi(x + 1) = psi(x) + 1/x gives the gap at k as the gap
+    at T = _PSI_TOP plus h sum_{k<=m<T} 1 / ((m + eps)(m + 1)), a sum of
+    positive terms taken from the small end.  The gap at T comes from the
+    asymptotic series (DLMF 5.11.2) with a = T + 1, b = T + eps and
+    L = ln(b/a) = log1p(-h/a):
+
+        psi(a) - psi(b) = -L + h/(2ab) - sum_n B_2n/(2n) b^-2n expm1(2n L).
+
+    Every term carries the factor h itself, so no two nearly equal numbers
+    are subtracted, even as eps -> 1.
+    """
+    h = 1.0 - eps
+    a, b = _PSI_TOP + 1.0, _PSI_TOP + eps
+    L = math.log1p(-h / a)
+    top = -L + h / (2.0 * a * b) - sum(B / (2 * n) * b ** (-2 * n) * math.expm1(2 * n * L)
+                                       for n, B in enumerate(_BERNOULLI, 1))
+    m = np.arange(_PSI_TOP - 1, -1, -1, dtype=float)
+    return np.cumsum(np.concatenate([[top], h / ((m + eps) * (m + 1.0))]))[::-1][:PHI_TERMS]
 
 
 def _phi_series(t: np.ndarray, eps: float) -> np.ndarray:
@@ -162,11 +188,13 @@ def _phi_series(t: np.ndarray, eps: float) -> np.ndarray:
     the logarithmic case c - a - b = 0 of the expansion about x = 1 (DLMF
     15.8.10 with a = 1, b = eps, c = 1 + eps):
 
-        Phi(x) = sum_k (eps)_k / k! [psi(k+1) - psi(k+eps) - ln t] t^k.
+        Phi(x) = sum_k (eps)_k / k! [psi(k+1) - psi(k+eps) - ln t] t^k,
 
+    with the digamma gaps from ``_psi_gaps``, its terms summed from the smallest.
     Both series have positive terms with ratios at most 1/2, so PHI_TERMS
-    terms leave a tail below 2^-59 of the sum.  scipy's ``hyp2f1`` is not
-    used: it returns 1.15e17 at eps = 0.01, x = 1 - 1e-14, where Phi is 132.2.
+    terms leave a tail below 2^-59 of the sum.  A general ``hyp2f1`` is not
+    used: a common library one returns 1.15e17 at eps = 0.01, x = 1 - 1e-14,
+    where Phi is 132.2.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
@@ -179,9 +207,9 @@ def _phi_series(t: np.ndarray, eps: float) -> np.ndarray:
         near = t[~direct]
         # (eps)_k / k! = prod_{j<k} (j + eps) / (j + 1)
         rising = np.cumprod(np.concatenate([[1.0], (_K[:-1] + eps) / _K[1:]]))
-        psi = (digamma(_K + 1.0) - digamma(_K + eps))[:, None]
-        out[~direct] = np.sum(rising[:, None] * (psi - np.log(near)[None, :])
-                              * near[None, :] ** _K[:, None], axis=0)
+        terms = (rising[:, None] * (_psi_gaps(eps)[:, None] - np.log(near)[None, :])
+                 * near[None, :] ** _K[:, None])
+        out[~direct] = np.sum(terms[::-1], axis=0)  # smallest terms first
     return out
 
 

@@ -12,8 +12,9 @@ points in node blocks of about 2^17 entries and gather each chunk's summands
 before reducing it, so the blocked sum reproduces ``compensated_sum`` chunk
 for chunk, bit for bit, whatever the number of points.  A call of at least
 2^21 point-node entries runs on a thread pool, one thread per core the process
-may run on; its threads split one serial pass's block and buffer sizes, and
-the calling thread fsums the chunk sums in chunk order.
+may run on (at most its cgroup's CPU quota); its threads split one serial
+pass's block and buffer sizes, and the calling thread fsums the chunk sums in
+chunk order.
 """
 
 from __future__ import annotations
@@ -144,7 +145,26 @@ _CHUNK = 65536
 _BLOCK = 1 << 17
 # entries of the (points x chunk) buffer a blocked sum reduces at once
 _BUFFER = 16 * _BLOCK
-_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _quota_cores(cpu_max: str) -> Optional[int]:
+    """ceil(quota / period) from a cgroup v2 ``cpu.max`` line "<quota> <period>"; None for "max"."""
+    quota, period = cpu_max.split()
+    return None if quota == "max" else -(-int(quota) // int(period))
+
+
+def _usable_cores() -> int:
+    """Cores the process may run on, capped by its cgroup's CPU quota when one is set."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as fh:
+            quota = _quota_cores(fh.read())
+    except (OSError, ValueError):
+        return cores
+    return cores if quota is None else min(cores, quota)
+
+
+_CORES = _usable_cores()
 _POOL = ThreadPoolExecutor(_CORES) if _CORES > 1 else None
 
 

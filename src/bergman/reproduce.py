@@ -368,9 +368,12 @@ def check_10_boas() -> CheckResult:
             finite = math.isfinite(dom.monomial_l2_norm2(profile, (j, k)))
             if finite != (j < k):
                 mistakes += 1
+    norm_rule = {"gauss_legendre_nodes": [dom.MONOMIAL_NODES, 2 * dom.MONOMIAL_NODES],
+                 "variable": "u = r/(1+r)" if math.isinf(profile.r1_max) else "r",
+                 "rel_agreement": dom.MONOMIAL_REL_AGREEMENT}
     return CheckResult(10, "Boas integrability classifier j < k", mistakes == 0,
                        {"mistakes": mistakes}, "exact on 0 <= j, k <= 4",
-                       resolution={"cases": 25})
+                       resolution={"cases": 25, "norm_rule": norm_rule})
 
 
 def check_11_product_norm() -> CheckResult:

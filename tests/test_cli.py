@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -235,11 +237,11 @@ class TestReproduceCommand:
         monkeypatch.setattr(reproduce, "ALL_CHECKS", [
             reproduce.check_03_adjoint, reproduce.check_04_disc_norms,
             reproduce.check_06_blowup_symbol_norm, reproduce.check_07_blowup_transform,
-            reproduce.check_09_weak_pairing, reproduce.check_11_product_norm,
-            reproduce.check_12_schur_probe])
+            reproduce.check_09_weak_pairing, reproduce.check_10_boas,
+            reproduce.check_11_product_norm, reproduce.check_12_schur_probe])
         path = os.path.join(tmp_path, "report.json")
         assert run_cli(capsys, ["reproduce", "--out", path])[0] == 0
-        adjoint, norms, symbol, transform, weak, product, schur = (
+        adjoint, norms, symbol, transform, weak, boas, product, schur = (
             r["resolution"] for r in json.loads(Path(path).read_text()))
         assert (adjoint["rule"]["radial_n"], adjoint["rule"]["angular_n"]) == (32, 64)
         assert len(adjoint["patch_rules"]) == 5
@@ -265,6 +267,8 @@ class TestReproduceCommand:
         assert weak["rule"]["domain"] == "hartogs"
         assert (weak["rule"]["radial_n"], weak["rule"]["angular_n"]) == (20, 48)
         assert weak["rule"]["nodes"] == len(reproduce.rule_hartogs()) == 40 ** 2 * 48 ** 2
+        assert boas["norm_rule"] == {"gauss_legendre_nodes": [64, 128], "variable": "u = r/(1+r)",
+                                     "rel_agreement": 1e-11}
         assert [(g["radial_n"], g["angular_n"], g["nodes"]) for g in schur["rules"]] == [
             (32, 64, 64 * 64), (64, 128, 128 * 128)]
 
@@ -318,3 +322,17 @@ class TestReproduceCommand:
         assert [(p["t=1-|z1|^2"], p["grading_toward_0"], p["nodes"]) for p in res["panels"]] == [
             ([0.1, 1.0], 1.0, 160), ([0.001, 0.1], 1.0, 160), ([0.0, 0.001], 3.0, 160)]
         assert res["phi"] == {"x < 0.5": "direct", "x >= 0.5": "DLMF 15.8.10", "terms": 60}
+
+
+def test_scipy_stays_off_the_import_path():
+    # the package, the CLI and the two checks that once used scipy import numpy only
+    script = (
+        "import sys\n"
+        "import bergman, bergman.cli\n"
+        "from bergman import reproduce\n"
+        "assert reproduce.check_08_blowup().passed and reproduce.check_10_boas().passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
-from bergman.errors import PointOutsideDomain, UndeclaredAsymptotics, UnsupportedKind
+from bergman.errors import (
+    PointOutsideDomain,
+    UndeclaredAsymptotics,
+    UnresolvedIntegral,
+    UnsupportedKind,
+)
 
 ALL_DOMAINS = [dom.disc(), dom.ball(2), dom.polydisc(2), dom.polydisc(3),
                dom.upper_half_plane(), dom.punctured_disc(), dom.hartogs_triangle()]
@@ -299,6 +304,25 @@ class TestMonomialNorms:
     def test_boas_classifier(self, j, k):
         finite = math.isfinite(dom.monomial_l2_norm2(dom.boas_profile(), (j, k)))
         assert finite == (j < k)
+
+    def test_boas_norms_match_the_beta_closed_form(self):
+        # in u = r/(1+r) the radial integrand is u^(2j+1) (1-u)^(2k-2j-1)
+        prof = dom.boas_profile()
+        for k in range(1, 7):
+            for j in range(k):
+                want = (4 * math.pi ** 2 / (2 * k + 2) * math.gamma(2 * j + 2)
+                        * math.gamma(2 * k - 2 * j) / math.gamma(2 * k + 2))
+                got = dom.monomial_l2_norm2(prof, (j, k))
+                assert abs(got - want) <= 1e-12 * want, (j, k)
+
+    def test_unresolved_profile_raises(self):
+        # r^(3/2) near 0 is not a polynomial: the 64- and 128-node rules disagree
+        root = dom.ReinhardtProfile(name="root", dim=2, r1_max=1.0,
+                                    bound=lambda r: r ** 0.25, exponent_at_zero=0.25)
+        dom.validate_profile(root)
+        with pytest.raises(UnresolvedIntegral):
+            dom.monomial_l2_norm2(root, (0, 0))
+        assert (0, 0) not in root._norm_cache
 
     def test_boas_negative_exponent_rejected(self):
         assert math.isinf(dom.monomial_l2_norm2(dom.boas_profile(), (-1, 3)))

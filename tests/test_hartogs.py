@@ -204,6 +204,16 @@ class TestPhiSeries:
         vals = ht._phi_series(ts, eps)
         assert np.all(np.abs(np.diff(vals)) <= 4e-16 * vals[1])
 
+    @pytest.mark.parametrize("eps", [0.999, 0.5, 0.1, 1e-2, 1e-4, 1e-8])
+    def test_psi_gaps_against_mpmath(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        gaps = ht._psi_gaps(eps)
+        assert gaps.shape == (ht.PHI_TERMS,)
+        for k in range(ht.PHI_TERMS):
+            want = mpmath.digamma(k + 1) - mpmath.digamma(k + mpmath.mpf(eps))
+            assert abs(gaps[k] - want) <= 1e-14 * want, (eps, k)
+
     @pytest.mark.parametrize("eps", [0.5, 0.01])
     def test_each_side_of_the_split_alone(self, eps, monkeypatch):
         # t > 1 - PHI_SPLIT is summed directly, the rest by DLMF 15.8.10
@@ -215,7 +225,7 @@ class TestPhiSeries:
         def refuse(*args):
             raise AssertionError("DLMF coefficients built for a call without such points")
 
-        monkeypatch.setattr(ht, "digamma", refuse)
+        monkeypatch.setattr(ht, "_psi_gaps", refuse)
         assert ht._phi_series(direct, eps).tobytes() == both[:3].tobytes()
 
     def test_l2_norm_at_eps_one_half(self):

@@ -298,3 +298,12 @@ class TestSerialization:
             fh.write(b"not a rule\n")
         with pytest.raises(ValueError):
             quad.load_rule(path)
+
+
+class TestCoreCount:
+    @pytest.mark.parametrize("line,cores", [("max 100000\n", None),
+                                            ("150000 100000\n", 2),
+                                            ("50000 100000\n", 1)],
+                             ids=["no-quota", "one-and-a-half", "one-half"])
+    def test_cgroup_quota(self, line, cores):
+        assert quad._quota_cores(line) == cores
