@@ -104,7 +104,7 @@ def cmd_norm(args):
     if math.isinf(p):
         radial, angular = reproduce.ROWS_GRID
         rule = quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular))
-        matrix = reproduce.berezin_row_matrix(rule)
+        matrix = on.discretize_berezin(domain, rule, row_nodes=reproduce.row_nodes(rule))
     elif args.angular_n is not None:
         raise SystemExit2("--angular-n applies to --p inf; the finite-p matrix has no angular grid")
     else:

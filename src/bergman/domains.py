@@ -143,10 +143,10 @@ class DomainSpec:
     Each kind is a subclass that holds every formula of that kind, and
     ``DomainSpec(kind, dim)`` returns an instance of the subclass
     registered for ``kind``: that lookup is the one dispatch on the kind.
-    Every kind defines ``volume()`` and the strict membership ``contains(p)``
-    of one point, whose inequalities carry the relative slack BOUNDARY_MARGIN.
-    Kernels take broadcasting (..., dim) complex arrays; a single point is the
-    one-point case of the same formula.
+    Every kind defines ``volume()`` and the strict membership ``contains(Z)``,
+    whose inequalities carry the relative slack BOUNDARY_MARGIN.  Membership
+    and kernels take broadcasting (..., dim) complex arrays; a single point is
+    the one-point case of the same formula.
     """
 
     kind: str
@@ -169,8 +169,12 @@ class DomainSpec:
         """K(a, b) over broadcasting (..., dim) arrays."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
 
+    def kernel_abs2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """|K(a, b)|^2 over broadcasting (..., dim) arrays, as a new real array."""
+        return np.abs(self.kernel(a, b)) ** 2
+
     def diag(self, z: np.ndarray) -> np.ndarray:
-        """K(z, z) over (..., dim) arrays; the Hartogs form is cancellation-safe."""
+        """K(z, z) over (..., dim) arrays, cancellation-safe near the boundary."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
 
     def sample(self, rng) -> CPoint:
@@ -196,10 +200,100 @@ class DomainSpec:
     def positive_diag(self, Z: np.ndarray) -> np.ndarray:
         """K(z, z) over (M, dim) points; raises NonpositiveDiagonal unless all positive and finite."""
         vals = self.diag(Z)
-        bad = ~((vals > 0.0) & np.isfinite(vals))
-        if np.any(bad):
-            raise NonpositiveDiagonal(f"K(z,z)={vals[bad][0]} at z={Z[bad][0]} on {self}")
+        ok = (vals > 0.0) & (vals < np.inf)
+        if not ok.all():
+            i = np.argmin(ok)
+            raise NonpositiveDiagonal(f"K(z,z)={vals[i]} at z={Z[i]} on {self}")
         return vals
+
+
+def _moduli(Z: np.ndarray) -> np.ndarray:
+    """|z_i| entrywise, rounded as Python's abs(complex) (numpy's complex abs differs in the last bit)."""
+    return np.hypot(Z.real, Z.imag)
+
+
+def _reduce_last(op, A: np.ndarray) -> np.ndarray:
+    """``op`` reduced over the last axis, column after column: numpy's reduction of short rows is slow."""
+    out = A[..., 0]
+    for k in range(1, A.shape[-1]):
+        out = op(out, A[..., k])
+    return out
+
+
+# x + _GRID - _GRID rounds |x| < 2^25 to a multiple of 2^-26 (Veltkamp's splitting on a fixed grid)
+_GRID = 1.5 * 2.0 ** 26
+# rows that _one_minus_sum_squares splits together: their work arrays stay small enough to reuse
+_SPLIT_ROWS = 4096
+# sums of squares above this take the exact split; at or below it 1 - sum cancels by at most 4x
+_CANCELS = 0.75
+
+
+def _one_minus_sum_squares(P: np.ndarray) -> np.ndarray:
+    """1 - (sum of P**2 over the last axis) for a real (..., K) array with entries below 1.
+
+    Where the sum is at most _CANCELS the plain formula is within 3K + 1 ulps.
+    Elsewhere each entry splits exactly as h + l with h on the 2^-26 grid, so h^2
+    and 2hl are exact products and 1 - sum h^2 is exact; Knuth's two-sum adds the
+    2hl, and only the l^2, each below 2^-54, are rounded: a few ulps.  The plain
+    formula alone loses the digits that cancel, 1.1e-9 relative of the disc
+    diagonal at |z| = 1 - 1e-7.
+    """
+    flat = P.reshape(-1, P.shape[-1])
+    s = _reduce_last(np.add, flat * flat)
+    r = 1.0 - s
+    near = (s > _CANCELS).nonzero()[0]
+    for i in range(0, len(near), _SPLIT_ROWS):
+        rows = near[i:i + _SPLIT_ROWS]
+        r[rows] = _one_minus_split(flat[rows].T.copy())
+    return r.reshape(P.shape[:-1])
+
+
+def _one_minus_split(Q: np.ndarray) -> np.ndarray:
+    """1 - (sum of Q**2 over the first axis) of a (K, m) array by the exact split; Q is overwritten."""
+    h = Q + _GRID
+    h -= _GRID
+    l = np.subtract(Q, h, out=Q)
+    r = np.multiply(h[0], h[0])
+    np.subtract(1.0, r, out=r)
+    t = np.empty_like(r)
+    for k in range(1, len(Q)):
+        r -= np.multiply(h[k], h[k], out=t)
+    h += h
+    h *= l  # 2hl
+    l *= l
+    m, c = h[0], l[0]
+    for k in range(1, len(Q)):
+        # two-sum: m + h[k] = s + (m - (s - b)) + (h[k] - b) exactly, with b = s - m
+        s = m + h[k]
+        b = np.subtract(s, m, out=t)
+        np.subtract(h[k], b, out=h[k])
+        c += h[k]
+        c += np.subtract(m, np.subtract(s, b, out=b), out=b)
+        c += l[k]
+        m = s
+    r -= m
+    r -= c
+    return r
+
+
+def _parts(z: np.ndarray) -> np.ndarray:
+    """The (..., dim, 2) real and imaginary parts of a (..., dim) complex array."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    return z.view(float).reshape(z.shape + (2,))
+
+
+def _products(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
+    """a_i conj(b_i) over the broadcast of (..., dim) arrays, always as an array."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    return np.multiply(a[..., i], np.conj(b[..., i]), out=np.empty(shape, complex))
+
+
+def _abs2_one_minus(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|1 - q|^2 as (1 - Re q)^2 + (Im q)^2, written into ``out``; q's storage is overwritten."""
+    np.subtract(1.0, q.real, out=out)
+    np.multiply(out, out, out=out)
+    np.multiply(q.imag, q.imag, out=q.imag)
+    return np.add(out, q.imag, out=out)
 
 
 def _scan_axes(level: int):
@@ -222,8 +316,8 @@ class _Polydisc(DomainSpec):
     def volume(self):
         return math.pi ** self.dim
 
-    def contains(self, p):
-        return all(abs(c) < 1.0 - BOUNDARY_MARGIN for c in p)
+    def contains(self, Z):
+        return (_moduli(Z) < 1.0 - BOUNDARY_MARGIN).all(axis=-1)
 
     def kernel(self, a, b):
         out = 1.0
@@ -231,11 +325,20 @@ class _Polydisc(DomainSpec):
             out = out / (np.pi * (1.0 - a[..., i] * np.conj(b[..., i])) ** 2)
         return out
 
-    def diag(self, z):
-        out = 1.0
+    def kernel_abs2(self, a, b):
+        # 1 / prod pi^2 d_i^2 with d_i = |1 - a_i conj(b_i)|^2: no complex power or division
+        den = None
         for i in range(self.dim):
-            out = out / (np.pi * (1.0 - np.abs(z[..., i]) ** 2) ** 2)
-        return out
+            q = _products(a, b, i)
+            d = _abs2_one_minus(q, np.empty(q.shape))
+            np.multiply(d, d, out=d)
+            np.multiply(d, np.pi ** 2, out=d)
+            den = d if den is None else np.multiply(den, d, out=den)
+        return np.divide(1.0, den, out=den)
+
+    def diag(self, z):
+        r = _one_minus_sum_squares(_parts(z))
+        return 1.0 / _reduce_last(np.multiply, np.pi * r * r)
 
     def sample(self, rng):
         return tuple((0.05 + self._sample_radius * math.sqrt(rng.random()))
@@ -263,16 +366,21 @@ class _Disc(_Polydisc):
 class _PuncturedDisc(_Disc):
     _scan_center = ()
 
-    def contains(self, p):
-        return 0.0 < abs(p[0]) < 1.0 - BOUNDARY_MARGIN
+    def contains(self, Z):
+        r = _moduli(Z[..., 0])
+        return (0.0 < r) & (r < 1.0 - BOUNDARY_MARGIN)
 
 
 class _Ball(DomainSpec):
     def volume(self):
         return math.pi ** self.dim / math.factorial(self.dim)
 
-    def contains(self, p):
-        return sum(abs(c) ** 2 for c in p) < 1.0 - BOUNDARY_MARGIN
+    def contains(self, Z):
+        r = _moduli(Z)
+        x = r[..., 0] * r[..., 0]
+        for i in range(1, self.dim):
+            x = x + r[..., i] * r[..., i]
+        return x < 1.0 - BOUNDARY_MARGIN
 
     def kernel(self, a, b):
         n = self.dim
@@ -286,10 +394,22 @@ class _Ball(DomainSpec):
             power = power * q
         return math.factorial(n) / (np.pi ** n * power)
 
+    def kernel_abs2(self, a, b):
+        # (n!/pi^n)^2 / d^(n+1) with d = |1 - <a, b>|^2: no complex power or division
+        n = self.dim
+        inner = _products(a, b, 0)
+        for i in range(1, n):
+            np.add(inner, _products(a, b, i), out=inner)
+        d = _abs2_one_minus(inner, np.empty(inner.shape))
+        power = np.multiply(d, d, out=np.empty(d.shape))
+        for _ in range(n - 1):
+            np.multiply(power, d, out=power)
+        return np.divide((math.factorial(n) / np.pi ** n) ** 2, power, out=d)
+
     def diag(self, z):
         n = self.dim
-        x = np.sum(np.abs(z) ** 2, axis=-1)
-        return math.factorial(n) / (np.pi ** n * (1.0 - x) ** (n + 1))
+        r = _one_minus_sum_squares(_parts(z).reshape(z.shape[:-1] + (2 * n,)))
+        return math.factorial(n) / (np.pi ** n * r ** (n + 1))
 
     def sample(self, rng):
         v = rng.normal(size=2 * self.dim)
@@ -305,8 +425,8 @@ class _HalfPlane(DomainSpec):
     def volume(self):
         return math.inf
 
-    def contains(self, p):
-        return p[0].imag > BOUNDARY_MARGIN * max(1.0, abs(p[0]))
+    def contains(self, Z):
+        return Z[..., 0].imag > BOUNDARY_MARGIN * np.maximum(1.0, _moduli(Z[..., 0]))
 
     def kernel(self, a, b):
         return -1.0 / (np.pi * (a[..., 0] - np.conj(b[..., 0])) ** 2)
@@ -331,10 +451,10 @@ class _Hartogs(DomainSpec):
     def volume(self):
         return math.pi ** 2 / 2.0
 
-    def contains(self, p):
-        r1, r2 = abs(p[0]), abs(p[1])
+    def contains(self, Z):
+        r = _moduli(Z)
         m = 1.0 - BOUNDARY_MARGIN
-        return r1 < m and r2 < r1 * m
+        return (r[..., 0] < m) & (r[..., 1] < r[..., 0] * m)
 
     def factor_points(self, Z):
         # (z1, z2) -> (z1, z2/z1) maps the triangle onto the product of the punctured disc and the disc
@@ -427,13 +547,20 @@ def volume(domain: DomainSpec) -> float:
 
 def contains(domain: DomainSpec, z) -> bool:
     """Strict membership; inequalities carry a relative slack of 1e-12."""
-    return domain.contains(as_point(z, domain.dim))
+    return bool(domain.contains(np.array([as_point(z, domain.dim)]))[0])
+
+
+def _refuse_outside(domain: DomainSpec, Z: np.ndarray) -> None:
+    """Raise PointOutsideDomain naming the first row of the (M, dim) array Z outside ``domain``."""
+    inside = domain.contains(Z)
+    if not inside.all():
+        p = tuple(complex(c) for c in Z[np.argmin(inside)])
+        raise PointOutsideDomain(f"{p} is not strictly inside {domain}")
 
 
 def require_inside(domain: DomainSpec, z) -> CPoint:
     p = as_point(z, domain.dim)
-    if not domain.contains(p):
-        raise PointOutsideDomain(f"{p} is not strictly inside {domain}")
+    _refuse_outside(domain, np.array([p]))
     return p
 
 
@@ -444,10 +571,14 @@ def inside_points(domain: DomainSpec, z) -> tuple[np.ndarray, bool]:
     the case M = 1, which the returned flag marks.
     """
     if not (isinstance(z, np.ndarray) and z.ndim == 2):
-        return np.array([require_inside(domain, z)]), True
-    for row in z:
-        require_inside(domain, row)
-    return z.astype(complex), False
+        Z = np.array([as_point(z, domain.dim)])
+        _refuse_outside(domain, Z)
+        return Z, True
+    if z.shape[1] != domain.dim:
+        raise ValueError(f"expected a point in C^{domain.dim}, got {z.shape[1]} coordinates")
+    Z = z.astype(complex)
+    _refuse_outside(domain, Z)
+    return Z, False
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +594,8 @@ def kernel(domain: DomainSpec, z, w) -> complex:
 
 
 def kernel_diag(domain: DomainSpec, z) -> float:
-    """K(z, z) at one point, cancellation-safe near the Hartogs edge (see ``diag``)."""
-    return domain.diag_at(require_inside(domain, z))
+    """K(z, z) at one point, cancellation-safe near the boundary (see ``DomainSpec.diag``)."""
+    return float(domain.positive_diag(inside_points(domain, z)[0])[0])
 
 
 def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
@@ -477,7 +608,7 @@ def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
 
 
 def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized K(w_j, w_j) with the same stabilized Hartogs form as kernel_diag."""
+    """Vectorized K(w_j, w_j), cancellation-safe as kernel_diag."""
     return domain.diag(_as_nodes(nodes))
 
 

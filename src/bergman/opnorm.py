@@ -73,7 +73,7 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     diag = domain.positive_diag(rows)
     out = np.empty((rows.shape[0], len(rule)))
     def fill(r):  # each row block writes its own rows
-        out[r] = np.abs(domain.kernel(rule.nodes[None], rows[r, None])) ** 2 / diag[r, None]
+        np.divide(domain.kernel_abs2(rule.nodes[None], rows[r, None]), diag[r, None], out=out[r])
     _map(fill, _row_blocks(rows.shape[0], len(rule)), out.size)
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
             "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}

@@ -7,14 +7,17 @@ whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
 Sums are accumulated in a fixed node order with compensated summation, so
 results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
-then an exact fsum of the chunk sums.  Operators evaluate the kernel at many
-points in node blocks of about 2^17 entries and gather each chunk's summands
-before reducing it, so the blocked sum reproduces ``compensated_sum`` chunk
-for chunk, bit for bit, whatever the number of points.  A call of at least
-2^21 point-node entries runs on a thread pool, one thread per core the process
-may run on (at most its cgroup's CPU quota); its threads split one serial
-pass's block and buffer sizes, and the calling thread fsums the chunk sums in
-chunk order.
+then an exact fsum of the chunk sums.  Operators evaluate a kernel form at many
+points in node blocks of about 2^17 entries: |K|^2 from
+``DomainSpec.kernel_abs2`` (in real arithmetic on the ball and the polydiscs)
+for the Berezin transforms and P+, the complex kernel for P.  Each summand is
+written in place over its block, and each chunk's summands are gathered before
+it is reduced, so the blocked sum reproduces ``compensated_sum`` of the same
+summands chunk for chunk, bit for bit, whatever the number of points.  A call
+of at least 2^21 point-node entries runs on a thread pool, one thread per core
+the process may run on (at most its cgroup's CPU quota); its threads split one
+serial pass's block and buffer sizes, and the calling thread fsums the chunk
+sums in chunk order.
 """
 
 from __future__ import annotations
@@ -194,9 +197,10 @@ def _row_blocks(rows: int, cols: int) -> list:
     return _slices(0, rows, max(1, _BLOCK // _workers(rows * cols) // max(1, cols)))
 
 
-def _kernel_sums(domain: DomainSpec, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarray:
+def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
-    of ``summand(k, s, r)``, where k = K(w_s, Z_r) for a node slice s and a point slice r.
+    of ``summand(k, s, r)``, where k = pair(w_s, Z_r) for a node slice s and a point
+    slice r; ``pair`` is a kernel form such as ``DomainSpec.kernel`` or ``kernel_abs2``.
 
     Node blocks of about _BLOCK / workers entries are gathered into one (points,
     chunk) array per _CHUNK nodes, of at most _BUFFER / workers entries, and reduced
@@ -215,7 +219,7 @@ def _kernel_sums(domain: DomainSpec, rule: QuadratureRule, Z: np.ndarray, summan
         for s in _slices(c, min(c + _CHUNK, n), step):
             # a lone node goes in twice: one-entry blocks take a numpy loop differing in the last bit
             idx = s if s.stop - s.start > 1 else [s.start, s.start]
-            block = summand(domain.kernel(rule.nodes[None, idx], Z[r, None]), idx, r)
+            block = summand(pair(rule.nodes[None, idx], Z[r, None]), idx, r)
             if buf is None:
                 buf = np.empty((r.stop - r.start, min(_CHUNK, n - c)), block.dtype)
             buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
@@ -295,6 +299,14 @@ def _polar_rule(x, wx, angular_n: int, meta: RuleMeta) -> QuadratureRule:
     return QuadratureRule(z[:, None], w, meta)
 
 
+def _outer(*factors) -> np.ndarray:
+    """The outer product of 1-D factors, left-associated: ((f0 x f1) x f2) x ..."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = np.multiply.outer(out, f)
+    return out
+
+
 def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     """Tensor power of the polar disc rule; the disc is the case dim = 1."""
     dim = domain.dim
@@ -305,9 +317,7 @@ def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     nodes = np.empty((n,) * dim + (dim,), dtype=complex)
     for i in range(dim):
         nodes[..., i] = z.reshape((n,) + (1,) * (dim - 1 - i))
-    weights = factor.weights
-    for _ in range(dim - 1):
-        weights = np.multiply.outer(weights, factor.weights)
+    weights = _outer(*(factor.weights,) * dim)
     meta = RuleMeta(domain.kind, dim, radial_n, angular_n, grading, origin_grading,
                     factor.meta.shape * dim)
     return QuadratureRule(nodes.reshape(-1, dim), weights.ravel(), meta, (factor,) * dim)
@@ -323,14 +333,15 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
     al, wal = _gauss(alpha_n, 0.0, math.pi / 2)
     th, wth = _angles(angular_n)
     phase = np.exp(1j * th)
-    z1 = (rho[:, None] * np.cos(al))[:, :, None, None] * phase[:, None]
-    z2 = (rho[:, None] * np.sin(al))[:, :, None, None] * phase
-    w = np.einsum("i,j,k,l->ijkl",
-                  rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal,
-                  np.full(angular_n, wth), np.full(angular_n, wth)).ravel()
+    # written in place: one (N, 2) array, no broadcast copies of the coordinates
+    nodes = np.empty((len(rho), alpha_n, angular_n, angular_n, 2), dtype=complex)
+    nodes[..., 0] = (rho[:, None] * np.cos(al))[:, :, None, None] * phase[:, None]
+    nodes[..., 1] = (rho[:, None] * np.sin(al))[:, :, None, None] * phase
+    wth = np.full(angular_n, wth)
+    w = _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal, wth, wth).ravel()
     meta = RuleMeta("ball", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, alpha_n, angular_n, angular_n))
-    return QuadratureRule(np.stack(np.broadcast_arrays(z1, z2), axis=-1).reshape(-1, 2), w, meta)
+    return QuadratureRule(nodes.reshape(-1, 2), w, meta)
 
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
@@ -353,7 +364,7 @@ def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
     np.multiply(f2.nodes[:, 0], f1.nodes, out=nodes[..., 1])
     # the factor weights r wr dt1 and s ws dt2 times the Jacobian r^2, rounded as r^3 wr
     wth = np.full(angular_n, _angles(angular_n)[1])
-    w = np.einsum("i,j,k,l->ijkl", r ** 3 * wr, wth, s * ws, wth).ravel()
+    w = _outer(r ** 3 * wr, wth, s * ws, wth).ravel()
     meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading, shape * 2)
     return QuadratureRule(nodes.reshape(-1, 2), w, meta, (f1, f2))
 

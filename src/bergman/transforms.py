@@ -44,6 +44,23 @@ def _csum(values: np.ndarray) -> complex:
     return complex(compensated_sum(values), 0.0)
 
 
+def _times(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """block * vals, written into ``block`` unless ``vals`` is complex."""
+    return block * vals if np.iscomplexobj(vals) else np.multiply(block, vals, out=block)
+
+
+def _berezin_sums(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, vals=None):
+    """Per point of Z, sum_j w_j |K(w_j, z)|^2 / K(z, z) phi_j with phi_j = ``vals``, or 1."""
+    diag = domain.positive_diag(Z)
+    w = rule.weights
+
+    def summand(k2, s, r):  # each step in place on the |K|^2 block
+        np.divide(k2, diag[r, None], out=k2)
+        np.multiply(k2, w[s], out=k2)
+        return k2 if vals is None else _times(k2, vals[s])
+    return _kernel_sums(domain.kernel_abs2, rule, Z, summand)
+
+
 def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     """B phi(z) = int phi(w) |k_z(w)|^2 dV(w) by quadrature on ``rule``.
 
@@ -52,16 +69,8 @@ def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     adjoint and both projections.
     """
     Z, single = inside_points(domain, z)
-    diag = domain.positive_diag(Z)
-    vals = symbol_values(phi, rule)
-    w = rule.weights
-    sums = _kernel_sums(domain, rule, Z,
-                        lambda k, s, r: w[s] * (np.abs(k) ** 2 / diag[r, None]) * vals[s])
+    sums = _berezin_sums(domain, Z, rule, symbol_values(phi, rule))
     return complex(sums[0]) if single else sums
-
-
-def _ones(w):
-    return np.ones(len(w))
 
 
 def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
@@ -79,9 +88,9 @@ def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
         P = domain.factor_points(Z)
         masses = 1.0
         for i, factor in enumerate(rule.factors):
-            masses = masses * berezin(_DISC, _ones, P[:, i:i + 1], factor).real
+            masses = masses * _berezin_sums(_DISC, P[:, i:i + 1], factor).real
     else:
-        masses = berezin(domain, _ones, Z, rule).real
+        masses = _berezin_sums(domain, Z, rule).real
     return float(masses[0]) if single else masses
 
 
@@ -96,8 +105,11 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     domain.positive_diag(Z)  # validates the running positivity assumption at z
     vals = symbol_values(psi, rule)
     w = rule.weights
-    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: (
-        w[s] * np.abs(k) ** 2 * vals[s] / domain.diag(rule.nodes[s])))
+
+    def summand(k2, s, r):
+        k2 = _times(np.multiply(k2, w[s], out=k2), vals[s])
+        return np.divide(k2, domain.diag(rule.nodes[s]), out=k2)
+    sums = _kernel_sums(domain.kernel_abs2, rule, Z, summand)
     return complex(sums[0]) if single else sums
 
 
@@ -106,7 +118,12 @@ def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     Z, single = inside_points(domain, z)
     vals = np.abs(symbol_values(f, rule))
     w = rule.weights
-    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: w[s] * np.abs(k) * vals[s]).real
+
+    def summand(k2, s, r):  # |K| as the root of |K|^2
+        np.sqrt(k2, out=k2)
+        np.multiply(k2, w[s], out=k2)
+        return np.multiply(k2, vals[s], out=k2)
+    sums = _kernel_sums(domain.kernel_abs2, rule, Z, summand).real
     return float(sums[0]) if single else sums
 
 
@@ -115,7 +132,7 @@ def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     Z, single = inside_points(domain, z)
     vals = symbol_values(f, rule)
     w = rule.weights
-    sums = _kernel_sums(domain, rule, Z, lambda k, s, r: w[s] * np.conj(k) * vals[s])
+    sums = _kernel_sums(domain.kernel, rule, Z, lambda k, s, r: w[s] * np.conj(k) * vals[s])
     return complex(sums[0]) if single else sums
 
 

@@ -38,7 +38,30 @@ def _complex_symbol(w):
 
 
 def _reference(op, domain, phi, z, rule):
-    """The per-point operator: its summands over the whole rule, then compensated_sum."""
+    """The per-point operator: its summands over the whole rule, then compensated_sum.
+
+    |K|^2 comes from ``kernel_abs2`` and |K| is its root, as in the blocked pass;
+    P alone uses the complex kernel.
+    """
+    zp = dom.require_inside(domain, z)
+    vals = tr.symbol_values(phi, rule)
+    k2 = domain.kernel_abs2(rule.nodes, np.asarray(zp))
+    w = rule.weights
+    if op == "berezin":
+        terms = w * (k2 / dom.kernel_diag(domain, zp)) * vals
+    elif op == "berezin_adjoint":
+        terms = w * k2 * vals / dom.kernel_diag_values(domain, rule.nodes)
+    elif op == "absolute_projection":
+        return quad.compensated_sum(w * np.sqrt(k2) * np.abs(vals))
+    else:
+        terms = w * np.conj(dom.kernel_values(domain, zp, rule.nodes)) * vals
+    if np.iscomplexobj(terms):
+        return complex(quad.compensated_sum(terms.real), quad.compensated_sum(terms.imag))
+    return complex(quad.compensated_sum(terms), 0.0)
+
+
+def _complex_form(op, domain, phi, z, rule):
+    """The operator's summands through the complex kernel, |K|^2 as abs(K)**2: (sum, sum of |terms|)."""
     zp = dom.require_inside(domain, z)
     vals = tr.symbol_values(phi, rule)
     k = dom.kernel_values(domain, zp, rule.nodes)
@@ -47,13 +70,9 @@ def _reference(op, domain, phi, z, rule):
         terms = w * (np.abs(k) ** 2 / dom.kernel_diag(domain, zp)) * vals
     elif op == "berezin_adjoint":
         terms = w * np.abs(k) ** 2 * vals / dom.kernel_diag_values(domain, rule.nodes)
-    elif op == "absolute_projection":
-        return quad.compensated_sum(w * np.abs(k) * np.abs(vals))
     else:
-        terms = w * np.conj(k) * vals
-    if np.iscomplexobj(terms):
-        return complex(quad.compensated_sum(terms.real), quad.compensated_sum(terms.imag))
-    return complex(quad.compensated_sum(terms), 0.0)
+        terms = w * np.abs(k) * np.abs(vals)
+    return complex(np.sum(terms)), float(np.sum(np.abs(terms)))
 
 
 def _bits(x):
@@ -84,6 +103,28 @@ def test_batched_equals_per_point_bit_for_bit(rules, name, op, phi):
         assert _bits(batched) == _bits(np.array(single))
         assert _bits(single) == _bits([_reference(op, domain, phi, tuple(z), rule)
                                        for z in points])
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+@pytest.mark.parametrize("op", OPERATORS[:3])
+@pytest.mark.parametrize("phi", [_real_symbol, _complex_symbol], ids=["real", "complex"])
+def test_real_form_agrees_with_the_complex_kernel(rules, name, op, phi):
+    # |K|^2 in real arithmetic moves each summand by a few ulps: 1e-14 of the summed magnitudes
+    domain, rule = DOMAINS[name][0], rules[name]
+    points = _points(domain, 7, seed=21)
+    got = getattr(tr, op)(domain, phi, points, rule)
+    for z, value in zip(points, got):
+        want, size = _complex_form(op, domain, phi, tuple(z), rule)
+        assert abs(value - want) <= 1e-14 * size
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_discretize_berezin_agrees_with_the_complex_kernel(rules, name):
+    domain, rule = DOMAINS[name][0], rules[name]
+    rows = _points(domain, 9, seed=22)
+    got = on.discretize_berezin(domain, rule, row_nodes=rows).entries
+    want = np.abs(domain.kernel(rule.nodes[None], rows[:, None])) ** 2 / domain.diag(rows)[:, None]
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +205,7 @@ def test_discretize_berezin_equals_row_loop(pool, rules, name, m):
     diag = dom.kernel_diag_values(domain, rows)
     ref = np.empty((len(rows), len(rule)))
     for i, z in enumerate(rows):
-        ref[i] = np.abs(dom.kernel_values(domain, tuple(z), rule.nodes)) ** 2 / diag[i]
+        ref[i] = domain.kernel_abs2(rule.nodes, z) / diag[i]
     got = on.discretize_berezin(domain, rule, row_nodes=None if m is None else rows)
     assert _bits(got.entries) == _bits(ref)
     # only the 2000 x 1152 matrix reaches the pool's 2^21 entries

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergman import cli, reproduce
@@ -67,6 +68,14 @@ class TestNormCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] == pytest.approx(1.0, abs=1e-5)
+
+    def test_p_infinity_matrix_agrees_with_the_matrix_free_row_sums(self, capsys):
+        # the CLI sums the rows of the formed matrix; checks 02 and 04 run the blocked B1 pass
+        code, out, _ = run_cli(capsys, ["norm", "--domain", "disc", "--p", "inf"])
+        assert code == 0
+        value, sums = json.loads(out)["value"], reproduce.berezin_row_sums()
+        assert json.loads(out)["resolution"]["rows"] == len(sums)
+        assert abs(value - float(np.max(sums))) <= 1e-14 * value
 
 
 class TestScanAndBlowup:

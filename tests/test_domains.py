@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,3 +342,174 @@ class TestMonomialNorms:
                 bound=lambda r: 1.0 / (1.0 + r),
                 exponent_at_zero=0.0, exponent_at_inf=-2.0))
 
+
+# ---------------------------------------------------------------------------
+# |K|^2 in real arithmetic, the cancellation-safe diagonal, array membership
+# ---------------------------------------------------------------------------
+
+# radius fractions from the bulk to 1e-12 of the boundary
+DEPTH = st.floats(0.0, 1.0) | st.floats(3.0, 12.0).map(lambda k: 1.0 - 10.0 ** -k)
+NEAR = st.tuples(*[DEPTH] * 3, *[st.floats(0.0, 2 * math.pi)] * 3)
+
+
+def _near_point(domain, c):
+    """A point of ``domain`` from three radius fractions in [1e-3, 1 - 2e-12]."""
+    rs, ts = [min(max(r, 1e-3), 1.0 - 2e-12) for r in c[:3]], c[3:]
+    if domain.kind == "half-plane":
+        x = 20.0 * c[3] / (2 * math.pi) - 10.0  # the slack is relative to max(1, |z|)
+        return (complex(x, 2.0 * (1.0 + abs(x)) * 10.0 ** (3.0 - 15.0 * rs[0])),)
+    polar = [r * cmath.exp(1j * t) for r, t in zip(rs, ts)]
+    if domain.kind == "hartogs":
+        return (polar[0], polar[0] * polar[1])
+    if domain.kind == "ball":  # radius rs[0], direction from the other two
+        v = [rs[1] * cmath.exp(1j * ts[1]), rs[2] * cmath.exp(1j * ts[2])][:domain.dim]
+        norm = math.sqrt(sum(abs(p) ** 2 for p in v)) or 1.0
+        return tuple(rs[0] * p / norm for p in v)
+    return tuple(polar[:domain.dim])
+
+
+class TestKernelAbs2:
+    """kernel_abs2 is |K|^2 formed in real arithmetic: the complex form to 1e-14."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    @given(a=NEAR, b=NEAR, same_phase=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_complex_form(self, domain, a, b, same_phase):
+        if same_phase:  # b along a: |1 - <a, b>| cancels toward 0 near the boundary
+            b = b[:3] + a[3:]
+        z, w = _near_point(domain, a), _near_point(domain, b)
+        assert dom.contains(domain, z) and dom.contains(domain, w)
+        A, B = np.array([z, w]), np.array([w, z])
+        want = np.abs(domain.kernel(A[None], B[:, None])) ** 2
+        got = domain.kernel_abs2(A[None], B[:, None])
+        assert got.shape == want.shape == (2, 2) and got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        # a node array against one point, as kernel_values broadcasts
+        assert np.all(np.abs(domain.kernel_abs2(A, B[0]) - want[0]) <= 1e-14 * want[0])
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    def test_one_pair_of_points(self, domain):
+        # (dim,) arrays broadcast to a single value, as the complex kernel does
+        z, w = dom.sample_interior(domain, 2, seed=6)
+        got = domain.kernel_abs2(np.array(w), np.array(z))
+        want = abs(dom.kernel(domain, w, z)) ** 2
+        assert np.shape(got) == () and abs(got - want) <= 1e-14 * want
+
+
+def _exact_one_minus(z):
+    return 1 - sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in z)
+
+
+class TestCancellationSafeDiagonal:
+    """K(z, z) from 1 - sum |z_i|^2 formed without cancellation, against exact rationals."""
+
+    @pytest.mark.parametrize("eps", [1e-7, 1e-10])
+    def test_disc_bidisc_and_ball_near_the_boundary(self, eps):
+        rng = np.random.default_rng(int(-math.log10(eps)))
+        pi = Fraction(np.pi)
+        for _ in range(40):
+            t = rng.uniform(0, 2 * math.pi, 4)
+            edge = (1 - eps) * np.exp(1j * t[0])
+            inner = rng.uniform(0.0, 1 - eps) * np.exp(1j * t[1])
+            v = rng.normal(size=4)
+            v *= (1 - eps) / np.linalg.norm(v)
+            cases = [
+                (dom.disc(), (edge,), lambda z: 1 / (pi * _exact_one_minus(z) ** 2)),
+                (dom.punctured_disc(), (edge,), lambda z: 1 / (pi * _exact_one_minus(z) ** 2)),
+                (dom.polydisc(2), (edge, inner), lambda z: 1 / (
+                    pi ** 2 * _exact_one_minus(z[:1]) ** 2 * _exact_one_minus(z[1:]) ** 2)),
+                (dom.ball(2), (complex(v[0], v[1]), complex(v[2], v[3])),
+                 lambda z: 2 / (pi ** 2 * _exact_one_minus(z) ** 3)),
+            ]
+            for domain, z, exact in cases:
+                want = exact(z)
+                got = dom.kernel_diag(domain, z)
+                assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (domain, z)
+                assert dom.kernel_diag_values(domain, np.array([z]))[0] == got
+
+
+# m = 1 - BOUNDARY_MARGIN and the floats one ulp either side of it
+_M = 1.0 - dom.BOUNDARY_MARGIN
+_AT_M = [float(np.nextafter(_M, 0.0)), _M, float(np.nextafter(_M, 2.0))]
+# radii whose squares fall one ulp either side of m: the ball's edge
+_SQRT_M = math.sqrt(_M)
+_AT_SQRT_M = [float(np.nextafter(_SQRT_M, 0.0)), _SQRT_M, float(np.nextafter(_SQRT_M, 2.0))]
+_AXES = [1.0, 1j, -1.0, -1j]  # phases that keep |r u| = r exactly
+
+
+def _parent_contains(kind, p):
+    """The scalar membership formulas the array formulas replaced, frozen as they were."""
+    if kind in ("disc", "polydisc"):
+        return all(abs(c) < 1.0 - dom.BOUNDARY_MARGIN for c in p)
+    if kind == "punctured-disc":
+        return 0.0 < abs(p[0]) < 1.0 - dom.BOUNDARY_MARGIN
+    if kind == "ball":
+        return sum(abs(c) ** 2 for c in p) < 1.0 - dom.BOUNDARY_MARGIN
+    if kind == "half-plane":
+        return p[0].imag > dom.BOUNDARY_MARGIN * max(1.0, abs(p[0]))
+    r1, r2 = abs(p[0]), abs(p[1])
+    m = 1.0 - dom.BOUNDARY_MARGIN
+    return r1 < m and r2 < r1 * m
+
+
+def _coordinate(draw):
+    """A coordinate anywhere near the unit disc, or one ulp around radius m on an axis."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_AT_M)) * draw(st.sampled_from(_AXES))
+    return draw(st.floats(0.0, 1.2)) * cmath.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+
+
+@st.composite
+def _rows(draw, domain):
+    """Points on both sides of each membership inequality, exact ulp cases included."""
+    kind, dim = domain.kind, domain.dim
+    if kind == "half-plane":
+        y = draw(st.sampled_from([float(np.nextafter(dom.BOUNDARY_MARGIN, 0.0)),
+                                  dom.BOUNDARY_MARGIN,
+                                  float(np.nextafter(dom.BOUNDARY_MARGIN, 1.0))])
+                 | st.floats(-1.0, 3.0))
+        return (complex(draw(st.floats(-0.9, 0.9) | st.floats(-50.0, 50.0)), y),)
+    if kind == "ball" and draw(st.booleans()):
+        row = [0j] * dim
+        row[draw(st.integers(0, dim - 1))] = (draw(st.sampled_from(_AT_SQRT_M))
+                                              * draw(st.sampled_from(_AXES)))
+        return tuple(row)
+    if kind == "ball":
+        return tuple(draw(st.floats(0.0, 0.9)) * cmath.exp(1j * draw(st.floats(0.0, 6.3)))
+                     for _ in range(dim))
+    if kind == "hartogs":
+        z1 = _coordinate(draw)
+        if draw(st.booleans()):  # |z2| one ulp around |z1| m
+            edge = abs(z1) * _M
+            r2 = draw(st.sampled_from([float(np.nextafter(edge, 0.0)), edge,
+                                       float(np.nextafter(edge, 2.0))]))
+            return (z1, r2 * draw(st.sampled_from(_AXES)))
+        return (z1, _coordinate(draw))
+    if kind == "punctured-disc" and draw(st.booleans()):
+        return (draw(st.sampled_from([0j, 5e-324 + 0j, 1e-300j])),)
+    return tuple(_coordinate(draw) for _ in range(dim))
+
+
+class TestArrayMembership:
+    """One membership formula per kind over (M, dim) arrays, deciding as the scalar formulas did."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_decisions_equal_the_scalar_formulas(self, domain, data):
+        rows = data.draw(st.lists(_rows(domain), min_size=1, max_size=12))
+        Z = np.array(rows, dtype=complex)
+        want = [_parent_contains(domain.kind, row) for row in rows]
+        got = domain.contains(Z)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        assert got.tolist() == want
+        assert [dom.contains(domain, row) for row in rows] == want
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    def test_the_first_outside_row_is_named(self, domain):
+        Z = np.array(dom.sample_interior(domain, 6, seed=11), dtype=complex)
+        Z[2] = Z[2] * 40.0 if domain.kind != "half-plane" else -Z[2]
+        Z[4] = Z[4] * 50.0 if domain.kind != "half-plane" else -Z[4]
+        with pytest.raises(PointOutsideDomain) as err:
+            dom.inside_points(domain, Z)
+        assert str(err.value) == f"{tuple(complex(c) for c in Z[2])} is not strictly inside {domain}"

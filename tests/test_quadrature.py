@@ -86,6 +86,21 @@ def _reference_hartogs(radial_n, angular_n, grading, origin_grading):
     return np.stack([z1, t * z1], axis=1), w
 
 
+def _reference_ball2(radial_n, angular_n, grading, origin_grading):
+    """The ball builder's formulas as first written: broadcast coordinates, einsum weights."""
+    rho, wrho = quad._radial_line(radial_n, origin_grading, grading)
+    alpha_n = max(8, radial_n // 2 + 4)
+    al, wal = quad._gauss(alpha_n, 0.0, math.pi / 2)
+    th = 2.0 * np.pi * np.arange(angular_n) / angular_n
+    wth = 2.0 * np.pi / angular_n
+    phase = np.exp(1j * th)
+    z1 = (rho[:, None] * np.cos(al))[:, :, None, None] * phase[:, None]
+    z2 = (rho[:, None] * np.sin(al))[:, :, None, None] * phase
+    w = np.einsum("i,j,k,l->ijkl", rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal,
+                  np.full(angular_n, wth), np.full(angular_n, wth)).ravel()
+    return np.stack(np.broadcast_arrays(z1, z2), axis=-1).reshape(-1, 2), w
+
+
 class TestProductFactors:
     """Polydisc and Hartogs rules are built from their 1-D factor rules."""
 
@@ -114,6 +129,13 @@ class TestProductFactors:
         assert f1.nodes.tobytes() == nodes[::n2, 0].tobytes()
         assert (f2.nodes[:, 0] * f1.nodes[0, 0]).tobytes() == nodes[:n2, 1].tobytes()
         assert (f1.meta.origin_grading, f2.meta.origin_grading) == (rule.meta.origin_grading, 1.0)
+
+    @pytest.mark.parametrize("res", [(8, 16), (8, 16, 3.0, 1.5), (6, 24, 1.0, 6.0), (28, 48)])
+    def test_ball_bit_identical_to_reference(self, res):
+        rule = quad.build_rule(dom.ball(2), *res)
+        nodes, weights = _reference_ball2(res[0], res[1], *(res[2:] or (2.0, 2.0)))
+        assert rule.nodes.tobytes() == nodes.tobytes()
+        assert rule.weights.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("domain", [dom.hartogs_triangle(), dom.polydisc(2), dom.disc()],
                              ids=str)
