@@ -13,7 +13,6 @@ from .domains import (
     boas_profile,
     contains,
     disc,
-    disc_profile,
     domain_by_name,
     hartogs_profile,
     hartogs_triangle,

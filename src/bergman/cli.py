@@ -61,7 +61,7 @@ def _given(value, default):
 
 
 def _rule_for(domain, args):
-    radial, angular = (20, 48) if domain.kind == "hartogs" else (32, 64)
+    radial, angular = domain.default_grid
     return quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular),
                            _given(args.grading, 2.0))
 
@@ -98,7 +98,7 @@ def cmd_berezin(args):
 
 def cmd_norm(args):
     domain = dom.domain_by_name(args.domain)
-    p = math.inf if args.p in ("inf", "infinity") else float(args.p)
+    p = float(args.p)  # "inf" and "infinity" included
     if domain.kind != "disc":
         raise SystemExit2("norm estimation is wired for the disc discretizations")
     if math.isinf(p):

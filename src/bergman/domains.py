@@ -1,8 +1,10 @@
 """Model domains in C^n and their Bergman kernels.
 
 Closed-form kernels are available for the unit disc, the unit ball, polydiscs,
-the upper half plane, the punctured disc and the Hartogs triangle.  A
-Reinhardt profile (a rotation-invariant domain in modulus space with declared
+the upper half plane, the punctured disc and the Hartogs triangle; the
+one-point ``kernel``, ``kernel_ratio`` and ``normalized_kernel`` evaluate
+through ``kernel_values`` and ``kernel_diag``.  A Reinhardt profile (a
+rotation-invariant domain in C^2 described in modulus space, with declared
 radial asymptotics) classifies and measures the square-integrable monomials.
 
 All integrals use unnormalized Lebesgue volume, so the disc kernel carries the
@@ -48,12 +50,12 @@ def as_point(z, dim: int) -> CPoint:
 class ReinhardtProfile:
     """Rotation-invariant domain described in modulus space.
 
-    The region is {0 <= r1 < r1_max, 0 <= r2 < bound(r1)} for dim 2 and
-    {0 <= r1 < r1_max} for dim 1.  ``exponent_at_zero`` / ``exponent_at_inf``
-    declare the power-law behavior of ``bound`` as r1 -> 0 and r1 -> infinity;
-    the latter is required whenever r1_max is infinite.  ``allows_negative[i]``
-    states whether monomials may carry negative powers of z_i (true only when
-    the domain omits the coordinate hyperplane z_i = 0).
+    The region is {0 <= r1 < r1_max, 0 <= r2 < bound(r1)} in C^2.
+    ``exponent_at_zero`` / ``exponent_at_inf`` declare the power-law behavior
+    of ``bound`` as r1 -> 0 and r1 -> infinity; the latter is required
+    whenever r1_max is infinite.  ``allows_negative[i]`` states whether
+    monomials may carry negative powers of z_i (true only when the domain
+    omits the coordinate hyperplane z_i = 0).
     """
 
     name: str
@@ -73,8 +75,6 @@ def validate_profile(profile: ReinhardtProfile, rel_tol: float = 0.01) -> None:
     the declared exponent to ``rel_tol``.  Raises UndeclaredAsymptotics when the
     data is missing or inconsistent.
     """
-    if profile.dim == 1:
-        return
     if profile.bound is None:
         raise UndeclaredAsymptotics(f"profile {profile.name!r} has no bound function")
 
@@ -131,11 +131,6 @@ def hartogs_profile() -> ReinhardtProfile:
     return p
 
 
-def disc_profile() -> ReinhardtProfile:
-    """The unit disc as a one-dimensional Reinhardt profile."""
-    return ReinhardtProfile(name="disc", dim=1, r1_max=1.0, allows_negative=(False,))
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A model domain: kind tag and dimension.
@@ -154,6 +149,8 @@ class DomainSpec:
 
     # origin grading of quadrature rules when the caller gives none; None: the boundary grading
     default_origin_grading = None
+    # (radial_n, angular_n) of the CLI's rule when no flag sets them
+    default_grid = (32, 64)
 
     def __new__(cls, kind=None, *args, **kwargs):
         if cls is DomainSpec:
@@ -188,14 +185,6 @@ class DomainSpec:
     def factor_points(self, Z: np.ndarray) -> np.ndarray:
         """The (M, dim) points Z in product coordinates: column i is the point in factor disc i."""
         raise UnsupportedKind(f"{self} is not a product of discs")
-
-    def kernel_at(self, a: CPoint, b: CPoint) -> complex:
-        """K(a, b) at one pair of points: the one-point case of ``kernel``."""
-        return complex(self.kernel(np.array([a]), np.array(b))[0])
-
-    def diag_at(self, p: CPoint) -> float:
-        """K(p, p) at one point; raises NonpositiveDiagonal unless positive and finite."""
-        return float(self.positive_diag(np.array([p]))[0])
 
     def positive_diag(self, Z: np.ndarray) -> np.ndarray:
         """K(z, z) over (M, dim) points; raises NonpositiveDiagonal unless all positive and finite."""
@@ -447,6 +436,7 @@ class _Hartogs(DomainSpec):
     """The Hartogs triangle |z2| < |z1| < 1."""
 
     default_origin_grading = 3.0
+    default_grid = (20, 48)
 
     def volume(self):
         return math.pi ** 2 / 2.0
@@ -590,7 +580,8 @@ def kernel(domain: DomainSpec, z, w) -> complex:
 
     Both arguments must lie strictly inside the domain.
     """
-    return domain.kernel_at(require_inside(domain, z), require_inside(domain, w))
+    zp = require_inside(domain, z)
+    return complex(kernel_values(domain, require_inside(domain, w), [zp])[0])
 
 
 def kernel_diag(domain: DomainSpec, z) -> float:
@@ -614,8 +605,7 @@ def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
 
 def kernel_ratio(domain: DomainSpec, z, w) -> float:
     """|K(w, z)| / K(z, z); a domain has a bounded kernel ratio when its supremum is finite."""
-    zp = require_inside(domain, z)
-    return abs(domain.kernel_at(require_inside(domain, w), zp)) / domain.diag_at(zp)
+    return abs(kernel(domain, w, z)) / kernel_diag(domain, z)
 
 
 def normalized_kernel(domain: DomainSpec, z) -> Callable:
@@ -625,12 +615,12 @@ def normalized_kernel(domain: DomainSpec, z) -> Callable:
     one-dimensional domains) to an array, and a single point to a complex.
     """
     zp = require_inside(domain, z)
-    root = math.sqrt(domain.diag_at(zp))
+    root = math.sqrt(kernel_diag(domain, zp))
 
     def k_z(w):
         if isinstance(w, np.ndarray) and w.ndim >= 1:
             return kernel_values(domain, zp, w) / root
-        return domain.kernel_at(as_point(w, domain.dim), zp) / root
+        return complex(kernel_values(domain, zp, [as_point(w, domain.dim)])[0]) / root
 
     return k_z
 
@@ -672,8 +662,7 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     """Squared L^2 norm of the monomial z^alpha, or ``inf`` when divergent.
 
     Convergence is decided by power comparison on the declared asymptotics of
-    the radial bound.  In one dimension the finite value is the closed form
-    2 pi r1_max^(2a+2) / (2a+2).  In two it is the reduced radial integral by
+    the radial bound.  A finite value is the reduced radial integral by
     Gauss-Legendre quadrature on (0, r1_max), taken in u = r/(1+r) when
     r1_max is infinite; this is exact for the Hartogs (a polynomial in r) and
     Boas (a polynomial in u) profiles.  The MONOMIAL_NODES and doubled rules
@@ -681,7 +670,7 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     """
     from .quadrature import tail_exponent_classify  # deferred: quadrature imports this module
 
-    alpha = tuple(int(a) for a in (exponents if not np.isscalar(exponents) else (exponents,)))
+    alpha = tuple(int(a) for a in exponents)
     if len(alpha) != profile.dim:
         raise ValueError(f"expected {profile.dim} exponents, got {len(alpha)}")
     cached = profile._norm_cache.get(alpha)
@@ -692,15 +681,6 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
         if a < 0 and not profile.allows_negative[i]:
             profile._norm_cache[alpha] = math.inf
             return math.inf
-
-    if profile.dim == 1:
-        a1 = alpha[0]
-        if not tail_exponent_classify([(2 * a1 + 1, "zero")]):
-            profile._norm_cache[alpha] = math.inf
-            return math.inf
-        val = 2.0 * math.pi * profile.r1_max ** (2 * a1 + 2) / (2 * a1 + 2)
-        profile._norm_cache[alpha] = val
-        return val
 
     a1, a2 = alpha
     # inner r2 integral: r2^(2 a2 + 1) near 0

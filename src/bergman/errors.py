@@ -26,11 +26,7 @@ class InvalidResolution(BergmanError):
 
 
 class NonFiniteValue(BergmanError):
-    """An integrand produced NaN or infinity at a quadrature node."""
-
-
-class NonFiniteSymbol(BergmanError):
-    """An operator symbol produced NaN or infinity at a quadrature node."""
+    """An integrand, symbol or result is NaN or infinite."""
 
 
 class UnresolvedIntegral(BergmanError):

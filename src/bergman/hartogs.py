@@ -24,7 +24,7 @@ from .errors import (
     InvalidResolution,
     NonFiniteValue,
 )
-from .quadrature import _graded_panel, gauss_legendre
+from .quadrature import _angles, _gauss, _graded_panel, gauss_legendre
 from .transforms import bergman_project
 
 _HARTOGS = hartogs_triangle()
@@ -64,7 +64,7 @@ def kernel_series(w, z, truncation: int = 90) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# the symbol family blowup_symbol
+# the symbol family |w1|^(-2 + 2 eps)
 # ---------------------------------------------------------------------------
 
 def _check_eps(eps: float, open_right: bool = False) -> float:
@@ -76,25 +76,21 @@ def _check_eps(eps: float, open_right: bool = False) -> float:
     return eps
 
 
-def blowup_symbol(eps: float, w) -> float:
-    """The symbol |w1|^(-2 + 2 eps) at a point of the triangle."""
-    return float(blowup_symbol_values(eps, np.array([require_inside(_HARTOGS, w)]))[0])
-
-
 def blowup_symbol_values(eps: float, nodes: np.ndarray) -> np.ndarray:
+    """The symbol |w1|^(-2 + 2 eps) at each row of an (N, 2) array of points."""
     eps = _check_eps(eps)
     W = np.asarray(nodes)
     return np.abs(W[:, 0]) ** (2.0 * eps - 2.0)
 
 
 def blowup_symbol_norm(eps: float) -> float:
-    """Closed-form L^2 norm of blowup_symbol: pi / sqrt(2 eps)."""
+    """Closed-form L^2 norm of the blow-up symbol: pi / sqrt(2 eps)."""
     eps = _check_eps(eps)
     return math.pi / math.sqrt(2.0 * eps)
 
 
 # ---------------------------------------------------------------------------
-# closed-form Berezin transform of blowup_symbol
+# closed-form Berezin transform of the blow-up symbol
 # ---------------------------------------------------------------------------
 
 def berezin_blowup_closed(eps: float, z) -> float:
@@ -122,9 +118,8 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     z1, z2 = zp
     if angular_n < 1:
         raise InvalidResolution(f"angular_n must be >= 1, got {angular_n}")
-    diag = _HARTOGS.diag_at(zp)
-    th = 2.0 * np.pi * np.arange(angular_n) / angular_n
-    wth = 2.0 * np.pi / angular_n
+    diag = kernel_diag(_HARTOGS, zp)
+    th, wth = _angles(angular_n)
     phase = np.exp(1j * th)
 
     xg, wg = gauss_legendre(radial_n)
@@ -134,9 +129,7 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     outer = np.abs(1.0 - r[:, None] * phase[None, :] * np.conj(z1)) ** 4
     i_outer = float(np.sum(wu[:, None] * wth / outer))
 
-    sg, wsg = gauss_legendre(s_n)
-    s = 0.5 * (sg + 1.0)
-    ws = 0.5 * wsg
+    s, ws = _gauss(s_n, 0.0, 1.0)
     inner = np.abs(np.conj(z1) - s[:, None] * phase[None, :] * np.conj(z2)) ** 4
     i_inner = float(np.sum((s * ws)[:, None] * wth / inner))
 
@@ -268,7 +261,7 @@ class BlowupTable:
 def blowup_table(eps_list, radial_n: int = 160) -> BlowupTable:
     """Blow-up of the transform-to-symbol norm ratio against the bound 1/sqrt(15 eps).
 
-    Each row pairs the closed-form norm of blowup_symbol with the analytic lower
+    Each row pairs the closed-form norm of the blow-up symbol with the analytic lower
     bound (1/eps) ||(1-|z1|^2)^2||_2 and the quadrature value of the actual
     ratio.  The fitted log-log slope across the list is reported alongside.
     """

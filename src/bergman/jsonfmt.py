@@ -5,14 +5,14 @@ from __future__ import annotations
 import math
 
 
-def _render(obj) -> str:
+def dumps(obj) -> str:
     if type(obj).__module__ == "numpy" and hasattr(obj, "item"):
         obj = obj.item()
     if isinstance(obj, dict):
-        inner = ",".join(f"{_render(str(k))}:{_render(v)}" for k, v in obj.items())
+        inner = ",".join(f"{dumps(str(k))}:{dumps(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render(v) for v in obj) + "]"
+        return "[" + ",".join(dumps(v) for v in obj) + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if obj is None:
@@ -29,16 +29,6 @@ def _render(obj) -> str:
             return '"nan"'
         return format(obj, ".17g")
     if isinstance(obj, complex):
-        return _render([obj.real, obj.imag])
+        return dumps([obj.real, obj.imag])
     raise TypeError(f"cannot render {type(obj)!r} as JSON")
 
-
-def dumps(obj) -> str:
-    return _render(obj)
-
-
-def parse_p(value):
-    """Inverse of the float rendering for the exponent field."""
-    if value in ("inf", "Infinity"):
-        return math.inf
-    return float(value)

@@ -15,7 +15,6 @@ radial-power witness sweep) and labels them as such.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -80,22 +79,27 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     return OperatorMatrix(out, rows, rule.nodes, rule.weights, meta)
 
 
-def _log_radial_grid(n: int, depth: float):
-    """Gauss nodes in tau = -log(1 - u); returns (u, eta=1-u, du weights)."""
-    x, w = gauss_legendre(n)
+def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) -> OperatorMatrix:
+    """An angular-sector reduction of a disc operator on a log-graded radial grid.
+
+    The nodes are u = |z|^2 at Gauss nodes in tau = -log(1 - u) on [0, depth],
+    so the grid reaches boundary distance exp(-depth).  The entries are
+    ``kernel(X, U, EX, D)`` / pi over the (row, column) pairs, where X and U
+    are the row and column u, EX = 1 - X, and D = 1 - XU is formed as
+    EX + EU - EX EU, free of cancellation.  The weights are pi du.
+    """
+    x, w = gauss_legendre(radial_n)
     tau = 0.5 * depth * (x + 1.0)
     eta = np.exp(-tau)
-    return 1.0 - eta, eta, eta * (0.5 * depth * w)
-
-
-def _berezin_sector_kernel(x, eta_x, u, eta_u, sector: int):
-    X, U = np.meshgrid(x, u, indexing="ij")
-    EX, EU = np.meshgrid(eta_x, eta_u, indexing="ij")
-    one_minus_xu = EX + EU - EX * EU  # 1 - xu without cancellation
-    g = (1.0 + X * U) / one_minus_xu ** 3
-    if sector:
-        g = (X * U) ** (sector / 2.0) * (g + sector / one_minus_xu ** 2)
-    return EX ** 2 * g
+    u = 1.0 - eta
+    X, U = np.meshgrid(u, u, indexing="ij")
+    EX, EU = np.meshgrid(eta, eta, indexing="ij")
+    entries = kernel(X, U, EX, EX + EU - EX * EU) / math.pi
+    nodes = np.sqrt(u).astype(complex)[:, None]
+    meta = {"domain": "disc(1)", "kind": kind, "reduction": "radial-sector",
+            "sector": sector, "radial_n": radial_n, "depth": depth,
+            "rows": radial_n, "cols": radial_n}
+    return OperatorMatrix(entries, nodes, nodes, math.pi * (eta * (0.5 * depth * w)), meta)
 
 
 def discretize_berezin_radial(radial_n: int = 200, depth: float = 34.0,
@@ -107,30 +111,17 @@ def discretize_berezin_radial(radial_n: int = 200, depth: float = 34.0,
     given rotation sector.  Sector norms decrease with the sector index, so
     sector 0 carries the operator norm.
     """
-    u, eta, du = _log_radial_grid(radial_n, depth)
-    entries = _berezin_sector_kernel(u, eta, u, eta, sector) / math.pi
-    nodes = np.sqrt(u).astype(complex)[:, None]
-    meta = {"domain": "disc(1)", "kind": "berezin", "reduction": "radial-sector",
-            "sector": sector, "radial_n": radial_n, "depth": depth,
-            "rows": radial_n, "cols": radial_n}
-    w = math.pi * du
-    m = OperatorMatrix(entries, nodes, nodes, w, meta)
-    return m
+    def kernel(X, U, EX, D):
+        g = (1.0 + X * U) / D ** 3
+        if sector:
+            g = (X * U) ** (sector / 2.0) * (g + sector / D ** 2)
+        return EX ** 2 * g
+    return _radial_matrix("berezin", kernel, radial_n, depth, sector)
 
 
-def discretize_absolute_radial(radial_n: int = 160, depth: float = 30.0,
-                               sector: int = 0) -> OperatorMatrix:
-    """Angular-sector reduction of the disc absolute projection P+."""
-    u, eta, du = _log_radial_grid(radial_n, depth)
-    X, U = np.meshgrid(u, u, indexing="ij")
-    EX, EU = np.meshgrid(eta, eta, indexing="ij")
-    one_minus_xu = EX + EU - EX * EU
-    entries = (X * U) ** (sector / 2.0) / one_minus_xu / math.pi
-    nodes = np.sqrt(u).astype(complex)[:, None]
-    meta = {"domain": "disc(1)", "kind": "absolute", "reduction": "radial-sector",
-            "sector": sector, "radial_n": radial_n, "depth": depth,
-            "rows": radial_n, "cols": radial_n}
-    return OperatorMatrix(entries, nodes, nodes, math.pi * du, meta)
+def discretize_absolute_radial(radial_n: int = 160, depth: float = 30.0) -> OperatorMatrix:
+    """Sector-0 reduction of the disc absolute projection P+: the kernel 1 / (1 - XU)."""
+    return _radial_matrix("absolute", lambda X, U, EX, D: 1.0 / D, radial_n, depth, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +144,6 @@ class NormEstimate:
             "bound_kind": self.bound_kind,
             "resolution": self.resolution,
         })
-
-    @staticmethod
-    def from_json(text: str) -> "NormEstimate":
-        d = json.loads(text)
-        return NormEstimate(float(d["value"]), jsonfmt.parse_p(d["p"]),
-                            d["method"], d["bound_kind"], d["resolution"])
 
 
 def _weighted_pnorm(w, values, p):
@@ -218,6 +203,12 @@ def _power_sigma(gram, start: np.ndarray, tol: float = 1e-12, max_iter: int = 50
     return sigma, False
 
 
+def _scaled(A: OperatorMatrix, p: float) -> np.ndarray:
+    """W^(1/p) A W^(1/q), 1/p + 1/q = 1: the discrete operator on L^p as a plain matrix on l^p."""
+    w = A.col_weights
+    return w[:, None] ** (1.0 / p) * A.entries * w[None, :] ** (1.0 / (p / (p - 1.0)))
+
+
 def _kronecker_norm(factors, p: float) -> NormEstimate:
     """Norm of A1 kron A2 on the tensor grid, from the factors' actions alone.
 
@@ -235,16 +226,12 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
     w1, w2 = A1.col_weights, A2.col_weights
     n = len(w1) * len(w2)
     res = {"factors": [dict(A1.meta), dict(A2.meta)], "rows": n, "cols": n}
+    M1, M2 = _scaled(A1, p), _scaled(A2, p)
     if p == 2.0:
-        r1, r2 = np.sqrt(w1), np.sqrt(w2)
-        S1 = r1[:, None] * A1.entries * r1[None, :]
-        S2 = r2[:, None] * A2.entries * r2[None, :]
-        G1, G2 = S1.T @ S1, S2.T @ S2
-        value, res["converged"] = _power_sigma(lambda X: G1 @ X @ G2, np.outer(r1, r2))
+        G1, G2 = M1.T @ M1, M2.T @ M2
+        value, res["converged"] = _power_sigma(lambda X: G1 @ X @ G2,
+                                               np.outer(np.sqrt(w1), np.sqrt(w2)))
         return NormEstimate(value, p, "kronecker-power-iteration", "approximate", res)
-    q = p / (p - 1.0)
-    M1 = w1[:, None] ** (1.0 / p) * A1.entries * w1[None, :] ** (1.0 / q)
-    M2 = w2[:, None] ** (1.0 / p) * A2.entries * w2[None, :] ** (1.0 / q)
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
         lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2))
     return NormEstimate(best, p, "p-power-iteration", "lower", res)
@@ -274,26 +261,23 @@ def estimate_norm(A, p: float) -> NormEstimate:
         return NormEstimate(value, p, "max-row-sum", "exact", res)
     if not A.is_square:
         raise ValueError("finite-p estimation needs a square matrix (rows = columns)")
+    M = _scaled(A, p)
     if p == 2.0:
-        root = np.sqrt(w)
-        S = root[:, None] * A.entries * root[None, :]
-        if S.shape[0] <= 4000:
-            value = float(np.linalg.svd(S, compute_uv=False)[0])
+        if M.shape[0] <= 4000:
+            value = float(np.linalg.svd(M, compute_uv=False)[0])
             res["converged"] = True
         else:
-            value, res["converged"] = _power_sigma(lambda v: S.T @ (S @ v), root)
+            value, res["converged"] = _power_sigma(lambda v: M.T @ (M @ v), np.sqrt(w))
         return NormEstimate(value, p, "weighted-svd", "approximate", res)
 
-    # weighted induced p-norm via M = W^(1/p) A W^(1/q)
-    q = p / (p - 1.0)
-    M = w[:, None] ** (1.0 / p) * A.entries * w[None, :] ** (1.0 / q)
+    # the weighted induced p-norm is the l^p norm of M
     best, converged, iters = _dual_ascent_pnorm(lambda x: M @ x, lambda x: M.T @ x, p,
                                                 x0=w.copy())
     method = "p-power-iteration"
     res.update({"converged": converged, "iterations": iters})
     # the radial powers (1 - |z|^2)^b are witnesses on the disc only
     if A.meta.get("domain") == str(disc()):
-        wit = witness_lower_bound(disc(), p, matrix=A)
+        wit = witness_lower_bound(A, p)
         if wit.value > best:
             best = wit.value
             method = "witness-sweep"
@@ -306,31 +290,23 @@ DEFAULT_WITNESS_BOUNDARY = (0.0, -0.1, -0.2, -0.25, -0.3, -0.32, -0.333,
                             -0.4, -0.45, -0.48, -0.49, -0.499)
 
 
-def witness_lower_bound(domain: DomainSpec, p: float, family=None,
-                        matrix: Optional[OperatorMatrix] = None,
-                        rule: Optional[QuadratureRule] = None) -> NormEstimate:
-    """Lower bound for the Berezin p-norm from a concrete witness family.
+def witness_lower_bound(matrix: OperatorMatrix, p: float, family=None) -> NormEstimate:
+    """Lower bound for the p-norm of a disc operator matrix from a concrete witness family.
 
-    The default family is the radial powers |z1|^a (1 - |z|^2)^b; each member
-    is screened for membership in L^p by power comparison, and the ratios
-    ||B f||_p / ||f||_p are evaluated through the discrete operator, so the
-    bound never exceeds the matched discrete norm.
+    The default family is the radial powers |z1|^a (1 - |z|^2)^b at the
+    matrix's column nodes; each member is screened for membership in L^p by
+    power comparison, and the ratios ||A f||_p / ||f||_p are evaluated
+    through the discrete operator, so the bound never exceeds the matched
+    discrete norm.
     """
     if family is None:
         family = [(a, b) for a in DEFAULT_WITNESS_POWERS for b in DEFAULT_WITNESS_BOUNDARY]
-    if matrix is None:
-        if rule is None:
-            raise ValueError("witness sweep needs a matrix or a rule")
-        matrix = discretize_berezin(domain, rule)
     family = list(family)
     if not family:
         raise EmptyFamily("no witness parameters supplied")
-    if not math.isinf(p) and matrix.entries.shape[0] != matrix.entries.shape[1]:
+    if not math.isinf(p) and not matrix.is_square:
         raise ValueError("finite-p witness ratios need a square matrix")
-    if matrix.meta.get("reduction") == "radial-sector":
-        u = np.real(matrix.col_nodes[:, 0]) ** 2
-    else:
-        u = np.sum(np.abs(matrix.col_nodes) ** 2, axis=1)
+    u = np.sum(np.abs(matrix.col_nodes) ** 2, axis=1)
     x1 = np.abs(matrix.col_nodes[:, 0])
     w = matrix.col_weights
 
@@ -380,16 +356,27 @@ class BRScanReport:
         })
 
 
+# ratios within this relative distance of the supremum tie for the argmax
+_TIE = 1e-12
+
+
+def _scan_ratios(domain: DomainSpec, Z: np.ndarray, wnodes: np.ndarray, diag: np.ndarray,
+                 r: slice) -> np.ndarray:
+    """|K(w, z)| / K(z, z) for the rows ``r`` of Z against every node w."""
+    return np.abs(domain.kernel(wnodes[None], Z[r, None])) / diag[r, None]
+
+
 def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
     """Sampled extrema of |K(w,z)| / K(z,z) with a refinement divergence flag.
 
     The supremum is scanned over a base grid pair and a refined pair (denser,
     reaching one decade closer to the singular loci); growth by a factor of
     ten or more flags the domain as failing a uniform kernel-ratio bound.
+    Ratios within _TIE relative of the supremum tie, and the reported argmax
+    is the first of them by level, then z index, then w index: on symmetric
+    grids the exact maximum is decided in the last bit.
     """
-    sups = []
-    arg = None
-    global_sup = 0.0
+    sups, blocks = [], []
     inf_seen = math.inf
     for level in (0, 1):
         zg = z_grid if z_grid is not None else domain.scan_grid(level)
@@ -399,24 +386,25 @@ def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
         diag = domain.positive_diag(Z)
         sup = 0.0
         for r in _row_blocks(len(Z), len(wnodes)):
-            ratios = np.abs(domain.kernel(wnodes[None], Z[r, None])) / diag[r, None]
-            # per z its first maximizing w; across z the first largest wins, as in z order
-            j = np.argmax(ratios, axis=1)
-            row_max = ratios[np.arange(len(j)), j]
-            i = int(np.argmax(row_max))
+            ratios = _scan_ratios(domain, Z, wnodes, diag, r)
+            block_max = float(np.max(ratios))
             inf_seen = min(inf_seen, float(np.min(ratios)))
-            sup = max(sup, float(row_max[i]))
-            if row_max[i] > global_sup:
-                global_sup = float(row_max[i])
-                arg = (tuple(zg[r.start + i]), tuple(wnodes[j[i]]))
+            sup = max(sup, block_max)
+            blocks.append((block_max, zg, Z, wnodes, diag, r))
         sups.append(sup)
         if z_grid is not None and w_grid is not None:
             break
+    supremum = max(sups)
+    cut = supremum * (1.0 - _TIE)
+    # the first block holding a tie, evaluated again: np.argwhere lists its pairs z first, then w
+    _, zg, Z, wnodes, diag, r = next(b for b in blocks if b[0] >= cut)
+    i, j = np.argwhere(_scan_ratios(domain, Z, wnodes, diag, r) >= cut)[0]
+    arg = (tuple(zg[r.start + i]), tuple(wnodes[j]))
     sup_base, sup_fine = sups[0], sups[-1]
     divergent = sup_fine >= 10.0 * sup_base
     res = {"levels": len(sups), "sup_base": sup_base, "sup_fine": sup_fine,
            "infimum": inf_seen, "domain": str(domain)}
-    return BRScanReport(global_sup, arg, divergent, res)
+    return BRScanReport(supremum, arg, divergent, res)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ loci) with uniform angular grids, which are spectrally accurate for periodic
 integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
-Sums are accumulated in a fixed node order with compensated summation, so
+Integrands and symbols are read by ``evaluate_on_rule`` alone, so
+``integrate`` and the transforms share one error contract.  Sums are
+accumulated in a fixed node order with compensated summation, so
 results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
 then an exact fsum of the chunk sums.  Operators evaluate a kernel form at many
 points in node blocks of about 2^17 entries: |K|^2 from
@@ -107,8 +109,6 @@ class QuadratureRule:
     factors: tuple = ()
 
     def __post_init__(self):
-        if self.nodes.ndim == 1:
-            object.__setattr__(self, "nodes", self.nodes[:, None])
         if len(self.weights) != self.nodes.shape[0]:
             raise ValueError("weights and nodes disagree in length")
 
@@ -236,30 +236,39 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarr
 
 
 def evaluate_on_rule(rule: QuadratureRule, f) -> np.ndarray:
+    """The values of ``f`` at the rule's nodes: the one reading of an integrand or symbol.
+
+    ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
+    per node, or a callable of the (N, dim) nodes ((N,) on a one-dimensional
+    rule).  Raises ValueError unless there is exactly one value per node (a
+    GridFunction of another rule included), NonFiniteValue on NaN or infinity,
+    and TypeError for any other kind of object.
+    """
     if isinstance(f, GridFunction):
-        return f.values_on(rule)
-    if isinstance(f, np.ndarray):
-        if len(f) != len(rule):
-            raise ValueError("value array length does not match the rule")
-        return f
-    if callable(f):
-        args = rule.nodes[:, 0] if rule.dim == 1 else rule.nodes
-        vals = np.asarray(f(args))
-        if vals.shape != (len(rule),):
-            raise ValueError("integrand must return one value per node")
-        return vals
-    raise TypeError(f"cannot integrate object of type {type(f)!r}")
+        vals = f.values_on(rule)
+    elif isinstance(f, np.ndarray):
+        vals = f
+    elif callable(f):
+        vals = np.asarray(f(rule.nodes[:, 0] if rule.dim == 1 else rule.nodes))
+    else:
+        raise TypeError(f"cannot evaluate an object of type {type(f)!r} on a rule")
+    if vals.shape != (len(rule),):
+        raise ValueError(f"expected one value per node, shape ({len(rule)},), got {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue("values are not finite at some quadrature node")
+    return vals
+
+
+def _csum(values: np.ndarray) -> complex:
+    """``compensated_sum`` of real and imaginary parts apart, as a complex."""
+    if np.iscomplexobj(values):
+        return complex(compensated_sum(values.real), compensated_sum(values.imag))
+    return complex(compensated_sum(values), 0.0)
 
 
 def integrate(rule: QuadratureRule, f) -> complex:
     """Sum w_j f(node_j) in fixed order with compensated summation."""
-    vals = evaluate_on_rule(rule, f)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("integrand is not finite at some quadrature node")
-    prod = rule.weights * vals
-    if np.iscomplexobj(prod):
-        return complex(compensated_sum(prod.real), compensated_sum(prod.imag))
-    return complex(compensated_sum(prod), 0.0)
+    return _csum(rule.weights * evaluate_on_rule(rule, f))
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +356,10 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
     # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2 = |z1|^2 dA(z1) dA(z2/z1)
     r, wr = _radial_line(radial_n, origin_grading, grading)
-    sa, wsa = _gauss(radial_n, 0.0, 0.5)
-    sb, wsb = _graded_panel(radial_n, 0.5, 1.0, grading, "hi")
-    s = np.concatenate([sa, sb])
-    ws = np.concatenate([wsa, wsb])
+    s, ws = _radial_line(radial_n, 1.0, grading)  # ungraded on [0, 1/2]
     shape = (2 * radial_n, angular_n)
     f1 = _polar_rule(r, wr, angular_n,
                      RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading, shape))
-    # the s line is ungraded on [0, 1/2]
     f2 = _polar_rule(s, ws, angular_n,
                      RuleMeta("disc", 1, radial_n, angular_n, grading, 1.0, shape))
     # written in place: one (N, 2) array, no raveled coordinate copies
@@ -382,13 +387,10 @@ def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
     c = complex(center)
     if abs(c) + radius >= 1.0:
         raise InvalidResolution("patch must stay inside the unit disc")
-    d, wd = _gauss(radial_n, 0.0, radius)
-    th, wth = _angles(angular_n)
-    z = (c + d[:, None] * np.exp(1j * th)[None, :]).ravel()
-    w = ((d * wd)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
     meta = RuleMeta("disc", 1, radial_n, angular_n, 1.0, 1.0,
                     (radial_n, angular_n), region=f"patch({c:.3f},{radius:.3f})")
-    return QuadratureRule(z[:, None], w, meta)
+    polar = _polar_rule(*_gauss(radial_n, 0.0, radius), angular_n, meta)
+    return QuadratureRule(c + polar.nodes, polar.weights, meta)
 
 
 # ---------------------------------------------------------------------------

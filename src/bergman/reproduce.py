@@ -143,13 +143,14 @@ def check_01_normalization() -> CheckResult:
         (dom.polydisc(2), rule_bidisc, 1e-8, 103),
         (dom.hartogs_triangle(), rule_hartogs, 1e-6, 104),
     ]
+    n_points = 20
     measured = {}
     grids = []
     passed = True
     for domain, make_rule, tol, seed in cases:
         rule = make_rule()
         # ||k_z||^2 = int |K(w,z)|^2 / K(z,z) dV(w) = B1(z); a product over the factors where the rule has them
-        points = np.array(dom.sample_interior(domain, 20, seed=seed))
+        points = np.array(dom.sample_interior(domain, n_points, seed=seed))
         masses = bz.unit_mass(domain, points, rule)
         worst = float(np.max(np.abs(masses - 1.0)))
         measured[domain.kind] = worst
@@ -167,7 +168,7 @@ def check_01_normalization() -> CheckResult:
         del rule
     return CheckResult(1, "normalized kernel has unit mass", passed, measured,
                        "1e-8 disc/bidisc, 1e-6 ball/hartogs; factored vs direct 1e-13 relative",
-                       resolution={"rules": grids, "points": 20})
+                       resolution={"rules": grids, "points": n_points})
 
 
 def check_02_b_one() -> CheckResult:
@@ -238,7 +239,7 @@ def check_04_disc_norms() -> CheckResult:
     pinf = float(np.max(row_sums))
     ok_inf = abs(pinf - 1.0) <= 1e-6
 
-    wit3 = on.witness_lower_bound(dom.disc(), 3.0, matrix=radial)
+    wit3 = on.witness_lower_bound(radial, 3.0)
     target3 = 4.0 * math.pi / (9.0 * math.sin(math.pi / 3.0))
     ok3 = 0.8 * target3 <= wit3.value <= 1.01 * target3
     passed = ok2 and ok_inf and ok3
@@ -364,18 +365,15 @@ def check_09_weak_pairing() -> CheckResult:
 
 def check_10_boas() -> CheckResult:
     profile = dom.boas_profile()
-    mistakes = 0
-    for j in range(5):
-        for k in range(5):
-            finite = math.isfinite(dom.monomial_l2_norm2(profile, (j, k)))
-            if finite != (j < k):
-                mistakes += 1
+    cases = [(j, k) for j in range(5) for k in range(5)]
+    mistakes = sum(math.isfinite(dom.monomial_l2_norm2(profile, (j, k))) != (j < k)
+                   for j, k in cases)
     norm_rule = {"gauss_legendre_nodes": [dom.MONOMIAL_NODES, 2 * dom.MONOMIAL_NODES],
                  "variable": "u = r/(1+r)" if math.isinf(profile.r1_max) else "r",
                  "rel_agreement": dom.MONOMIAL_REL_AGREEMENT}
     return CheckResult(10, "Boas integrability classifier j < k", mistakes == 0,
                        {"mistakes": mistakes}, "exact on 0 <= j, k <= 4",
-                       resolution={"cases": 25, "norm_rule": norm_rule})
+                       resolution={"cases": len(cases), "norm_rule": norm_rule})
 
 
 def check_11_product_norm() -> CheckResult:
@@ -402,15 +400,18 @@ def check_12_schur_probe() -> CheckResult:
     return CheckResult(12, "Schur probe: P+ rho^-0.3 / rho^-0.3 stays put", passed,
                        {"max_base": maxima[0], "max_fine": maxima[1], "growth": growth},
                        "finite, growth < 5% under refinement doubling",
-                       resolution={"rules": [_grid(rule) for rule in rules], "rows": len(radii)})
+                       resolution={"rules": [_grid(rule) for rule in rules],
+                                   "radii": {"count": len(radii),
+                                             "range": [float(radii.min()), float(radii.max())]}})
 
 
 def check_13_domination() -> CheckResult:
     domain = dom.disc()
     rule = rule_disc()
-    rng = np.random.default_rng(13)
+    seed, trials, C = 13, 50, 4.0
+    rng = np.random.default_rng(seed)
     all_ok = True
-    for _ in range(50):
+    for _ in range(trials):
         c = rng.standard_normal(6) * np.array([1.0, 0.6, 0.6, 0.8, 0.4, 0.4])
 
         def phi(w, c=c):
@@ -419,18 +420,19 @@ def check_13_domination() -> CheckResult:
 
         r = 0.05 + 0.83 * math.sqrt(rng.random())
         z = (r * np.exp(2j * np.pi * rng.random()),)
-        all_ok &= bz.pointwise_domination(domain, phi, z, 4.0, rule)
+        all_ok &= bz.pointwise_domination(domain, phi, z, C, rule)
 
     # on the Hartogs triangle no fixed constant dominates: the blow-up symbol defeats C = 4
     hrule = rule_hartogs_origin()
     hres = bz.pointwise_domination(dom.hartogs_triangle(),
                                    lambda w: ht.blowup_symbol_values(0.02, w),
-                                   (0.5, 0.0), 4.0, hrule)
+                                   (0.5, 0.0), C, hrule)
     passed = all_ok and not hres
-    return CheckResult(13, "pointwise domination |B phi| <= 4 P+|phi| on the disc", passed,
+    return CheckResult(13, f"pointwise domination |B phi| <= {C:g} P+|phi| on the disc", passed,
                        {"disc_all_hold": all_ok, "hartogs_counterexample_holds": hres},
-                       "50 random symbol/point pairs; Hartogs must fail",
-                       resolution={"rule": _grid(rule), "hartogs_rule": _grid(hrule), "C": 4.0})
+                       f"{trials} random symbol/point pairs; Hartogs must fail",
+                       resolution={"rule": _grid(rule), "hartogs_rule": _grid(hrule), "C": C,
+                                   "seed": seed, "points": trials})
 
 
 ALL_CHECKS = [

@@ -2,7 +2,10 @@
 
 Everything here is a quadrature evaluation of an integral against the kernel
 machinery in :mod:`bergman.domains`.  A symbol is a callable of the rule's
-nodes, an ndarray of one value per node, or a GridFunction.
+nodes, an ndarray of one value per node, or a GridFunction, read by
+``quadrature.evaluate_on_rule`` with its error contract: ValueError for a
+wrong length or another rule's GridFunction, NonFiniteValue for NaN or
+infinity, TypeError for anything else.
 """
 
 from __future__ import annotations
@@ -12,36 +15,11 @@ from typing import Callable, Union
 import numpy as np
 
 from .domains import DomainSpec, disc, inside_points
-from .errors import NonFiniteSymbol
-from .quadrature import GridFunction, QuadratureRule, _kernel_sums, compensated_sum
+from .quadrature import GridFunction, QuadratureRule, _csum, _kernel_sums, evaluate_on_rule
 
 Symbol = Union[Callable, np.ndarray, GridFunction]
 
 _DISC = disc()
-
-
-def _eval_nodes(rule: QuadratureRule) -> np.ndarray:
-    return rule.nodes[:, 0] if rule.dim == 1 else rule.nodes
-
-
-def symbol_values(phi: Symbol, rule: QuadratureRule) -> np.ndarray:
-    if isinstance(phi, GridFunction):
-        vals = phi.values_on(rule)
-    elif isinstance(phi, np.ndarray):
-        vals = phi
-    else:
-        vals = np.asarray(phi(_eval_nodes(rule)))
-    if vals.shape != (len(rule),):
-        raise NonFiniteSymbol("symbol must produce one value per node")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteSymbol("symbol is not finite at some quadrature node")
-    return vals
-
-
-def _csum(values: np.ndarray) -> complex:
-    if np.iscomplexobj(values):
-        return complex(compensated_sum(values.real), compensated_sum(values.imag))
-    return complex(compensated_sum(values), 0.0)
 
 
 def _times(block: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -69,7 +47,7 @@ def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     adjoint and both projections.
     """
     Z, single = inside_points(domain, z)
-    sums = _berezin_sums(domain, Z, rule, symbol_values(phi, rule))
+    sums = _berezin_sums(domain, Z, rule, evaluate_on_rule(rule, phi))
     return complex(sums[0]) if single else sums
 
 
@@ -103,7 +81,7 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     """
     Z, single = inside_points(domain, z)
     domain.positive_diag(Z)  # validates the running positivity assumption at z
-    vals = symbol_values(psi, rule)
+    vals = evaluate_on_rule(rule, psi)
     w = rule.weights
 
     def summand(k2, s, r):
@@ -116,7 +94,7 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
 def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|; real valued."""
     Z, single = inside_points(domain, z)
-    vals = np.abs(symbol_values(f, rule))
+    vals = np.abs(evaluate_on_rule(rule, f))
     w = rule.weights
 
     def summand(k2, s, r):  # |K| as the root of |K|^2
@@ -130,7 +108,7 @@ def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
 def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P f(z) = int K(z, w) f(w) dV(w); the identity on sampled holomorphic functions."""
     Z, single = inside_points(domain, z)
-    vals = symbol_values(f, rule)
+    vals = evaluate_on_rule(rule, f)
     w = rule.weights
     sums = _kernel_sums(domain.kernel, rule, Z, lambda k, s, r: w[s] * np.conj(k) * vals[s])
     return complex(sums[0]) if single else sums

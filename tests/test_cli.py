@@ -333,6 +333,53 @@ class TestReproduceCommand:
         assert res["phi"] == {"x < 0.5": "direct", "x >= 0.5": "DLMF 15.8.10", "terms": 60}
 
 
+def _spy(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends each call's arguments to ``calls``."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, spy)
+
+
+class TestDerivedRecords:
+    """Each count, seed and constant a check records is the one it used."""
+
+    def test_check_01_points(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, reproduce.dom, "sample_interior", calls)
+        res = reproduce.check_01_normalization()
+        assert len(calls) == 4
+        assert {args[1] for args, _ in calls} == {res.resolution["points"]}
+
+    def test_check_10_cases(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, reproduce.dom, "monomial_l2_norm2", calls)
+        res = reproduce.check_10_boas()
+        assert len(calls) == res.resolution["cases"]
+
+    def test_check_12_radii(self, monkeypatch):
+        calls = []
+        _spy(monkeypatch, reproduce.bz, "absolute_projection", calls)
+        res = reproduce.check_12_schur_probe()
+        radii = res.resolution["radii"]
+        for args, _ in calls:
+            z = args[2]
+            assert radii["count"] == len(z)
+            assert radii["range"] == [float(np.min(z.real)), float(np.max(z.real))]
+
+    def test_check_13_seed_points_and_constant(self, monkeypatch):
+        seeds, calls = [], []
+        _spy(monkeypatch, np.random, "default_rng", seeds)
+        _spy(monkeypatch, reproduce.bz, "pointwise_domination", calls)
+        res = reproduce.check_13_domination()
+        assert [args for args, _ in seeds] == [(res.resolution["seed"],)]
+        disc_calls = [args for args, _ in calls if args[0].kind == "disc"]
+        assert len(disc_calls) == res.resolution["points"]
+        assert {args[3] for args, _ in calls} == {res.resolution["C"]}
+
+
 def test_scipy_stays_off_the_import_path():
     # the package, the CLI and the two checks that once used scipy import numpy only
     script = (

@@ -216,9 +216,15 @@ class TestOneFormula:
     @given(a=COORDS, b=COORDS)
     @settings(max_examples=60, deadline=None)
     def test_scalar_is_one_point_case(self, domain, a, b):
+        # kernel, kernel_ratio and normalized_kernel have no formula of their own
         z, w = _point(domain, a), _point(domain, b)
-        assert _bits(dom.kernel(domain, w, z)) == _bits(dom.kernel_values(domain, z, [w])[0])
+        kwz = dom.kernel(domain, w, z)
+        assert _bits(kwz) == _bits(dom.kernel_values(domain, z, [w])[0])
+        assert _bits(kwz) == _bits(domain.kernel(np.array([w]), np.array(z))[0])
         assert _bits(dom.kernel_diag(domain, z)) == _bits(dom.kernel_diag_values(domain, [z])[0])
+        assert _bits(dom.kernel_ratio(domain, z, w)) == _bits(abs(kwz) / dom.kernel_diag(domain, z))
+        root = math.sqrt(dom.kernel_diag(domain, z))
+        assert _bits(dom.normalized_kernel(domain, z)(w)) == _bits(kwz / root)
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     @given(a=COORDS, b=COORDS)
@@ -285,11 +291,6 @@ class TestBallKernelPower:
 
 
 class TestMonomialNorms:
-    def test_disc_monomials(self):
-        for n in range(6):
-            got = dom.monomial_l2_norm2(dom.disc_profile(), (n,))
-            assert got == pytest.approx(math.pi / (n + 1), rel=1e-10)
-
     def test_hartogs_closed_form(self):
         prof = dom.hartogs_profile()
         for n, m in [(1, 0), (0, 0), (-1, 0), (2, 1), (-3, 4)]:

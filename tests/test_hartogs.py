@@ -75,15 +75,16 @@ class TestFeps:
 
     def test_out_of_range(self):
         with pytest.raises(EpsilonOutOfRange):
-            ht.blowup_symbol(0.0, (0.5, 0.1))
+            ht.blowup_symbol_values(0.0, np.array([[0.5, 0.1]]))
         with pytest.raises(EpsilonOutOfRange):
-            ht.blowup_symbol(-0.3, (0.5, 0.1))
+            ht.blowup_symbol_values(-0.3, np.array([[0.5, 0.1]]))
         with pytest.raises(EpsilonOutOfRange):
             ht.blowup_symbol_norm(1.5)
 
     def test_pointwise_value(self):
-        assert ht.blowup_symbol(1.0, (0.5, 0.1)) == pytest.approx(1.0)
-        assert ht.blowup_symbol(0.5, (0.5, 0.0)) == pytest.approx(2.0)
+        points = np.array([[0.5, 0.1], [0.5, 0.0]])
+        assert ht.blowup_symbol_values(1.0, points) == pytest.approx([1.0, 1.0])
+        assert ht.blowup_symbol_values(0.5, points) == pytest.approx([2.0, 2.0])
 
 
 class TestClosedFormTransform:

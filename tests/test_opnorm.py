@@ -120,24 +120,22 @@ class TestEstimateNorm:
         assert est.bound_kind == "lower"
         target = 4 * math.pi / (9 * math.sin(math.pi / 3))
         assert 0.8 * target <= est.value <= 1.01 * target
-        wit = on.witness_lower_bound(dom.disc(), 3.0, matrix=radial_matrix)
+        wit = on.witness_lower_bound(radial_matrix, 3.0)
         assert wit.value <= est.value + 1e-6
 
     def test_witness_p_infinity_constant(self, small_matrix):
-        wit = on.witness_lower_bound(dom.disc(), math.inf, family=[(0.0, 0.0)],
-                                     matrix=small_matrix)
+        wit = on.witness_lower_bound(small_matrix, math.inf, family=[(0.0, 0.0)])
         assert wit.value == pytest.approx(1.0, abs=1e-6)
 
     def test_witness_p2_soundness_and_strength(self, radial_matrix):
-        wit = on.witness_lower_bound(dom.disc(), 2.0, matrix=radial_matrix)
+        wit = on.witness_lower_bound(radial_matrix, 2.0)
         sigma = on.estimate_norm(radial_matrix, 2.0).value
         assert wit.value <= sigma + 1e-6
         assert wit.value >= 2.2
 
     def test_witness_family_screening(self, radial_matrix):
         with pytest.raises(EmptyFamily):
-            on.witness_lower_bound(dom.disc(), 2.0, family=[(0.0, -0.8)],
-                                   matrix=radial_matrix)
+            on.witness_lower_bound(radial_matrix, 2.0, family=[(0.0, -0.8)])
 
     def test_finite_p_on_hartogs_skips_the_disc_witness(self):
         # a quarter of these nodes have |w1|^2 + |w2|^2 > 1, where (1 - u)^b is NaN
@@ -147,12 +145,11 @@ class TestEstimateNorm:
         assert est.method == "p-power-iteration" and "witness" not in est.resolution
         assert math.isfinite(est.value)
         with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
-            on.witness_lower_bound(domain, 3.0, matrix=matrix)
+            on.witness_lower_bound(matrix, 3.0)
 
     def test_trivial_witness_constant(self, radial_matrix):
         # the constant function alone certifies norm >= 1 - quadrature slack
-        wit = on.witness_lower_bound(dom.disc(), 2.0, family=[(0.0, 0.0)],
-                                     matrix=radial_matrix)
+        wit = on.witness_lower_bound(radial_matrix, 2.0, family=[(0.0, 0.0)])
         assert wit.value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -162,13 +159,11 @@ class TestJsonInterfaces:
         text = est.to_json()
         payload = json.loads(text)
         assert set(payload) == {"value", "p", "method", "bound_kind", "resolution"}
-        back = on.NormEstimate.from_json(text)
-        assert back.value == est.value and back.p == est.p
+        assert payload["value"] == est.value and payload["p"] == est.p
 
     def test_norm_estimate_infinity_p(self, small_matrix):
         est = on.estimate_norm(small_matrix, math.inf)
-        back = on.NormEstimate.from_json(est.to_json())
-        assert math.isinf(back.p)
+        assert json.loads(est.to_json())["p"] == "inf"
 
     def test_br_report_keys(self):
         rep = on.br_scan(dom.disc())

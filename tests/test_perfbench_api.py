@@ -1,0 +1,32 @@
+"""The benchmark's workloads, run in-process against this tree.
+
+``perfbench/workloads.py`` calls the library by name; a refactor that renames
+or re-signs one of those functions fails here rather than in a benchmark run.
+The files under ``perfbench/`` are only read.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["point-queries", "operator-reports"])
+def test_one_unit_passes_every_gate(tmp_path, workload):
+    tracer = _load("tracer").NullTracer()
+    wl = _load("workloads").WORKLOADS[workload](1, 1.0, str(tmp_path), tracer)
+    wl.setup()
+    ops = wl.unit()
+    assert ops
+    assert all(op.ok for op in ops), [f"{op.name}: {op.detail}" for op in ops if not op.ok]

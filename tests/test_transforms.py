@@ -9,7 +9,7 @@ import pytest
 import bergman.domains as dom
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import NonFiniteSymbol, PointOutsideDomain
+from bergman.errors import NonFiniteValue, PointOutsideDomain
 
 ONE = lambda w: np.ones(len(w))
 
@@ -45,7 +45,7 @@ class TestBerezin:
             assert -1e-6 <= val <= 1.0 + 1e-6
 
     def test_symbol_validation(self, disc_rule):
-        with pytest.raises(NonFiniteSymbol):
+        with pytest.raises(NonFiniteValue):
             tr.berezin(dom.disc(), lambda w: np.where(np.abs(w) < 0.5, np.inf, 1.0),
                        (0.2,), disc_rule)
 
@@ -78,6 +78,53 @@ class TestBerezin:
         for z in dom.sample_interior(domain, 5, seed=19):
             got = tr.berezin(domain, ONE, z, disc_rule).real
             assert got == pytest.approx(1.0, abs=1e-6)
+
+
+CONSUMERS = ("integrate", "berezin", "berezin_adjoint", "absolute_projection", "bergman_project")
+
+
+def _consume(name, rule, f):
+    """``f`` read by ``integrate`` or by a transform at one point of the disc."""
+    if name == "integrate":
+        return quad.integrate(rule, f)
+    return getattr(tr, name)(dom.disc(), f, 0.2 + 0.1j, rule)
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+class TestSymbolContract:
+    """One reader of integrands and symbols, ``quadrature.evaluate_on_rule``, and its errors."""
+
+    def test_accepts_a_callable_an_array_and_a_grid_function(self, disc_rule, name):
+        ones = np.ones(len(disc_rule))
+        want = _consume(name, disc_rule, ONE)
+        assert _consume(name, disc_rule, ones) == want
+        assert _consume(name, disc_rule, quad.GridFunction(disc_rule, ones)) == want
+
+    @pytest.mark.parametrize("f", [np.ones(5), np.ones((24 * 2 * 48, 1)),
+                                   lambda w: np.ones(len(w) + 1), lambda w: 1.0],
+                             ids=["short", "column", "long-callable", "scalar-callable"])
+    def test_wrong_length_raises_value_error(self, disc_rule, name, f):
+        with pytest.raises(ValueError):
+            _consume(name, disc_rule, f)
+
+    def test_grid_function_of_another_rule_raises_value_error(self, disc_rule, name):
+        other = quad.build_rule(dom.disc(), 24, 48, grading=3.0)
+        with pytest.raises(ValueError):
+            _consume(name, disc_rule, quad.GridFunction(other, np.ones(len(other))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, disc_rule, name, bad):
+        vals = np.ones(len(disc_rule), dtype=complex)
+        vals[7] = bad
+        with pytest.raises(NonFiniteValue):
+            _consume(name, disc_rule, vals)
+        with pytest.raises(NonFiniteValue):
+            _consume(name, disc_rule, lambda w: np.where(np.abs(w) < 0.5, bad, 1.0))
+
+    @pytest.mark.parametrize("obj", [2.0, "one", [1.0, 2.0], None])
+    def test_not_callable_raises_type_error(self, disc_rule, name, obj):
+        with pytest.raises(TypeError):
+            _consume(name, disc_rule, obj)
 
 
 class TestAdjoint:
