@@ -11,7 +11,6 @@ from .domains import (
     ReinhardtProfile,
     ball,
     boas_profile,
-    contains,
     disc,
     domain_by_name,
     hartogs_profile,

@@ -178,8 +178,8 @@ class DomainSpec:
         """One point from the bulk of the domain, drawn from ``rng``."""
         raise UnsupportedKind(f"no interior sampler on {self}")
 
-    def scan_grid(self, level: int) -> list[CPoint]:
-        """The br_scan grid, accumulating at the singular loci; ``level`` refines it."""
+    def scan_grid(self, level: int) -> np.ndarray:
+        """The (M, dim) br_scan grid, accumulating at the singular loci; ``level`` refines it."""
         raise UnsupportedKind(f"no scan grid on {self}")
 
     def factor_points(self, Z: np.ndarray) -> np.ndarray:
@@ -292,11 +292,11 @@ def _scan_axes(level: int):
     return n_r, 3.0 + 3.0 * level, np.exp(2j * np.pi * np.arange(n_th) / n_th)
 
 
-def _pair_scan_grid(level: int, scale: float) -> list[CPoint]:
+def _pair_scan_grid(level: int, scale: float) -> np.ndarray:
     n_r, depth, angles = _scan_axes(level)
     radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / scale
-    return [(r1 * a1, r2 * a2) for r1 in radii for r2 in radii
-            for a1 in angles[::2] for a2 in angles[::2]]
+    z = np.multiply.outer(radii, angles[::2])  # the points vary as r1, r2, a1, a2
+    return np.stack(np.broadcast_arrays(z[:, None, :, None], z[None, :, None, :]), -1).reshape(-1, 2)
 
 
 class _Polydisc(DomainSpec):
@@ -349,7 +349,7 @@ class _Disc(_Polydisc):
     def scan_grid(self, level):
         n_r, depth, angles = _scan_axes(level)
         radii = np.concatenate([self._scan_center, 1.0 - np.logspace(-depth, -0.3, n_r)])
-        return [(r * a,) for r in radii for a in angles]
+        return np.multiply.outer(radii, angles).reshape(-1, 1)
 
 
 class _PuncturedDisc(_Disc):
@@ -429,7 +429,7 @@ class _HalfPlane(DomainSpec):
     def scan_grid(self, level):
         n_r, depth, _ = _scan_axes(level)
         ys = np.logspace(-depth, depth / 2.0, 2 * n_r)
-        return [(complex(x, y),) for y in ys for x in np.linspace(-2.0, 2.0, 5)]
+        return (np.linspace(-2.0, 2.0, 5) + 1j * ys[:, None]).reshape(-1, 1)
 
 
 class _Hartogs(DomainSpec):
@@ -473,7 +473,9 @@ class _Hartogs(DomainSpec):
         n_r, depth, angles = _scan_axes(level)
         r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
                               1.0 - np.logspace(-depth, -0.6, n_r // 2)])
-        return [(r1 * a, r1 * t * a) for r1 in r1s for t in (0.0, 0.3, 0.9) for a in angles[::2]]
+        z1 = np.multiply.outer(r1s, angles[::2])  # the points vary as r1, t, a
+        z2 = np.multiply.outer(np.multiply.outer(r1s, (0.0, 0.3, 0.9)), angles[::2])
+        return np.stack(np.broadcast_arrays(z1[:, None], z2), -1).reshape(-1, 2)
 
 
 _KINDS = {"disc": _Disc, "punctured-disc": _PuncturedDisc, "ball": _Ball, "polydisc": _Polydisc,
@@ -533,11 +535,6 @@ def _as_nodes(nodes) -> np.ndarray:
 def volume(domain: DomainSpec) -> float:
     """Lebesgue volume of the domain (may be infinite)."""
     return domain.volume()
-
-
-def contains(domain: DomainSpec, z) -> bool:
-    """Strict membership; inequalities carry a relative slack of 1e-12."""
-    return bool(domain.contains(np.array([as_point(z, domain.dim)]))[0])
 
 
 def _refuse_outside(domain: DomainSpec, Z: np.ndarray) -> None:

@@ -9,8 +9,8 @@ L^2 norm is computed on the radial sector matrices, where boundary depth
 1e-14 is reachable and the sector 0 norm dominates.
 
 For p outside {2, infinity} matrix p-norms are NP-hard in general; this
-module reports certified lower bounds (dual-ascent power scheme plus a
-radial-power witness sweep) and labels them as such.
+module reports certified lower bounds (dual ascent in ``estimate_norm``, a
+radial-power witness sweep in ``witness_lower_bound``) labelled as such.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from typing import Optional
 import numpy as np
 
 from . import jsonfmt
-from .domains import DomainSpec, disc, inside_points
+from .domains import DomainSpec, as_point, inside_points
 from .errors import EmptyFamily, NonFiniteValue
-from .quadrature import QuadratureRule, _map, _row_blocks, gauss_legendre, tail_exponent_classify
+from .quadrature import (QuadratureRule, _map, _points_on_rule, _row_blocks, gauss_legendre,
+                         tail_exponent_classify)
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,12 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
 
     With ``row_nodes`` unset the matrix is square on the rule itself; pass an
     interior subset when row sums must reproduce B1 = 1 at quadrature accuracy.
+    The rows must lie inside ``domain``, and ``rule`` must be built for it.
     """
     rows = rule.nodes if row_nodes is None else np.asarray(row_nodes)
     if rows.ndim == 1:
         rows = rows[:, None]
+    rows, _ = _points_on_rule(domain, rows, rule)
     diag = domain.positive_diag(rows)
     out = np.empty((rows.shape[0], len(rule)))
     def fill(r):  # each row block writes its own rows
@@ -244,9 +247,9 @@ def estimate_norm(A, p: float) -> NormEstimate:
     A1 kron A2 on the tensor grid with product weights.  For a single matrix,
     p = 2 is the largest singular value of the weight-symmetrized matrix and
     p = infinity the maximal weighted row sum, both exact for the discrete
-    operator; other p yield certified lower bounds (dual ascent, refined on
-    disc matrices by the radial-power witness sweep).  A Kronecker product is
-    estimated by power iteration at p = 2 and dual ascent at other finite p.
+    operator; other p yield certified lower bounds by dual ascent (on the disc
+    matrices it is never below ``witness_lower_bound``).  A Kronecker product
+    is estimated by power iteration at p = 2 and dual ascent at other finite p.
     """
     if not 1.0 < p:
         raise ValueError("p must lie in (1, infinity]")
@@ -271,18 +274,9 @@ def estimate_norm(A, p: float) -> NormEstimate:
         return NormEstimate(value, p, "weighted-svd", "approximate", res)
 
     # the weighted induced p-norm is the l^p norm of M
-    best, converged, iters = _dual_ascent_pnorm(lambda x: M @ x, lambda x: M.T @ x, p,
-                                                x0=w.copy())
-    method = "p-power-iteration"
-    res.update({"converged": converged, "iterations": iters})
-    # the radial powers (1 - |z|^2)^b are witnesses on the disc only
-    if A.meta.get("domain") == str(disc()):
-        wit = witness_lower_bound(A, p)
-        if wit.value > best:
-            best = wit.value
-            method = "witness-sweep"
-            res["witness"] = wit.resolution.get("witness")
-    return NormEstimate(best, p, method, "lower", res)
+    best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
+        lambda x: M @ x, lambda x: M.T @ x, p, x0=w.copy())
+    return NormEstimate(best, p, "p-power-iteration", "lower", res)
 
 
 DEFAULT_WITNESS_POWERS = (0.0, 1.0, 2.0)
@@ -360,60 +354,45 @@ class BRScanReport:
 _TIE = 1e-12
 
 
-def _scan_ratios(domain: DomainSpec, Z: np.ndarray, wnodes: np.ndarray, diag: np.ndarray,
-                 r: slice) -> np.ndarray:
-    """|K(w, z)| / K(z, z) for the rows ``r`` of Z against every node w."""
-    return np.abs(domain.kernel(wnodes[None], Z[r, None])) / diag[r, None]
-
-
-def br_scan(domain: DomainSpec, z_grid=None, w_grid=None) -> BRScanReport:
+def br_scan(domain: DomainSpec) -> BRScanReport:
     """Sampled extrema of |K(w,z)| / K(z,z) with a refinement divergence flag.
 
-    The supremum is scanned over a base grid pair and a refined pair (denser,
-    reaching one decade closer to the singular loci); growth by a factor of
-    ten or more flags the domain as failing a uniform kernel-ratio bound.
-    Ratios within _TIE relative of the supremum tie, and the reported argmax
-    is the first of them by level, then z index, then w index: on symmetric
-    grids the exact maximum is decided in the last bit.
+    Each of a base grid and a refined one (denser, reaching one decade closer
+    to the singular loci) is paired with itself in one ratio array, with |K|
+    the root of ``kernel_abs2``; growth of the supremum by a factor of ten or
+    more flags the domain as failing a uniform kernel-ratio bound.  Ratios
+    within _TIE relative of the supremum tie, and the reported argmax is the
+    first of them by level, then z index, then w index: on symmetric grids
+    the exact maximum is decided in the last bit.
     """
-    sups, blocks = [], []
-    inf_seen = math.inf
+    levels = []
     for level in (0, 1):
-        zg = z_grid if z_grid is not None else domain.scan_grid(level)
-        wg = w_grid if w_grid is not None else domain.scan_grid(level)
-        wnodes = np.asarray([list(p) for p in wg], dtype=complex)
-        Z, _ = inside_points(domain, np.array(zg, dtype=complex).reshape(len(zg), domain.dim))
+        Z, _ = inside_points(domain, domain.scan_grid(level))
         diag = domain.positive_diag(Z)
-        sup = 0.0
-        for r in _row_blocks(len(Z), len(wnodes)):
-            ratios = _scan_ratios(domain, Z, wnodes, diag, r)
-            block_max = float(np.max(ratios))
-            inf_seen = min(inf_seen, float(np.min(ratios)))
-            sup = max(sup, block_max)
-            blocks.append((block_max, zg, Z, wnodes, diag, r))
-        sups.append(sup)
-        if z_grid is not None and w_grid is not None:
-            break
-    supremum = max(sups)
-    cut = supremum * (1.0 - _TIE)
-    # the first block holding a tie, evaluated again: np.argwhere lists its pairs z first, then w
-    _, zg, Z, wnodes, diag, r = next(b for b in blocks if b[0] >= cut)
-    i, j = np.argwhere(_scan_ratios(domain, Z, wnodes, diag, r) >= cut)[0]
-    arg = (tuple(zg[r.start + i]), tuple(wnodes[j]))
-    sup_base, sup_fine = sups[0], sups[-1]
-    divergent = sup_fine >= 10.0 * sup_base
-    res = {"levels": len(sups), "sup_base": sup_base, "sup_fine": sup_fine,
-           "infimum": inf_seen, "domain": str(domain)}
-    return BRScanReport(supremum, arg, divergent, res)
+        ratios = np.empty((len(Z), len(Z)))
+        def fill(r):  # each row block writes its own rows
+            np.sqrt(domain.kernel_abs2(Z[None], Z[r, None]), out=ratios[r])
+            np.divide(ratios[r], diag[r, None], out=ratios[r])
+        _map(fill, _row_blocks(len(Z), len(Z)), ratios.size)
+        levels.append((Z, ratios))
+    sup_base, sup_fine = sups = [float(np.max(ratios)) for _, ratios in levels]
+    cut = max(sups) * (1.0 - _TIE)
+    # np.argwhere lists the pairs of the first level reaching the cut z first, then w
+    Z, ratios = levels[0] if sup_base >= cut else levels[1]
+    i, j = np.argwhere(ratios >= cut)[0]
+    arg = (as_point(Z[i], domain.dim), as_point(Z[j], domain.dim))
+    res = {"levels": len(levels), "sup_base": sup_base, "sup_fine": sup_fine,
+           "infimum": min(float(np.min(ratios)) for _, ratios in levels), "domain": str(domain)}
+    return BRScanReport(max(sups), arg, sup_fine >= 10.0 * sup_base, res)
 
 
 # ---------------------------------------------------------------------------
 # product multiplicativity of P+ norms
 # ---------------------------------------------------------------------------
 
-def product_norm_check(p: float, resolution: int = 120,
-                       depth: float = 30.0) -> tuple[float, float]:
-    """(estimated ||P+|| on the bidisc, squared disc estimate) at matched grids.
+def _product_estimates(p: float, resolution: int = 120,
+                       depth: float = 30.0) -> tuple[NormEstimate, NormEstimate]:
+    """The estimates of ||P+|| on the bidisc and on the disc at matched grids.
 
     The bidisc operator is the Kronecker product of the factor discretization
     on the tensor radial grid; ``estimate_norm`` iterates on it without
@@ -422,4 +401,10 @@ def product_norm_check(p: float, resolution: int = 120,
     if not 1.0 < p < math.inf:
         raise ValueError("p must lie in (1, infinity)")
     m = discretize_absolute_radial(radial_n=resolution, depth=depth)
-    return estimate_norm((m, m), p).value, estimate_norm(m, p).value ** 2
+    return estimate_norm((m, m), p), estimate_norm(m, p)
+
+
+def product_norm_check(p: float, resolution: int = 120, depth: float = 30.0) -> tuple[float, float]:
+    """(estimated ||P+|| on the bidisc, squared disc estimate) from ``_product_estimates``."""
+    bidisc, factor = _product_estimates(p, resolution, depth)
+    return bidisc.value, factor.value ** 2

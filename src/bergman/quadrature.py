@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import DomainSpec
+from .domains import DomainSpec, inside_points
 from .errors import (
     BorderlineExponent,
     InvalidResolution,
@@ -235,6 +235,16 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarr
     return sums
 
 
+def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.ndarray, bool]:
+    """``inside_points(domain, z)`` for an operator on ``rule``: ValueError unless ``rule`` was
+    built for ``domain``, or is a disc rule on the punctured disc (a null set apart)."""
+    m = rule.meta
+    if m.dim != domain.dim or (m.domain != domain.kind
+                               and (m.domain, domain.kind) != ("disc", "punctured-disc")):
+        raise ValueError(f"a rule built for {m.domain}({m.dim}) cannot serve {domain}")
+    return inside_points(domain, z)
+
+
 def evaluate_on_rule(rule: QuadratureRule, f) -> np.ndarray:
     """The values of ``f`` at the rule's nodes: the one reading of an integrand or symbol.
 
@@ -401,12 +411,10 @@ def tail_exponent_classify(exponents) -> bool:
     """Classify power integrals by comparison: int_0 r^a dr needs a > -1,
     int^inf r^a dr needs a < -1.
 
-    ``exponents`` is one (exponent, limit) pair or an iterable of them, with
-    limit in {"zero", "infinity"}.  Returns True when every tail converges.
-    Exponents within 1e-9 of -1 raise BorderlineExponent.
+    ``exponents`` is an iterable of (exponent, limit) pairs, with limit in
+    {"zero", "infinity"}.  Returns True when every tail converges.  Exponents
+    within 1e-9 of -1 raise BorderlineExponent.
     """
-    if isinstance(exponents, tuple) and len(exponents) == 2 and np.isscalar(exponents[0]):
-        exponents = [exponents]
     verdict = True
     for expo, limit in exponents:
         e = float(expo)

@@ -5,7 +5,8 @@ machinery in :mod:`bergman.domains`.  A symbol is a callable of the rule's
 nodes, an ndarray of one value per node, or a GridFunction, read by
 ``quadrature.evaluate_on_rule`` with its error contract: ValueError for a
 wrong length or another rule's GridFunction, NonFiniteValue for NaN or
-infinity, TypeError for anything else.
+infinity, TypeError for anything else.  A rule built for another domain
+raises ValueError too (``quadrature._points_on_rule``).
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .domains import DomainSpec, disc, inside_points
-from .quadrature import GridFunction, QuadratureRule, _csum, _kernel_sums, evaluate_on_rule
+from .domains import DomainSpec, disc
+from .quadrature import (GridFunction, QuadratureRule, _csum, _kernel_sums, _points_on_rule,
+                         evaluate_on_rule)
 
 Symbol = Union[Callable, np.ndarray, GridFunction]
 
@@ -46,7 +48,7 @@ def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     points (the result is an (M,) complex array); the same holds for the
     adjoint and both projections.
     """
-    Z, single = inside_points(domain, z)
+    Z, single = _points_on_rule(domain, z, rule)
     sums = _berezin_sums(domain, Z, rule, evaluate_on_rule(rule, phi))
     return complex(sums[0]) if single else sums
 
@@ -55,14 +57,14 @@ def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
     """||k_z||^2 = B1(z) = int |K(w,z)|^2 / K(z,z) dV(w) on ``rule``, real valued.
 
     ``z`` follows the one-point/(M, dim) convention of ``berezin``.  On a rule
-    built with ``factors`` for this domain, the weights, |K|^2 and K(z, z) are
-    products over the factors in the coordinates ``domain.factor_points``, so
-    the same quadrature sum is the product of the disc B1 on each factor rule:
+    built with ``factors``, the weights, |K|^2 and K(z, z) are products over
+    the factors in the coordinates ``domain.factor_points``, so the same
+    quadrature sum is the product of the disc B1 on each factor rule:
     O(M sum n_i) work instead of O(M prod n_i).  Other rules take the blocked
     pass of ``berezin``.
     """
-    Z, single = inside_points(domain, z)
-    if rule.factors and rule.meta.domain == domain.kind:
+    Z, single = _points_on_rule(domain, z, rule)
+    if rule.factors:
         P = domain.factor_points(Z)
         masses = 1.0
         for i, factor in enumerate(rule.factors):
@@ -79,7 +81,7 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     the disc it sends the constant 1 to 1/3 at the origin, witnessing that
     the transform is not self-adjoint.
     """
-    Z, single = inside_points(domain, z)
+    Z, single = _points_on_rule(domain, z, rule)
     domain.positive_diag(Z)  # validates the running positivity assumption at z
     vals = evaluate_on_rule(rule, psi)
     w = rule.weights
@@ -93,7 +95,7 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
 
 def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|; real valued."""
-    Z, single = inside_points(domain, z)
+    Z, single = _points_on_rule(domain, z, rule)
     vals = np.abs(evaluate_on_rule(rule, f))
     w = rule.weights
 
@@ -107,7 +109,7 @@ def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
 
 def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P f(z) = int K(z, w) f(w) dV(w); the identity on sampled holomorphic functions."""
-    Z, single = inside_points(domain, z)
+    Z, single = _points_on_rule(domain, z, rule)
     vals = evaluate_on_rule(rule, f)
     w = rule.weights
     sums = _kernel_sums(domain.kernel, rule, Z, lambda k, s, r: w[s] * np.conj(k) * vals[s])

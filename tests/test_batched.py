@@ -211,36 +211,42 @@ def test_discretize_berezin_equals_row_loop(pool, rules, name, m):
     assert pool.calls == (len(rows) * len(rule) >= quad._BUFFER)
 
 
-def _br_scan_reference(domain, zg, wg):
-    """The per-z scan loop with the tie rule: the first z, then the first w, within 1e-12 of the maximum."""
-    wnodes = np.asarray([list(p) for p in wg], dtype=complex)
-    rows = [np.abs(dom.kernel_values(domain, z, wnodes)) / dom.kernel_diag(domain, z) for z in zg]
-    sup = max(float(np.max(r)) for r in rows)
+def _br_scan_reference(domain, grids):
+    """The per-z scan loop over the levels' grids, each paired with itself, with the tie rule:
+    the first level, then z, then w within 1e-12 of the maximum; |K| is the root of kernel_abs2."""
+    rows = [(g, z, np.sqrt(domain.kernel_abs2(g, z)) / dom.kernel_diag(domain, z))
+            for g in grids for z in g]
+    sup = max(float(np.max(r)) for _, _, r in rows)
     cut = sup * (1.0 - 1e-12)
-    i = next(i for i, r in enumerate(rows) if np.max(r) >= cut)
-    j = int(np.flatnonzero(rows[i] >= cut)[0])
-    return sup, (tuple(zg[i]), tuple(wnodes[j])), min(float(np.min(r)) for r in rows)
+    g, z, r = next(row for row in rows if np.max(row[2]) >= cut)
+    j = int(np.flatnonzero(r >= cut)[0])
+    return sup, (tuple(z), tuple(g[j])), min(float(np.min(r)) for _, _, r in rows)
 
 
 @pytest.mark.parametrize("name", ["ball2", "hartogs"])
-def test_br_scan_ties_and_blocks_match_the_loop(name):
+def test_br_scan_ties_and_blocks_match_the_loop(monkeypatch, name):
     domain = DOMAINS[name][0]
-    grid = domain.scan_grid(1)
+    scan_grid = type(domain).scan_grid
+    grids = [scan_grid(domain, level) for level in (0, 1)]
     # each point twice, in two orders, across many row blocks: the first occurrence must win
-    zg = grid + grid[::-1]
-    rep = on.br_scan(domain, z_grid=zg, w_grid=grid)
-    sup, arg, inf_seen = _br_scan_reference(domain, zg, grid)
+    doubled = [np.concatenate([g, g[::-1]]) for g in grids]
+    monkeypatch.setattr(type(domain), "scan_grid", lambda self, level: doubled[level])
+    rep = on.br_scan(domain)
+    sup, arg, inf_seen = _br_scan_reference(domain, doubled)
     assert rep.supremum == sup and rep.resolution["infimum"] == inf_seen
     assert rep.argmax == arg
-    assert rep.argmax[0] is not None and zg.index(rep.argmax[0]) < len(grid)
+    level = 0 if rep.resolution["sup_base"] >= sup * (1.0 - 1e-12) else 1
+    first = [int(np.flatnonzero((doubled[level] == p).all(axis=1))[0]) for p in rep.argmax]
+    assert max(first) < len(grids[level])
 
 
-def _nudged_kernel(kernel, scale):
-    """``kernel`` times 1 + scale cos(t), where t is a fixed function of the pair (a, b)."""
+def _nudged_abs2(kernel_abs2, scale):
+    """``kernel_abs2`` times (1 + scale cos(t))^2, so |K| moves by 1 + scale cos(t), where
+    t is a fixed function of the pair (a, b)."""
     def nudged(self, a, b):
         t = np.sum(7919.0 * a.real + 7907.0 * a.imag + 104729.0 * b.real + 104723.0 * b.imag,
                    axis=-1)
-        return kernel(self, a, b) * (1.0 + scale * np.cos(t))
+        return kernel_abs2(self, a, b) * (1.0 + scale * np.cos(t)) ** 2
     return nudged
 
 
@@ -252,9 +258,9 @@ def _nudged_kernel(kernel, scale):
 def test_br_scan_argmax_survives_kernel_noise(monkeypatch, name, scale):
     domain = dom.domain_by_name(name)
     rep = on.br_scan(domain)
-    kernel = type(domain).kernel
+    kernel_abs2 = type(domain).kernel_abs2
     for sign in (1.0, -1.0):
-        monkeypatch.setattr(type(domain), "kernel", _nudged_kernel(kernel, sign * scale))
+        monkeypatch.setattr(type(domain), "kernel_abs2", _nudged_abs2(kernel_abs2, sign * scale))
         nudged = on.br_scan(domain)
         assert nudged.argmax == rep.argmax
         assert abs(nudged.supremum - rep.supremum) <= 2 * scale * rep.supremum

@@ -80,17 +80,17 @@ class TestMembership:
 
     def test_margin_is_relative_on_the_hartogs_edge(self):
         # deep but edge-separated points stay members
-        assert dom.contains(dom.hartogs_triangle(), (1e-40, 0.5e-40))
-        assert not dom.contains(dom.hartogs_triangle(), (1e-40, 1e-40))
+        assert dom.hartogs_triangle().contains(np.array([[1e-40, 0.5e-40]]))[0]
+        assert not dom.hartogs_triangle().contains(np.array([[1e-40, 1e-40]]))[0]
 
     def test_punctured_disc_omits_origin(self):
-        assert not dom.contains(dom.punctured_disc(), 0j)
-        assert dom.contains(dom.disc(), 0j)
+        assert not dom.punctured_disc().contains(np.array([[0j]]))[0]
+        assert dom.disc().contains(np.array([[0j]]))[0]
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     def test_sampler_stays_inside(self, domain):
         for z in dom.sample_interior(domain, 30, seed=7):
-            assert dom.contains(domain, z)
+            assert domain.contains(np.array([z]))[0]
 
 
 class TestVolumes:
@@ -379,7 +379,7 @@ class TestKernelAbs2:
         if same_phase:  # b along a: |1 - <a, b>| cancels toward 0 near the boundary
             b = b[:3] + a[3:]
         z, w = _near_point(domain, a), _near_point(domain, b)
-        assert dom.contains(domain, z) and dom.contains(domain, w)
+        assert domain.contains(np.array([z, w])).all()
         A, B = np.array([z, w]), np.array([w, z])
         want = np.abs(domain.kernel(A[None], B[:, None])) ** 2
         got = domain.kernel_abs2(A[None], B[:, None])
@@ -504,7 +504,7 @@ class TestArrayMembership:
         got = domain.contains(Z)
         assert got.dtype == bool and got.shape == (len(rows),)
         assert got.tolist() == want
-        assert [dom.contains(domain, row) for row in rows] == want
+        assert [domain.contains(np.array([row]))[0] for row in rows] == want
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     def test_the_first_outside_row_is_named(self, domain):
@@ -514,3 +514,34 @@ class TestArrayMembership:
         with pytest.raises(PointOutsideDomain) as err:
             dom.inside_points(domain, Z)
         assert str(err.value) == f"{tuple(complex(c) for c in Z[2])} is not strictly inside {domain}"
+
+
+def _scan_grid_reference(name, level):
+    """The br_scan grid as the list of point tuples it was built as before it became an array."""
+    n_r, depth, angles = dom._scan_axes(level)
+    if name in ("disc", "punctured-disc"):
+        radii = np.concatenate([[0.0] if name == "disc" else [],
+                                1.0 - np.logspace(-depth, -0.3, n_r)])
+        return [(r * a,) for r in radii for a in angles]
+    if name == "halfplane":
+        ys = np.logspace(-depth, depth / 2.0, 2 * n_r)
+        return [(complex(x, y),) for y in ys for x in np.linspace(-2.0, 2.0, 5)]
+    if name == "hartogs":
+        r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
+                              1.0 - np.logspace(-depth, -0.6, n_r // 2)])
+        return [(r1 * a, r1 * t * a) for r1 in r1s for t in (0.0, 0.3, 0.9) for a in angles[::2]]
+    scale = math.sqrt(2.0) if name == "ball2" else 1.0
+    radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / scale
+    return [(r1 * a1, r2 * a2) for r1 in radii for r2 in radii
+            for a1 in angles[::2] for a2 in angles[::2]]
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+@pytest.mark.parametrize("name", ["disc", "punctured-disc", "ball2", "bidisc", "halfplane",
+                                  "hartogs"])
+def test_scan_grid_is_the_point_list_as_an_array(name, level):
+    domain = dom.domain_by_name(name)
+    got = domain.scan_grid(level)
+    want = np.array(_scan_grid_reference(name, level), dtype=complex)
+    assert got.dtype == complex and got.shape == want.shape == (len(want), domain.dim)
+    assert got.tobytes() == want.tobytes()

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
 from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import EmptyFamily, NonFiniteValue
+from bergman.errors import EmptyFamily, NonFiniteValue, PointOutsideDomain
 from bergman.quadrature import QuadratureRule, RuleMeta
 
 
@@ -42,6 +43,11 @@ class TestDiscretization:
         m = on.discretize_berezin(dom.disc(), rule)
         assert m.entries[0, 0] == pytest.approx(1 / math.pi)
         assert m.apply(np.ones(1))[0] == pytest.approx(1.0)
+
+    def test_rows_outside_are_refused(self, small_rule):
+        rows = np.array([[0.2 + 0j], [1.5 + 0j]])
+        with pytest.raises(PointOutsideDomain):
+            on.discretize_berezin(dom.disc(), small_rule, row_nodes=rows)
 
     def test_reproduces_berezin_on_grid_functions(self, small_rule):
         m = on.discretize_berezin(dom.disc(), small_rule)
@@ -137,15 +143,20 @@ class TestEstimateNorm:
         with pytest.raises(EmptyFamily):
             on.witness_lower_bound(radial_matrix, 2.0, family=[(0.0, -0.8)])
 
-    def test_finite_p_on_hartogs_skips_the_disc_witness(self):
+    def test_witness_refuses_nodes_outside_the_disc(self):
         # a quarter of these nodes have |w1|^2 + |w2|^2 > 1, where (1 - u)^b is NaN
         domain = dom.hartogs_triangle()
         matrix = on.discretize_berezin(domain, quad.build_rule(domain, 4, 6))
-        est = on.estimate_norm(matrix, 3.0)
-        assert est.method == "p-power-iteration" and "witness" not in est.resolution
-        assert math.isfinite(est.value)
         with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
             on.witness_lower_bound(matrix, 3.0)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.0, 8.0])
+    def test_dual_ascent_is_never_below_the_witness(self, radial_matrix, p):
+        # why estimate_norm runs no witness sweep of its own on the radial disc matrices
+        for matrix in (radial_matrix, on.discretize_absolute_radial(120, 30.0)):
+            est = on.estimate_norm(matrix, p)
+            assert est.method == "p-power-iteration"
+            assert est.value >= on.witness_lower_bound(matrix, p).value
 
     def test_trivial_witness_constant(self, radial_matrix):
         # the constant function alone certifies norm >= 1 - quadrature slack
@@ -187,6 +198,24 @@ class TestBRScan:
     def test_bounded_ratio_domains(self, domain):
         rep = on.br_scan(domain)
         assert not rep.divergent
+
+    @pytest.mark.parametrize("name", ["disc", "punctured-disc", "ball2", "bidisc", "hartogs",
+                                      "halfplane"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           moves=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
+    @settings(max_examples=40, deadline=None)
+    def test_scan_ratio_invariance(self, name, seed, moves):
+        # phase rotations per coordinate, and real translations on the half plane
+        domain = dom.domain_by_name(name)
+        Z = np.array(dom.sample_interior(domain, 2, seed=seed))
+        if domain.kind == "half-plane":
+            moved = Z + 2.0 * moves[0]
+        else:
+            moved = Z * np.exp(1j * np.array(moves[:domain.dim]))
+
+        def ratio(P):
+            return np.sqrt(domain.kernel_abs2(P[1], P[0])) / domain.diag(P[0])
+        assert abs(ratio(moved) - ratio(Z)) <= 1e-13 * ratio(Z)
 
     def test_supremum_dominates_sampled_ratios(self):
         rep = on.br_scan(dom.disc())

@@ -30,3 +30,16 @@ def test_one_unit_passes_every_gate(tmp_path, workload):
     ops = wl.unit()
     assert ops
     assert all(op.ok for op in ops), [f"{op.name}: {op.detail}" for op in ops if not op.ok]
+
+
+def test_reproduce_workload_resolves_its_names(tmp_path):
+    # the names only: tests/test_acceptance.py runs the checks themselves
+    from bergman import reproduce
+    workloads = _load("workloads")
+    wl = workloads.WORKLOADS["reproduce"](1, 1.0, str(tmp_path), _load("tracer").NullTracer())
+    assert wl.builders
+    assert all(obj is getattr(reproduce, name) and callable(obj.cache_clear)
+               for name, obj in wl.builders.items())
+    assert all(callable(getattr(reproduce, builder, None))
+               for _, _, builder in workloads.PROBE_RULES)
+    assert [getattr(reproduce, name) for name in wl.checks] == list(reproduce.ALL_CHECKS)

@@ -40,7 +40,7 @@ class TestRuleWeights:
         rule = quad.build_rule(domain, 8, 8)
         step = max(1, len(rule) // 200)
         for row in rule.nodes[::step]:
-            assert dom.contains(domain, tuple(row))
+            assert domain.contains(row[None])[0]
 
     def test_invalid_resolution(self):
         with pytest.raises(InvalidResolution):
@@ -255,12 +255,12 @@ class TestPatchRule:
 class TestTailExponents:
     def test_boas_outer_exponents(self):
         # exponent 2j + 1 - (2k + 2) at infinity
-        assert quad.tail_exponent_classify((2 * 0 + 1 - (2 * 1 + 2), "infinity"))
-        assert not quad.tail_exponent_classify((2 * 1 + 1 - (2 * 1 + 2), "infinity"))
+        assert quad.tail_exponent_classify([(2 * 0 + 1 - (2 * 1 + 2), "infinity")])
+        assert not quad.tail_exponent_classify([(2 * 1 + 1 - (2 * 1 + 2), "infinity")])
 
     def test_origin_power(self):
-        assert quad.tail_exponent_classify((-1 + 4 * 0.1, "zero"))
-        assert not quad.tail_exponent_classify((-1.5, "zero"))
+        assert quad.tail_exponent_classify([(-1 + 4 * 0.1, "zero")])
+        assert not quad.tail_exponent_classify([(-1.5, "zero")])
 
     def test_multiple_pairs(self):
         assert quad.tail_exponent_classify([(0.5, "zero"), (-2.0, "infinity")])
@@ -268,11 +268,11 @@ class TestTailExponents:
 
     def test_borderline_refused(self):
         with pytest.raises(BorderlineExponent):
-            quad.tail_exponent_classify((-1.0 + 1e-12, "zero"))
+            quad.tail_exponent_classify([(-1.0 + 1e-12, "zero")])
 
     def test_exact_harmonic_diverges(self):
-        assert not quad.tail_exponent_classify((-1.0, "zero"))
-        assert not quad.tail_exponent_classify((-1.0, "infinity"))
+        assert not quad.tail_exponent_classify([(-1.0, "zero")])
+        assert not quad.tail_exponent_classify([(-1.0, "infinity")])
 
 
 class TestSerialization:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bergman.domains as dom
+from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import transforms as tr
 from bergman.errors import NonFiniteValue, PointOutsideDomain
@@ -240,13 +241,49 @@ class TestUnitMass:
         assert fallback.tobytes() == tr.berezin(domain, ONE, Z, loaded).real.tobytes()
         np.testing.assert_allclose(fallback, tr.unit_mass(domain, Z, rule), rtol=1e-13, atol=0.0)
 
-    def test_rule_of_another_domain_takes_the_pass(self):
+    def test_rule_of_another_domain_is_refused(self):
         rule = quad.build_rule(dom.hartogs_triangle(), 6, 12)
         Z = np.array([[0.3 + 0.1j, 0.1 - 0.05j]])
-        assert tr.unit_mass(dom.polydisc(2), Z, rule)[0] == tr.berezin(
-            dom.polydisc(2), ONE, Z, rule).real[0]
+        with pytest.raises(ValueError, match="hartogs"):
+            tr.unit_mass(dom.polydisc(2), Z, rule)
 
     def test_point_outside_is_refused(self):
         rule = quad.build_rule(dom.hartogs_triangle(), 6, 12)
         with pytest.raises(PointOutsideDomain):
             tr.unit_mass(dom.hartogs_triangle(), np.array([[0.3, 0.1], [0.3, 0.4]]), rule)
+
+
+# (domain, point, domain and grid of a rule built for another domain)
+FOREIGN = [(dom.disc(), 0.3 + 0j, dom.polydisc(2), (8, 16)),  # B1 read 3.14159
+           (dom.ball(2), (0.3, 0.1), dom.hartogs_triangle(), (8, 16)),  # B1 read 1.3168
+           (dom.polydisc(2), (0.3, 0.1), dom.disc(), (8, 16)),  # a bare IndexError
+           (dom.disc(), 0.3 + 0j, dom.punctured_disc(), (8, 16))]
+
+
+class TestForeignRules:
+    """A rule built for another domain is refused by every transform and by discretize_berezin."""
+
+    @pytest.mark.parametrize("name", ["berezin", "unit_mass", "berezin_adjoint",
+                                      "absolute_projection", "bergman_project"])
+    @pytest.mark.parametrize("domain,z,built_for,res", FOREIGN,
+                             ids=[f"{d}-on-{b}" for d, _, b, _ in FOREIGN])
+    def test_transforms_refuse(self, name, domain, z, built_for, res):
+        rule = quad.build_rule(built_for, *res)
+        args = (domain, z, rule) if name == "unit_mass" else (domain, ONE, z, rule)
+        with pytest.raises(ValueError, match=f"built for {built_for.kind}"):
+            getattr(tr, name)(*args)
+
+    @pytest.mark.parametrize("domain,z,built_for,res", FOREIGN,
+                             ids=[f"{d}-on-{b}" for d, _, b, _ in FOREIGN])
+    def test_discretize_berezin_refuses(self, domain, z, built_for, res):
+        with pytest.raises(ValueError, match=f"built for {built_for.kind}"):
+            on.discretize_berezin(domain, quad.build_rule(built_for, *res))
+
+    def test_a_disc_rule_serves_the_punctured_disc(self):
+        # the factored and the blocked pass agree bit for bit: the factor is the rule itself
+        rule = quad.build_rule(dom.disc(), 12, 24)
+        domain = dom.punctured_disc()
+        Z = np.array(dom.sample_interior(domain, 6, seed=3))
+        assert tr.unit_mass(domain, Z, rule).tobytes() == tr.berezin(
+            domain, ONE, Z, rule).real.tobytes()
+        assert on.discretize_berezin(domain, rule).entries.shape == (len(rule), len(rule))
