@@ -138,7 +138,7 @@ class DomainSpec:
     Each kind is a subclass that holds every formula of that kind, and
     ``DomainSpec(kind, dim)`` returns an instance of the subclass
     registered for ``kind``: that lookup is the one dispatch on the kind.
-    Every kind defines ``volume()`` and the strict membership ``contains(Z)``,
+    Every kind defines ``volume()`` and the strict membership ``_inside(Z)``,
     whose inequalities carry the relative slack BOUNDARY_MARGIN.  Membership
     and kernels take broadcasting (..., dim) complex arrays; a single point is
     the one-point case of the same formula.
@@ -162,6 +162,12 @@ class DomainSpec:
     def __str__(self):
         return f"{self.kind}({self.dim})"
 
+    def contains(self, Z) -> np.ndarray:
+        """Strict membership of each point of a (..., dim) array; ValueError for another last axis."""
+        if np.shape(Z)[-1:] != (self.dim,):
+            raise ValueError(f"expected points in C^{self.dim}, got shape {np.shape(Z)}")
+        return self._inside(np.asarray(Z))
+
     def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """K(a, b) over broadcasting (..., dim) arrays."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
@@ -171,7 +177,8 @@ class DomainSpec:
         return np.abs(self.kernel(a, b)) ** 2
 
     def diag(self, z: np.ndarray) -> np.ndarray:
-        """K(z, z) over (..., dim) arrays, cancellation-safe near the boundary."""
+        """K(z, z) over (..., dim) arrays, cancellation-safe near the boundary on every
+        kind but the Hartogs triangle (see its comment)."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
 
     def sample(self, rng) -> CPoint:
@@ -305,7 +312,7 @@ class _Polydisc(DomainSpec):
     def volume(self):
         return math.pi ** self.dim
 
-    def contains(self, Z):
+    def _inside(self, Z):
         return (_moduli(Z) < 1.0 - BOUNDARY_MARGIN).all(axis=-1)
 
     def kernel(self, a, b):
@@ -355,7 +362,7 @@ class _Disc(_Polydisc):
 class _PuncturedDisc(_Disc):
     _scan_center = ()
 
-    def contains(self, Z):
+    def _inside(self, Z):
         r = _moduli(Z[..., 0])
         return (0.0 < r) & (r < 1.0 - BOUNDARY_MARGIN)
 
@@ -364,7 +371,7 @@ class _Ball(DomainSpec):
     def volume(self):
         return math.pi ** self.dim / math.factorial(self.dim)
 
-    def contains(self, Z):
+    def _inside(self, Z):
         r = _moduli(Z)
         x = r[..., 0] * r[..., 0]
         for i in range(1, self.dim):
@@ -414,7 +421,7 @@ class _HalfPlane(DomainSpec):
     def volume(self):
         return math.inf
 
-    def contains(self, Z):
+    def _inside(self, Z):
         return Z[..., 0].imag > BOUNDARY_MARGIN * np.maximum(1.0, _moduli(Z[..., 0]))
 
     def kernel(self, a, b):
@@ -441,7 +448,7 @@ class _Hartogs(DomainSpec):
     def volume(self):
         return math.pi ** 2 / 2.0
 
-    def contains(self, Z):
+    def _inside(self, Z):
         r = _moduli(Z)
         m = 1.0 - BOUNDARY_MARGIN
         return (r[..., 0] < m) & (r[..., 1] < r[..., 0] * m)
@@ -456,12 +463,20 @@ class _Hartogs(DomainSpec):
         return x / (np.pi ** 2 * (x - y) ** 2 * (1.0 - x) ** 2)
 
     def diag(self, z):
-        # |z1|^2 - |z2|^2 as (|z1| - |z2|)(|z1| + |z2|), so accuracy survives
-        # near the singular edge
-        r1 = np.abs(z[..., 0])
-        r2 = np.abs(z[..., 1])
-        d = (r1 - r2) * (r1 + r2)
-        return r1 * r1 / (np.pi ** 2 * d * d * (1.0 - r1 * r1) ** 2)
+        # r1^2 / (pi^2 d^2 (1 - r1^2)^2), d = (r1 - r2)(r1 + r2), in place on three arrays.  From
+        # rounded moduli it is not cancellation-safe: 5.6e-6 relative off 1e-10 from |z2| = |z1|,
+        # and 3.0e-6 off 1e-10 from |z1| = 1
+        r1, r2 = np.abs(z.reshape(-1, 2)).T
+        d = r1 - r2
+        r2 += r1
+        d *= r2
+        den = np.pi ** 2 * d
+        den *= d
+        r1 *= r1
+        np.subtract(1.0, r1, out=r2)
+        r2 *= r2
+        den *= r2
+        return np.divide(r1, den, out=den).reshape(z.shape[:-1])
 
     def sample(self, rng):
         r1 = 0.15 + 0.55 * rng.random()
@@ -539,7 +554,7 @@ def volume(domain: DomainSpec) -> float:
 
 def _refuse_outside(domain: DomainSpec, Z: np.ndarray) -> None:
     """Raise PointOutsideDomain naming the first row of the (M, dim) array Z outside ``domain``."""
-    inside = domain.contains(Z)
+    inside = domain._inside(Z)
     if not inside.all():
         p = tuple(complex(c) for c in Z[np.argmin(inside)])
         raise PointOutsideDomain(f"{p} is not strictly inside {domain}")
@@ -577,26 +592,23 @@ def kernel(domain: DomainSpec, z, w) -> complex:
 
     Both arguments must lie strictly inside the domain.
     """
-    zp = require_inside(domain, z)
-    return complex(kernel_values(domain, require_inside(domain, w), [zp])[0])
+    return complex(kernel_values(domain, w, [require_inside(domain, z)])[0])
 
 
 def kernel_diag(domain: DomainSpec, z) -> float:
-    """K(z, z) at one point, cancellation-safe near the boundary (see ``DomainSpec.diag``)."""
+    """K(z, z) at one point, accurate near the boundary as ``DomainSpec.diag`` is."""
     return float(domain.positive_diag(inside_points(domain, z)[0])[0])
 
 
 def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized K(w_j, z) over an (N, dim) array of nodes.
-
-    Membership of the nodes is the caller's responsibility (they normally come
-    from a quadrature rule).
-    """
-    return domain.kernel(_as_nodes(nodes), np.asarray(as_point(z, domain.dim)))
+    """Vectorized K(w_j, z) over an (N, dim) array of nodes, for a point z strictly inside
+    the domain (PointOutsideDomain otherwise).  Membership of the nodes is the caller's
+    responsibility (they normally come from a quadrature rule)."""
+    return domain.kernel(_as_nodes(nodes), np.asarray(require_inside(domain, z)))
 
 
 def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized K(w_j, w_j), cancellation-safe as kernel_diag."""
+    """Vectorized K(w_j, w_j), accurate as kernel_diag."""
     return domain.diag(_as_nodes(nodes))
 
 

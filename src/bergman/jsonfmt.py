@@ -1,7 +1,8 @@
-"""Deterministic JSON rendering with 17-significant-digit floats."""
+"""Deterministic JSON: 17-digit floats; None, bools, ints and strings as ``json`` renders them."""
 
 from __future__ import annotations
 
+import json
 import math
 
 
@@ -13,15 +14,8 @@ def dumps(obj) -> str:
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(obj, int):
-        return str(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return json.dumps(obj)
     if isinstance(obj, float):
         if math.isinf(obj):
             return '"inf"' if obj > 0 else '"-inf"'

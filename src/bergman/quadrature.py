@@ -9,13 +9,13 @@ Integrands and symbols are read by ``evaluate_on_rule`` alone, so
 ``integrate`` and the transforms share one error contract.  Sums are
 accumulated in a fixed node order with compensated summation, so
 results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
-then an exact fsum of the chunk sums.  Operators evaluate a kernel form at many
-points in node blocks of about 2^17 entries: |K|^2 from
-``DomainSpec.kernel_abs2`` (in real arithmetic on the ball and the polydiscs)
-for the Berezin transforms and P+, the complex kernel for P.  Each summand is
-written in place over its block, and each chunk's summands are gathered before
-it is reduced, so the blocked sum reproduces ``compensated_sum`` of the same
-summands chunk for chunk, bit for bit, whatever the number of points.  A call
+then an exact fsum of the chunk sums.  An operator is a kernel form F and one
+coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
+from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
+conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
+its coefficients in place.  Each chunk's summands are gathered before it is
+reduced, so the blocked sum reproduces ``compensated_sum`` of the same summands
+chunk for chunk, bit for bit, whatever the number of points.  A call
 of at least 2^21 point-node entries runs on a thread pool, one thread per core
 the process may run on (at most its cgroup's CPU quota); its threads split one
 serial pass's block and buffer sizes, and the calling thread fsums the chunk
@@ -197,10 +197,11 @@ def _row_blocks(rows: int, cols: int) -> list:
     return _slices(0, rows, max(1, _BLOCK // _workers(rows * cols) // max(1, cols)))
 
 
-def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarray:
+def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
-    of ``summand(k, s, r)``, where k = pair(w_s, Z_r) for a node slice s and a point
-    slice r; ``pair`` is a kernel form such as ``DomainSpec.kernel`` or ``kernel_abs2``.
+    of pair(w_j, z_m) * coef[j].  ``pair`` is a kernel form such as ``DomainSpec.kernel``
+    or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
+    coefficients in place, unless a complex ``coef`` meets a real block.
 
     Node blocks of about _BLOCK / workers entries are gathered into one (points,
     chunk) array per _CHUNK nodes, of at most _BUFFER / workers entries, and reduced
@@ -219,7 +220,9 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, summand) -> np.ndarr
         for s in _slices(c, min(c + _CHUNK, n), step):
             # a lone node goes in twice: one-entry blocks take a numpy loop differing in the last bit
             idx = s if s.stop - s.start > 1 else [s.start, s.start]
-            block = summand(pair(rule.nodes[None, idx], Z[r, None]), idx, r)
+            block = pair(rule.nodes[None, idx], Z[r, None])
+            block = (block * coef[idx] if np.iscomplexobj(coef) and not np.iscomplexobj(block)
+                     else np.multiply(block, coef[idx], out=block))
             if buf is None:
                 buf = np.empty((r.stop - r.start, min(_CHUNK, n - c)), block.dtype)
             buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]

@@ -1,5 +1,6 @@
 """Operators over point arrays: the blocked pass against per-point references."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -39,24 +40,27 @@ def _complex_symbol(w):
 def _reference(op, domain, phi, z, rule):
     """The per-point operator: its summands over the whole rule, then compensated_sum.
 
-    |K|^2 comes from ``kernel_abs2`` and |K| is its root, as in the blocked pass;
-    P alone uses the complex kernel.
+    Each summand is the kernel form times the node coefficient, as in the blocked
+    pass: |K|^2 comes from ``kernel_abs2`` and |K| is its root; P alone uses the
+    complex kernel.  The Berezin sum is divided by K(z, z) after summing.
     """
     zp = dom.require_inside(domain, z)
     vals = quad.evaluate_on_rule(rule, phi)
     k2 = domain.kernel_abs2(rule.nodes, np.asarray(zp))
     w = rule.weights
+    scale = 1.0
     if op == "berezin":
-        terms = w * (k2 / dom.kernel_diag(domain, zp)) * vals
+        terms, scale = k2 * (w * vals), dom.kernel_diag(domain, zp)
     elif op == "berezin_adjoint":
-        terms = w * k2 * vals / dom.kernel_diag_values(domain, rule.nodes)
+        terms = k2 * (w / dom.kernel_diag_values(domain, rule.nodes) * vals)
     elif op == "absolute_projection":
-        return quad.compensated_sum(w * np.sqrt(k2) * np.abs(vals))
+        return quad.compensated_sum(np.sqrt(k2) * (w * np.abs(vals)))
     else:
-        terms = w * np.conj(dom.kernel_values(domain, zp, rule.nodes)) * vals
+        terms = np.conj(dom.kernel_values(domain, zp, rule.nodes)) * (w * vals)
     if np.iscomplexobj(terms):
-        return complex(quad.compensated_sum(terms.real), quad.compensated_sum(terms.imag))
-    return complex(quad.compensated_sum(terms), 0.0)
+        return complex(quad.compensated_sum(terms.real) / scale,
+                       quad.compensated_sum(terms.imag) / scale)
+    return complex(quad.compensated_sum(terms) / scale, 0.0)
 
 
 def _complex_form(op, domain, phi, z, rule):
@@ -117,6 +121,37 @@ def test_real_form_agrees_with_the_complex_kernel(rules, name, op, phi):
         assert abs(value - want) <= 1e-14 * size
 
 
+# each linear transform, and the operator of its summands' magnitudes
+MAGNITUDES = {"berezin": "berezin", "berezin_adjoint": "berezin_adjoint",
+              "bergman_project": "absolute_projection"}
+_SCALARS = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+@given(a=_SCALARS, b=_SCALARS, m=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_transforms_are_linear_in_the_symbol(rules, name, a, b, m, seed):
+    # T(a phi + b psi) = a T phi + b T psi within 1e-13 of the summed magnitudes
+    domain, rule = DOMAINS[name][0], rules[name]
+    rng = np.random.default_rng(seed)
+    phi, psi = rng.normal(size=(2, len(rule))) + 1j * rng.normal(size=(2, len(rule)))
+    points = _points(domain, m, seed=seed)
+    for op, size in MAGNITUDES.items():
+        T, mag = getattr(tr, op), getattr(tr, size)
+        got = T(domain, a * phi + b * psi, points, rule)
+        want = a * T(domain, phi, points, rule) + b * T(domain, psi, points, rule)
+        bound = (abs(a) * np.real(mag(domain, np.abs(phi), points, rule))
+                 + abs(b) * np.real(mag(domain, np.abs(psi), points, rule)))
+        assert np.all(np.abs(got - want) <= 1e-13 * bound), op
+    # P+ reads |f|: additive over nonnegative symbols and coefficients, and |a|-homogeneous
+    P = tr.absolute_projection
+    got = P(domain, abs(a) * np.abs(phi) + abs(b) * np.abs(psi), points, rule)
+    want = abs(a) * P(domain, phi, points, rule) + abs(b) * P(domain, psi, points, rule)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    assert np.all(np.abs(P(domain, a * phi, points, rule) - abs(a) * P(domain, phi, points, rule))
+                  <= 1e-13 * abs(a) * P(domain, phi, points, rule))
+
+
 @pytest.mark.parametrize("name", sorted(DOMAINS))
 def test_discretize_berezin_agrees_with_the_complex_kernel(rules, name):
     domain, rule = DOMAINS[name][0], rules[name]
@@ -161,6 +196,15 @@ def test_one_point_outside_is_refused(rules, name, op):
         getattr(tr, op)(domain, _real_symbol, points, rule)
 
 
+@pytest.mark.parametrize("op", OPERATORS + ("unit_mass",))
+def test_keyword_arguments_reach_the_operator(rules, op):
+    domain, rule = DOMAINS["ball2"][0], rules["ball2"]
+    points = _points(domain, 3, seed=4)
+    fn, symbol = getattr(tr, op), () if op == "unit_mass" else (_real_symbol,)
+    assert list(inspect.signature(fn).parameters)[-2:] == ["z", "rule"]
+    assert _bits(fn(domain, *symbol, z=points, rule=rule)) == _bits(fn(domain, *symbol, points, rule))
+
+
 def test_wrong_dimension_is_refused(rules):
     with pytest.raises(ValueError):
         tr.berezin(dom.ball(2), _real_symbol, np.zeros((3, 1), dtype=complex), rules["ball2"])
@@ -170,10 +214,10 @@ class _CountingPool:
     """A pool standing in for the module's, counting the calls that reach it."""
 
     def __init__(self, pool):
-        self.pool, self.calls = pool, 0
+        self.pool, self.calls, self.items = pool, 0, 0
 
     def map(self, fn, items):
-        self.calls += 1
+        self.calls, self.items = self.calls + 1, len(items)
         return self.pool.map(fn, items)
 
 
@@ -285,6 +329,27 @@ def test_pooled_equals_per_point_bit_for_bit(pool, long_rules, big_disc_rule, op
         assert pool.calls == calls + 1
         ref = [_reference(op, domain, phi, tuple(z), rule) for z in points]
         assert _bits(pooled) == _bits(np.array(ref, dtype=pooled.dtype))
+
+
+def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
+    domain = dom.ball(2)
+    rule = quad.build_rule(domain, 12, 24)
+    points = _points(domain, 37, seed=12)
+    diag = type(domain).diag
+    node_calls = []
+
+    def counting(self, z):
+        if np.shares_memory(z, rule.nodes):
+            node_calls.append(len(z))
+        return diag(self, z)
+    monkeypatch.setattr(type(domain), "diag", counting)
+    calls = pool.calls
+    tr.berezin_adjoint(domain, _real_symbol, points, rule)
+    assert pool.calls == calls + 1
+    assert node_calls == [len(rule)]
+    # the call spans several point groups, each with every chunk of nodes
+    groups = pool.items // -(-len(rule) // CHUNK)
+    assert groups >= 2 and (quad._CORES != 2 or groups == 3)
 
 
 def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypatch, long_rules):

@@ -182,6 +182,20 @@ class TestPayloadFormat:
         for x in rng.standard_normal(200) * 10.0 ** rng.integers(-12, 12, 200):
             assert float(json.loads(jsonfmt.dumps({"x": float(x)}))["x"]) == float(x)
 
+    def test_strings_round_trip(self):
+        from bergman import jsonfmt
+        text = 'a\nb\tc\x01d"e\\f \u00e9\u2202'
+        assert json.loads(jsonfmt.dumps({text: [text, "plain"]})) == {text: [text, "plain"]}
+        assert jsonfmt.dumps("domain") == '"domain"'
+        assert jsonfmt.dumps([True, False, None, 3, -7, np.int64(2)]) == "[true,false,null,3,-7,2]"
+
+    def test_symbol_with_a_control_character_gives_valid_json(self, capsys):
+        code, out, _ = run_cli(capsys, ["berezin", "--domain", "disc", "--z", "0.3",
+                                        "--symbol", "blowup:0.5\n", "--radial-n", "8",
+                                        "--angular-n", "16"])
+        assert code == 0
+        assert json.loads(out)["symbol"] == "blowup:0.5\n"
+
 
 class TestConfigErrors:
     def test_unknown_domain(self, capsys):

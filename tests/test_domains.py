@@ -37,6 +37,23 @@ class TestKernelValues:
         got = dom.kernel(dom.hartogs_triangle(), (0.5, 0.0), (0.5, 0.0))
         assert got.real == pytest.approx(1 / (math.pi ** 2 * 0.25 * 0.75 ** 2), rel=1e-14)
 
+    @pytest.mark.parametrize("domain,z", [(dom.disc(), 1.5), (dom.hartogs_triangle(), (0.1, 0.5))],
+                             ids=["disc", "hartogs"])
+    def test_kernel_values_refuse_a_point_outside(self, domain, z):
+        nodes = np.array(dom.sample_interior(domain, 3, seed=1))
+        with pytest.raises(PointOutsideDomain):
+            dom.kernel_values(domain, z, nodes)
+
+    def test_hartogs_diagonal_rounds_as_the_moduli_formula(self):
+        # evaluated in place, for any leading shape, with the plain formula's roundings
+        h = dom.hartogs_triangle()
+        Z = np.array(dom.sample_interior(h, 50, seed=5))
+        r1, r2 = np.abs(Z[:, 0]), np.abs(Z[:, 1])
+        d = (r1 - r2) * (r1 + r2)
+        want = r1 * r1 / (np.pi ** 2 * d * d * (1.0 - r1 * r1) ** 2)
+        assert h.diag(Z).tobytes() == want.tobytes()
+        assert h.diag(Z[None]).shape == (1, 50) and h.diag(Z[3]) == want[3]
+
     def test_half_plane_diagonal_positive(self):
         got = dom.kernel(dom.upper_half_plane(), 1j, 1j)
         assert got.real == pytest.approx(1 / (4 * math.pi), rel=1e-14)
@@ -505,6 +522,18 @@ class TestArrayMembership:
         assert got.dtype == bool and got.shape == (len(rows),)
         assert got.tolist() == want
         assert [domain.contains(np.array([row]))[0] for row in rows] == want
+
+    def test_points_without_dim_coordinates_are_refused(self):
+        # two disc points in a 1-D array: not one point of C^2, nor two points
+        Z = np.array([0.2 + 0j, 1.5 + 0j])
+        for domain in (dom.punctured_disc(), dom.disc()):
+            with pytest.raises(ValueError, match=r"C\^1"):
+                domain.contains(Z)
+        with pytest.raises(ValueError, match=r"C\^2"):
+            dom.ball(2).contains(np.zeros((3, 1), dtype=complex))
+        # a (dim,) array is one point
+        assert dom.ball(2).contains(np.array([0.2 + 0j, 0.5j])) == np.True_
+        assert dom.ball(2).contains(np.array([0.9 + 0j, 0.5j])) == np.False_
 
     @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
     def test_the_first_outside_row_is_named(self, domain):
