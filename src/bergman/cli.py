@@ -41,7 +41,7 @@ class SystemExit2(SystemExit):
 
 
 _SYMBOLS = {
-    "one": lambda w: np.ones(w.shape[0] if w.ndim > 1 else len(w)),
+    "one": lambda w: np.ones(len(w)),
     "abs2": lambda w: (np.sum(np.abs(w) ** 2, axis=1) if w.ndim > 1 else np.abs(w) ** 2),
 }
 

@@ -1,11 +1,12 @@
 """Model domains in C^n and their Bergman kernels.
 
-Closed-form kernels are available for the unit disc, the unit ball, polydiscs,
-the upper half plane, the punctured disc and the Hartogs triangle; the
-one-point ``kernel``, ``kernel_ratio`` and ``normalized_kernel`` evaluate
-through ``kernel_values`` and ``kernel_diag``.  A Reinhardt profile (a
-rotation-invariant domain in C^2 described in modulus space, with declared
-radial asymptotics) classifies and measures the square-integrable monomials.
+Closed-form kernels on the unit disc, the unit ball, polydiscs, the upper half
+plane, the punctured disc and the Hartogs triangle: each kind declares K once,
+and one evaluator derives K and |K|^2 from it; the one-point ``kernel``,
+``kernel_ratio`` and ``normalized_kernel`` use ``kernel_values`` and
+``kernel_diag``.  A Reinhardt profile (a rotation-invariant domain in C^2
+described in modulus space, with declared radial asymptotics) classifies and
+measures the square-integrable monomials.
 
 All integrals use unnormalized Lebesgue volume, so the disc kernel carries the
 1/pi factor explicitly.
@@ -138,10 +139,10 @@ class DomainSpec:
     Each kind is a subclass that holds every formula of that kind, and
     ``DomainSpec(kind, dim)`` returns an instance of the subclass
     registered for ``kind``: that lookup is the one dispatch on the kind.
-    Every kind defines ``volume()`` and the strict membership ``_inside(Z)``,
-    whose inequalities carry the relative slack BOUNDARY_MARGIN.  Membership
-    and kernels take broadcasting (..., dim) complex arrays; a single point is
-    the one-point case of the same formula.
+    Every kind defines ``volume()``, the strict membership ``_inside(Z)`` (its
+    inequalities carry the relative slack BOUNDARY_MARGIN) and its kernel once, as
+    ``_form``; ``kernel`` and ``kernel_abs2`` derive from it here.  Membership and
+    kernels take (..., dim) complex arrays; one point is the one-point case.
     """
 
     kind: str
@@ -168,13 +169,19 @@ class DomainSpec:
             raise ValueError(f"expected points in C^{self.dim}, got shape {np.shape(Z)}")
         return self._inside(np.asarray(Z))
 
-    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """K(a, b) over broadcasting (..., dim) arrays."""
+    def _form(self, a: np.ndarray, b: np.ndarray):
+        """K(a, b) = c num / prod k_i l_i^e_i as (c, num, [(k_i, l_i, e_i), ...]): real c and k_i,
+        fresh complex arrays num (None for 1) and l_i over the broadcast of (..., dim) arrays a
+        and b, and integer powers e_i >= 2."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
+
+    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """K(a, b) over broadcasting (..., dim) arrays, as a new complex array."""
+        return _evaluate(*self._form(a, b), squared=False)
 
     def kernel_abs2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """|K(a, b)|^2 over broadcasting (..., dim) arrays, as a new real array."""
-        return np.abs(self.kernel(a, b)) ** 2
+        return _evaluate(*self._form(a, b), squared=True)
 
     def diag(self, z: np.ndarray) -> np.ndarray:
         """K(z, z) over (..., dim) arrays, cancellation-safe near the boundary on every
@@ -278,18 +285,46 @@ def _parts(z: np.ndarray) -> np.ndarray:
     return z.view(float).reshape(z.shape + (2,))
 
 
-def _products(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
-    """a_i conj(b_i) over the broadcast of (..., dim) arrays, always as an array."""
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    return np.multiply(a[..., i], np.conj(b[..., i]), out=np.empty(shape, complex))
+def _pair(op, a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
+    """op(a_i, conj(b_i)) over the broadcast of (..., dim) arrays, always as a fresh array."""
+    return np.asarray(op(a[..., i], np.conj(b[..., i])))
 
 
-def _abs2_one_minus(q: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|1 - q|^2 as (1 - Re q)^2 + (Im q)^2, written into ``out``; q's storage is overwritten."""
-    np.subtract(1.0, q.real, out=out)
-    np.multiply(out, out, out=out)
-    np.multiply(q.imag, q.imag, out=q.imag)
-    return np.add(out, q.imag, out=out)
+def _abs2(l: np.ndarray) -> np.ndarray:
+    """|l|^2 of a fresh complex array in its own storage: its float pairs squared, then added
+    into the first half so later passes run contiguous (numpy computes overlaps as if apart)."""
+    f = l.reshape(-1).view(float)
+    np.multiply(f, f, out=f)
+    return np.add(f[0::2], f[1::2], out=f[:l.size]).reshape(l.shape)
+
+
+def _own(x: np.ndarray) -> np.ndarray:
+    """x as the output of a product with operand x, or a fresh array for one value: numpy
+    rounds a one-element complex product written over its operand in another loop."""
+    return x if x.size > 1 else np.empty_like(x)
+
+
+def _evaluate(c: float, num, factors: list, squared: bool) -> np.ndarray:
+    """c num / prod k l^e from a ``DomainSpec._form``, or with ``squared`` c^2 |num|^2 / prod
+    k^2 |l|^(2e) in real arithmetic.  Powers are repeated products (a complex ** is slower; the
+    first by np.square, as l ** 2 rounds), each taken in its factor's storage, their product in
+    the first one's and the quotient in the denominator's: fresh whole-block arrays are each
+    paged in afresh."""
+    den = None
+    for k, l, e in factors:
+        if squared:
+            k, l = k ** 2, _abs2(l)
+        p = np.square(l, out=_own(l) if e == 2 else np.empty_like(l))
+        for _ in range(e - 2):
+            p = np.multiply(p, l, out=_own(p))
+        if k != 1.0:
+            np.multiply(p, k, out=p)
+        den = p if den is None else np.multiply(den, p, out=_own(den))
+    if squared:
+        c, num = c ** 2, None if num is None else _abs2(num)
+    if num is None:
+        return np.divide(c, den, out=den)
+    return np.divide(num if c == 1.0 else np.multiply(num, c, out=num), den, out=den)
 
 
 def _scan_axes(level: int):
@@ -315,22 +350,10 @@ class _Polydisc(DomainSpec):
     def _inside(self, Z):
         return (_moduli(Z) < 1.0 - BOUNDARY_MARGIN).all(axis=-1)
 
-    def kernel(self, a, b):
-        out = 1.0
-        for i in range(self.dim):
-            out = out / (np.pi * (1.0 - a[..., i] * np.conj(b[..., i])) ** 2)
-        return out
-
-    def kernel_abs2(self, a, b):
-        # 1 / prod pi^2 d_i^2 with d_i = |1 - a_i conj(b_i)|^2: no complex power or division
-        den = None
-        for i in range(self.dim):
-            q = _products(a, b, i)
-            d = _abs2_one_minus(q, np.empty(q.shape))
-            np.multiply(d, d, out=d)
-            np.multiply(d, np.pi ** 2, out=d)
-            den = d if den is None else np.multiply(den, d, out=den)
-        return np.divide(1.0, den, out=den)
+    def _form(self, a, b):
+        # 1 / prod pi (1 - a_i conj(b_i))^2
+        q = [_pair(np.multiply, a, b, i) for i in range(self.dim)]
+        return 1.0, None, [(np.pi, np.subtract(1.0, x, out=x), 2) for x in q]
 
     def diag(self, z):
         r = _one_minus_sum_squares(_parts(z))
@@ -378,29 +401,14 @@ class _Ball(DomainSpec):
             x = x + r[..., i] * r[..., i]
         return x < 1.0 - BOUNDARY_MARGIN
 
-    def kernel(self, a, b):
+    def _form(self, a, b):
+        # n! / (pi^n (1 - <a, b>)^(n+1))
         n = self.dim
-        inner = 0.0
-        for i in range(n):
-            inner = inner + a[..., i] * np.conj(b[..., i])
-        # q^(n+1) by repeated multiplication: a complex ** is about twice as slow
-        q = 1.0 - inner
-        power = q
-        for _ in range(n):
-            power = power * q
-        return math.factorial(n) / (np.pi ** n * power)
-
-    def kernel_abs2(self, a, b):
-        # (n!/pi^n)^2 / d^(n+1) with d = |1 - <a, b>|^2: no complex power or division
-        n = self.dim
-        inner = _products(a, b, 0)
+        inner = _pair(np.multiply, a, b, 0)
         for i in range(1, n):
-            np.add(inner, _products(a, b, i), out=inner)
-        d = _abs2_one_minus(inner, np.empty(inner.shape))
-        power = np.multiply(d, d, out=np.empty(d.shape))
-        for _ in range(n - 1):
-            np.multiply(power, d, out=power)
-        return np.divide((math.factorial(n) / np.pi ** n) ** 2, power, out=d)
+            np.add(inner, _pair(np.multiply, a, b, i), out=inner)
+        return math.factorial(n) / np.pi ** n, None, [(1.0, np.subtract(1.0, inner, out=inner),
+                                                       n + 1)]
 
     def diag(self, z):
         n = self.dim
@@ -424,8 +432,9 @@ class _HalfPlane(DomainSpec):
     def _inside(self, Z):
         return Z[..., 0].imag > BOUNDARY_MARGIN * np.maximum(1.0, _moduli(Z[..., 0]))
 
-    def kernel(self, a, b):
-        return -1.0 / (np.pi * (a[..., 0] - np.conj(b[..., 0])) ** 2)
+    def _form(self, a, b):
+        # -1 / (pi (a - conj(b))^2)
+        return -1.0, None, [(np.pi, _pair(np.subtract, a, b, 0), 2)]
 
     def diag(self, z):
         return 1.0 / (4.0 * np.pi * z[..., 0].imag ** 2)
@@ -457,10 +466,11 @@ class _Hartogs(DomainSpec):
         # (z1, z2) -> (z1, z2/z1) maps the triangle onto the product of the punctured disc and the disc
         return np.stack([Z[:, 0], Z[:, 1] / Z[:, 0]], axis=1)
 
-    def kernel(self, a, b):
-        x = a[..., 0] * np.conj(b[..., 0])
-        y = a[..., 1] * np.conj(b[..., 1])
-        return x / (np.pi ** 2 * (x - y) ** 2 * (1.0 - x) ** 2)
+    def _form(self, a, b):
+        # x / (pi^2 (x - y)^2 (1 - x)^2) with x = a1 conj(b1), y = a2 conj(b2)
+        x, y = _pair(np.multiply, a, b, 0), _pair(np.multiply, a, b, 1)
+        return 1.0, x, [(np.pi ** 2, np.subtract(x, y, out=y), 2),
+                        (1.0, np.subtract(1.0, x, out=np.empty_like(x)), 2)]
 
     def diag(self, z):
         # r1^2 / (pi^2 d^2 (1 - r1^2)^2), d = (r1 - r2)(r1 + r2), in place on three arrays.  From

@@ -37,10 +37,6 @@ class BorderlineExponent(BergmanError):
     """A power-law exponent is too close to -1 to classify reliably."""
 
 
-class EmptyFamily(BergmanError):
-    """A witness sweep was requested over an empty parameter family."""
-
-
 class InadmissibleIndex(BergmanError):
     """A monomial exponent pair is not square-integrable on the domain."""
 

@@ -33,14 +33,14 @@ _HARTOGS = hartogs_triangle()
 NORM_BULGE = math.pi / math.sqrt(30.0)
 
 
-def admissible(n: int, m: int) -> bool:
-    """Whether z1^n z2^m is square integrable on the triangle."""
-    return m >= 0 and n + m >= -1
+def admissible(n, m):
+    """Whether z1^n z2^m is square integrable on the triangle, elementwise over index arrays."""
+    return (m >= 0) & (n + m >= -1)
 
 
-def basis_coefficient(n: int, m: int) -> float:
-    """Reciprocal squared norm of the basis monomial z1^n z2^m."""
-    if not admissible(n, m):
+def basis_coefficient(n, m):
+    """Reciprocal squared norm of the basis monomial z1^n z2^m, elementwise over index arrays."""
+    if not np.all(admissible(n, m)):
         raise InadmissibleIndex(f"(n, m) = ({n}, {m}) needs m >= 0 and n + m >= -1")
     return (m + 1) * (n + m + 2) / math.pi ** 2
 
@@ -54,12 +54,9 @@ def kernel_series(w, z, truncation: int = 90) -> complex:
     """
     x = complex(w[0]) * complex(z[0]).conjugate()
     y = complex(w[1]) * complex(z[1]).conjugate()
-    ks = np.arange(truncation + 1)
-    ms = np.arange(truncation + 1)
-    K, M = np.meshgrid(ks, ms, indexing="ij")
+    K, M = np.indices((truncation + 1, truncation + 1))
     N = K - M - 1
-    coef = (M + 1) * (K + 1) / math.pi ** 2  # basis_coefficient with n + m + 2 = k + 1
-    terms = coef * np.power(x, N) * np.power(y, M)
+    terms = basis_coefficient(N, M) * np.power(x, N) * np.power(y, M)
     return complex(np.sum(terms))
 
 

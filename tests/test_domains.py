@@ -414,6 +414,89 @@ class TestKernelAbs2:
         assert np.shape(got) == () and abs(got - want) <= 1e-14 * want
 
 
+def _parent_kernel(kind, dim, a, b):
+    """The closed-form kernels the declared forms replaced, frozen as they were."""
+    if kind in ("disc", "punctured-disc", "polydisc"):
+        out = 1.0
+        for i in range(dim):
+            out = out / (np.pi * (1.0 - a[..., i] * np.conj(b[..., i])) ** 2)
+        return out
+    if kind == "ball":
+        inner = 0.0
+        for i in range(dim):
+            inner = inner + a[..., i] * np.conj(b[..., i])
+        q = 1.0 - inner
+        power = q
+        for _ in range(dim):
+            power = power * q
+        return math.factorial(dim) / (np.pi ** dim * power)
+    if kind == "half-plane":
+        return -1.0 / (np.pi * (a[..., 0] - np.conj(b[..., 0])) ** 2)
+    x = a[..., 0] * np.conj(b[..., 0])
+    y = a[..., 1] * np.conj(b[..., 1])
+    return x / (np.pi ** 2 * (x - y) ** 2 * (1.0 - x) ** 2)
+
+
+def _parent_kernel_abs2(kind, dim, a, b):
+    """The |K|^2 formulas the declared forms replaced, frozen as they were."""
+    if kind in ("disc", "punctured-disc", "polydisc"):
+        den = 1.0
+        for i in range(dim):
+            q = a[..., i] * np.conj(b[..., i])
+            d = (1.0 - q.real) ** 2 + q.imag ** 2
+            den = den * (d * d * np.pi ** 2)
+        return 1.0 / den
+    if kind == "ball":
+        inner = a[..., 0] * np.conj(b[..., 0])
+        for i in range(1, dim):
+            inner = inner + a[..., i] * np.conj(b[..., i])
+        d = (1.0 - inner.real) ** 2 + inner.imag ** 2
+        power = d * d
+        for _ in range(dim - 1):
+            power = power * d
+        return (math.factorial(dim) / np.pi ** dim) ** 2 / power
+    return np.abs(_parent_kernel(kind, dim, a, b)) ** 2
+
+
+# (kind, form) pairs whose values equal the frozen formulas' bit for bit
+_BIT_FOR_BIT = {(k, "kernel") for k in ("disc", "punctured-disc", "half-plane", "hartogs")} | {
+    (k, "kernel_abs2") for k in ("disc", "punctured-disc", "polydisc", "ball")}
+
+
+class TestDeclaredForms:
+    """Each kind declares its kernel once; the derived K and |K|^2 are the closed forms they replaced."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS + [dom.ball(1)], ids=str)
+    def test_forms_reproduce_the_frozen_closed_forms(self, domain):
+        rng = np.random.default_rng(17)
+
+        def points(n):  # half from the bulk, half within 1e-3 .. 1e-12 of the boundary
+            near = 1.0 - 10.0 ** -rng.uniform(3.0, 12.0, (n, 3))
+            rs = np.where(rng.random((n, 3)) < 0.5, rng.uniform(0.0, 1.0, (n, 3)), near)
+            return np.array([_near_point(domain, (*r, *t)) for r, t in
+                             zip(rs, rng.uniform(0.0, 2 * math.pi, (n, 3)))])
+
+        A, B = points(300), points(20)
+        for form, frozen in (("kernel", _parent_kernel), ("kernel_abs2", _parent_kernel_abs2)):
+            # blocks, a node array against a point, two pairs, and single pairs as the CLI's kernel
+            cases = [(A[None], B[:, None]), (A, B[0]), (A[:2], B[:2])]
+            for a, b in cases + [(A[i:i + 1], B[i]) for i in range(len(B))]:
+                got = getattr(domain, form)(a, b)
+                want = frozen(domain.kind, domain.dim, a, b)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                if (domain.kind, form) in _BIT_FOR_BIT:
+                    assert got.tobytes() == want.tobytes(), form
+                else:
+                    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want)), form
+
+    @pytest.mark.parametrize("kind", sorted(dom._KINDS))
+    def test_no_kind_writes_a_second_formula(self, kind):
+        cls = dom._KINDS[kind]
+        for klass in cls.__mro__[:cls.__mro__.index(dom.DomainSpec)]:
+            assert not {"kernel", "kernel_abs2"} & set(vars(klass)), klass
+        assert cls._form is not dom.DomainSpec._form
+
+
 def _exact_one_minus(z):
     return 1 - sum(Fraction(c.real) ** 2 + Fraction(c.imag) ** 2 for c in z)
 

@@ -34,6 +34,15 @@ class TestCoefficients:
         with pytest.raises(InadmissibleIndex):
             ht.basis_coefficient(0, -1)
 
+    def test_index_arrays_are_elementwise(self):
+        n, m = np.array([-1, 0, 1, -3, 2]), np.array([0, 0, 0, 2, 5])
+        assert ht.admissible(n, m).tolist() == [True] * 5
+        want = [ht.basis_coefficient(int(a), int(b)) for a, b in zip(n, m)]
+        assert ht.basis_coefficient(n, m).tolist() == want
+        assert ht.admissible(np.array([-2, 0]), np.array([0, -1])).tolist() == [False, False]
+        with pytest.raises(InadmissibleIndex):
+            ht.basis_coefficient(np.array([0, -2]), np.array([0, 0]))
+
     @pytest.mark.parametrize("n,m", [(-1, 0), (0, 0), (2, 1)])
     def test_reciprocal_matches_quadrature_norm(self, n, m):
         norm2 = dom.monomial_l2_norm2(dom.hartogs_profile(), (n, m))
