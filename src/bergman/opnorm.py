@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,32 +27,35 @@ from .domains import DomainSpec, as_point, inside_points
 from .errors import NonFiniteValue
 from .quadrature import (QuadratureRule, _map, _points_on_rule, _row_blocks, gauss_legendre,
                          tail_exponent_classify)
+from .transforms import _per_diag
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
     """Kernel samples A[i][j] with column quadrature data.
 
     The discrete action is (A phi)(z_i) = sum_j A[i][j] w_j phi(w_j).  Row
     nodes may differ from the column nodes (an interior evaluation grid keeps
-    every row resolvable by the column rule).
+    every row resolvable by the column rule).  The entries must match the node
+    sets in shape and be finite, or ValueError.  ``row_sums`` is the weighted
+    row sum sum_j A[i][j] w_j; ``discretize_berezin`` returns a matrix that
+    computes it without forming the entries.
     """
 
-    entries: np.ndarray
-    row_nodes: np.ndarray
-    col_nodes: np.ndarray
-    col_weights: np.ndarray
-    meta: dict = field(default_factory=dict)
+    def __init__(self, entries: np.ndarray, row_nodes: np.ndarray, col_nodes: np.ndarray,
+                 col_weights: np.ndarray, meta: Optional[dict] = None):
+        self.row_nodes, self.col_nodes, self.col_weights = row_nodes, col_nodes, col_weights
+        self.meta = {} if meta is None else meta
+        self.entries = self._checked(entries)
 
-    def __post_init__(self):
-        if self.entries.shape != (self.row_nodes.shape[0], self.col_nodes.shape[0]):
+    def _checked(self, entries: np.ndarray) -> np.ndarray:
+        if entries.shape != (self.row_nodes.shape[0], self.col_nodes.shape[0]):
             raise ValueError("entry shape does not match the node sets")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("matrix entries must be finite")
+        _require_finite(entries)
+        return entries
 
     @property
     def is_square(self) -> bool:
-        return self.entries.shape[0] == self.entries.shape[1]
+        return self.row_nodes.shape[0] == self.col_nodes.shape[0]
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.entries @ (self.col_weights * np.asarray(values))
@@ -60,26 +64,63 @@ class OperatorMatrix:
         return self.entries @ self.col_weights
 
 
+def _require_finite(values: np.ndarray):
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix entries must be finite")
+
+
+class _BerezinMatrix(OperatorMatrix):
+    """The matrix of ``discretize_berezin``, whose entries are formed on first access.
+
+    Its row sums are B1 at the rows, by the blocked compensated pass of
+    ``transforms.unit_mass``: sum_j |K(w_j, z_i)|^2 w_j, divided by K(z_i, z_i)
+    after summing, so no row block of the matrix is formed.  The entries are
+    nonnegative, so a non-finite entry makes its row sum non-finite, and both
+    raise the same ValueError.
+    """
+
+    def __init__(self, domain: DomainSpec, rule: QuadratureRule, rows: np.ndarray,
+                 diag: np.ndarray, meta: dict):
+        self.row_nodes, self.col_nodes, self.col_weights = rows, rule.nodes, rule.weights
+        self.meta = meta
+        self._domain, self._rule, self._diag = domain, rule, diag
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        rows, nodes, diag = self.row_nodes, self.col_nodes, self._diag
+        out = np.empty((rows.shape[0], nodes.shape[0]))
+        def fill(r):  # each row block writes its own rows
+            np.divide(self._domain.kernel_abs2(nodes[None], rows[r, None]), diag[r, None],
+                      out=out[r])
+        _map(fill, _row_blocks(*out.shape), out.size)
+        return self._checked(out)
+
+    def row_sums(self) -> np.ndarray:
+        sums = _per_diag(self._domain, self.row_nodes, self._rule, self._rule.weights).real
+        _require_finite(sums)
+        return sums
+
+
 def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
                        row_nodes: Optional[np.ndarray] = None) -> OperatorMatrix:
     """A[i][j] = |K(w_j, z_i)|^2 / K(z_i, z_i) on the rule's nodes.
 
     With ``row_nodes`` unset the matrix is square on the rule itself; pass an
     interior subset when row sums must reproduce B1 = 1 at quadrature accuracy.
-    The rows must lie inside ``domain``, and ``rule`` must be built for it.
+    The rows must lie inside ``domain``, and ``rule`` must be built for it;
+    both are checked here.  The entries are formed on first access of
+    ``entries`` (by ``apply``, ``witness_lower_bound`` or ``estimate_norm`` at
+    finite p); ``row_sums``, and so ``estimate_norm`` at p = infinity, reads B1
+    at the rows and never forms them.
     """
     rows = rule.nodes if row_nodes is None else np.asarray(row_nodes)
     if rows.ndim == 1:
         rows = rows[:, None]
     rows, _ = _points_on_rule(domain, rows, rule)
     diag = domain.positive_diag(rows)
-    out = np.empty((rows.shape[0], len(rule)))
-    def fill(r):  # each row block writes its own rows
-        np.divide(domain.kernel_abs2(rule.nodes[None], rows[r, None]), diag[r, None], out=out[r])
-    _map(fill, _row_blocks(rows.shape[0], len(rule)), out.size)
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
             "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}
-    return OperatorMatrix(out, rows, rule.nodes, rule.weights, meta)
+    return _BerezinMatrix(domain, rule, rows, diag, meta)
 
 
 def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) -> OperatorMatrix:
@@ -248,8 +289,10 @@ def estimate_norm(A, p: float) -> NormEstimate:
     p = 2 is the largest singular value of the weight-symmetrized matrix and
     p = infinity the maximal weighted row sum, both exact for the discrete
     operator; other p yield certified lower bounds by dual ascent (on the disc
-    matrices it is never below ``witness_lower_bound``).  A Kronecker product
-    is estimated by power iteration at p = 2 and dual ascent at other finite p.
+    matrices it is never below ``witness_lower_bound``).  At p = infinity only
+    ``A.row_sums()`` is read, so a ``discretize_berezin`` matrix is never
+    formed.  A Kronecker product is estimated by power iteration at p = 2 and
+    dual ascent at other finite p.
     """
     if not 1.0 < p:
         raise ValueError("p must lie in (1, infinity]")

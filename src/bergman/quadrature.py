@@ -115,6 +115,9 @@ class QuadratureRule:
     def __len__(self):
         return self.nodes.shape[0]
 
+    def __repr__(self):
+        return f"QuadratureRule({self.meta!r}, nodes={len(self)})"
+
     @property
     def dim(self) -> int:
         return self.nodes.shape[1]

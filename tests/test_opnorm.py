@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import bergman.domains as dom
 from bergman import opnorm as on
 from bergman import quadrature as quad
+from bergman import reproduce
 from bergman import transforms as tr
 from bergman.errors import NonFiniteValue, PointOutsideDomain
 from bergman.quadrature import QuadratureRule, RuleMeta
@@ -35,6 +37,38 @@ class TestDiscretization:
     def test_row_sums_near_one(self, small_matrix):
         rows = small_matrix.row_sums()
         assert np.max(np.abs(rows - 1.0)) <= 1e-6
+
+    def test_p_infinity_forms_no_matrix(self):
+        # formed, the 4032 x 5376 rows operator takes 173 MB; its row sums take one
+        # blocked buffer of the B1 pass
+        rule = quad.build_rule(dom.disc(), *reproduce.ROWS_GRID)
+        rows = reproduce.row_nodes(rule)
+        tracemalloc.start()
+        try:
+            est = on.estimate_norm(on.discretize_berezin(dom.disc(), rule, row_nodes=rows),
+                                   math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+        assert est.value == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_a_non_finite_entry_is_refused(self, monkeypatch, small_rule, bad):
+        # the entries are nonnegative, so one bad entry reaches its row sum
+        domain, nodes = dom.disc(), small_rule.nodes
+        kernel_abs2 = type(domain).kernel_abs2
+
+        def spoiled(self, a, b):  # the entry of row 3 and column 7 alone
+            out = kernel_abs2(self, a, b)
+            out[np.all(b == nodes[3], axis=-1) & np.all(a == nodes[7], axis=-1)] = bad
+            return out
+        monkeypatch.setattr(type(domain), "kernel_abs2", spoiled)
+        for read in (lambda m: m.row_sums(), lambda m: on.estimate_norm(m, math.inf),
+                     lambda m: m.entries):
+            matrix = on.discretize_berezin(domain, small_rule, row_nodes=nodes[:5])
+            with pytest.raises(ValueError, match="finite"):
+                read(matrix)
 
     def test_single_node_degenerate_rule(self):
         meta = RuleMeta("disc", 1, 4, 4, 1.0, 1.0, (1,))

@@ -101,6 +101,15 @@ def _reference_ball2(radial_n, angular_n, grading, origin_grading):
     return np.stack(np.broadcast_arrays(z1, z2), axis=-1).reshape(-1, 2), w
 
 
+class TestRuleRepr:
+    def test_repr_is_short_and_names_the_domain_and_node_count(self):
+        # the arrays stay out: a property test's falsifying example prints its rules
+        rule = quad.build_rule(dom.hartogs_triangle(), 5, 12)
+        text = repr(rule)
+        assert len(text) <= 300
+        assert "hartogs" in text and f"nodes={len(rule)}" in text
+
+
 class TestProductFactors:
     """Polydisc and Hartogs rules are built from their 1-D factor rules."""
 
