@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -66,7 +66,6 @@ class ReinhardtProfile:
     exponent_at_zero: Optional[float] = None
     exponent_at_inf: Optional[float] = None
     allows_negative: tuple[bool, ...] = (False, False)
-    _norm_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def validate_profile(profile: ReinhardtProfile, rel_tol: float = 0.01) -> None:
@@ -552,9 +551,14 @@ def domain_by_name(name: str) -> DomainSpec:
         raise UnsupportedKind(f"unknown domain name {name!r}; choose from {sorted(_BY_NAME)}")
 
 
-def _as_nodes(nodes) -> np.ndarray:
+def _as_nodes(domain: DomainSpec, nodes) -> np.ndarray:
+    """``nodes`` as an (N, dim) array; (N,) is read as (N, 1) on a one-dimensional domain."""
     W = np.asarray(nodes)
-    return W[:, None] if W.ndim == 1 else W
+    if W.ndim == 1 and domain.dim == 1:
+        return W[:, None]
+    if W.ndim != 2 or W.shape[1] != domain.dim:
+        raise ValueError(f"expected nodes of shape (N, {domain.dim}), got {W.shape}")
+    return W
 
 
 def volume(domain: DomainSpec) -> float:
@@ -614,12 +618,12 @@ def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
     """Vectorized K(w_j, z) over an (N, dim) array of nodes, for a point z strictly inside
     the domain (PointOutsideDomain otherwise).  Membership of the nodes is the caller's
     responsibility (they normally come from a quadrature rule)."""
-    return domain.kernel(_as_nodes(nodes), np.asarray(require_inside(domain, z)))
+    return domain.kernel(_as_nodes(domain, nodes), np.asarray(require_inside(domain, z)))
 
 
 def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
     """Vectorized K(w_j, w_j), accurate as kernel_diag."""
-    return domain.diag(_as_nodes(nodes))
+    return domain.diag(_as_nodes(domain, nodes))
 
 
 def kernel_ratio(domain: DomainSpec, z, w) -> float:
@@ -630,8 +634,9 @@ def kernel_ratio(domain: DomainSpec, z, w) -> float:
 def normalized_kernel(domain: DomainSpec, z) -> Callable:
     """Return w -> K(w, z)/sqrt(K(z, z)), a unit vector of A^2 for each z.
 
-    The returned callable maps an (N, dim) node array (or (N,) on
-    one-dimensional domains) to an array, and a single point to a complex.
+    The returned callable maps an (N, dim) node array (or (N,) on one-dimensional
+    domains) to an array, and a single point strictly inside the domain
+    (PointOutsideDomain otherwise) to a complex.
     """
     zp = require_inside(domain, z)
     root = math.sqrt(kernel_diag(domain, zp))
@@ -639,7 +644,7 @@ def normalized_kernel(domain: DomainSpec, z) -> Callable:
     def k_z(w):
         if isinstance(w, np.ndarray) and w.ndim >= 1:
             return kernel_values(domain, zp, w) / root
-        return complex(kernel_values(domain, zp, [as_point(w, domain.dim)])[0]) / root
+        return complex(kernel_values(domain, zp, [require_inside(domain, w)])[0]) / root
 
     return k_z
 
@@ -692,19 +697,13 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
     alpha = tuple(int(a) for a in exponents)
     if len(alpha) != profile.dim:
         raise ValueError(f"expected {profile.dim} exponents, got {len(alpha)}")
-    cached = profile._norm_cache.get(alpha)
-    if cached is not None:
-        return cached
-
     for i, a in enumerate(alpha):
         if a < 0 and not profile.allows_negative[i]:
-            profile._norm_cache[alpha] = math.inf
             return math.inf
 
     a1, a2 = alpha
     # inner r2 integral: r2^(2 a2 + 1) near 0
     if not tail_exponent_classify([(2 * a2 + 1, "zero")]):
-        profile._norm_cache[alpha] = math.inf
         return math.inf
     # outer integrand after the inner integral: r1^(2 a1 + 1) * bound(r1)^(2 a2 + 2)
     if profile.exponent_at_zero is None:
@@ -715,7 +714,6 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
             raise UndeclaredAsymptotics(f"profile {profile.name!r}: exponent at infinity undeclared")
         pairs.append((2 * a1 + 1 + profile.exponent_at_inf * (2 * a2 + 2), "infinity"))
     if not tail_exponent_classify(pairs):
-        profile._norm_cache[alpha] = math.inf
         return math.inf
 
     def outer(r):
@@ -727,5 +725,4 @@ def monomial_l2_norm2(profile: ReinhardtProfile, exponents) -> float:
         raise UnresolvedIntegral(
             f"profile {profile.name!r}, exponents {alpha}: {MONOMIAL_NODES} and "
             f"{2 * MONOMIAL_NODES} Gauss-Legendre nodes give {coarse!r} and {val!r}")
-    profile._norm_cache[alpha] = val
     return val

@@ -13,7 +13,7 @@ eps^(-1/2), so no operator-norm bound can hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -247,11 +247,8 @@ class BlowupTable:
     slope: float
 
     def to_csv(self) -> str:
-        lines = ["eps,norm_f,lower_bound_Bf,ratio_lower,ratio_quadrature"]
-        for r in self.rows:
-            lines.append(",".join(format(v, ".12g") for v in
-                                  (r.eps, r.norm_f, r.lower_bound_Bf,
-                                   r.ratio_lower, r.ratio_quadrature)))
+        lines = [",".join(f.name for f in fields(BlowupRow))]
+        lines += [",".join(format(v, ".12g") for v in astuple(r)) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

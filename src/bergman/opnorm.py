@@ -16,7 +16,7 @@ radial-power witness sweep in ``witness_lower_bound``) labelled as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -25,9 +25,9 @@ import numpy as np
 from . import jsonfmt
 from .domains import DomainSpec, as_point, inside_points
 from .errors import NonFiniteValue
-from .quadrature import (QuadratureRule, _map, _points_on_rule, _row_blocks, gauss_legendre,
+from .quadrature import (QuadratureRule, _kernel_rows, _points_on_rule, gauss_legendre,
                          tail_exponent_classify)
-from .transforms import _per_diag
+from .transforms import _modulus, _per_diag
 
 
 class OperatorMatrix:
@@ -87,13 +87,8 @@ class _BerezinMatrix(OperatorMatrix):
 
     @cached_property
     def entries(self) -> np.ndarray:
-        rows, nodes, diag = self.row_nodes, self.col_nodes, self._diag
-        out = np.empty((rows.shape[0], nodes.shape[0]))
-        def fill(r):  # each row block writes its own rows
-            np.divide(self._domain.kernel_abs2(nodes[None], rows[r, None]), diag[r, None],
-                      out=out[r])
-        _map(fill, _row_blocks(*out.shape), out.size)
-        return self._checked(out)
+        return self._checked(_kernel_rows(self._domain.kernel_abs2, self.row_nodes,
+                                          self.col_nodes, self._diag))
 
     def row_sums(self) -> np.ndarray:
         sums = _per_diag(self._domain, self.row_nodes, self._rule, self._rule.weights).real
@@ -181,13 +176,7 @@ class NormEstimate:
     resolution: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return jsonfmt.dumps({
-            "value": float(self.value),
-            "p": float(self.p),
-            "method": self.method,
-            "bound_kind": self.bound_kind,
-            "resolution": self.resolution,
-        })
+        return jsonfmt.dumps(asdict(self))
 
 
 def _weighted_pnorm(w, values, p):
@@ -377,14 +366,7 @@ class BRScanReport:
     resolution: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        zmax, wmax = self.argmax
-        return jsonfmt.dumps({
-            "supremum": float(self.supremum),
-            "argmax": [[[c.real, c.imag] for c in zmax],
-                       [[c.real, c.imag] for c in wmax]],
-            "divergent": bool(self.divergent),
-            "resolution": self.resolution,
-        })
+        return jsonfmt.dumps(asdict(self))
 
 
 # ratios within this relative distance of the supremum tie for the argmax
@@ -396,22 +378,14 @@ def br_scan(domain: DomainSpec) -> BRScanReport:
 
     Each of a base grid and a refined one (denser, reaching one decade closer
     to the singular loci) is paired with itself in one ratio array, with |K|
-    the root of ``kernel_abs2``; growth of the supremum by a factor of ten or
+    from ``transforms._modulus``; growth of the supremum by a factor of ten or
     more flags the domain as failing a uniform kernel-ratio bound.  Ratios
     within _TIE relative of the supremum tie, and the reported argmax is the
     first of them by level, then z index, then w index: on symmetric grids
     the exact maximum is decided in the last bit.
     """
-    levels = []
-    for level in (0, 1):
-        Z, _ = inside_points(domain, domain.scan_grid(level))
-        diag = domain.positive_diag(Z)
-        ratios = np.empty((len(Z), len(Z)))
-        def fill(r):  # each row block writes its own rows
-            np.sqrt(domain.kernel_abs2(Z[None], Z[r, None]), out=ratios[r])
-            np.divide(ratios[r], diag[r, None], out=ratios[r])
-        _map(fill, _row_blocks(len(Z), len(Z)), ratios.size)
-        levels.append((Z, ratios))
+    grids = [inside_points(domain, domain.scan_grid(level))[0] for level in (0, 1)]
+    levels = [(Z, _kernel_rows(_modulus(domain), Z, Z, domain.positive_diag(Z))) for Z in grids]
     sup_base, sup_fine = sups = [float(np.max(ratios)) for _, ratios in levels]
     cut = max(sups) * (1.0 - _TIE)
     # np.argwhere lists the pairs of the first level reaching the cut z first, then w

@@ -15,11 +15,11 @@ from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
 conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
 its coefficients in place.  Each chunk's summands are gathered before it is
 reduced, so the blocked sum reproduces ``compensated_sum`` of the same summands
-chunk for chunk, bit for bit, whatever the number of points.  A call
-of at least 2^21 point-node entries runs on a thread pool, one thread per core
-the process may run on (at most its cgroup's CPU quota); its threads split one
-serial pass's block and buffer sizes, and the calling thread fsums the chunk
-sums in chunk order.
+chunk for chunk, bit for bit, whatever the number of points.  ``discretize_berezin``
+and ``br_scan`` fill their kernel arrays in row blocks of the same size.  A call of at
+least 2^21 point-node entries runs on a thread pool, one thread per core the process
+may run on (at most its cgroup's CPU quota); its threads split one serial pass's block
+and buffer sizes, and the calling thread fsums the chunk sums in chunk order.
 """
 
 from __future__ import annotations
@@ -195,9 +195,15 @@ def _map(fn, items: list, entries: int) -> list:
     return list((_POOL.map if len(items) > 1 and _workers(entries) > 1 else map)(fn, items))
 
 
-def _row_blocks(rows: int, cols: int) -> list:
-    """Slices of ``rows`` so that each (block, cols) evaluation holds _BLOCK / workers entries."""
-    return _slices(0, rows, max(1, _BLOCK // _workers(rows * cols) // max(1, cols)))
+def _kernel_rows(pair, Z: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The (M, N) array pair(W_j, Z_i) / scale_i of a real kernel form over the (M, dim) points
+    Z and (N, dim) nodes W, in row blocks of about _BLOCK / workers entries through ``_map``."""
+    out = np.empty((len(Z), len(W)))
+    def fill(r):  # each row block writes its own rows
+        np.divide(pair(W[None], Z[r, None]), scale[r, None], out=out[r])
+    rows = _slices(0, len(Z), max(1, _BLOCK // _workers(out.size) // max(1, len(W))))
+    _map(fill, rows, out.size)
+    return out
 
 
 def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) -> np.ndarray:

@@ -228,10 +228,15 @@ def check_03_adjoint() -> CheckResult:
                        resolution={"rule": _grid(rule), "patch_rules": patch_rules})
 
 
+def _disc_norm(p: float) -> float:
+    """The Berezin transform's L^p norm on the disc (Dostanic): pi (p + 1) / (p^2 sin(pi / p))."""
+    return math.pi * (p + 1.0) / (p * p * math.sin(math.pi / p))
+
+
 def check_04_disc_norms() -> CheckResult:
     radial = berezin_radial_matrix()
     est2 = on.estimate_norm(radial, 2.0)
-    target2 = 3.0 * math.pi / 4.0
+    target2 = _disc_norm(2.0)
     ok2 = abs(est2.value - target2) <= 0.05 * target2
 
     # the maximal row sum, the very float `bergman norm --p inf` reports
@@ -240,7 +245,7 @@ def check_04_disc_norms() -> CheckResult:
     ok_inf = abs(pinf - 1.0) <= 1e-6
 
     wit3 = on.witness_lower_bound(radial, 3.0)
-    target3 = 4.0 * math.pi / (9.0 * math.sin(math.pi / 3.0))
+    target3 = _disc_norm(3.0)
     ok3 = 0.8 * target3 <= wit3.value <= 1.01 * target3
     passed = ok2 and ok_inf and ok3
     return CheckResult(4, "disc p-norms: 3pi/4 at p=2, 1 at p=inf, p=3 witness", passed,

@@ -1,9 +1,9 @@
 """The Berezin transform, its adjoint, and the Bergman projections.
 
 Each operator is one weighted kernel sum over the rule's nodes w_j, evaluated in
-blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, |K| or
-conj K) times one coefficient per node (the weight times the symbol's value, over
-K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
+blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, ``_modulus``
+|K| or conj K) times one coefficient per node (the weight times the symbol's value,
+over K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
 A symbol is a callable of the nodes, an ndarray of one value per node, or a
 GridFunction, read by ``quadrature.evaluate_on_rule``: ValueError for a wrong
 length or another rule's GridFunction, NonFiniteValue for NaN or infinity,
@@ -36,6 +36,14 @@ def _on_points(op):
         sums = op(**call | {"z": Z})
         return sums[0].item() if single else sums
     return front
+
+
+def _modulus(domain: DomainSpec):
+    """The kernel form |K|, the root of ``domain.kernel_abs2`` taken in its own storage."""
+    def modulus(a, b):
+        k2 = domain.kernel_abs2(a, b)
+        return np.sqrt(k2, out=k2)
+    return modulus
 
 
 def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef: np.ndarray):
@@ -90,11 +98,8 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
 @_on_points
 def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|; real valued."""
-    def modulus(a, b):  # |K| as the root of |K|^2
-        k2 = domain.kernel_abs2(a, b)
-        return np.sqrt(k2, out=k2)
     coef = rule.weights * np.abs(evaluate_on_rule(rule, f))
-    return _kernel_sums(modulus, rule, z, coef).real
+    return _kernel_sums(_modulus(domain), rule, z, coef).real
 
 
 @_on_points

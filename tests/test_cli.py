@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bergman import cli, reproduce
+from bergman.domains import polydisc
+from bergman.opnorm import BRScanReport, NormEstimate, br_scan
 
 
 def run_cli(capsys, argv):
@@ -189,6 +192,22 @@ class TestPayloadFormat:
         assert json.loads(jsonfmt.dumps({text: [text, "plain"]})) == {text: [text, "plain"]}
         assert jsonfmt.dumps("domain") == '"domain"'
         assert jsonfmt.dumps([True, False, None, 3, -7, np.int64(2)]) == "[true,false,null,3,-7,2]"
+
+    @pytest.mark.parametrize("argv,report", [
+        (["norm", "--domain", "disc", "--p", "2"], NormEstimate),
+        (["br-scan", "--domain", "disc"], BRScanReport),
+    ], ids=["norm", "br-scan"])
+    def test_payload_keys_are_the_report_fields(self, capsys, argv, report):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert list(json.loads(out)) == [f.name for f in fields(report)]
+
+    def test_br_scan_argmax_nests_points_of_re_im_pairs(self, capsys):
+        code, out, _ = run_cli(capsys, ["br-scan", "--domain", "bidisc"])
+        assert code == 0
+        z, w = br_scan(polydisc(2)).argmax
+        assert json.loads(out)["argmax"] == [[[c.real, c.imag] for c in z],
+                                             [[c.real, c.imag] for c in w]]
 
     def test_symbol_with_a_control_character_gives_valid_json(self, capsys):
         code, out, _ = run_cli(capsys, ["berezin", "--domain", "disc", "--z", "0.3",

@@ -44,6 +44,20 @@ class TestKernelValues:
         with pytest.raises(PointOutsideDomain):
             dom.kernel_values(domain, z, nodes)
 
+    @pytest.mark.parametrize("domain,nodes", [
+        (dom.disc(), np.full((3, 2), 0.1 + 0j)),
+        (dom.disc(), [[0.1, 0.2]]),
+        (dom.polydisc(2), np.full(3, 0.1 + 0j)),
+        (dom.hartogs_triangle(), np.full((3, 3), 0.1 + 0j)),
+    ], ids=["disc (N, 2)", "disc [[a, b]]", "bidisc (N,)", "hartogs (N, 3)"])
+    def test_nodes_of_the_wrong_width_are_refused(self, domain, nodes):
+        # a disc read column 0 of (N, 2) nodes and returned the bidisc diagonal of [[0.1, 0.2]]
+        z = (0.3,) * domain.dim if domain.kind != "hartogs" else (0.5, 0.2)
+        with pytest.raises(ValueError, match="shape"):
+            dom.kernel_values(domain, z, nodes)
+        with pytest.raises(ValueError, match="shape"):
+            dom.kernel_diag_values(domain, nodes)
+
     def test_hartogs_diagonal_rounds_as_the_moduli_formula(self):
         # evaluated in place, for any leading shape, with the plain formula's roundings
         h = dom.hartogs_triangle()
@@ -187,6 +201,13 @@ class TestNormalizedKernel:
     def test_disc_center_is_constant(self):
         k = dom.normalized_kernel(dom.disc(), 0j)
         assert k(0.5 + 0.2j) == pytest.approx(1 / math.sqrt(math.pi))
+
+    @pytest.mark.parametrize("domain,z,w", [(dom.disc(), 0.2, 1.5),
+                                            (dom.hartogs_triangle(), (0.5, 0.2), (0.1, 0.5))],
+                             ids=["disc", "hartogs"])
+    def test_one_point_outside_is_refused(self, domain, z, w):
+        with pytest.raises(PointOutsideDomain):
+            dom.normalized_kernel(domain, z)(w)
 
     def test_vectorized_matches_pointwise(self):
         k = dom.normalized_kernel(dom.hartogs_triangle(), (0.5, 0.2))
@@ -341,7 +362,6 @@ class TestMonomialNorms:
         dom.validate_profile(root)
         with pytest.raises(UnresolvedIntegral):
             dom.monomial_l2_norm2(root, (0, 0))
-        assert (0, 0) not in root._norm_cache
 
     def test_boas_negative_exponent_rejected(self):
         assert math.isinf(dom.monomial_l2_norm2(dom.boas_profile(), (-1, 3)))

@@ -1,6 +1,7 @@
 """Basis coefficients, blow-up symbol machinery, blow-up table, weak pairing."""
 
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -185,6 +186,7 @@ class TestBlowup:
         text = table.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "eps,norm_f,lower_bound_Bf,ratio_lower,ratio_quadrature"
+        assert lines[0].split(",") == [f.name for f in fields(ht.BlowupRow)]
         assert len(lines) == 3
         assert all(len(line.split(",")) == 5 for line in lines[1:])
 
