@@ -24,7 +24,7 @@ import numpy as np
 
 from . import jsonfmt
 from .domains import DomainSpec, as_point, inside_points
-from .errors import NonFiniteValue
+from .errors import InvalidResolution, NonFiniteValue
 from .quadrature import (QuadratureRule, _kernel_rows, _points_on_rule, gauss_legendre,
                          tail_exponent_classify)
 from .transforms import _modulus, _per_diag
@@ -127,6 +127,8 @@ def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) 
     are the row and column u, EX = 1 - X, and D = 1 - XU is formed as
     EX + EU - EX EU, free of cancellation.  The weights are pi du.
     """
+    if not (math.isfinite(depth) and depth > 0.0):
+        raise InvalidResolution(f"depth must be finite and > 0, got {depth!r}")
     x, w = gauss_legendre(radial_n)
     tau = 0.5 * depth * (x + 1.0)
     eta = np.exp(-tau)

@@ -13,10 +13,12 @@ then an exact fsum of the chunk sums.  An operator is a kernel form F and one
 coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
 conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
-its coefficients in place.  Each chunk's summands are gathered before it is
-reduced, so the blocked sum reproduces ``compensated_sum`` of the same summands
-chunk for chunk, bit for bit, whatever the number of points.  ``discretize_berezin``
-and ``br_scan`` fill their kernel arrays in row blocks of the same size.  A call of at
+its coefficients in place.  A chunk is reduced from its one block where one block
+spans it (on a rule of one chunk the points are grouped so that one does) and
+gathered from its blocks into a buffer otherwise, so the blocked sum reproduces
+``compensated_sum`` of the same summands chunk for chunk, bit for bit, whatever
+the number of points.  ``discretize_berezin`` and ``br_scan`` fill their kernel
+arrays in row blocks of the same size.  A call of at
 least 2^21 point-node entries runs on a thread pool, one thread per core the process
 may run on (at most its cgroup's CPU quota); its threads split one serial pass's block
 and buffer sizes, and the calling thread fsums the chunk sums in chunk order.
@@ -24,7 +26,9 @@ and buffer sizes, and the calling thread fsums the chunk sums in chunk order.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -149,7 +153,8 @@ class GridFunction:
 _CHUNK = 65536
 # entries of one evaluated kernel block (M points x block nodes)
 _BLOCK = 1 << 17
-# entries of the (points x chunk) buffer a blocked sum reduces at once
+# entries of the (points x chunk) buffer that gathers a chunk spanned by several blocks;
+# also the size of call from which the thread pool runs
 _BUFFER = 16 * _BLOCK
 
 
@@ -212,29 +217,37 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) ->
     or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
     coefficients in place, unless a complex ``coef`` meets a real block.
 
-    Node blocks of about _BLOCK / workers entries are gathered into one (points,
-    chunk) array per _CHUNK nodes, of at most _BUFFER / workers entries, and reduced
-    along its rows through ``_map``; fsumming those in chunk order makes each sum equal
-    ``compensated_sum`` of that point's full summand array, bit for bit.
-    Returns an (M,) complex array; real summands give zero imaginary parts.
+    Each (point group, _CHUNK nodes) pair is one task of ``_map``, evaluated in node
+    blocks of about _BLOCK / workers entries.  A chunk filled by one block is reduced
+    along the block's rows; the blocks of any other chunk are first gathered into a
+    (points, chunk) buffer of at most _BUFFER / workers entries.  On a rule of one
+    chunk the points are grouped so that one block spans it.  Fsumming the chunk sums
+    in chunk order makes each sum equal ``compensated_sum`` of that point's full
+    summand array, bit for bit.  Returns an (M,) complex array; real summands give
+    zero imaginary parts.
     """
     n, workers = len(rule), _workers(len(Z) * len(rule))
-    groups = _slices(0, len(Z), max(1, _BUFFER // workers // max(1, min(n, _CHUNK))))
+    span = _BLOCK if n <= _CHUNK else _BUFFER  # entries of one group over one chunk
+    groups = _slices(0, len(Z), max(1, span // workers // max(1, min(n, _CHUNK))))
     chunks = range(0, n, _CHUNK)
 
     def chunk_sums(item):
         r, c = item
+        stop = min(c + _CHUNK, n)
         step = max(1, min(_CHUNK, _BLOCK // workers // (r.stop - r.start)))
         buf = None
-        for s in _slices(c, min(c + _CHUNK, n), step):
+        for s in _slices(c, stop, step):
             # a lone node goes in twice: one-entry blocks take a numpy loop differing in the last bit
             idx = s if s.stop - s.start > 1 else [s.start, s.start]
             block = pair(rule.nodes[None, idx], Z[r, None])
             block = (block * coef[idx] if np.iscomplexobj(coef) and not np.iscomplexobj(block)
                      else np.multiply(block, coef[idx], out=block))
-            if buf is None:
-                buf = np.empty((r.stop - r.start, min(_CHUNK, n - c)), block.dtype)
-            buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
+            if step >= stop - c:  # the chunk's one block: reduced where it lies
+                buf = block[:, :stop - c]
+            else:
+                if buf is None:
+                    buf = np.empty((r.stop - r.start, stop - c), block.dtype)
+                buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
         return np.sum(buf.real, axis=1), np.sum(buf.imag, axis=1) if np.iscomplexobj(buf) else None
 
     parts = _map(chunk_sums, [(r, c) for r in groups for c in chunks], len(Z) * n)
@@ -306,10 +319,12 @@ def build_rule(domain: DomainSpec, radial_n: int, angular_n: int,
     3 on the Hartogs triangle, else ``grading``) controls clustering toward
     r = 0 where integrands such as negative powers of |w1| concentrate.
     """
-    if radial_n < 4 or angular_n < 4:
-        raise InvalidResolution("radial_n and angular_n must both be >= 4")
-    if grading < 1.0 or (origin_grading is not None and origin_grading < 1.0):
-        raise InvalidResolution("grading exponents must be >= 1")
+    if not all(isinstance(n, numbers.Integral) and n >= 4 for n in (radial_n, angular_n)):
+        raise InvalidResolution(f"radial_n and angular_n must be integers >= 4, "
+                                f"got {radial_n!r} and {angular_n!r}")
+    if not all(math.isfinite(g) and g >= 1.0 for g in (grading, origin_grading) if g is not None):
+        raise InvalidResolution(f"grading exponents must be finite and >= 1, "
+                                f"got {grading!r} and {origin_grading!r}")
     builder = _RULE_BUILDERS.get(domain.kind)
     if builder is None:
         raise UnsupportedKind(f"no quadrature rule for domain kind {domain.kind!r}")
@@ -407,6 +422,8 @@ def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
     Suitable for compactly supported symbols; weights sum to the patch area.
     """
     c = complex(center)
+    if not (cmath.isfinite(c) and radius > 0.0):
+        raise InvalidResolution(f"patch needs a finite centre and a radius > 0, got {c!r}, {radius!r}")
     if abs(c) + radius >= 1.0:
         raise InvalidResolution("patch must stay inside the unit disc")
     meta = RuleMeta("disc", 1, radial_n, angular_n, 1.0, 1.0,

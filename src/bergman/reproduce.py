@@ -46,8 +46,11 @@ class CheckResult:
 
 
 # ---------------------------------------------------------------------------
-# rules, cached where several checks share them
+# rules and row sums: cached only what two or more checks share
 # ---------------------------------------------------------------------------
+# A builder without a cache is called by each of its readers, so its rule lives
+# no longer than the check that reads it: the two big Hartogs rules (3,686,400
+# and 2,359,296 nodes) are never held together.
 
 @lru_cache(maxsize=None)
 def rule_disc():
@@ -71,12 +74,10 @@ def rule_disc_rows():
     return quad.build_rule(dom.disc(), *ROWS_GRID)
 
 
-@lru_cache(maxsize=None)
 def rule_disc_fine():
     return quad.build_rule(dom.disc(), 64, 128)
 
 
-# check 01 alone uses these two (187 MB of nodes): built per call, not cached
 def rule_bidisc():
     return quad.build_rule(dom.polydisc(2), 16, 48)
 
@@ -85,18 +86,15 @@ def rule_ball2():
     return quad.build_rule(dom.ball(2), 28, 48)
 
 
-@lru_cache(maxsize=None)
 def rule_hartogs():
     return quad.build_rule(dom.hartogs_triangle(), 20, 48)
 
 
-@lru_cache(maxsize=None)
 def rule_hartogs_origin():
     # heavy origin grading absorbs |w1|^(-2+2 eps) down to eps = 0.02
     return quad.build_rule(dom.hartogs_triangle(), 32, 24, origin_grading=12.0)
 
 
-@lru_cache(maxsize=None)
 def rule_hartogs_radial():
     # the blow-up symbols are radial in |w1|; spend nodes radially
     return quad.build_rule(dom.hartogs_triangle(), 64, 4, origin_grading=15.0)
@@ -114,7 +112,6 @@ def berezin_row_sums():
     return on.discretize_berezin(dom.disc(), rule, row_nodes=row_nodes(rule)).row_sums()
 
 
-@lru_cache(maxsize=None)
 def berezin_radial_matrix():
     return on.discretize_berezin_radial(radial_n=200, depth=34.0)
 

@@ -6,6 +6,7 @@ same checks from the command line.
 """
 
 from bergman import reproduce
+from bergman.quadrature import QuadratureRule
 
 
 def _run(check):
@@ -66,3 +67,14 @@ def test_criterion_12_schur_probe():
 
 def test_criterion_13_pointwise_domination():
     _run(reproduce.check_13_domination)
+
+
+def test_run_all_caches_only_what_several_checks_share():
+    # each check that reads a big Hartogs rule builds it, so the rule lives as long
+    # as its reader; only the small disc rules and row sums stay cached
+    reproduce.run_all()
+    cached = {name: fn for name, fn in vars(reproduce).items() if hasattr(fn, "cache_info")}
+    assert set(cached) == {"rule_disc", "rule_disc_rows", "berezin_row_sums"}
+    for fn in cached.values():
+        held = fn() if fn.cache_info().currsize else None  # a hit: the cached object
+        assert not (isinstance(held, QuadratureRule) and len(held) > 10 ** 6)

@@ -347,6 +347,35 @@ def test_pooled_equals_per_point_bit_for_bit(pool, long_rules, big_disc_rule, op
         assert _bits(pooled) == _bits(np.array(ref, dtype=pooled.dtype))
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
+@pytest.mark.parametrize("n, m, block", [(CHUNK, 37, None), (1, 100, 4)], ids=["chunk", "one-node"])
+@pytest.mark.parametrize("name", ["disc", "hartogs"])
+@pytest.mark.parametrize("op", OPERATORS)
+def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n, m, block, pooled,
+                                               op):
+    # A rule of one chunk is reduced from the one block spanning it, in groups of
+    # _BLOCK / workers / n points, and the m points fill several groups.  The one-node
+    # rule runs at a block of 4 entries, where 100 points reach the pool (at 2^17
+    # entries it takes 2^21 points) and fill 25 or 50 groups.
+    if block:
+        monkeypatch.setattr(quad, "_BLOCK", block)
+        monkeypatch.setattr(quad, "_BUFFER", 16 * block)
+    domain, full = long_rules[name]
+    rule = quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
+    points = _points(domain, m, seed=n)
+    with ThreadPoolExecutor(2) as own:
+        if pooled:
+            counting = _lend_pool(monkeypatch, own, 2)
+        else:
+            monkeypatch.setattr(quad, "_POOL", None)
+        got = getattr(tr, op)(domain, _complex_symbol, points, rule)
+    if pooled:
+        assert m * n >= quad._BUFFER and counting.calls == 1
+        assert counting.items == -(-m // (quad._BLOCK // 2 // n)) > 1
+    ref = [_reference(op, domain, _complex_symbol, tuple(z), rule) for z in points]
+    assert _bits(got) == _bits(np.array(ref, dtype=got.dtype))
+
+
 def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
     domain = dom.ball(2)
     rule = quad.build_rule(domain, 12, 24)

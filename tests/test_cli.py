@@ -155,6 +155,14 @@ class TestResolutionFlags:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_grading_is_config_error(self, capsys, value):
+        code, out, err = run_cli(capsys, ["berezin", "--domain", "disc", "--z", "0.3",
+                                          "--grading", value])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("eps", ["1e-300", "1e-320"])
     def test_non_finite_blowup_is_config_error(self, capsys, eps):
         code, out, err = run_cli(capsys, ["blowup", "--eps", f"1e-2,{eps}"])

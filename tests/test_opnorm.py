@@ -13,7 +13,7 @@ from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import reproduce
 from bergman import transforms as tr
-from bergman.errors import NonFiniteValue, PointOutsideDomain
+from bergman.errors import InvalidResolution, NonFiniteValue, PointOutsideDomain
 from bergman.quadrature import QuadratureRule, RuleMeta
 
 
@@ -52,6 +52,27 @@ class TestDiscretization:
             tracemalloc.stop()
         assert peak <= 32e6
         assert est.value == pytest.approx(1.0, abs=1e-6)
+
+    def test_row_sums_gather_no_chunk_buffer(self):
+        # the 5376 nodes are one chunk, reduced from the kernel block that spans it: a
+        # (points x chunk) gather buffer would take 16 blocks, 16.8 MB at 2^21 entries
+        rule = quad.build_rule(dom.disc(), *reproduce.ROWS_GRID)
+        matrix = on.discretize_berezin(dom.disc(), rule, row_nodes=reproduce.row_nodes(rule))
+        tracemalloc.start()
+        try:
+            sums = matrix.row_sums()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6e6
+        assert np.max(np.abs(sums - 1.0)) <= 1e-6
+
+    @pytest.mark.parametrize("depth", [-5.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("build", [on.discretize_berezin_radial, on.discretize_absolute_radial])
+    def test_radial_depth_must_be_finite_and_positive(self, build, depth):
+        # a negative depth puts nodes at negative |z|^2, read as NaN radii
+        with pytest.raises(InvalidResolution):
+            build(radial_n=20, depth=depth)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_a_non_finite_entry_is_refused(self, monkeypatch, small_rule, bad):

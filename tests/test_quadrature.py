@@ -48,6 +48,21 @@ class TestRuleWeights:
         with pytest.raises(InvalidResolution):
             quad.build_rule(dom.disc(), 16, 16, grading=0.5)
 
+    @pytest.mark.parametrize("key", ["grading", "origin_grading"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_grading_is_refused(self, key, value):
+        # NaN fails no comparison with 1, and an infinite exponent grades every node to an end
+        with pytest.raises(InvalidResolution):
+            quad.build_rule(dom.hartogs_triangle(), 8, 8, **{key: value})
+
+    @pytest.mark.parametrize("res", [(10.5, 16), (16, 10.5), (16.0, 16)])
+    def test_non_integer_resolution_is_refused(self, res):
+        with pytest.raises(InvalidResolution):
+            quad.build_rule(dom.disc(), *res)
+
+    def test_numpy_integer_resolution_is_accepted(self):
+        assert len(quad.build_rule(dom.disc(), np.int64(8), 8)) == len(quad.build_rule(dom.disc(), 8, 8))
+
 
 def _reference_polydisc(dim, radial_n, angular_n, grading, origin_grading):
     """The polydisc builder's formulas as first written: the disc rule, then repeat/tile."""
@@ -259,6 +274,14 @@ class TestPatchRule:
         assert np.all(np.abs(rule.nodes[:, 0]) < 1)
         with pytest.raises(InvalidResolution):
             quad.disc_patch_rule(0.9 + 0j, 0.2)
+
+    @pytest.mark.parametrize("center, radius", [
+        (0.1, -0.1), (0.1, 0.0), (0.1, math.nan), (complex(math.nan, 0.0), 0.1),
+        (complex(0.0, math.inf), 0.1)], ids=["negative", "zero", "nan-radius", "nan-centre",
+                                             "infinite-centre"])
+    def test_degenerate_patch_is_refused(self, center, radius):
+        with pytest.raises(InvalidResolution):
+            quad.disc_patch_rule(center, radius)
 
 
 class TestTailExponents:
