@@ -28,16 +28,10 @@ def _parse_point(text: str, dim: int):
     try:
         coords = tuple(complex(tok.replace("i", "j")) for tok in text.split(","))
     except ValueError:
-        raise SystemExit2(f"cannot parse point {text!r}")
+        raise ValueError(f"cannot parse point {text!r}") from None
     if len(coords) != dim:
-        raise SystemExit2(f"point {text!r} has {len(coords)} coordinates, domain needs {dim}")
+        raise ValueError(f"point {text!r} has {len(coords)} coordinates, domain needs {dim}")
     return coords
-
-
-class SystemExit2(SystemExit):
-    def __init__(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
 
 
 _SYMBOLS = {
@@ -52,7 +46,7 @@ def _symbol(name: str):
     if name.startswith("blowup:"):
         eps = float(name.split(":", 1)[1])
         return lambda w: ht.blowup_symbol_values(eps, w if w.ndim > 1 else w[:, None])
-    raise SystemExit2(f"unknown symbol {name!r}; use one, abs2, or blowup:<eps>")
+    raise ValueError(f"unknown symbol {name!r}; use one, abs2, or blowup:<eps>")
 
 
 def _given(value, default):
@@ -63,7 +57,7 @@ def _given(value, default):
 def _rule_for(domain, args):
     radial, angular = domain.default_grid
     return quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular),
-                           _given(args.grading, 2.0))
+                           args.grading)
 
 
 def _emit(payload: str, out):
@@ -100,15 +94,15 @@ def cmd_norm(args):
     domain = dom.domain_by_name(args.domain)
     p = float(args.p)  # "inf" and "infinity" included
     if domain.kind != "disc":
-        raise SystemExit2("norm estimation is wired for the disc discretizations")
+        raise ValueError("norm estimation is wired for the disc discretizations")
     if math.isinf(p):
         radial, angular = reproduce.ROWS_GRID
         rule = quad.build_rule(domain, _given(args.radial_n, radial), _given(args.angular_n, angular))
         matrix = on.discretize_berezin(domain, rule, row_nodes=reproduce.row_nodes(rule))
     elif args.angular_n is not None:
-        raise SystemExit2("--angular-n applies to --p inf; the finite-p matrix has no angular grid")
+        raise ValueError("--angular-n applies to --p inf; the finite-p matrix has no angular grid")
     else:
-        matrix = on.discretize_berezin_radial(radial_n=_given(args.radial_n, 200), depth=34.0)
+        matrix = on.discretize_berezin_radial(_given(args.radial_n, on.BEREZIN_RADIAL[0]))
     _emit(on.estimate_norm(matrix, p).to_json() + "\n", args.out)
     return 0
 
@@ -122,7 +116,7 @@ def cmd_br_scan(args):
 
 def cmd_blowup(args):
     eps_list = [float(tok) for tok in args.eps.split(",")]
-    table = ht.blowup_table(eps_list, radial_n=_given(args.radial_n, 160))
+    table = ht.blowup_table(eps_list, _given(args.radial_n, ht.L2_NODES))
     _emit(table.to_csv(), args.out)
     print(f"fitted log-log slope: {table.slope:.6f}", file=sys.stderr)
     return 0
@@ -180,10 +174,10 @@ _FLAGS = {
     "w": dict(required=True),
     "symbol": dict(default="one"),
     "p": dict(default="2"),
-    "eps": dict(default="1e-1,1e-2,1e-3,1e-4"),
+    "eps": dict(default=",".join(map(repr, ht.BLOWUP_EPS))),
     "radial-n": dict(type=int, default=None),
     "angular-n": dict(type=int, default=None),
-    "grading": dict(type=float, default=None),
+    "grading": dict(type=float, default=quad.GRADING),
     "format": dict(choices=("json", "csv"), default="json"),
 }
 
@@ -196,8 +190,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
-        return exc.code
     except (BergmanError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -135,10 +135,10 @@ def hartogs_profile() -> ReinhardtProfile:
 class DomainSpec:
     """A model domain: kind tag and dimension.
 
-    Each kind is a subclass that holds every formula of that kind, and
-    ``DomainSpec(kind, dim)`` returns an instance of the subclass
-    registered for ``kind``: that lookup is the one dispatch on the kind.
-    Every kind defines ``volume()``, the strict membership ``_inside(Z)`` (its
+    Each kind is a subclass that holds every formula of that kind, and ``DomainSpec(kind, dim)``
+    returns an instance of the subclass registered for ``kind``: that lookup is the one dispatch
+    on the kind.  It refuses (ValueError) a ``dim`` other than the kind's ``fixed_dim`` (None:
+    any dim >= 1).  Every kind defines ``volume()``, the strict membership ``_inside(Z)`` (its
     inequalities carry the relative slack BOUNDARY_MARGIN) and its kernel once, as
     ``_form``; ``kernel`` and ``kernel_abs2`` derive from it here.  Membership and
     kernels take (..., dim) complex arrays; one point is the one-point case.
@@ -147,6 +147,7 @@ class DomainSpec:
     kind: str
     dim: int
 
+    fixed_dim = None
     # origin grading of quadrature rules when the caller gives none; None: the boundary grading
     default_origin_grading = None
     # (radial_n, angular_n) of the CLI's rule when no flag sets them
@@ -158,6 +159,10 @@ class DomainSpec:
                 raise UnsupportedKind(f"unknown domain kind {kind!r}")
             cls = _KINDS[kind]
         return super().__new__(cls)
+
+    def __post_init__(self):
+        if self.dim < 1 or self.fixed_dim not in (None, self.dim):
+            raise ValueError(f"{self.kind} has no dimension {self.dim!r}")
 
     def __str__(self):
         return f"{self.kind}({self.dim})"
@@ -372,6 +377,7 @@ class _Polydisc(DomainSpec):
 class _Disc(_Polydisc):
     """The unit disc: the polydisc of dimension one, sampled and scanned closer to the edge."""
 
+    fixed_dim = 1
     _sample_radius = 0.75
     _scan_center = (0.0,)
 
@@ -425,6 +431,8 @@ class _Ball(DomainSpec):
 
 
 class _HalfPlane(DomainSpec):
+    fixed_dim = 1
+
     def volume(self):
         return math.inf
 
@@ -450,6 +458,7 @@ class _HalfPlane(DomainSpec):
 class _Hartogs(DomainSpec):
     """The Hartogs triangle |z2| < |z1| < 1."""
 
+    fixed_dim = 2
     default_origin_grading = 3.0
     default_grid = (20, 48)
 
@@ -511,14 +520,10 @@ def disc() -> DomainSpec:
 
 
 def ball(n: int = 2) -> DomainSpec:
-    if n < 1:
-        raise ValueError("ball dimension must be >= 1")
     return DomainSpec("ball", n)
 
 
 def polydisc(n: int = 2) -> DomainSpec:
-    if n < 1:
-        raise ValueError("polydisc dimension must be >= 1")
     return DomainSpec("polydisc", n)
 
 

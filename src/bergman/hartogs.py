@@ -18,12 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .domains import hartogs_triangle, kernel_diag, require_inside
-from .errors import (
-    EpsilonOutOfRange,
-    InadmissibleIndex,
-    InvalidResolution,
-    NonFiniteValue,
-)
+from .errors import EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
 from .quadrature import _angles, _gauss, _graded_panel, gauss_legendre
 from .transforms import bergman_project
 
@@ -45,16 +40,19 @@ def basis_coefficient(n, m):
     return (m + 1) * (n + m + 2) / math.pi ** 2
 
 
-def kernel_series(w, z, truncation: int = 90) -> complex:
+SERIES_TRUNCATION = 90  # the largest k = n + m + 1 and m of the terms of ``kernel_series``
+
+
+def kernel_series(w, z) -> complex:
     """Truncated monomial expansion of the kernel K(w, z).
 
     Sums basis_coefficient (w1 conj(z1))^n (w2 conj(z2))^m over k = n+m+1 and m, both up
-    to ``truncation``; converges geometrically for |w1 z1| < 1 and
+    to SERIES_TRUNCATION; converges geometrically for |w1 z1| < 1 and
     |w2 z2| < |w1 z1|.
     """
     x = complex(w[0]) * complex(z[0]).conjugate()
     y = complex(w[1]) * complex(z[1]).conjugate()
-    K, M = np.indices((truncation + 1, truncation + 1))
+    K, M = np.indices((SERIES_TRUNCATION + 1, SERIES_TRUNCATION + 1))
     N = K - M - 1
     terms = basis_coefficient(N, M) * np.power(x, N) * np.power(y, M)
     return complex(np.sum(terms))
@@ -101,9 +99,12 @@ def berezin_blowup_closed(eps: float, z) -> float:
     return float(_bf_profile(np.array([1.0 - abs(zp[0]) ** 2]), eps)[0])
 
 
-def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
-                               s_n: int = 120, angular_n: int = 128) -> float:
-    """Transform of the blow-up symbol by direct numerical integration.
+# Gauss nodes per panel of u = r^(2 eps) and in s, and equispaced angles, of the direct quadrature
+DIRECT_NODES = {"radial_n": 160, "s_n": 120, "angular_n": 128}
+
+
+def berezin_blowup_by_quadrature(eps: float, z) -> float:
+    """Transform of the blow-up symbol by direct numerical integration on DIRECT_NODES.
 
     Working in the coordinates w1 = r e^{i th}, w2 = w1 s e^{i ph}, the
     integrand factors and the radial direction is integrated in the graded
@@ -113,20 +114,18 @@ def berezin_blowup_by_quadrature(eps: float, z, radial_n: int = 160,
     eps = _check_eps(eps)
     zp = require_inside(_HARTOGS, z)
     z1, z2 = zp
-    if angular_n < 1:
-        raise InvalidResolution(f"angular_n must be >= 1, got {angular_n}")
     diag = kernel_diag(_HARTOGS, zp)
-    th, wth = _angles(angular_n)
+    th, wth = _angles(DIRECT_NODES["angular_n"])
     phase = np.exp(1j * th)
 
-    xg, wg = gauss_legendre(radial_n)
+    xg, wg = gauss_legendre(DIRECT_NODES["radial_n"])
     u = np.concatenate([0.425 * (xg + 1.0), 0.85 + 0.075 * (xg + 1.0)])
     wu = np.concatenate([0.425 * wg, 0.075 * wg])
     r = u ** (1.0 / (2.0 * eps))
     outer = np.abs(1.0 - r[:, None] * phase[None, :] * np.conj(z1)) ** 4
     i_outer = float(np.sum(wu[:, None] * wth / outer))
 
-    s, ws = _gauss(s_n, 0.0, 1.0)
+    s, ws = _gauss(DIRECT_NODES["s_n"], 0.0, 1.0)
     inner = np.abs(np.conj(z1) - s[:, None] * phase[None, :] * np.conj(z2)) ** 4
     i_inner = float(np.sum((s * ws)[:, None] * wth / inner))
 
@@ -210,9 +209,12 @@ def _bf_profile(t: np.ndarray, eps: float) -> np.ndarray:
 
 # panels (t_lo, t_hi, grading toward t = 0) of the radial integral in t = 1 - |z1|^2
 L2_PANELS = ((0.1, 1.0, 1.0), (0.001, 0.1, 1.0), (0.0, 0.001, 3.0))
+# the blow-up table of check 08 and of `bergman blowup` without flags: its eps, and nodes per panel
+BLOWUP_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+L2_NODES = 160
 
 
-def bblowup_symbol_l2_norm(eps: float, radial_n: int = 160) -> float:
+def bblowup_symbol_l2_norm(eps: float, radial_n: int = L2_NODES) -> float:
     """L^2 norm of the transformed blow-up symbol via the radial reduction.
 
     The profile depends on |z1| alone and each z2 fiber contributes
@@ -252,7 +254,7 @@ class BlowupTable:
         return "\n".join(lines) + "\n"
 
 
-def blowup_table(eps_list, radial_n: int = 160) -> BlowupTable:
+def blowup_table(eps_list, radial_n: int = L2_NODES) -> BlowupTable:
     """Blow-up of the transform-to-symbol norm ratio against the bound 1/sqrt(15 eps).
 
     Each row pairs the closed-form norm of the blow-up symbol with the analytic lower

@@ -143,8 +143,12 @@ def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) 
     return OperatorMatrix(entries, nodes, nodes, math.pi * (eta * (0.5 * depth * w)), meta)
 
 
-def discretize_berezin_radial(radial_n: int = 200, depth: float = 34.0,
-                              sector: int = 0) -> OperatorMatrix:
+# (radial_n, depth) of the sector matrices of B (check 04, `norm` at finite p) and P+ (check 11)
+BEREZIN_RADIAL, ABSOLUTE_RADIAL = (200, 34.0), (120, 30.0)
+
+
+def discretize_berezin_radial(radial_n: int = BEREZIN_RADIAL[0],
+                              depth: float = BEREZIN_RADIAL[1], sector: int = 0) -> OperatorMatrix:
     """Angular-sector reduction of the disc Berezin transform.
 
     Nodes are radii on a log-graded grid reaching boundary distance
@@ -160,7 +164,8 @@ def discretize_berezin_radial(radial_n: int = 200, depth: float = 34.0,
     return _radial_matrix("berezin", kernel, radial_n, depth, sector)
 
 
-def discretize_absolute_radial(radial_n: int = 160, depth: float = 30.0) -> OperatorMatrix:
+def discretize_absolute_radial(radial_n: int = ABSOLUTE_RADIAL[0],
+                               depth: float = ABSOLUTE_RADIAL[1]) -> OperatorMatrix:
     """Sector-0 reduction of the disc absolute projection P+: the kernel 1 / (1 - XU)."""
     return _radial_matrix("absolute", lambda X, U, EX, D: 1.0 / D, radial_n, depth, 0)
 
@@ -248,9 +253,10 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
     """Norm of A1 kron A2 on the tensor grid, from the factors' actions alone.
 
     An array X on the grid (nodes of A1 by nodes of A2) maps to M1 X M2^T, so
-    no (n1 n2)^2 matrix is formed and the product of the factor norms is never
-    assumed.  At p = 2 the power iteration runs on (S1 kron S2)^T (S1 kron S2),
-    which acts as X -> G1 X G2 with the factor Gram matrices Gi = Si^T Si.
+    no (n1 n2)^2 matrix is formed.  At p = 2 the power iteration runs on (S1 kron S2)^T
+    (S1 kron S2), which acts as X -> G1 X G2 with the factor Gram matrices Gi = Si^T Si.  These
+    maps keep a rank-one X of rank one, so the start (an outer product of the weights) carries
+    seeded noise: the product of the factor norms is not built into the estimate.
     """
     if len(factors) != 2 or not all(isinstance(f, OperatorMatrix) and f.is_square
                                     for f in factors):
@@ -260,15 +266,17 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
     A1, A2 = factors
     w1, w2 = A1.col_weights, A2.col_weights
     n = len(w1) * len(w2)
-    res = {"factors": [dict(A1.meta), dict(A2.meta)], "rows": n, "cols": n}
+    start = {"seed": 11, "noise": 0.1}  # entrywise factor 1 + noise U, U uniform on [0, 1)
+    res = {"factors": [dict(A1.meta), dict(A2.meta)], "rows": n, "cols": n, "start": start}
+    jitter = 1.0 + start["noise"] * np.random.default_rng(start["seed"]).random((len(w1), len(w2)))
     M1, M2 = _scaled(A1, p), _scaled(A2, p)
     if p == 2.0:
         G1, G2 = M1.T @ M1, M2.T @ M2
         value, res["converged"] = _power_sigma(lambda X: G1 @ X @ G2,
-                                               np.outer(np.sqrt(w1), np.sqrt(w2)))
+                                               np.outer(np.sqrt(w1), np.sqrt(w2)) * jitter)
         return NormEstimate(value, p, "kronecker-power-iteration", "approximate", res)
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
-        lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2))
+        lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2) * jitter)
     return NormEstimate(best, p, "p-power-iteration", "lower", res)
 
 
@@ -289,7 +297,6 @@ def estimate_norm(A, p: float) -> NormEstimate:
         raise ValueError("p must lie in (1, infinity]")
     if isinstance(A, tuple):
         return _kronecker_norm(A, p)
-    w = A.col_weights
     res = dict(A.meta)
     if math.isinf(p):
         # the entries built here are nonnegative, so the row sums are the absolute row sums
@@ -300,16 +307,13 @@ def estimate_norm(A, p: float) -> NormEstimate:
         raise ValueError("finite-p estimation needs a square matrix (rows = columns)")
     M = _scaled(A, p)
     if p == 2.0:
-        if M.shape[0] <= 4000:
-            value = float(np.linalg.svd(M, compute_uv=False)[0])
-            res["converged"] = True
-        else:
-            value, res["converged"] = _power_sigma(lambda v: M.T @ (M @ v), np.sqrt(w))
-        return NormEstimate(value, p, "weighted-svd", "approximate", res)
+        res["converged"] = True
+        return NormEstimate(float(np.linalg.svd(M, compute_uv=False)[0]), p, "weighted-svd",
+                            "approximate", res)
 
     # the weighted induced p-norm is the l^p norm of M
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
-        lambda x: M @ x, lambda x: M.T @ x, p, x0=w.copy())
+        lambda x: M @ x, lambda x: M.T @ x, p, x0=A.col_weights.copy())
     return NormEstimate(best, p, "p-power-iteration", "lower", res)
 
 
@@ -403,21 +407,18 @@ def br_scan(domain: DomainSpec) -> BRScanReport:
 # product multiplicativity of P+ norms
 # ---------------------------------------------------------------------------
 
-def _product_estimates(p: float, resolution: int = 120,
-                       depth: float = 30.0) -> tuple[NormEstimate, NormEstimate]:
-    """The estimates of ||P+|| on the bidisc and on the disc at matched grids.
+def _product_estimates(p: float) -> tuple[NormEstimate, NormEstimate]:
+    """The estimates of ||P+|| on the bidisc and on the disc on the ABSOLUTE_RADIAL grid.
 
     The bidisc operator is the Kronecker product of the factor discretization
     on the tensor radial grid; ``estimate_norm`` iterates on it without
     reference to the factor result.
     """
-    if not 1.0 < p < math.inf:
-        raise ValueError("p must lie in (1, infinity)")
-    m = discretize_absolute_radial(radial_n=resolution, depth=depth)
+    m = discretize_absolute_radial()  # estimate_norm refuses p = infinity for the pair
     return estimate_norm((m, m), p), estimate_norm(m, p)
 
 
-def product_norm_check(p: float, resolution: int = 120, depth: float = 30.0) -> tuple[float, float]:
+def product_norm_check(p: float) -> tuple[float, float]:
     """(estimated ||P+|| on the bidisc, squared disc estimate) from ``_product_estimates``."""
-    bidisc, factor = _product_estimates(p, resolution, depth)
+    bidisc, factor = _product_estimates(p)
     return bidisc.value, factor.value ** 2

@@ -310,8 +310,11 @@ def integrate(rule: QuadratureRule, f) -> complex:
 # rule construction
 # ---------------------------------------------------------------------------
 
+GRADING = 2.0  # of build_rule toward the outer boundaries when the caller gives none
+
+
 def build_rule(domain: DomainSpec, radial_n: int, angular_n: int,
-               grading: float = 2.0, origin_grading: Optional[float] = None) -> QuadratureRule:
+               grading: float = GRADING, origin_grading: Optional[float] = None) -> QuadratureRule:
     """Tensor rule in polar/toroidal coordinates for a model domain.
 
     ``grading`` controls clustering toward outer boundaries and the Hartogs
@@ -486,19 +489,24 @@ def save_rule(rule: QuadratureRule, path: str) -> None:
 
 
 def load_rule(path: str) -> QuadratureRule:
+    """The rule ``save_rule`` wrote to ``path``; ValueError for a file no built rule could write."""
     with open(path, "rb") as fh:
         header = fh.readline().decode()
         if not header.startswith(_MAGIC.decode()):
             raise ValueError(f"{path} is not a serialized rule")
-        fields = dict(tok.split("=", 1) for tok in header.strip().split()[2:])
-        dim = int(fields["dim"])
-        n = int(fields["n"])
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(n, 2 * dim + 1)
-    nodes = (data[:, 0:2 * dim:2] + 1j * data[:, 1:2 * dim:2]).astype(complex)
-    weights = np.ascontiguousarray(data[:, -1])
-    # files written before the shape was recorded load with shape ()
-    shape = tuple(int(s) for s in fields.get("shape", "").split(",") if s)
-    meta = RuleMeta(fields["kind"], dim, int(fields["radial_n"]), int(fields["angular_n"]),
-                    float(fields["grading"]), float(fields["origin_grading"]),
-                    shape=shape, region=fields.get("region", "full"))
-    return QuadratureRule(nodes, weights, meta)
+        try:
+            fields = dict(tok.split("=", 1) for tok in header.strip().split()[2:])
+            # files written before the shape was recorded load with shape ()
+            meta = RuleMeta(fields["kind"], int(fields["dim"]), int(fields["radial_n"]),
+                            int(fields["angular_n"]), float(fields["grading"]),
+                            float(fields["origin_grading"]),
+                            tuple(int(s) for s in fields.get("shape", "").split(",") if s),
+                            fields.get("region", "full"))
+            DomainSpec(meta.domain, meta.dim)  # refuses an unknown kind or a dimension it lacks
+            data = np.frombuffer(fh.read(), dtype="<f8").reshape(int(fields["n"]), 2 * meta.dim + 1)
+        except (KeyError, ValueError, UnsupportedKind) as exc:
+            raise ValueError(f"{path} is not a valid rule file: {exc!r}") from None
+    if not (np.all(np.isfinite(data)) and np.all(data[:, -1] > 0.0)):
+        raise ValueError(f"{path} has a non-finite node or weight, or a weight <= 0")
+    nodes = (data[:, 0:2 * meta.dim:2] + 1j * data[:, 1:2 * meta.dim:2]).astype(complex)
+    return QuadratureRule(nodes, np.ascontiguousarray(data[:, -1]), meta)

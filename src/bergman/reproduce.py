@@ -112,10 +112,6 @@ def berezin_row_sums():
     return on.discretize_berezin(dom.disc(), rule, row_nodes=row_nodes(rule)).row_sums()
 
 
-def berezin_radial_matrix():
-    return on.discretize_berezin_radial(radial_n=200, depth=34.0)
-
-
 def _rel(a, b):
     return abs(a - b) / abs(b)
 
@@ -231,7 +227,7 @@ def _disc_norm(p: float) -> float:
 
 
 def check_04_disc_norms() -> CheckResult:
-    radial = berezin_radial_matrix()
+    radial = on.discretize_berezin_radial()
     est2 = on.estimate_norm(radial, 2.0)
     target2 = _disc_norm(2.0)
     ok2 = abs(est2.value - target2) <= 0.05 * target2
@@ -261,7 +257,6 @@ def check_04_disc_norms() -> CheckResult:
 def check_05_hartogs_kernel() -> CheckResult:
     domain = dom.hartogs_triangle()
     rng = np.random.default_rng(55)
-    truncation = 90
     worst_series = 0.0
     for _ in range(20):
         z1 = rng.uniform(0.2, 0.8) * np.exp(2j * np.pi * rng.random())
@@ -269,7 +264,7 @@ def check_05_hartogs_kernel() -> CheckResult:
         z = (z1, z1 * rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.random()))
         w = (w1, w1 * rng.uniform(0.0, 0.8) * np.exp(2j * np.pi * rng.random()))
         exact = dom.kernel(domain, w, z)
-        series = ht.kernel_series(w, z, truncation=truncation)
+        series = ht.kernel_series(w, z)
         worst_series = max(worst_series, abs(series - exact) / abs(exact))
 
     worst_path = 0.0
@@ -291,7 +286,7 @@ def check_05_hartogs_kernel() -> CheckResult:
                        {"series_rel": worst_series, "path_rel": worst_path,
                         "disc_sup": sup_disc, "flags": flags},
                        "1e-8 series; 1e-10 path; disc sup in [3.92, 4]",
-                       resolution={"series_truncation": truncation,
+                       resolution={"series_truncation": ht.SERIES_TRUNCATION,
                                    "scan": {kind: {key: rep.resolution[key]
                                                    for key in ("levels", "sup_base", "sup_fine")}
                                             for kind, rep in reports.items()}})
@@ -311,14 +306,13 @@ def check_06_blowup_symbol_norm() -> CheckResult:
 def check_07_blowup_transform() -> CheckResult:
     rng = np.random.default_rng(77)
     worst = 0.0
-    substitution = {"radial_n": 160, "s_n": 120, "angular_n": 128}
     for eps in (0.1, 0.01):
         for _ in range(10):
             r1 = rng.uniform(0.15, 0.7)
             z1 = r1 * np.exp(2j * np.pi * rng.random())
             z = (z1, z1 * rng.uniform(0.0, 0.7) * np.exp(2j * np.pi * rng.random()))
             closed = ht.berezin_blowup_closed(eps, z)
-            direct = ht.berezin_blowup_by_quadrature(eps, z, **substitution)
+            direct = ht.berezin_blowup_by_quadrature(eps, z)
             worst = max(worst, _rel(direct, closed))
     # the generic rule-driven route agrees as well where its grading suffices
     z = (0.3 + 0.0j, 0.1 + 0.0j)
@@ -330,18 +324,16 @@ def check_07_blowup_transform() -> CheckResult:
     return CheckResult(7, "closed-form blow-up transform vs direct quadrature", passed,
                        {"worst_rel": worst, "generic_rule_rel": generic_rel},
                        "1e-4 relative, eps in {0.1, 0.01}",
-                       resolution={"substitution": substitution, "generic": _grid(rule)})
+                       resolution={"substitution": dict(ht.DIRECT_NODES), "generic": _grid(rule)})
 
 
 def check_08_blowup() -> CheckResult:
-    eps_list = (1e-1, 1e-2, 1e-3, 1e-4)
-    radial_n = 160
-    table = ht.blowup_table(eps_list, radial_n)
+    table = ht.blowup_table(ht.BLOWUP_EPS)
     margin = min(r.ratio_quadrature - r.ratio_lower * 0.99 for r in table.rows)
     monotone = all(a.ratio_quadrature < b.ratio_quadrature
                    for a, b in zip(table.rows, table.rows[1:]))
     passed = margin >= 0.0 and -0.55 <= table.slope <= -0.45 and monotone
-    panels = [{"t=1-|z1|^2": [lo, hi], "grading_toward_0": g, "nodes": radial_n}
+    panels = [{"t=1-|z1|^2": [lo, hi], "grading_toward_0": g, "nodes": ht.L2_NODES}
               for lo, hi, g in ht.L2_PANELS]
     phi = {f"x < {ht.PHI_SPLIT}": "direct", f"x >= {ht.PHI_SPLIT}": "DLMF 15.8.10",
            "terms": ht.PHI_TERMS}
@@ -349,7 +341,7 @@ def check_08_blowup() -> CheckResult:
                        {"slope": table.slope, "min_margin": margin,
                         "ratios": [r.ratio_quadrature for r in table.rows]},
                        "ratio >= bound - 1%; slope in [-0.55, -0.45]",
-                       resolution={"eps": list(eps_list), "panels": panels, "phi": phi})
+                       resolution={"eps": list(ht.BLOWUP_EPS), "panels": panels, "phi": phi})
 
 
 def check_09_weak_pairing() -> CheckResult:

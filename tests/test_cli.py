@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bergman import cli, reproduce
+from bergman import hartogs as ht
 from bergman.domains import polydisc
 from bergman.opnorm import BRScanReport, NormEstimate, br_scan
 
@@ -81,6 +82,12 @@ class TestNormCommand:
         assert json.loads(out)["resolution"]["rows"] == len(sums)
         assert value == float(np.max(sums))
 
+    def test_p2_is_check_04s_value(self, capsys):
+        # both read the radial grid opnorm.BEREZIN_RADIAL
+        code, out, _ = run_cli(capsys, ["norm", "--p", "2"])
+        assert code == 0
+        assert json.loads(out)["value"] == reproduce.check_04_disc_norms().measured["p2"]
+
 
 class TestScanAndBlowup:
     def test_br_scan_disc(self, capsys):
@@ -101,6 +108,19 @@ class TestScanAndBlowup:
         assert code == 0
         slope = float(err.split("slope:")[1])
         assert -0.55 <= slope <= -0.45
+
+    def test_default_blowup_is_check_08s_table(self, capsys, monkeypatch):
+        # both read hartogs.BLOWUP_EPS and hartogs.L2_NODES
+        tables, blowup_table = [], ht.blowup_table
+
+        def recorded(*args, **kwargs):
+            tables.append(blowup_table(*args, **kwargs))
+            return tables[-1]
+        monkeypatch.setattr(ht, "blowup_table", recorded)
+        code, out, _ = run_cli(capsys, ["blowup"])
+        assert code == 0 and reproduce.check_08_blowup().passed
+        cli_table, check_table = tables
+        assert cli_table == check_table and out == check_table.to_csv()
 
     def test_blowup_csv(self, capsys, tmp_path):
         path = os.path.join(tmp_path, "table.csv")

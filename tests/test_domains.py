@@ -124,6 +124,27 @@ class TestMembership:
             assert domain.contains(np.array([z]))[0]
 
 
+class TestDimensions:
+    @pytest.mark.parametrize("kind,dim", [("disc", 2), ("punctured-disc", 2), ("half-plane", 2),
+                                          ("hartogs", 1), ("hartogs", 3), ("ball", 0),
+                                          ("polydisc", 0), ("disc", 0)])
+    def test_a_dimension_the_kind_has_not_is_refused(self, kind, dim):
+        # DomainSpec("disc", 2) was a bidisc named disc(2); the half plane read z1 only
+        with pytest.raises(ValueError):
+            dom.DomainSpec(kind, dim)
+
+    @pytest.mark.parametrize("kind,dim", [("disc", 1), ("punctured-disc", 1), ("half-plane", 1),
+                                          ("hartogs", 2), ("ball", 1), ("ball", 3),
+                                          ("polydisc", 1), ("polydisc", 3)])
+    def test_the_kinds_dimensions_are_accepted(self, kind, dim):
+        assert str(dom.DomainSpec(kind, dim)) == f"{kind}({dim})"
+
+    @pytest.mark.parametrize("make", [dom.ball, dom.polydisc])
+    def test_the_builders_refuse_dimension_zero(self, make):
+        with pytest.raises(ValueError):
+            make(0)
+
+
 class TestVolumes:
     @pytest.mark.parametrize("domain,expected", [
         (dom.disc(), math.pi),

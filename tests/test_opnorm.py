@@ -281,11 +281,11 @@ class TestBRScan:
 
 class TestProductNorms:
     def test_p2_agreement(self):
-        big, small_sq = on.product_norm_check(2.0, resolution=100)
+        big, small_sq = on.product_norm_check(2.0)
         assert abs(big - small_sq) / small_sq <= 0.05
 
     def test_p4_agreement(self):
-        big, small_sq = on.product_norm_check(4.0, resolution=80)
+        big, small_sq = on.product_norm_check(4.0)
         assert abs(big - small_sq) / small_sq <= 0.08
 
     def test_p_validation(self):
@@ -320,6 +320,26 @@ class TestKroneckerNorm:
         got = on.estimate_norm((factor, other), 2.0).value
         want = on.estimate_norm(factor, 2.0).value * on.estimate_norm(other, 2.0).value
         assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_first_iterate_is_not_of_rank_one(self, monkeypatch, p):
+        # X -> G1 X G2, X -> M1 X M2^T and the duality map keep a rank-one array of rank one,
+        # so an outer-product start would give the product of the factor iterations
+        iterates = []
+
+        def spy(run):
+            def wrapped(act, *args, **kwargs):
+                def recorded(X):
+                    iterates.append(act(X))
+                    return iterates[-1]
+                return run(recorded, *args, **kwargs)
+            return wrapped
+        monkeypatch.setattr(on, "_power_sigma", spy(on._power_sigma))
+        monkeypatch.setattr(on, "_dual_ascent_pnorm", spy(on._dual_ascent_pnorm))
+        factor = on.discretize_absolute_radial()
+        est = on.estimate_norm((factor, factor), p)
+        assert np.linalg.matrix_rank(iterates[0]) > 1
+        assert est.resolution["start"] == {"seed": 11, "noise": 0.1}
 
     def test_refuses_p_infinity(self, factor):
         with pytest.raises(ValueError):

@@ -6,10 +6,14 @@ The files under ``perfbench/`` are only read.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from bergman import hartogs, opnorm, quadrature, reproduce
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,9 +36,36 @@ def test_one_unit_passes_every_gate(tmp_path, workload):
     assert all(op.ok for op in ops), [f"{op.name}: {op.detail}" for op in ops if not op.ok]
 
 
+def test_operator_reports_run_the_pinned_grids(tmp_path, monkeypatch):
+    # perfbench states its grids itself; they must stay the ones the checks and the CLI read
+    calls = {}
+    for module, name in ((opnorm, "discretize_berezin"), (opnorm, "discretize_berezin_radial"),
+                         (opnorm, "discretize_absolute_radial"), (hartogs, "blowup_table")):
+        def recorded(*args, fn=getattr(module, name), **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound.apply_defaults()
+            result = fn(*args, **kwargs)
+            calls.setdefault(fn.__name__, []).append((bound.arguments, result))
+            return result
+        monkeypatch.setattr(module, name, recorded)
+    wl = _load("workloads").WORKLOADS["operator-reports"](1, 1.0, str(tmp_path),
+                                                           _load("tracer").NullTracer())
+    wl.setup()
+    assert all(op.ok for op in wl.unit())
+    (args, matrix), = calls["discretize_berezin"]
+    meta = args["rule"].meta
+    assert (meta.radial_n, meta.angular_n, meta.grading) == (*reproduce.ROWS_GRID, quadrature.GRADING)
+    np.testing.assert_array_equal(matrix.row_nodes, reproduce.row_nodes(args["rule"]))
+    assert {(a["radial_n"], a["depth"], a["sector"]) for a, _ in calls["discretize_berezin_radial"]
+            } == {(*opnorm.BEREZIN_RADIAL, 0)}
+    assert {(a["radial_n"], a["depth"]) for a, _ in calls["discretize_absolute_radial"]
+            } == {opnorm.ABSOLUTE_RADIAL}
+    (args, _), = calls["blowup_table"]
+    assert (tuple(args["eps_list"]), args["radial_n"]) == (hartogs.BLOWUP_EPS, hartogs.L2_NODES)
+
+
 def test_reproduce_workload_resolves_its_names(tmp_path):
     # the names only: tests/test_acceptance.py runs the checks themselves
-    from bergman import reproduce
     workloads = _load("workloads")
     wl = workloads.WORKLOADS["reproduce"](1, 1.0, str(tmp_path), _load("tracer").NullTracer())
     assert wl.builders

@@ -346,6 +346,29 @@ class TestSerialization:
         assert back.meta.shape == ()
         np.testing.assert_array_equal(back.nodes, rule.nodes)
 
+    @pytest.mark.parametrize("spoil", [
+        lambda h, r: (h.replace(b" dim=2", b""), r),
+        lambda h, r: (h.replace(b" radial_n=4", b" radial_n=four"), r),
+        lambda h, r: (h.replace(b"kind=polydisc", b"kind=torus"), r),
+        lambda h, r: (h.replace(b"kind=polydisc", b"kind=disc"), r),
+        lambda h, r: (h, r[:-8]),
+        lambda h, r: (h, r[:-8] + struct.pack("<d", math.nan)),
+        lambda h, r: (h, r[:-8] + struct.pack("<d", -1.0)),
+        lambda h, r: (h, r[:-8] + struct.pack("<d", 0.0)),
+        lambda h, r: (h, struct.pack("<d", math.inf) + r[8:]),
+    ], ids=["no-dim", "bad-radial-n", "unknown-kind", "disc-of-dim-2", "short-records",
+            "nan-weight", "negative-weight", "zero-weight", "infinite-node"])
+    def test_a_bad_file_is_refused(self, tmp_path, spoil):
+        rule = quad.build_rule(dom.polydisc(2), 4, 4)
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(rule, path)
+        with open(path, "rb") as fh:
+            header, records = spoil(fh.readline(), fh.read())
+        with open(path, "wb") as fh:
+            fh.write(header + records)
+        with pytest.raises(ValueError):
+            quad.load_rule(path)
+
     def test_reject_garbage(self, tmp_path):
         path = os.path.join(tmp_path, "junk.bin")
         with open(path, "wb") as fh:
