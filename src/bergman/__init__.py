@@ -13,7 +13,6 @@ from .domains import (
     boas_profile,
     disc,
     domain_by_name,
-    hartogs_profile,
     hartogs_triangle,
     kernel,
     kernel_diag,

@@ -117,20 +117,6 @@ def boas_profile() -> ReinhardtProfile:
     return p
 
 
-def hartogs_profile() -> ReinhardtProfile:
-    """The Hartogs triangle |z2| < |z1| < 1 as a Reinhardt profile."""
-    p = ReinhardtProfile(
-        name="hartogs",
-        dim=2,
-        r1_max=1.0,
-        bound=lambda r: r,
-        exponent_at_zero=1.0,
-        allows_negative=(True, False),
-    )
-    validate_profile(p)
-    return p
-
-
 @dataclass(frozen=True)
 class DomainSpec:
     """A model domain: kind tag and dimension.
@@ -150,8 +136,12 @@ class DomainSpec:
     fixed_dim = None
     # origin grading of quadrature rules when the caller gives none; None: the boundary grading
     default_origin_grading = None
-    # (radial_n, angular_n) of the CLI's rule when no flag sets them
+    # (radial_n, angular_n) of the CLI's rule when no flag sets them, and of the reproduction
+    # suite's rule on the disc and on the Hartogs triangle
     default_grid = (32, 64)
+    # whether K(e^{it} a, e^{it} b) = K(a, b) on a domain of one variable: B1 is then one value
+    # on each rotation ring of a rule invariant under the ring's rotations
+    rotation_invariant = False
 
     def __new__(cls, kind=None, *args, **kwargs):
         if cls is DomainSpec:
@@ -378,6 +368,7 @@ class _Disc(_Polydisc):
     """The unit disc: the polydisc of dimension one, sampled and scanned closer to the edge."""
 
     fixed_dim = 1
+    rotation_invariant = True
     _sample_radius = 0.75
     _scan_center = (0.0,)
 

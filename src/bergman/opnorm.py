@@ -25,8 +25,8 @@ import numpy as np
 from . import jsonfmt
 from .domains import DomainSpec, as_point, inside_points
 from .errors import InvalidResolution, NonFiniteValue
-from .quadrature import (QuadratureRule, _kernel_rows, _points_on_rule, gauss_legendre,
-                         tail_exponent_classify)
+from .quadrature import (QuadratureRule, _angles, _kernel_rows, _points_on_rule,
+                         gauss_legendre, tail_exponent_classify)
 from .transforms import _modulus, _per_diag
 
 
@@ -69,21 +69,48 @@ def _require_finite(values: np.ndarray):
         raise ValueError("matrix entries must be finite")
 
 
+def _ring_width(domain: DomainSpec, rule: QuadratureRule, rows: np.ndarray) -> Optional[int]:
+    """The angular count A of ``rule`` when ``rows`` are whole rotation rings of it, else None.
+
+    On a rotation-invariant domain B1(e^{2 pi i k / A} z) = B1(z) for a rule that the rotation
+    by 2 pi / A maps onto itself, so B1 takes one value on each ring.  That is checked from the
+    arrays, not read from ``RuleMeta``: the nodes reshape to ``meta.shape`` = (R, A), each ring
+    has one weight exactly and its nodes are its first node times e^{2 pi i k / A} to 4 ulps,
+    and the rows equal consecutive rings of the rule in rule order.
+    """
+    shape = rule.meta.shape
+    if not (domain.rotation_invariant and len(shape) == 2 and len(rows)
+            and rule.nodes.shape == (shape[0] * shape[1], 1) and len(rows) % shape[1] == 0):
+        return None
+    width = shape[1]
+    rings, weights = rule.nodes.reshape(shape), rule.weights.reshape(shape)
+    first = rings[:, :1]
+    turns = np.exp(1j * _angles(width)[0])
+    if not (np.all(weights == weights[:, :1])
+            and np.all(np.abs(rings - first * turns) <= 4 * np.finfo(float).eps * np.abs(first))):
+        return None
+    start = np.flatnonzero(first[:, 0] == rows[0, 0])[:1] * width
+    whole = len(start) and np.array_equal(rows[:, 0], rule.nodes[start[0]:start[0] + len(rows), 0])
+    return width if whole else None
+
+
 class _BerezinMatrix(OperatorMatrix):
     """The matrix of ``discretize_berezin``, whose entries are formed on first access.
 
     Its row sums are B1 at the rows, by the blocked compensated pass of
     ``transforms.unit_mass``: sum_j |K(w_j, z_i)|^2 w_j, divided by K(z_i, z_i)
-    after summing, so no row block of the matrix is formed.  The entries are
-    nonnegative, so a non-finite entry makes its row sum non-finite, and both
-    raise the same ValueError.
+    after summing, so no row block of the matrix is formed.  Where the rows are whole
+    rotation rings of the rule (``_ring_width``), the pass runs at the first row of each
+    ring and its value is repeated across the ring.  The entries are nonnegative, so a
+    non-finite entry of an evaluated row makes its row sum non-finite, and both raise the
+    same ValueError.
     """
 
     def __init__(self, domain: DomainSpec, rule: QuadratureRule, rows: np.ndarray,
-                 diag: np.ndarray, meta: dict):
+                 diag: np.ndarray, width: Optional[int], meta: dict):
         self.row_nodes, self.col_nodes, self.col_weights = rows, rule.nodes, rule.weights
         self.meta = meta
-        self._domain, self._rule, self._diag = domain, rule, diag
+        self._domain, self._rule, self._diag, self._width = domain, rule, diag, width
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -91,9 +118,11 @@ class _BerezinMatrix(OperatorMatrix):
                                           self.col_nodes, self._diag))
 
     def row_sums(self) -> np.ndarray:
-        sums = _per_diag(self._domain, self.row_nodes, self._rule, self._rule.weights).real
+        width = self._width or 1
+        sums = _per_diag(self._domain, self.row_nodes[::width], self._rule,
+                         self._rule.weights).real
         _require_finite(sums)
-        return sums
+        return np.repeat(sums, width)
 
 
 def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
@@ -106,16 +135,20 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     both are checked here.  The entries are formed on first access of
     ``entries`` (by ``apply``, ``witness_lower_bound`` or ``estimate_norm`` at
     finite p); ``row_sums``, and so ``estimate_norm`` at p = infinity, reads B1
-    at the rows and never forms them.
+    at the rows and never forms them: once per ring where the rows are whole
+    rotation rings of the rule, and ``meta["rings"]`` counts those rings (None
+    where B1 is read at every row).
     """
     rows = rule.nodes if row_nodes is None else np.asarray(row_nodes)
     if rows.ndim == 1:
         rows = rows[:, None]
     rows, _ = _points_on_rule(domain, rows, rule)
     diag = domain.positive_diag(rows)
+    width = _ring_width(domain, rule, rows)
     meta = {"domain": str(domain), "kind": "berezin", "reduction": "pointwise",
-            "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule)}
-    return _BerezinMatrix(domain, rule, rows, diag, meta)
+            "rule_shape": rule.meta.shape, "rows": rows.shape[0], "cols": len(rule),
+            "rings": None if width is None else rows.shape[0] // width}
+    return _BerezinMatrix(domain, rule, rows, diag, width, meta)
 
 
 def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) -> OperatorMatrix:

@@ -54,7 +54,7 @@ class CheckResult:
 
 @lru_cache(maxsize=None)
 def rule_disc():
-    return quad.build_rule(dom.disc(), 32, 64)
+    return quad.build_rule(dom.disc(), *dom.disc().default_grid)
 
 
 # The "rows" of checks 02 and 04 and of `bergman norm --p inf`: the disc Berezin
@@ -87,7 +87,7 @@ def rule_ball2():
 
 
 def rule_hartogs():
-    return quad.build_rule(dom.hartogs_triangle(), 20, 48)
+    return quad.build_rule(dom.hartogs_triangle(), *dom.hartogs_triangle().default_grid)
 
 
 def rule_hartogs_origin():
@@ -106,7 +106,8 @@ def berezin_row_sums():
 
     Checks 02 and 04 read these, and `bergman norm --p inf` takes its maximum
     by the same ``OperatorMatrix.row_sums`` of ``discretize_berezin``, the
-    blocked compensated pass of ``transforms.unit_mass``.
+    blocked compensated pass of ``transforms.unit_mass``: the rows are 36 whole
+    rings of the rule, so it runs at one row per ring.
     """
     rule = rule_disc_rows()
     return on.discretize_berezin(dom.disc(), rule, row_nodes=row_nodes(rule)).row_sums()

@@ -85,13 +85,13 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
 
     This is the multiplication-conjugated form of the Berezin transform; on
     the disc it sends the constant 1 to 1/3 at the origin, witnessing that
-    the transform is not self-adjoint.  K(w, w) is evaluated once per call.
+    the transform is not self-adjoint.  K(w, w) is evaluated once per rule
+    (``QuadratureRule.node_diag``).
     """
     domain.positive_diag(z)  # validates the running positivity assumption at z
     vals = evaluate_on_rule(rule, psi)
-    coef = domain.diag(rule.nodes)  # made w psi / K(w, w) in place: no further whole-rule array
-    coef = np.multiply(np.divide(rule.weights, coef, out=coef), vals,
-                       out=None if np.iscomplexobj(vals) else coef)
+    coef = rule.weights / rule.node_diag  # times psi in place: no further whole-rule array
+    coef = np.multiply(coef, vals, out=None if np.iscomplexobj(vals) else coef)
     return _kernel_sums(domain.kernel_abs2, rule, z, coef)
 
 

@@ -80,6 +80,7 @@ class TestNormCommand:
         assert code == 0
         value, sums = json.loads(out)["value"], reproduce.berezin_row_sums()
         assert json.loads(out)["resolution"]["rows"] == len(sums)
+        assert json.loads(out)["resolution"]["rings"] == 36  # B1 once per rotation ring
         assert value == float(np.max(sums))
 
     def test_p2_is_check_04s_value(self, capsys):

@@ -350,16 +350,14 @@ class TestBallKernelPower:
 
 
 class TestMonomialNorms:
-    def test_hartogs_closed_form(self):
-        prof = dom.hartogs_profile()
+    def test_hartogs_closed_form(self, hartogs_profile):
         for n, m in [(1, 0), (0, 0), (-1, 0), (2, 1), (-3, 4)]:
-            got = dom.monomial_l2_norm2(prof, (n, m))
+            got = dom.monomial_l2_norm2(hartogs_profile, (n, m))
             assert got == pytest.approx(math.pi ** 2 / ((m + 1) * (n + m + 2)), rel=1e-9)
 
-    def test_hartogs_inadmissible(self):
-        prof = dom.hartogs_profile()
-        assert math.isinf(dom.monomial_l2_norm2(prof, (-2, 0)))
-        assert math.isinf(dom.monomial_l2_norm2(prof, (0, -1)))
+    def test_hartogs_inadmissible(self, hartogs_profile):
+        assert math.isinf(dom.monomial_l2_norm2(hartogs_profile, (-2, 0)))
+        assert math.isinf(dom.monomial_l2_norm2(hartogs_profile, (0, -1)))
 
     @pytest.mark.parametrize("j,k", [(j, k) for j in range(5) for k in range(5)])
     def test_boas_classifier(self, j, k):

@@ -139,6 +139,107 @@ class TestDiscretization:
             assert abs(applied[i] - direct) <= 1e-8 * max(1.0, abs(direct))
 
 
+@pytest.fixture
+def b1_points(monkeypatch):
+    """The point count of each B1 pass that ``discretize_berezin`` row sums run."""
+    counts = []
+    per_diag = on._per_diag
+
+    def spy(domain, Z, rule, coef):
+        counts.append(len(Z))
+        return per_diag(domain, Z, rule, coef)
+    monkeypatch.setattr(on, "_per_diag", spy)
+    return counts
+
+
+def _bits(values):
+    return np.asarray(values).tobytes()
+
+
+class TestRingRowSums:
+    """Row sums once per rotation ring where the rows are whole rings of a polar disc rule."""
+
+    @pytest.mark.parametrize("domain,grid,cuts", [
+        (dom.disc(), reproduce.ROWS_GRID, (0.0, reproduce.ROW_CUT)),
+        (dom.disc(), (16, 96), (0.0, reproduce.ROW_CUT)),
+        (dom.disc(), (12, 45), (0.0, 0.8)),
+        (dom.disc(), (16, 96), (0.3, 0.7)),
+        (dom.punctured_disc(), (12, 48), (0.0, reproduce.ROW_CUT)),
+    ], ids=["rows-grid", "16x96", "odd-angular", "two-cuts", "punctured"])
+    def test_agrees_with_the_pointwise_pass(self, b1_points, domain, grid, cuts):
+        rule = quad.build_rule(dom.disc(), *grid)
+        radius = np.abs(rule.nodes[:, 0])
+        rows = rule.nodes[(cuts[0] < radius) & (radius <= cuts[1])]
+        width = rule.meta.shape[1]
+        matrix = on.discretize_berezin(domain, rule, row_nodes=rows)
+        sums = matrix.row_sums()
+        pointwise = tr.unit_mass(domain, rows, rule)
+        assert matrix.meta["rings"] == len(rows) // width and len(rows) % width == 0
+        assert b1_points == [len(rows) // width]
+        assert np.all(np.abs(sums - pointwise) <= 1e-13 * pointwise)
+        # the pass is block-size independent: at each ring's first row it is unit_mass's value
+        assert _bits(sums[::width]) == _bits(pointwise[::width])
+
+    def test_check_rows_are_36_rings(self):
+        rule = reproduce.rule_disc_rows()
+        matrix = on.discretize_berezin(dom.disc(), rule, row_nodes=reproduce.row_nodes(rule))
+        assert (matrix.meta["rings"], matrix.meta["rows"]) == (36, 4032)
+
+    @pytest.mark.parametrize("case", ["random", "partial-ring", "out-of-order", "patch",
+                                      "wrong-meta", "non-rotated", "uneven-weights", "polydisc1"])
+    def test_other_rows_and_rules_run_pointwise(self, b1_points, small_rule, case):
+        domain, rule, width = dom.disc(), small_rule, small_rule.meta.shape[1]
+        rings = small_rule.nodes[:2 * width]
+        rows = {"random": np.array(dom.sample_interior(domain, 2 * width, seed=8)),
+                "partial-ring": small_rule.nodes[:5],
+                "out-of-order": np.concatenate([rings[width:], rings[:width]])}.get(case, rings)
+        if case == "patch":
+            rule = quad.disc_patch_rule(0.2 + 0.1j, 0.3, 8, 12)
+            rows = rule.nodes[:24]
+        elif case == "wrong-meta":
+            R, A = small_rule.meta.shape
+            meta = RuleMeta("disc", 1, 12, A // 2, 2.0, 2.0, (2 * R, A // 2))
+            rule = QuadratureRule(small_rule.nodes, small_rule.weights, meta)
+        elif case == "non-rotated":
+            nodes = small_rule.nodes.copy()
+            nodes[5, 0] *= np.exp(1e-9j)  # one node off its ring's rotation orbit
+            rule, rows = QuadratureRule(nodes, small_rule.weights, small_rule.meta), nodes[:2 * width]
+        elif case == "uneven-weights":
+            weights = small_rule.weights.copy()
+            weights[7] *= 1.0 + 2.0 ** -50
+            rule = QuadratureRule(small_rule.nodes, weights, small_rule.meta)
+        elif case == "polydisc1":
+            domain = dom.polydisc(1)
+            rule = quad.build_rule(domain, 12, 48)
+        matrix = on.discretize_berezin(domain, rule, row_nodes=rows)
+        sums = matrix.row_sums()
+        assert matrix.meta["rings"] is None
+        assert b1_points == [len(rows)]
+        assert _bits(sums) == _bits(tr.unit_mass(domain, rows, rule))
+
+    @pytest.mark.parametrize("domain,grid", [(dom.ball(2), (4, 8)), (dom.polydisc(2), (4, 8)),
+                                             (dom.hartogs_triangle(), (4, 8))],
+                             ids=["ball2", "bidisc", "hartogs"])
+    def test_other_kinds_run_pointwise(self, b1_points, domain, grid):
+        rule = quad.build_rule(domain, *grid)
+        rows = rule.nodes[:2 * grid[1]]
+        matrix = on.discretize_berezin(domain, rule, row_nodes=rows)
+        sums = matrix.row_sums()
+        assert matrix.meta["rings"] is None and b1_points == [len(rows)]
+        assert _bits(sums) == _bits(tr._per_diag(domain, rows, rule, rule.weights).real)
+
+    @given(grid=st.sampled_from([(8, 7), (12, 45), (16, 96), reproduce.ROWS_GRID]),
+           ring=st.integers(0, 10**6), k=st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_b1_is_one_value_on_each_ring(self, grid, ring, k):
+        # the invariance the reduction rests on, where the rule resolves B1 (|z| <= ROW_CUT)
+        rule = quad.build_rule(dom.disc(), *grid)
+        rings = reproduce.row_nodes(rule).reshape(-1, grid[1])
+        first, rotated = rings[ring % len(rings), 0], rings[ring % len(rings), k % grid[1]]
+        b1 = tr.unit_mass(dom.disc(), np.array([[first], [rotated]]), rule)
+        assert abs(b1[1] - b1[0]) <= 1e-14 * b1[0]
+
+
 class TestEstimateNorm:
     def test_p2_disc_value(self, radial_matrix):
         est = on.estimate_norm(radial_matrix, 2.0)

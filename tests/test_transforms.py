@@ -145,6 +145,35 @@ class TestAdjoint:
         bstar = tr.berezin_adjoint(dom.disc(), ONE, 0j, disc_rule).real
         assert abs(b - 1.0) <= 1e-8 and abs(bstar - 1.0 / 3.0) <= 1e-8
 
+    @pytest.mark.parametrize("domain,grid", [
+        (dom.disc(), (8, 16)), (dom.punctured_disc(), (8, 16)), (dom.ball(2), (4, 8)),
+        (dom.polydisc(2), (4, 8)), (dom.hartogs_triangle(), (4, 8))],
+        ids=["disc", "punctured-disc", "ball2", "bidisc", "hartogs"])
+    def test_cached_node_diagonal_is_the_recomputed_one(self, domain, grid):
+        rule = quad.build_rule(dom.disc() if domain.kind == "punctured-disc" else domain, *grid)
+        diag = domain.diag(rule.nodes)
+        assert rule.node_diag.tobytes() == diag.tobytes() and not rule.node_diag.flags.writeable
+        points = np.array(dom.sample_interior(domain, 3, seed=5))
+        for psi in (ONE, lambda w: np.exp(1j * w.reshape(len(w), -1)[:, 0].real)):  # real, complex
+            coef = rule.weights / diag * quad.evaluate_on_rule(rule, psi)
+            want = quad._kernel_sums(domain.kernel_abs2, rule, points, coef)
+            got = tr.berezin_adjoint(domain, psi, points, rule)
+            assert got.tobytes() == want.tobytes()
+
+    def test_node_diagonal_is_evaluated_once_per_rule(self, monkeypatch):
+        domain = dom.ball(2)
+        rule = quad.build_rule(domain, 4, 8)
+        calls = []
+        diag = type(domain).diag
+
+        def spy(self, z):
+            calls.append(len(z))
+            return diag(self, z)
+        monkeypatch.setattr(type(domain), "diag", spy)
+        first = tr.berezin_adjoint(domain, ONE, (0.1, 0.2j), rule)
+        assert tr.berezin_adjoint(domain, ONE, (0.1, 0.2j), rule) == first
+        assert calls.count(len(rule)) == 1
+
 
 class TestProjections:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
