@@ -187,8 +187,20 @@ class DomainSpec:
         raise UnsupportedKind(f"no interior sampler on {self}")
 
     def scan_grid(self, level: int) -> np.ndarray:
-        """The (M, dim) br_scan grid, accumulating at the singular loci; ``level`` refines it."""
+        """The (M, dim) br_scan grid, accumulating at the singular loci; ``level`` refines it.
+        On a kind with scan turns it is each row of ``_scan_reps(level)`` times each turn."""
+        reps = self._scan_reps(level)
+        return (reps[:, None, :] * self.scan_turns(level)).reshape(-1, reps.shape[1])
+
+    def _scan_reps(self, level: int) -> np.ndarray:
+        """The (R, dim) real points whose orbits under ``scan_turns(level)`` make the scan grid."""
         raise UnsupportedKind(f"no scan grid on {self}")
+
+    def scan_turns(self, level: int) -> Optional[np.ndarray]:
+        """The (W, dim) phase turns of the scan grid at ``level``, the first one (1, ..., 1), or
+        None.  They form a group of coordinatewise rotations that maps the domain onto itself,
+        so |K(w, z)| / K(z, z) is unchanged when one turn multiplies both z and w."""
+        return None
 
     def factor_points(self, Z: np.ndarray) -> np.ndarray:
         """The (M, dim) points Z in product coordinates: column i is the point in factor disc i."""
@@ -328,14 +340,27 @@ def _scan_axes(level: int):
     return n_r, 3.0 + 3.0 * level, np.exp(2j * np.pi * np.arange(n_th) / n_th)
 
 
-def _pair_scan_grid(level: int, scale: float) -> np.ndarray:
-    n_r, depth, angles = _scan_axes(level)
-    radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / scale
-    z = np.multiply.outer(radii, angles[::2])  # the points vary as r1, r2, a1, a2
-    return np.stack(np.broadcast_arrays(z[:, None, :, None], z[None, :, None, :]), -1).reshape(-1, 2)
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a) len(b), 2) points (a_i, b_j), ordered by i, then j."""
+    return np.stack(np.broadcast_arrays(a[:, None], b[None, :]), -1).reshape(-1, 2)
 
 
-class _Polydisc(DomainSpec):
+class _PairScan:
+    """The scan grid of the ball and the polydisc in C^2: the points vary as r1, r2, a1, a2."""
+
+    _scan_scale = 1.0
+
+    def _scan_reps(self, level):
+        n_r, depth, _ = _scan_axes(level)
+        radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / self._scan_scale
+        return _pairs(radii, radii)
+
+    def scan_turns(self, level):
+        angles = _scan_axes(level)[2][::2]
+        return _pairs(angles, angles)
+
+
+class _Polydisc(_PairScan, DomainSpec):
     _sample_radius = 0.60
 
     def volume(self):
@@ -357,9 +382,6 @@ class _Polydisc(DomainSpec):
         return tuple((0.05 + self._sample_radius * math.sqrt(rng.random()))
                      * cmath.exp(2j * math.pi * rng.random()) for _ in range(self.dim))
 
-    def scan_grid(self, level):
-        return _pair_scan_grid(level, 1.0)
-
     def factor_points(self, Z):
         return Z
 
@@ -372,10 +394,12 @@ class _Disc(_Polydisc):
     _sample_radius = 0.75
     _scan_center = (0.0,)
 
-    def scan_grid(self, level):
-        n_r, depth, angles = _scan_axes(level)
-        radii = np.concatenate([self._scan_center, 1.0 - np.logspace(-depth, -0.3, n_r)])
-        return np.multiply.outer(radii, angles).reshape(-1, 1)
+    def _scan_reps(self, level):
+        n_r, depth, _ = _scan_axes(level)
+        return np.concatenate([self._scan_center, 1.0 - np.logspace(-depth, -0.3, n_r)])[:, None]
+
+    def scan_turns(self, level):
+        return _scan_axes(level)[2][:, None]
 
 
 class _PuncturedDisc(_Disc):
@@ -386,7 +410,9 @@ class _PuncturedDisc(_Disc):
         return (0.0 < r) & (r < 1.0 - BOUNDARY_MARGIN)
 
 
-class _Ball(DomainSpec):
+class _Ball(_PairScan, DomainSpec):
+    _scan_scale = math.sqrt(2.0)
+
     def volume(self):
         return math.pi ** self.dim / math.factorial(self.dim)
 
@@ -416,9 +442,6 @@ class _Ball(DomainSpec):
         v /= np.linalg.norm(v)
         rad = 0.7 * rng.random() ** (1.0 / (2 * self.dim))
         return tuple(complex(rad * v[2 * i], rad * v[2 * i + 1]) for i in range(self.dim))
-
-    def scan_grid(self, level):
-        return _pair_scan_grid(level, math.sqrt(2.0))
 
 
 class _HalfPlane(DomainSpec):
@@ -493,13 +516,17 @@ class _Hartogs(DomainSpec):
         z1 = r1 * cmath.exp(2j * math.pi * rng.random())
         return (z1, z1 * t)
 
-    def scan_grid(self, level):
-        n_r, depth, angles = _scan_axes(level)
+    def _scan_reps(self, level):
+        n_r, depth, _ = _scan_axes(level)
         r1s = np.concatenate([np.logspace(-depth, -0.3, n_r),
                               1.0 - np.logspace(-depth, -0.6, n_r // 2)])
-        z1 = np.multiply.outer(r1s, angles[::2])  # the points vary as r1, t, a
-        z2 = np.multiply.outer(np.multiply.outer(r1s, (0.0, 0.3, 0.9)), angles[::2])
-        return np.stack(np.broadcast_arrays(z1[:, None], z2), -1).reshape(-1, 2)
+        # the points vary as r1, t, a: (r1, r1 t) turned by (a, a)
+        z2 = np.multiply.outer(r1s, (0.0, 0.3, 0.9))
+        return np.stack(np.broadcast_arrays(r1s[:, None], z2), -1).reshape(-1, 2)
+
+    def scan_turns(self, level):
+        angles = _scan_axes(level)[2][::2]
+        return np.stack([angles, angles], -1)
 
 
 _KINDS = {"disc": _Disc, "punctured-disc": _PuncturedDisc, "ball": _Ball, "polydisc": _Polydisc,

@@ -43,3 +43,7 @@ class InadmissibleIndex(BergmanError):
 
 class EpsilonOutOfRange(BergmanError):
     """The family parameter must lie in (0, 1]."""
+
+
+class DuplicateEpsilon(BergmanError):
+    """A list of family parameters repeats a value where each must be distinct."""

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .domains import hartogs_triangle, kernel_diag, require_inside
-from .errors import EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
+from .errors import DuplicateEpsilon, EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
 from .quadrature import _angles, _gauss, _graded_panel, gauss_legendre
 from .transforms import bergman_project
 
@@ -259,11 +259,14 @@ def blowup_table(eps_list, radial_n: int = L2_NODES) -> BlowupTable:
 
     Each row pairs the closed-form norm of the blow-up symbol with the analytic lower
     bound (1/eps) ||(1-|z1|^2)^2||_2 and the quadrature value of the actual
-    ratio.  The fitted log-log slope across the list is reported alongside.
+    ratio.  The fitted log-log slope across the list is reported alongside; a fit
+    through a repeated eps would be made up, so one raises DuplicateEpsilon.
     """
+    eps_list = [_check_eps(eps, open_right=True) for eps in eps_list]
+    if len(set(eps_list)) < len(eps_list):
+        raise DuplicateEpsilon(f"eps values must be distinct, got {eps_list}")
     rows = []
     for eps in eps_list:
-        eps = _check_eps(eps, open_right=True)
         nf = blowup_symbol_norm(eps)
         lower = NORM_BULGE / eps
         # the norm overflows, and raises, at eps below ~1e-154, before any other entry can

@@ -16,6 +16,7 @@ radial-power witness sweep in ``witness_lower_bound``) labelled as such.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -158,8 +159,13 @@ def _radial_matrix(kind: str, kernel, radial_n: int, depth: float, sector: int) 
     so the grid reaches boundary distance exp(-depth).  The entries are
     ``kernel(X, U, EX, D)`` / pi over the (row, column) pairs, where X and U
     are the row and column u, EX = 1 - X, and D = 1 - XU is formed as
-    EX + EU - EX EU, free of cancellation.  The weights are pi du.
+    EX + EU - EX EU, free of cancellation.  The weights are pi du.  ``radial_n`` must be an
+    integer >= 4, the floor of ``build_rule``, and ``sector`` an integer >= 0 (not bools), or
+    InvalidResolution.
     """
+    for name, n, low in (("radial_n", radial_n, 4), ("sector", sector, 0)):
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= low):
+            raise InvalidResolution(f"{name} must be an integer >= {low}, got {n!r}")
     if not (math.isfinite(depth) and depth > 0.0):
         raise InvalidResolution(f"depth must be finite and > 0, got {depth!r}")
     x, w = gauss_legendre(radial_n)
@@ -412,27 +418,55 @@ class BRScanReport:
 _TIE = 1e-12
 
 
+def _orbit_width(Z: np.ndarray, turns: Optional[np.ndarray]) -> int:
+    """W = len(turns) when the (M, dim) grid Z is exactly each row of Z[::W] times each of the W
+    ``turns`` (``DomainSpec.scan_turns``) in that order, else 1.
+
+    The turns form a group that leaves |K(w, z)| / K(z, z) unchanged when one turn multiplies
+    both z and w, so a grid of whole orbits is mapped onto itself by each turn, and the row of
+    z = t r against the grid holds the values of the row of r, permuted.  That is checked from
+    the arrays, bit for bit, as the grid is built by ``scan_grid``.
+    """
+    if turns is None or len(Z) % len(turns):
+        return 1
+    width = len(turns)
+    reps = Z[::width]
+    whole = np.array_equal(Z.reshape(len(reps), width, Z.shape[1]), reps[:, None, :] * turns)
+    return width if whole else 1
+
+
 def br_scan(domain: DomainSpec) -> BRScanReport:
     """Sampled extrema of |K(w,z)| / K(z,z) with a refinement divergence flag.
 
     Each of a base grid and a refined one (denser, reaching one decade closer
     to the singular loci) is paired with itself in one ratio array, with |K|
     from ``transforms._modulus``; growth of the supremum by a factor of ten or
-    more flags the domain as failing a uniform kernel-ratio bound.  Ratios
+    more flags the domain as failing a uniform kernel-ratio bound.  Where a grid
+    is whole orbits of the domain's scan turns (``_orbit_width``), the array holds
+    only the first point of each orbit against the grid, which has every value of
+    the full array up to rounding; ``resolution`` records that width W per level as
+    ``orbit`` (1: the full array) and the pairs evaluated as ``pairs``.  Ratios
     within _TIE relative of the supremum tie, and the reported argmax is the
     first of them by level, then z index, then w index: on symmetric grids
     the exact maximum is decided in the last bit.
     """
-    grids = [inside_points(domain, domain.scan_grid(level))[0] for level in (0, 1)]
-    levels = [(Z, _kernel_rows(_modulus(domain), Z, Z, domain.positive_diag(Z))) for Z in grids]
-    sup_base, sup_fine = sups = [float(np.max(ratios)) for _, ratios in levels]
+    levels = []
+    for level in (0, 1):
+        Z = inside_points(domain, domain.scan_grid(level))[0]
+        width = _orbit_width(Z, domain.scan_turns(level))
+        rows = Z[::width]
+        levels.append((Z, width, _kernel_rows(_modulus(domain), rows, Z,
+                                              domain.positive_diag(rows))))
+    sup_base, sup_fine = sups = [float(np.max(ratios)) for _, _, ratios in levels]
     cut = max(sups) * (1.0 - _TIE)
-    # np.argwhere lists the pairs of the first level reaching the cut z first, then w
-    Z, ratios = levels[0] if sup_base >= cut else levels[1]
+    # np.argwhere lists the pairs of the first level reaching the cut z first, then w; row i
+    # is the point i W of the grid
+    Z, width, ratios = levels[0] if sup_base >= cut else levels[1]
     i, j = np.argwhere(ratios >= cut)[0]
-    arg = (as_point(Z[i], domain.dim), as_point(Z[j], domain.dim))
-    res = {"levels": len(levels), "sup_base": sup_base, "sup_fine": sup_fine,
-           "infimum": min(float(np.min(ratios)) for _, ratios in levels), "domain": str(domain)}
+    arg = (as_point(Z[i * width], domain.dim), as_point(Z[j], domain.dim))
+    res = {"levels": len(levels), "orbit": [w for _, w, _ in levels],
+           "pairs": [r.size for _, _, r in levels], "sup_base": sup_base, "sup_fine": sup_fine,
+           "infimum": min(float(np.min(r)) for _, _, r in levels), "domain": str(domain)}
     return BRScanReport(max(sups), arg, sup_fine >= 10.0 * sup_base, res)
 
 

@@ -288,8 +288,8 @@ def check_05_hartogs_kernel() -> CheckResult:
                         "disc_sup": sup_disc, "flags": flags},
                        "1e-8 series; 1e-10 path; disc sup in [3.92, 4]",
                        resolution={"series_truncation": ht.SERIES_TRUNCATION,
-                                   "scan": {kind: {key: rep.resolution[key]
-                                                   for key in ("levels", "sup_base", "sup_fine")}
+                                   "scan": {kind: {key: rep.resolution[key] for key in
+                                                   ("levels", "orbit", "sup_base", "sup_fine")}
                                             for kind, rep in reports.items()}})
 
 

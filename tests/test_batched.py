@@ -310,8 +310,8 @@ def _nudged_abs2(kernel_abs2, scale):
     return nudged
 
 
-# 4 ulps splits the exact ties of the symmetric grids; 2e-13 reorders the disc's
-# near-ties, which lie 6.4e-14 and 2.6e-13 below its supremum
+# 4 ulps splits exact ties, such as the half plane's five; 2e-13 exceeds the rounding of
+# turned points: the disc's full array has near-ties 6.4e-14 and 2.6e-13 below its maximum
 @pytest.mark.parametrize("scale", [4 * np.finfo(float).eps, 2e-13], ids=["4ulp", "2e-13"])
 @pytest.mark.parametrize("name", ["disc", "punctured-disc", "ball2", "bidisc", "halfplane",
                                   "hartogs"])

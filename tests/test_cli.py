@@ -266,6 +266,15 @@ class TestConfigErrors:
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 2
 
+    def test_repeated_eps(self, capsys):
+        code, out, err = run_cli(capsys, ["blowup", "--eps", "0.1,0.1"])
+        assert code == 2
+        assert out == "" and "distinct" in err and "slope" not in err
+
+    def test_radial_n_below_the_floor(self, capsys):
+        code, out, err = run_cli(capsys, ["norm", "--p", "2", "--radial-n", "3"])
+        assert code == 2 and out == "" and "radial_n" in err
+
 
 class TestReproduceCommand:
     def test_subset_report_and_exit_codes(self, capsys, tmp_path, monkeypatch):
@@ -421,6 +430,21 @@ class TestDerivedRecords:
         _spy(monkeypatch, reproduce.dom, "monomial_l2_norm2", calls)
         res = reproduce.check_10_boas()
         assert len(calls) == res.resolution["cases"]
+
+    def test_check_05_scan_orbits(self, monkeypatch):
+        reports = []
+        real = reproduce.on.br_scan
+
+        def spy(domain):
+            reports.append(real(domain))
+            return reports[-1]
+        monkeypatch.setattr(reproduce.on, "br_scan", spy)
+        scan = reproduce.check_05_hartogs_kernel().resolution["scan"]
+        assert {kind: record["orbit"] for kind, record in scan.items()} == {
+            "disc": [4, 8], "ball": [4, 16], "polydisc": [4, 16], "half-plane": [1, 1],
+            "hartogs": [2, 4]}
+        assert [record["orbit"] for record in scan.values()] == [
+            rep.resolution["orbit"] for rep in reports]
 
     def test_check_12_radii(self, monkeypatch):
         calls = []

@@ -10,7 +10,7 @@ import pytest
 import bergman.domains as dom
 from bergman import hartogs as ht
 from bergman import quadrature as quad
-from bergman.errors import EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
+from bergman.errors import DuplicateEpsilon, EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +183,15 @@ class TestBlowup:
     def test_eps_validation(self):
         with pytest.raises(EpsilonOutOfRange):
             ht.blowup_table([1.0])
+
+    @pytest.mark.parametrize("eps", [[0.1, 0.1], [0.5, 0.1, 0.5], [0.25, np.float32(0.25)]])
+    def test_repeated_eps_is_refused(self, eps):
+        # a slope fitted through coincident points is made up
+        with pytest.raises(DuplicateEpsilon):
+            ht.blowup_table(eps)
+
+    def test_one_eps_has_no_slope(self):
+        assert math.isnan(ht.blowup_table([0.1]).slope)
 
 
 class TestPhiSeries:

@@ -14,7 +14,8 @@ from bergman import quadrature as quad
 from bergman import reproduce
 from bergman import transforms as tr
 from bergman.errors import InvalidResolution, NonFiniteValue, PointOutsideDomain
-from bergman.quadrature import QuadratureRule, RuleMeta
+from bergman.quadrature import QuadratureRule, RuleMeta, _kernel_rows
+from test_batched import _br_scan_reference
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +74,22 @@ class TestDiscretization:
         # a negative depth puts nodes at negative |z|^2, read as NaN radii
         with pytest.raises(InvalidResolution):
             build(radial_n=20, depth=depth)
+
+    @pytest.mark.parametrize("kwargs", [dict(radial_n=3), dict(radial_n=True),
+                                        dict(radial_n=20.0), dict(sector=-1), dict(sector=1.5),
+                                        dict(sector=True)], ids=str)
+    def test_radial_counts_must_be_integers(self, kwargs):
+        # sector -1 and 1.5 gave norms near sector 0's, radial_n True one node and 8.50
+        with pytest.raises(InvalidResolution):
+            on.discretize_berezin_radial(**kwargs)
+        if "radial_n" in kwargs:
+            with pytest.raises(InvalidResolution):
+                on.discretize_absolute_radial(**kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        got = on.discretize_berezin_radial(np.int64(20), 30.0, sector=np.int32(1))
+        want = on.discretize_berezin_radial(20, 30.0, sector=1)
+        assert _bits(got.entries) == _bits(want.entries) and got.meta == want.meta
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
     def test_a_non_finite_entry_is_refused(self, monkeypatch, small_rule, bad):
@@ -378,6 +395,85 @@ class TestBRScan:
             z = 0.97 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
             w = 0.97 * math.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
             assert dom.kernel_ratio(dom.disc(), z, w) <= rep.supremum + 1e-9
+
+
+@pytest.fixture
+def scan_rows(monkeypatch):
+    """The (rows, columns) of each ratio array that ``br_scan`` fills."""
+    shapes = []
+    kernel_rows = on._kernel_rows
+
+    def spy(pair, Z, W, scale):
+        shapes.append((len(Z), len(W)))
+        return kernel_rows(pair, Z, W, scale)
+    monkeypatch.setattr(on, "_kernel_rows", spy)
+    return shapes
+
+
+class TestOrbitScan:
+    """br_scan evaluates the first point of each phase orbit of its grids against the grid."""
+
+    @pytest.mark.parametrize("name", ["disc", "punctured-disc", "ball2", "bidisc", "hartogs",
+                                      "halfplane"])
+    def test_the_full_loop_sees_the_same_extrema(self, name):
+        domain = dom.domain_by_name(name)
+        rep = on.br_scan(domain)
+        sup, arg, inf_seen = _br_scan_reference(domain, [domain.scan_grid(lv) for lv in (0, 1)])
+        assert rep.argmax == arg
+        if name in ("disc", "punctured-disc"):
+            # the loop's level-1 maximum lies on a turned row, whose points are rounded
+            assert abs(rep.supremum - sup) <= 1e-13 * sup
+            assert abs(rep.resolution["infimum"] - inf_seen) <= 1e-10 * inf_seen
+        else:
+            assert rep.supremum == sup and rep.resolution["infimum"] == inf_seen
+
+    @pytest.mark.parametrize("name, orbit", [
+        ("disc", [4, 8]), ("punctured-disc", [4, 8]), ("ball2", [4, 16]), ("bidisc", [4, 16]),
+        ("hartogs", [2, 4]), ("halfplane", [1, 1])])
+    def test_one_row_per_orbit(self, scan_rows, name, orbit):
+        # 64 + 64 rows on ball2 and the bidisc, against the 256 and 1024 points of the grids;
+        # the half plane has no turns and forms the full arrays
+        domain = dom.domain_by_name(name)
+        rep = on.br_scan(domain)
+        sizes = [len(domain.scan_grid(level)) for level in (0, 1)]
+        assert scan_rows == [(m // w, m) for m, w in zip(sizes, orbit)]
+        assert rep.resolution["orbit"] == orbit
+        assert rep.resolution["pairs"] == [m * m // w for m, w in zip(sizes, orbit)]
+
+    @pytest.mark.parametrize("name", ["disc", "bidisc", "hartogs"])
+    def test_a_node_off_its_orbit_by_one_ulp_takes_the_full_array(self, monkeypatch,
+                                                                   scan_rows, name):
+        domain = dom.domain_by_name(name)
+        grids = [domain.scan_grid(level) for level in (0, 1)]
+        for level, Z in enumerate(grids):
+            i = len(domain.scan_turns(level)) + 1  # the second point of the second orbit
+            Z[i, 0] = complex(np.nextafter(Z[i, 0].real, 0.0), Z[i, 0].imag)
+        monkeypatch.setattr(type(domain), "scan_grid", lambda self, level: grids[level])
+        rep = on.br_scan(domain)
+        assert scan_rows == [(len(Z), len(Z)) for Z in grids]
+        assert rep.resolution["orbit"] == [1, 1]
+        sup, arg, inf_seen = _br_scan_reference(domain, grids)
+        assert rep.supremum == sup and rep.argmax == arg
+        assert rep.resolution["infimum"] == inf_seen
+
+    @pytest.mark.parametrize("name", ["disc", "ball2", "bidisc"])
+    @given(radii=st.lists(st.floats(0.0, 0.7), min_size=1, max_size=4),
+           counts=st.tuples(st.integers(1, 7), st.integers(1, 7)))
+    @settings(max_examples=25, deadline=None)
+    def test_random_orbits_keep_the_full_supremum(self, name, radii, counts):
+        domain = dom.domain_by_name(name)
+        roots = [np.exp(2j * np.pi * np.arange(n) / n) for n in counts[:domain.dim]]
+        r = np.array(radii)
+        reps = r[:, None] if domain.dim == 1 else dom._pairs(r, r)
+        turns = roots[0][:, None] if domain.dim == 1 else dom._pairs(*roots)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(domain), "_scan_reps", lambda self, level: reps)
+            mp.setattr(type(domain), "scan_turns", lambda self, level: turns)
+            rep = on.br_scan(domain)
+            Z = domain.scan_grid(0)
+            full = float(np.max(_kernel_rows(tr._modulus(domain), Z, Z, domain.positive_diag(Z))))
+        assert rep.resolution["orbit"] == [len(turns)] * 2
+        assert abs(rep.supremum - full) <= 1e-13 * full
 
 
 class TestProductNorms:
