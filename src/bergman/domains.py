@@ -346,17 +346,23 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _PairScan:
-    """The scan grid of the ball and the polydisc in C^2: the points vary as r1, r2, a1, a2."""
+    """The scan grid of the ball and the polydisc in C^2: the points vary as r1, r2, a1, a2.
+    In any other dimension the kind has no scan grid."""
 
     _scan_scale = 1.0
 
+    def _pair_axes(self, level):
+        if self.dim != 2:
+            raise UnsupportedKind(f"no scan grid on {self}: the pair scan is built for C^2")
+        return _scan_axes(level)
+
     def _scan_reps(self, level):
-        n_r, depth, _ = _scan_axes(level)
+        n_r, depth, _ = self._pair_axes(level)
         radii = (1.0 - np.logspace(-depth, -0.3, n_r))[:: max(1, n_r // 6)] / self._scan_scale
         return _pairs(radii, radii)
 
     def scan_turns(self, level):
-        angles = _scan_axes(level)[2][::2]
+        angles = self._pair_axes(level)[2][::2]
         return _pairs(angles, angles)
 
 

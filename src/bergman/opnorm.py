@@ -121,7 +121,7 @@ class _BerezinMatrix(OperatorMatrix):
     def row_sums(self) -> np.ndarray:
         width = self._width or 1
         sums = _per_diag(self._domain, self.row_nodes[::width], self._rule,
-                         self._rule.weights).real
+                         self._rule.weights.__getitem__).real
         _require_finite(sums)
         return np.repeat(sums, width)
 
@@ -266,20 +266,21 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray,
 
 
 def _power_sigma(gram, start: np.ndarray, tol: float = 1e-12, max_iter: int = 5000):
-    """Largest singular value of S by power iteration on S^T S, given by its action ``gram``."""
+    """(sigma, converged, iterations): the largest singular value of S by power iteration on
+    S^T S, given by its action ``gram``, and the number of ``gram`` calls it took."""
     v = start / np.linalg.norm(start.ravel())
     sigma = 0.0
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         v_new = gram(v)
         nrm = float(np.linalg.norm(v_new.ravel()))
         if nrm == 0.0:
-            return 0.0, True
+            return 0.0, True, it
         new_sigma = math.sqrt(nrm)
         v = v_new / nrm
         if abs(new_sigma - sigma) <= tol * new_sigma:
-            return new_sigma, True
+            return new_sigma, True, it
         sigma = new_sigma
-    return sigma, False
+    return sigma, False, max_iter
 
 
 def _scaled(A: OperatorMatrix, p: float) -> np.ndarray:
@@ -311,8 +312,8 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
     M1, M2 = _scaled(A1, p), _scaled(A2, p)
     if p == 2.0:
         G1, G2 = M1.T @ M1, M2.T @ M2
-        value, res["converged"] = _power_sigma(lambda X: G1 @ X @ G2,
-                                               np.outer(np.sqrt(w1), np.sqrt(w2)) * jitter)
+        value, res["converged"], res["iterations"] = _power_sigma(
+            lambda X: G1 @ X @ G2, np.outer(np.sqrt(w1), np.sqrt(w2)) * jitter)
         return NormEstimate(value, p, "kronecker-power-iteration", "approximate", res)
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
         lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2) * jitter)

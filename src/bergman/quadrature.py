@@ -5,17 +5,20 @@ loci) with uniform angular grids, which are spectrally accurate for periodic
 integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
-Integrands and symbols are read by ``evaluate_on_rule`` alone, so
-``integrate`` and the transforms share one error contract.  Sums are
-accumulated in a fixed node order with compensated summation, so
-results are bit-reproducible: numpy's pairwise sum of each 65536-node chunk,
+Integrands and symbols are read by ``evaluate_on_rule`` alone, one 65536-node
+chunk at a time, so ``integrate`` and the transforms share one error contract and
+form no whole-rule array of values: a callable receives node chunks and must act
+row by row.  Sums are accumulated in a fixed node order with compensated
+summation, so results are bit-reproducible: numpy's pairwise sum of each chunk,
 then an exact fsum of the chunk sums.  An operator is a kernel form F and one
 coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
 conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
-its coefficients in place.  A chunk is reduced from its one block where one block
-spans it (on a rule of one chunk the points are grouped so that one does) and
-gathered from its blocks into a buffer otherwise, so the blocked sum reproduces
+its coefficients in place.  A chunk's coefficients are formed once per call,
+inside the pass, and dropped after its last point group.  A chunk is reduced
+from its one block where one block spans it (on a rule of one chunk the points
+are grouped so that one does) and gathered from its blocks into a buffer
+otherwise, so the blocked sum reproduces
 ``compensated_sum`` of the same summands chunk for chunk, bit for bit, whatever
 the number of points.  ``discretize_berezin`` and ``br_scan`` fill their kernel
 arrays in row blocks of the same size.  A call of at
@@ -31,6 +34,7 @@ import math
 import mmap
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -227,14 +231,39 @@ def _kernel_rows(pair, Z: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.nd
     return out
 
 
-def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
-    of pair(w_j, z_m) * coef[j].  ``pair`` is a kernel form such as ``DomainSpec.kernel``
-    or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
-    coefficients in place, unless a complex ``coef`` meets a real block.
+def _rows(s: slice):
+    """The rows ``s``, or its lone row twice: one-entry arrays take numpy loops differing in
+    the last bit."""
+    return s if s.stop - s.start > 1 else [s.start, s.start]
 
-    Each (point group, _CHUNK nodes) pair is one task of ``_map``, evaluated in node
-    blocks of about _BLOCK / workers entries.  A chunk filled by one block is reduced
+
+class _Shared:
+    """A value ``form()`` made by the first of ``readers`` readers and dropped by the last."""
+
+    def __init__(self, form, readers: int):
+        self._form, self._left, self._value, self._lock = form, readers, None, threading.Lock()
+
+    def take(self):
+        with self._lock:
+            if self._value is None:
+                self._value = self._form()
+            value, self._left = self._value, self._left - 1
+            if not self._left:
+                self._value = None
+        return value
+
+
+def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
+    """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
+    of pair(w_j, z_m) * c_j.  ``pair`` is a kernel form such as ``DomainSpec.kernel``
+    or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
+    coefficients in place, unless a complex c meets a real block.  ``coef`` maps the
+    rows of one chunk of nodes (a slice, or a lone node's index twice) to their c_j.
+
+    Each (_CHUNK nodes, point group) pair is one task of ``_map``, in chunk order,
+    evaluated in node blocks of about _BLOCK / workers entries.  A chunk's coefficients
+    are formed once per call, by the first of its tasks, and dropped after the last, so
+    no whole-rule coefficient array exists.  A chunk filled by one block is reduced
     along the block's rows; the blocks of any other chunk are first gathered into a
     (points, chunk) buffer of at most _BUFFER / workers entries.  On a rule of one
     chunk the points are grouped so that one block spans it.  Fsumming the chunk sums
@@ -245,19 +274,19 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) ->
     n, workers = len(rule), _workers(len(Z) * len(rule))
     span = _BLOCK if n <= _CHUNK else _BUFFER  # entries of one group over one chunk
     groups = _slices(0, len(Z), max(1, span // workers // max(1, min(n, _CHUNK))))
-    chunks = range(0, n, _CHUNK)
+    coefs = [_Shared(lambda s=s: coef(_rows(s)), len(groups)) for s in _slices(0, n, _CHUNK)]
 
     def chunk_sums(item):
-        r, c = item
-        stop = min(c + _CHUNK, n)
+        k, r = item
+        c, stop = k * _CHUNK, min((k + 1) * _CHUNK, n)
+        chunk_coef = coefs[k].take()
         step = max(1, min(_CHUNK, _BLOCK // workers // (r.stop - r.start)))
         buf = None
         for s in _slices(c, stop, step):
-            # a lone node goes in twice: one-entry blocks take a numpy loop differing in the last bit
-            idx = s if s.stop - s.start > 1 else [s.start, s.start]
-            block = pair(rule.nodes[None, idx], Z[r, None])
-            block = (block * coef[idx] if np.iscomplexobj(coef) and not np.iscomplexobj(block)
-                     else np.multiply(block, coef[idx], out=block))
+            block = pair(rule.nodes[None, _rows(s)], Z[r, None])
+            part = chunk_coef[_rows(slice(s.start - c, s.stop - c))]
+            block = (block * part if np.iscomplexobj(part) and not np.iscomplexobj(block)
+                     else np.multiply(block, part, out=block))
             if step >= stop - c:  # the chunk's one block: reduced where it lies
                 buf = block[:, :stop - c]
             else:
@@ -266,12 +295,13 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef: np.ndarray) ->
                 buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
         return np.sum(buf.real, axis=1), np.sum(buf.imag, axis=1) if np.iscomplexobj(buf) else None
 
-    parts = _map(chunk_sums, [(r, c) for r in groups for c in chunks], len(Z) * n)
+    parts = _map(chunk_sums, [(k, r) for k in range(len(coefs)) for r in groups], len(Z) * n)
     sums = np.zeros(len(Z), dtype=complex)
-    for i, r in enumerate(groups if n else ()):
-        re, im = zip(*parts[i * len(chunks):(i + 1) * len(chunks)])
+    for g, r in enumerate(groups if n else ()):
+        re, im = zip(*parts[g::len(groups)])
         sums.real[r] = [math.fsum(col) for col in zip(*re)]
-        if im[0] is not None:
+        im = [part for part in im if part is not None]  # a real chunk adds exact zeros
+        if im:
             sums.imag[r] = [math.fsum(col) for col in zip(*im)]
     return sums
 
@@ -286,25 +316,32 @@ def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.nda
     return inside_points(domain, z)
 
 
-def evaluate_on_rule(rule: QuadratureRule, f) -> np.ndarray:
-    """The values of ``f`` at the rule's nodes: the one reading of an integrand or symbol.
+def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
+    """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a slice or
+    an index list): the one reading of an integrand or symbol.
 
     ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
-    per node, or a callable of the (N, dim) nodes ((N,) on a one-dimensional
-    rule).  Raises ValueError unless there is exactly one value per node (a
-    GridFunction of another rule included), NonFiniteValue on NaN or infinity,
-    and TypeError for any other kind of object.
+    per node of the rule, or a callable of the (R, dim) nodes ((R,) on a
+    one-dimensional rule).  The operators and ``integrate`` read one chunk of
+    nodes at a time, so a callable must act row by row.  Raises ValueError
+    unless there is exactly one value per node (a GridFunction of another rule
+    included), NonFiniteValue on NaN or infinity, and TypeError for any other
+    kind of object.
     """
+    nodes = rule.nodes[rows]
     if isinstance(f, GridFunction):
-        vals = f.values_on(rule)
-    elif isinstance(f, np.ndarray):
-        vals = f
+        f = f.values_on(rule)
+    if isinstance(f, np.ndarray):
+        if f.shape != (len(rule),):
+            raise ValueError(f"expected one value per node, shape ({len(rule)},), got {f.shape}")
+        vals = f[rows]
     elif callable(f):
-        vals = np.asarray(f(rule.nodes[:, 0] if rule.dim == 1 else rule.nodes))
+        vals = np.asarray(f(nodes[:, 0] if rule.dim == 1 else nodes))
+        if vals.shape != (len(nodes),):
+            raise ValueError(f"expected one value per node read, shape ({len(nodes)},), "
+                             f"got {vals.shape}")
     else:
         raise TypeError(f"cannot evaluate an object of type {type(f)!r} on a rule")
-    if vals.shape != (len(rule),):
-        raise ValueError(f"expected one value per node, shape ({len(rule)},), got {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("values are not finite at some quadrature node")
     return vals
@@ -318,8 +355,18 @@ def _csum(values: np.ndarray) -> complex:
 
 
 def integrate(rule: QuadratureRule, f) -> complex:
-    """Sum w_j f(node_j) in fixed order with compensated summation."""
-    return _csum(rule.weights * evaluate_on_rule(rule, f))
+    """Sum w_j f(node_j) in fixed order with compensated summation.
+
+    ``f`` is read one _CHUNK of nodes at a time, and each chunk's w f is summed
+    and dropped: ``compensated_sum`` of the whole summand array, bit for bit.
+    """
+    re, im = [], []
+    for s in _slices(0, len(rule), _CHUNK):
+        rows = _rows(s)
+        terms = (rule.weights[rows] * evaluate_on_rule(rule, f, rows))[:s.stop - s.start]
+        re.append(float(np.sum(terms.real)))
+        im.append(float(np.sum(terms.imag)) if np.iscomplexobj(terms) else 0.0)
+    return complex(math.fsum(re), math.fsum(im))
 
 
 # ---------------------------------------------------------------------------

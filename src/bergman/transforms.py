@@ -4,10 +4,13 @@ Each operator is one weighted kernel sum over the rule's nodes w_j, evaluated in
 blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, ``_modulus``
 |K| or conj K) times one coefficient per node (the weight times the symbol's value,
 over K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
-A symbol is a callable of the nodes, an ndarray of one value per node, or a
-GridFunction, read by ``quadrature.evaluate_on_rule``: ValueError for a wrong
-length or another rule's GridFunction, NonFiniteValue for NaN or infinity,
-TypeError for anything else, and ValueError for a rule of another domain too.
+The coefficients are formed one chunk of nodes at a time inside that pass, so no
+whole-rule symbol or coefficient array is made.  A symbol is a callable of the
+nodes, an ndarray of one value per node, or a GridFunction, read chunk by chunk by
+``quadrature.evaluate_on_rule``, so a callable receives node chunks and must act
+row by row: ValueError for a wrong length or another rule's GridFunction,
+NonFiniteValue for NaN or infinity in any chunk, TypeError for anything else, and
+ValueError for a rule of another domain too.
 """
 
 from __future__ import annotations
@@ -46,8 +49,14 @@ def _modulus(domain: DomainSpec):
     return modulus
 
 
-def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef: np.ndarray):
-    """sum_j coef_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing."""
+def _weighted(rule: QuadratureRule, f: Symbol, read=lambda values: values):
+    """The coefficients of ``_kernel_sums``: the rows of a chunk to w_j read(f(w_j)) there."""
+    return lambda rows: rule.weights[rows] * read(evaluate_on_rule(rule, f, rows))
+
+
+def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef):
+    """sum_j c_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing; ``coef``
+    maps the rows of a chunk of nodes to their c_j, as in ``_kernel_sums``."""
     diag = domain.positive_diag(Z)
     sums = _kernel_sums(domain.kernel_abs2, rule, Z, coef)
     sums.real /= diag
@@ -59,7 +68,7 @@ def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef: np.
 def berezin(domain: DomainSpec, phi: Symbol, z, rule: QuadratureRule):
     """B phi(z) = int phi(w) |k_z(w)|^2 dV(w) by quadrature on ``rule``; ``z`` is one point
     (the result is a complex) or an (M, dim) array of points (an (M,) complex array)."""
-    return _per_diag(domain, z, rule, rule.weights * evaluate_on_rule(rule, phi))
+    return _per_diag(domain, z, rule, _weighted(rule, phi))
 
 
 @_on_points
@@ -73,9 +82,9 @@ def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
     pass of ``berezin``.
     """
     if not rule.factors:
-        return _per_diag(domain, z, rule, rule.weights).real
+        return _per_diag(domain, z, rule, rule.weights.__getitem__).real
     P = domain.factor_points(z)
-    return np.prod([_per_diag(disc(), P[:, i:i + 1], factor, factor.weights).real
+    return np.prod([_per_diag(disc(), P[:, i:i + 1], factor, factor.weights.__getitem__).real
                     for i, factor in enumerate(rule.factors)], axis=0)
 
 
@@ -89,17 +98,19 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     (``QuadratureRule.node_diag``).
     """
     domain.positive_diag(z)  # validates the running positivity assumption at z
-    vals = evaluate_on_rule(rule, psi)
-    coef = rule.weights / rule.node_diag  # times psi in place: no further whole-rule array
-    coef = np.multiply(coef, vals, out=None if np.iscomplexobj(vals) else coef)
+    diag = rule.node_diag  # formed here, not by the first of several pooled chunks
+
+    def coef(rows):
+        vals = evaluate_on_rule(rule, psi, rows)
+        c = rule.weights[rows] / diag[rows]  # times psi in place where psi is real
+        return np.multiply(c, vals, out=None if np.iscomplexobj(vals) else c)
     return _kernel_sums(domain.kernel_abs2, rule, z, coef)
 
 
 @_on_points
 def absolute_projection(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     """P+ f(z) = int |K(z, w)| |f(w)| dV(w); the symbol enters through |f|; real valued."""
-    coef = rule.weights * np.abs(evaluate_on_rule(rule, f))
-    return _kernel_sums(_modulus(domain), rule, z, coef).real
+    return _kernel_sums(_modulus(domain), rule, z, _weighted(rule, f, np.abs)).real
 
 
 @_on_points
@@ -108,7 +119,7 @@ def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
     def conj_kernel(a, b):  # K(z, w) as conj K(w, z): the two differ in the last bit on most kinds
         k = domain.kernel(a, b)
         return np.conj(k, out=k)
-    return _kernel_sums(conj_kernel, rule, z, rule.weights * evaluate_on_rule(rule, f))
+    return _kernel_sums(conj_kernel, rule, z, _weighted(rule, f))
 
 
 def pairing(rule: QuadratureRule, f_values: np.ndarray, g_values: np.ndarray) -> complex:

@@ -15,7 +15,7 @@ import bergman.domains as dom
 from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import transforms as tr
-from bergman.errors import PointOutsideDomain
+from bergman.errors import NonFiniteValue, PointOutsideDomain
 
 OPERATORS = ("berezin", "berezin_adjoint", "absolute_projection", "bergman_project")
 
@@ -470,3 +470,114 @@ def test_buffer_bounds_the_working_memory_of_more_workers_than_cores(monkeypatch
     workers = 2 * quad._CORES + 1
     with ThreadPoolExecutor(workers) as many:
         _assert_peak_within_buffers(_lend_pool(monkeypatch, many, workers))
+
+
+# Symbols and integrands are read one chunk of nodes at a time: a lone tail node
+# (65,537 nodes), three chunks of the disc rule and four of the Hartogs rule.
+CUTS = [pytest.param("disc", CHUNK + 1, id="lone-tail"),
+        pytest.param("disc", 163840, id="three-chunks"),
+        pytest.param("hartogs", 230400, id="four-chunks")]
+
+
+def _cut(long_rules, name, n):
+    domain, full = long_rules[name]
+    return domain, quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
+
+
+@pytest.mark.parametrize("name, n", CUTS)
+@pytest.mark.parametrize("op", OPERATORS)
+def test_chunked_symbols_equal_the_whole_array_reference(monkeypatch, pool, long_rules, op, name,
+                                                         n):
+    # 37 points reach the pool's 2^21 entries on each cut; one point runs serially
+    domain, rule = _cut(long_rules, name, n)
+    points = _points(domain, 37, seed=n)
+    fn = getattr(tr, op)
+    for phi in (_real_symbol, _complex_symbol):
+        ref = [_reference(op, domain, phi, tuple(z), rule) for z in points]
+        calls = pool.calls
+        pooled = fn(domain, phi, points, rule)
+        assert pool.calls == calls + 1
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(quad, "_POOL", None)
+            serial = fn(domain, phi, points, rule)
+        single = fn(domain, phi, points[:1], rule)
+        for got, want in ((pooled, ref), (serial, ref), (single, ref[:1])):
+            assert _bits(got) == _bits(np.array(want, dtype=got.dtype))
+
+
+@pytest.mark.parametrize("name, n", CUTS)
+def test_integrate_reads_chunk_by_chunk_bit_for_bit(long_rules, name, n):
+    # against compensated_sum of the whole summand array, real and imaginary parts apart
+    rule = _cut(long_rules, name, n)[1]
+    values = _complex_symbol(rule.nodes[:, 0] if rule.dim == 1 else rule.nodes)
+    for f in (_real_symbol, _complex_symbol, values, quad.GridFunction(rule, values)):
+        whole = rule.weights * quad.evaluate_on_rule(rule, f)
+        want = complex(quad.compensated_sum(whole.real), quad.compensated_sum(whole.imag))
+        assert _bits(quad.integrate(rule, f)) == _bits(want)
+
+
+@pytest.mark.parametrize("m, workers", [(1, "serial"), (100, "serial"), (100, "pool"),
+                                        (100, "many")])
+@pytest.mark.parametrize("op", OPERATORS)
+def test_each_node_is_read_once_per_call(monkeypatch, pool, long_rules, op, m, workers):
+    # 100 points fill 4 point groups serially and 7 or more through a pool; each chunk's
+    # symbol values are formed once and shared by its groups.  With more workers than
+    # cores and fast switching, a lost update of the sharing would read a chunk twice.
+    domain, rule = _cut(long_rules, "disc", 163840)
+    points = _points(domain, m, seed=m)
+    want = getattr(tr, op)(domain, _complex_symbol, points, rule)
+    reads = []
+
+    def counting(w):
+        reads.append(w.copy())
+        return _complex_symbol(w)
+    interval = sys.getswitchinterval()
+    with ThreadPoolExecutor(2 * quad._CORES + 1) as many:
+        if workers == "serial":
+            monkeypatch.setattr(quad, "_POOL", None)
+        elif workers == "many":
+            pool = _lend_pool(monkeypatch, many, 2 * quad._CORES + 1)
+            sys.setswitchinterval(1e-6)
+        calls = pool.calls
+        try:
+            got = getattr(tr, op)(domain, counting, points, rule)
+        finally:
+            sys.setswitchinterval(interval)
+    if workers != "serial":
+        assert pool.calls == calls + 1 and pool.items // 3 >= 3
+    assert sorted(len(w) for w in reads) == [32768, CHUNK, CHUNK]
+    assert _bits(np.sort(np.concatenate(reads))) == _bits(np.sort(rule.nodes[:, 0]))
+    assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [CHUNK + 1, 163840], ids=["lone-tail", "three-chunks"])
+@pytest.mark.parametrize("consumer", OPERATORS + ("integrate",))
+def test_non_finite_in_the_last_chunk_is_refused(long_rules, consumer, n):
+    domain, rule = _cut(long_rules, "disc", n)
+    last = rule.nodes[-1, 0]
+
+    def consume(f):
+        if consumer == "integrate":
+            return quad.integrate(rule, f)
+        return getattr(tr, consumer)(domain, f, 0.2 + 0.1j, rule)
+    values = np.ones(n, dtype=complex)
+    values[-1] = np.nan
+    for f in (values, lambda w: np.where(w == last, np.inf, 1.0)):
+        with pytest.raises(NonFiniteValue):
+            consume(f)
+
+
+def test_one_point_projection_forms_no_whole_rule_array():
+    # P[1/w1] at one point of 1,937,664 Hartogs nodes (30 chunks, run serially): the symbol,
+    # its finiteness mask and w / w1 exist one chunk at a time.  Formed over the whole rule,
+    # as before, they peaked at 32.6 MB, above N x 16 bytes = 29.6 MB.
+    domain = dom.hartogs_triangle()
+    rule = quad.build_rule(domain, 29, 24)
+    symbol = lambda w: 1.0 / w[:, 0]
+    tracemalloc.start()
+    try:
+        tr.bergman_project(domain, symbol, (0.5, 0.1j), rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * CHUNK * 16 < len(rule) * 16

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,8 @@ from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import reproduce
 from bergman import transforms as tr
-from bergman.errors import InvalidResolution, NonFiniteValue, PointOutsideDomain
+from bergman.errors import (InvalidResolution, NonFiniteValue, PointOutsideDomain,
+                            UnsupportedKind)
 from bergman.quadrature import QuadratureRule, RuleMeta, _kernel_rows
 from test_batched import _br_scan_reference
 
@@ -243,7 +245,7 @@ class TestRingRowSums:
         matrix = on.discretize_berezin(domain, rule, row_nodes=rows)
         sums = matrix.row_sums()
         assert matrix.meta["rings"] is None and b1_points == [len(rows)]
-        assert _bits(sums) == _bits(tr._per_diag(domain, rows, rule, rule.weights).real)
+        assert _bits(sums) == _bits(tr._per_diag(domain, rows, rule, rule.weights.__getitem__).real)
 
     @given(grid=st.sampled_from([(8, 7), (12, 45), (16, 96), reproduce.ROWS_GRID]),
            ring=st.integers(0, 10**6), k=st.integers(0, 10**6))
@@ -388,6 +390,15 @@ class TestBRScan:
             return np.sqrt(domain.kernel_abs2(P[1], P[0])) / domain.diag(P[0])
         assert abs(ratio(moved) - ratio(Z)) <= 1e-13 * ratio(Z)
 
+    @pytest.mark.parametrize("domain", [dom.ball(1), dom.ball(3), dom.polydisc(1),
+                                        dom.polydisc(3)], ids=str)
+    def test_pair_scan_outside_c2_is_unsupported(self, domain):
+        # the ball and polydisc scan grids are pairs of coordinates: no shape error, no scan
+        with pytest.raises(UnsupportedKind, match=re.escape(str(domain))):
+            on.br_scan(domain)
+        with pytest.raises(UnsupportedKind):
+            domain.scan_turns(0)
+
     def test_supremum_dominates_sampled_ratios(self):
         rep = on.br_scan(dom.disc())
         rng = np.random.default_rng(2)
@@ -511,6 +522,20 @@ class TestKroneckerNorm:
         assert abs(got.value - want.value) <= 1e-9 * want.value
         assert got.resolution["rows"] == got.resolution["cols"] == 400
         assert got.resolution["converged"]
+
+    def test_p2_records_its_iterations(self, monkeypatch, factor):
+        # as at p = 3: the record counts the power iteration's applications of X -> G1 X G2
+        grams = []
+
+        def counting(gram, *args, **kwargs):
+            def counted(X):
+                grams.append(1)
+                return gram(X)
+            return power_sigma(counted, *args, **kwargs)
+        power_sigma = on._power_sigma
+        monkeypatch.setattr(on, "_power_sigma", counting)
+        res = on.estimate_norm((factor, factor), 2.0).resolution
+        assert res["converged"] and res["iterations"] == len(grams) > 1
 
     def test_factors_need_not_agree(self, factor):
         other = on.discretize_absolute_radial(radial_n=12, depth=20.0)
