@@ -28,7 +28,7 @@ from .domains import DomainSpec, as_point, inside_points
 from .errors import InvalidResolution, NonFiniteValue
 from .quadrature import (QuadratureRule, _angles, _kernel_rows, _points_on_rule,
                          gauss_legendre, tail_exponent_classify)
-from .transforms import _modulus, _per_diag
+from .transforms import _modulus, _per_diag, _unit
 
 
 class OperatorMatrix:
@@ -120,8 +120,7 @@ class _BerezinMatrix(OperatorMatrix):
 
     def row_sums(self) -> np.ndarray:
         width = self._width or 1
-        sums = _per_diag(self._domain, self.row_nodes[::width], self._rule,
-                         self._rule.weights.__getitem__).real
+        sums = _per_diag(self._domain, self.row_nodes[::width], self._rule, _unit).real
         _require_finite(sums)
         return np.repeat(sums, width)
 

@@ -5,6 +5,15 @@ loci) with uniform angular grids, which are spectrally accurate for periodic
 integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
+Every rule ``build_rule`` makes is a tensor product and keeps only its 1-D axes:
+``QuadratureRule.rows`` forms the nodes and weights of the rows asked for from
+them, a slab of the leading axes at a time, bit for bit the rows of the whole
+arrays.  The operators, ``integrate`` and ``save_rule`` read a rule one chunk of
+rows at a time through ``rows`` alone.  The whole ``nodes`` and ``weights`` are
+formed on first access and kept read-only; from then on ``rows`` slices them, so
+a caller making repeated calls on one rule forms no chunk twice.  Patch, loaded
+and hand-built rules keep explicit arrays, which ``rows`` slices.
+
 Integrands and symbols are read by ``evaluate_on_rule`` alone, one 65536-node
 chunk at a time, so ``integrate`` and the transforms share one error contract and
 form no whole-rule array of values: a callable receives node chunks and must act
@@ -14,8 +23,8 @@ then an exact fsum of the chunk sums.  An operator is a kernel form F and one
 coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
 conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
-its coefficients in place.  A chunk's coefficients are formed once per call,
-inside the pass, and dropped after its last point group.  A chunk is reduced
+its coefficients in place.  A chunk's nodes and coefficients are formed once per
+call, inside the pass, and dropped after its last point group.  A chunk is reduced
 from its one block where one block spans it (on a rule of one chunk the points
 are grouped so that one does) and gathered from its blocks into a buffer
 otherwise, so the blocked sum reproduces
@@ -102,9 +111,17 @@ class RuleMeta:
     region: str = "full"
 
 
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain.
+
+    A rule ``build_rule`` makes as a tensor product (the polydisc of any dimension,
+    the disc included, the ball in C^2 and the Hartogs triangle) keeps only its 1-D
+    axes, and ``rows`` forms the nodes and weights of the rows asked for from them,
+    bit for bit the rows of the whole arrays.  The whole ``nodes`` and ``weights``
+    are formed together on first access and kept read-only with the rule; from then
+    on ``rows`` slices them.  A rule made from explicit arrays, as
+    ``QuadratureRule(nodes, weights, meta)`` (loaded and patch rules too), serves
+    ``rows`` by slicing them.  ``len`` and ``dim`` form nothing.
 
     ``factors`` are the 1-D disc rules a product rule is built from, one per
     coordinate of ``DomainSpec.factor_points``: a polydisc rule is their tensor
@@ -112,24 +129,59 @@ class QuadratureRule:
     weighted by the Jacobian |z1|^2.  Other rules, and loaded ones, have none.
     """
 
-    nodes: np.ndarray
-    weights: np.ndarray
-    meta: RuleMeta
-    factors: tuple = ()
-
-    def __post_init__(self):
-        if len(self.weights) != self.nodes.shape[0]:
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, meta: RuleMeta,
+                 factors: tuple = ()):
+        if len(weights) != nodes.shape[0]:
             raise ValueError("weights and nodes disagree in length")
+        self.meta, self.factors, self._axes, self._shape = meta, factors, None, nodes.shape
+        self.__dict__["_whole"] = nodes, weights
+
+    @classmethod
+    def _of_axes(cls, axes: "_Axes", meta: RuleMeta, factors: tuple = ()) -> "QuadratureRule":
+        """The rule whose rows ``axes`` forms."""
+        rule = cls.__new__(cls)
+        rule.meta, rule.factors, rule._axes, rule._shape = meta, factors, axes, (len(axes), axes.dim)
+        return rule
 
     def __len__(self):
-        return self.nodes.shape[0]
+        return self._shape[0]
 
     def __repr__(self):
         return f"QuadratureRule({self.meta!r}, nodes={len(self)})"
 
     @property
     def dim(self) -> int:
-        return self.nodes.shape[1]
+        return self._shape[1]
+
+    @cached_property
+    def _whole(self) -> tuple:
+        nodes, weights = self._axes.rows(0, len(self))
+        nodes.flags.writeable = weights.flags.writeable = False
+        return nodes, weights
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return self._whole[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._whole[1]
+
+    def rows(self, s=slice(None)) -> tuple:
+        """The (R, dim) nodes and (R,) weights of the rows ``s``: a slice, or a list of
+        row indices (a lone row read twice, say).  Formed from the axes unless the whole
+        arrays are."""
+        if "_whole" in self.__dict__:
+            nodes, weights = self._whole
+            return nodes[s], weights[s]
+        if isinstance(s, slice) and s.step in (None, 1):
+            start, stop, _ = s.indices(len(self))
+            return self._axes.rows(start, max(start, stop))
+        span = range(len(self))  # its indexing checks and normalizes the indices
+        index = np.array(span[s] if isinstance(s, slice) else [span[i] for i in s], dtype=np.intp)
+        lo, hi = (int(index.min()), int(index.max()) + 1) if index.size else (0, 0)
+        nodes, weights = self._axes.rows(lo, hi)
+        return nodes[index - lo], weights[index - lo]
 
     @cached_property
     def node_diag(self) -> np.ndarray:
@@ -145,6 +197,31 @@ class QuadratureRule:
         np.copyto(kept, diag)
         kept.flags.writeable = False
         return kept
+
+
+class _Axes:
+    """The rows of a product rule, formed from its 1-D axes a slab at a time.
+
+    Row i is row i % width of slab i // width: a slab is one index of the leading axes,
+    and width the number of rows of the trailing axes.  The weights are ``_outer`` of
+    ``lead_weights`` (the leading axes' left-associated product, flattened) and the
+    ``trailing`` weight axes; ``slabs(a0, a1)`` returns the nodes of slabs a0..a1-1 as an
+    (a1 - a0, width, dim) array, by the arithmetic of the whole array.  Rows [start, stop)
+    are cut from the slabs that cover them, so they equal the whole arrays' rows bit for bit.
+    """
+
+    def __init__(self, dim: int, lead_weights: np.ndarray, trailing: tuple, slabs):
+        self.dim, self.lead_weights, self.trailing, self.slabs = dim, lead_weights, trailing, slabs
+        self.width = math.prod(len(axis) for axis in trailing)
+
+    def __len__(self):
+        return len(self.lead_weights) * self.width
+
+    def rows(self, start: int, stop: int) -> tuple:
+        a0, a1 = start // self.width, -(-stop // self.width)
+        cut = slice(start - a0 * self.width, stop - a0 * self.width)
+        nodes = self.slabs(a0, a1).reshape(-1, self.dim)[cut]
+        return nodes, _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
 
 
 @dataclass(frozen=True)
@@ -253,17 +330,33 @@ class _Shared:
         return value
 
 
+class _Once:
+    """``form()`` at the first call, by one thread, and its value at every call."""
+
+    def __init__(self, form):
+        self._form, self._lock = form, threading.Lock()
+
+    def __call__(self):
+        with self._lock:
+            if self._form is not None:
+                self._value, self._form = self._form(), None
+        return self._value
+
+
 def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
     of pair(w_j, z_m) * c_j.  ``pair`` is a kernel form such as ``DomainSpec.kernel``
     or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
-    coefficients in place, unless a complex c meets a real block.  ``coef`` maps the
-    rows of one chunk of nodes (a slice, or a lone node's index twice) to their c_j.
+    coefficients in place, unless a complex c meets a real block.  ``coef(rows, nodes,
+    weights)`` maps the rows of one chunk of nodes (a slice, or a lone node's index
+    twice), with their nodes and weights from ``rule.rows``, to their c_j.
 
     Each (_CHUNK nodes, point group) pair is one task of ``_map``, in chunk order,
-    evaluated in node blocks of about _BLOCK / workers entries.  A chunk's coefficients
-    are formed once per call, by the first of its tasks, and dropped after the last, so
-    no whole-rule coefficient array exists.  A chunk filled by one block is reduced
+    evaluated in node blocks of about _BLOCK / workers entries.  A chunk's nodes are formed
+    once per call, by the first of its tasks, and its coefficients by the first task to
+    finish a kernel block, so a block's kernel temporaries never meet the coefficients'
+    forming.  Both are dropped after the chunk's last task, so no whole-rule node or
+    coefficient array is formed.  A chunk filled by one block is reduced
     along the block's rows; the blocks of any other chunk are first gathered into a
     (points, chunk) buffer of at most _BUFFER / workers entries.  On a rule of one
     chunk the points are grouped so that one block spans it.  Fsumming the chunk sums
@@ -274,17 +367,22 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     n, workers = len(rule), _workers(len(Z) * len(rule))
     span = _BLOCK if n <= _CHUNK else _BUFFER  # entries of one group over one chunk
     groups = _slices(0, len(Z), max(1, span // workers // max(1, min(n, _CHUNK))))
-    coefs = [_Shared(lambda s=s: coef(_rows(s)), len(groups)) for s in _slices(0, n, _CHUNK)]
+
+    def chunk(rows):  # the chunk's nodes, and its coefficients on first need
+        nodes, weights = rule.rows(rows)
+        return nodes, _Once(lambda: coef(rows, nodes, weights))
+    chunks = [_Shared(lambda s=s: chunk(_rows(s)), len(groups)) for s in _slices(0, n, _CHUNK)]
 
     def chunk_sums(item):
         k, r = item
         c, stop = k * _CHUNK, min((k + 1) * _CHUNK, n)
-        chunk_coef = coefs[k].take()
+        chunk_nodes, chunk_coef = chunks[k].take()
         step = max(1, min(_CHUNK, _BLOCK // workers // (r.stop - r.start)))
         buf = None
         for s in _slices(c, stop, step):
-            block = pair(rule.nodes[None, _rows(s)], Z[r, None])
-            part = chunk_coef[_rows(slice(s.start - c, s.stop - c))]
+            rows = _rows(slice(s.start - c, s.stop - c))
+            block = pair(chunk_nodes[None, rows], Z[r, None])
+            part = chunk_coef()[rows]
             block = (block * part if np.iscomplexobj(part) and not np.iscomplexobj(block)
                      else np.multiply(block, part, out=block))
             if step >= stop - c:  # the chunk's one block: reduced where it lies
@@ -295,7 +393,7 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
                 buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
         return np.sum(buf.real, axis=1), np.sum(buf.imag, axis=1) if np.iscomplexobj(buf) else None
 
-    parts = _map(chunk_sums, [(k, r) for k in range(len(coefs)) for r in groups], len(Z) * n)
+    parts = _map(chunk_sums, [(k, r) for k in range(len(chunks)) for r in groups], len(Z) * n)
     sums = np.zeros(len(Z), dtype=complex)
     for g, r in enumerate(groups if n else ()):
         re, im = zip(*parts[g::len(groups)])
@@ -316,9 +414,10 @@ def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.nda
     return inside_points(domain, z)
 
 
-def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
+def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None), nodes=None) -> np.ndarray:
     """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a slice or
-    an index list): the one reading of an integrand or symbol.
+    an index list): the one reading of an integrand or symbol.  ``nodes`` are the nodes
+    of ``rows`` where the caller has them from ``rule.rows``; else a callable's are formed.
 
     ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
     per node of the rule, or a callable of the (R, dim) nodes ((R,) on a
@@ -328,7 +427,6 @@ def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
     included), NonFiniteValue on NaN or infinity, and TypeError for any other
     kind of object.
     """
-    nodes = rule.nodes[rows]
     if isinstance(f, GridFunction):
         f = f.values_on(rule)
     if isinstance(f, np.ndarray):
@@ -336,6 +434,8 @@ def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
             raise ValueError(f"expected one value per node, shape ({len(rule)},), got {f.shape}")
         vals = f[rows]
     elif callable(f):
+        if nodes is None:
+            nodes = rule.rows(rows)[0]
         vals = np.asarray(f(nodes[:, 0] if rule.dim == 1 else nodes))
         if vals.shape != (len(nodes),):
             raise ValueError(f"expected one value per node read, shape ({len(nodes)},), "
@@ -363,7 +463,8 @@ def integrate(rule: QuadratureRule, f) -> complex:
     re, im = [], []
     for s in _slices(0, len(rule), _CHUNK):
         rows = _rows(s)
-        terms = (rule.weights[rows] * evaluate_on_rule(rule, f, rows))[:s.stop - s.start]
+        nodes, weights = rule.rows(rows)
+        terms = (weights * evaluate_on_rule(rule, f, rows, nodes))[:s.stop - s.start]
         re.append(float(np.sum(terms.real)))
         im.append(float(np.sum(terms.imag)) if np.iscomplexobj(terms) else 0.0)
     return complex(math.fsum(re), math.fsum(im))
@@ -403,12 +504,13 @@ def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
 
 
-def _polar_rule(x, wx, angular_n: int, meta: RuleMeta) -> QuadratureRule:
-    """The disc rule x e^{i th} with weights x wx dth: radii x (weights wx) times equispaced angles."""
+def _polar_axes(x, wx, angular_n: int) -> _Axes:
+    """The disc rule x e^{i th} with weights x wx dth: radii x (weights wx) times equispaced
+    angles, one radius a slab."""
     th, wth = _angles(angular_n)
-    z = (x[:, None] * np.exp(1j * th)[None, :]).ravel()
-    w = ((x * wx)[:, None] * np.full(angular_n, wth)[None, :]).ravel()
-    return QuadratureRule(z[:, None], w, meta)
+    phase = np.exp(1j * th)
+    return _Axes(1, x * wx, (np.full(angular_n, wth),),
+                 lambda a0, a1: (x[a0:a1, None] * phase[None, :])[..., None])
 
 
 def _outer(*factors) -> np.ndarray:
@@ -420,19 +522,30 @@ def _outer(*factors) -> np.ndarray:
 
 
 def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
-    """Tensor power of the polar disc rule; the disc is the case dim = 1."""
+    """Tensor power of the polar disc rule; the disc is the case dim = 1.  A slab is one
+    node of each of the first dim - 1 factors, its rows the nodes of the last factor."""
     dim = domain.dim
-    factor = _polar_rule(*_radial_line(radial_n, origin_grading, grading), angular_n,
-                         RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading,
-                                  (2 * radial_n, angular_n)))
-    z, n = factor.nodes[:, 0], len(factor)
-    nodes = np.empty((n,) * dim + (dim,), dtype=complex)
-    for i in range(dim):
-        nodes[..., i] = z.reshape((n,) + (1,) * (dim - 1 - i))
-    weights = _outer(*(factor.weights,) * dim)
+    polar = _polar_axes(*_radial_line(radial_n, origin_grading, grading), angular_n)
+    factor = QuadratureRule._of_axes(polar, RuleMeta("disc", 1, radial_n, angular_n, grading,
+                                                     origin_grading, (2 * radial_n, angular_n)))
     meta = RuleMeta(domain.kind, dim, radial_n, angular_n, grading, origin_grading,
                     factor.meta.shape * dim)
-    return QuadratureRule(nodes.reshape(-1, dim), weights.ravel(), meta, (factor,) * dim)
+    if dim == 1:
+        return QuadratureRule._of_axes(polar, meta, (factor,))
+    z, w = factor.rows()
+    z, n = z[:, 0], len(z)
+    lead = np.empty((n,) * (dim - 1) + (dim - 1,), dtype=complex)
+    for i in range(dim - 1):
+        lead[..., i] = z.reshape((n,) + (1,) * (dim - 2 - i))
+    lead = lead.reshape(-1, dim - 1)
+
+    def slabs(a0, a1):
+        nodes = np.empty((a1 - a0, n, dim), dtype=complex)
+        nodes[..., :-1] = lead[a0:a1, None]
+        nodes[..., -1] = z
+        return nodes
+    axes = _Axes(dim, _outer(*(w,) * (dim - 1)).ravel(), (w,), slabs)
+    return QuadratureRule._of_axes(axes, meta, (factor,) * dim)
 
 
 def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
@@ -445,36 +558,45 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
     al, wal = _gauss(alpha_n, 0.0, math.pi / 2)
     th, wth = _angles(angular_n)
     phase = np.exp(1j * th)
-    # written in place: one (N, 2) array, no broadcast copies of the coordinates
-    nodes = np.empty((len(rho), alpha_n, angular_n, angular_n, 2), dtype=complex)
-    nodes[..., 0] = (rho[:, None] * np.cos(al))[:, :, None, None] * phase[:, None]
-    nodes[..., 1] = (rho[:, None] * np.sin(al))[:, :, None, None] * phase
+    c1, c2 = (rho[:, None] * np.cos(al)).ravel(), (rho[:, None] * np.sin(al)).ravel()
+
+    def slabs(a0, a1):  # (rho, alpha) pairs times the angle pairs, written in place
+        nodes = np.empty((a1 - a0, angular_n, angular_n, 2), dtype=complex)
+        nodes[..., 0] = c1[a0:a1, None, None] * phase[:, None]
+        nodes[..., 1] = c2[a0:a1, None, None] * phase
+        return nodes
     wth = np.full(angular_n, wth)
-    w = _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal, wth, wth).ravel()
+    axes = _Axes(2, _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal).ravel(), (wth, wth),
+                 slabs)
     meta = RuleMeta("ball", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, alpha_n, angular_n, angular_n))
-    return QuadratureRule(nodes.reshape(-1, 2), w, meta)
+    return QuadratureRule._of_axes(axes, meta)
 
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
+    """A slab is one node z1 of the rule in z1, its rows z1 with each node t of the rule in
+    z2/z1."""
     # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2 = |z1|^2 dA(z1) dA(z2/z1)
     r, wr = _radial_line(radial_n, origin_grading, grading)
     s, ws = _radial_line(radial_n, 1.0, grading)  # ungraded on [0, 1/2]
     shape = (2 * radial_n, angular_n)
-    f1 = _polar_rule(r, wr, angular_n,
-                     RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading, shape))
-    f2 = _polar_rule(s, ws, angular_n,
-                     RuleMeta("disc", 1, radial_n, angular_n, grading, 1.0, shape))
-    # written in place: one (N, 2) array, no raveled coordinate copies
-    nodes = np.empty((len(f1), len(f2), 2), dtype=complex)
-    nodes[..., 0] = f1.nodes
-    # t * z1, not z1 * t: the complex product rounds differently with its operands swapped
-    np.multiply(f2.nodes[:, 0], f1.nodes, out=nodes[..., 1])
+    f1 = QuadratureRule._of_axes(_polar_axes(r, wr, angular_n), RuleMeta(
+        "disc", 1, radial_n, angular_n, grading, origin_grading, shape))
+    f2 = QuadratureRule._of_axes(_polar_axes(s, ws, angular_n), RuleMeta(
+        "disc", 1, radial_n, angular_n, grading, 1.0, shape))
+    z1, t = f1.rows()[0][:, 0], f2.rows()[0][:, 0]
+
+    def slabs(a0, a1):  # written in place: no raveled coordinate copies
+        nodes = np.empty((a1 - a0, len(t), 2), dtype=complex)
+        nodes[..., 0] = z1[a0:a1, None]
+        # t * z1, not z1 * t: the complex product rounds differently with its operands swapped
+        np.multiply(t, z1[a0:a1, None], out=nodes[..., 1])
+        return nodes
     # the factor weights r wr dt1 and s ws dt2 times the Jacobian r^2, rounded as r^3 wr
     wth = np.full(angular_n, _angles(angular_n)[1])
-    w = _outer(r ** 3 * wr, wth, s * ws, wth).ravel()
+    axes = _Axes(2, _outer(r ** 3 * wr, wth).ravel(), (s * ws, wth), slabs)
     meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading, shape * 2)
-    return QuadratureRule(nodes.reshape(-1, 2), w, meta, (f1, f2))
+    return QuadratureRule._of_axes(axes, meta, (f1, f2))
 
 
 _RULE_BUILDERS = {"disc": _polydisc_rule, "punctured-disc": _polydisc_rule, "polydisc": _polydisc_rule,
@@ -494,8 +616,9 @@ def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
         raise InvalidResolution("patch must stay inside the unit disc")
     meta = RuleMeta("disc", 1, radial_n, angular_n, 1.0, 1.0,
                     (radial_n, angular_n), region=f"patch({c:.3f},{radius:.3f})")
-    polar = _polar_rule(*_gauss(radial_n, 0.0, radius), angular_n, meta)
-    return QuadratureRule(c + polar.nodes, polar.weights, meta)
+    polar = _polar_axes(*_gauss(radial_n, 0.0, radius), angular_n)
+    nodes, weights = polar.rows(0, len(polar))
+    return QuadratureRule(c + nodes, weights, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -536,19 +659,22 @@ _MAGIC = b"bergman-rule v1"
 
 
 def save_rule(rule: QuadratureRule, path: str) -> None:
-    """One text header line, then N records (Re z_1, Im z_1, ..., Re z_dim, Im z_dim, w)."""
+    """One text header line, then N records (Re z_1, Im z_1, ..., Re z_dim, Im z_dim, w),
+    written one _CHUNK of rows at a time from ``rule.rows``."""
     m = rule.meta
     header = (f"{_MAGIC.decode()} kind={m.domain} dim={m.dim} n={len(rule)} "
               f"radial_n={m.radial_n} angular_n={m.angular_n} "
               f"grading={m.grading!r} origin_grading={m.origin_grading!r} "
               f"shape={','.join(map(str, m.shape))} region={m.region}\n")
-    records = np.empty((len(rule), 2 * rule.dim + 1), dtype="<f8")
-    records[:, 0:-1:2] = rule.nodes.real
-    records[:, 1:-1:2] = rule.nodes.imag
-    records[:, -1] = rule.weights
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        fh.write(records.tobytes())
+        for s in _slices(0, len(rule), _CHUNK):
+            nodes, weights = rule.rows(s)
+            records = np.empty((len(weights), 2 * rule.dim + 1), dtype="<f8")
+            records[:, 0:-1:2] = nodes.real
+            records[:, 1:-1:2] = nodes.imag
+            records[:, -1] = weights
+            fh.write(records.tobytes())
 
 
 def load_rule(path: str) -> QuadratureRule:

@@ -49,8 +49,8 @@ class CheckResult:
 # rules and row sums: cached only what two or more checks share
 # ---------------------------------------------------------------------------
 # A builder without a cache is called by each of its readers, so its rule lives
-# no longer than the check that reads it: the two big Hartogs rules (3,686,400
-# and 2,359,296 nodes) are never held together.
+# no longer than the check that reads it.  A product rule keeps only its axes, but
+# a cached one would also keep any whole node or weight array a reader formed.
 
 @lru_cache(maxsize=None)
 def rule_disc():
@@ -131,7 +131,6 @@ def _grid(rule) -> dict:
 # ---------------------------------------------------------------------------
 
 def check_01_normalization() -> CheckResult:
-    # one rule alive at a time: the four together hold 335 MB of nodes
     cases = [
         (dom.disc(), rule_disc_rows, 1e-8, 101),
         (dom.ball(2), rule_ball2, 1e-6, 102),
@@ -160,7 +159,6 @@ def check_01_normalization() -> CheckResult:
             measured[f"{domain.kind}_factored_vs_direct"] = gap
             passed &= gap <= 1e-13
         grids.append(grid)
-        del rule
     return CheckResult(1, "normalized kernel has unit mass", passed, measured,
                        "1e-8 disc/bidisc, 1e-6 ball/hartogs; factored vs direct 1e-13 relative",
                        resolution={"rules": grids, "points": n_points})
@@ -297,7 +295,7 @@ def check_06_blowup_symbol_norm() -> CheckResult:
     rule = rule_hartogs_radial()
     worst = 0.0
     for eps in (0.5, 0.1, 0.02):
-        got = quad.integrate(rule, ht.blowup_symbol_values(eps, rule.nodes) ** 2).real
+        got = quad.integrate(rule, lambda w: ht.blowup_symbol_values(eps, w) ** 2).real
         worst = max(worst, _rel(got, math.pi ** 2 / (2 * eps)))
     return CheckResult(6, "blow-up symbol norm: pi^2/(2 eps) by quadrature", worst <= 5e-3,
                        {"worst_rel": worst}, "0.5% for eps in {0.5, 0.1, 0.02}",

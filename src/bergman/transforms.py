@@ -4,11 +4,12 @@ Each operator is one weighted kernel sum over the rule's nodes w_j, evaluated in
 blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, ``_modulus``
 |K| or conj K) times one coefficient per node (the weight times the symbol's value,
 over K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
-The coefficients are formed one chunk of nodes at a time inside that pass, so no
-whole-rule symbol or coefficient array is made.  A symbol is a callable of the
-nodes, an ndarray of one value per node, or a GridFunction, read chunk by chunk by
-``quadrature.evaluate_on_rule``, so a callable receives node chunks and must act
-row by row: ValueError for a wrong length or another rule's GridFunction,
+The coefficients are formed one chunk of nodes at a time inside that pass, from the
+chunk's nodes and weights that ``QuadratureRule.rows`` forms, so no whole-rule node,
+symbol or coefficient array is made (the adjoint's node diagonal aside).  A symbol is
+a callable of the nodes, an ndarray of one value per node, or a GridFunction, read
+chunk by chunk by ``quadrature.evaluate_on_rule``, so a callable receives node chunks
+and must act row by row: ValueError for a wrong length or another rule's GridFunction,
 NonFiniteValue for NaN or infinity in any chunk, TypeError for anything else, and
 ValueError for a rule of another domain too.
 """
@@ -50,13 +51,19 @@ def _modulus(domain: DomainSpec):
 
 
 def _weighted(rule: QuadratureRule, f: Symbol, read=lambda values: values):
-    """The coefficients of ``_kernel_sums``: the rows of a chunk to w_j read(f(w_j)) there."""
-    return lambda rows: rule.weights[rows] * read(evaluate_on_rule(rule, f, rows))
+    """The coefficients of ``_kernel_sums``: a chunk's rows, nodes and weights to
+    w_j read(f(w_j)) there."""
+    return lambda rows, nodes, weights: weights * read(evaluate_on_rule(rule, f, rows, nodes))
+
+
+def _unit(rows, nodes, weights):
+    """The coefficients of B1 for ``_kernel_sums``: the weights."""
+    return weights
 
 
 def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef):
     """sum_j c_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing; ``coef``
-    maps the rows of a chunk of nodes to their c_j, as in ``_kernel_sums``."""
+    maps the rows, nodes and weights of a chunk to their c_j, as in ``_kernel_sums``."""
     diag = domain.positive_diag(Z)
     sums = _kernel_sums(domain.kernel_abs2, rule, Z, coef)
     sums.real /= diag
@@ -82,9 +89,9 @@ def unit_mass(domain: DomainSpec, z, rule: QuadratureRule):
     pass of ``berezin``.
     """
     if not rule.factors:
-        return _per_diag(domain, z, rule, rule.weights.__getitem__).real
+        return _per_diag(domain, z, rule, _unit).real
     P = domain.factor_points(z)
-    return np.prod([_per_diag(disc(), P[:, i:i + 1], factor, factor.weights.__getitem__).real
+    return np.prod([_per_diag(disc(), P[:, i:i + 1], factor, _unit).real
                     for i, factor in enumerate(rule.factors)], axis=0)
 
 
@@ -100,9 +107,9 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     domain.positive_diag(z)  # validates the running positivity assumption at z
     diag = rule.node_diag  # formed here, not by the first of several pooled chunks
 
-    def coef(rows):
-        vals = evaluate_on_rule(rule, psi, rows)
-        c = rule.weights[rows] / diag[rows]  # times psi in place where psi is real
+    def coef(rows, nodes, weights):
+        vals = evaluate_on_rule(rule, psi, rows, nodes)
+        c = weights / diag[rows]  # times psi in place where psi is real
         return np.multiply(c, vals, out=None if np.iscomplexobj(vals) else c)
     return _kernel_sums(domain.kernel_abs2, rule, z, coef)
 

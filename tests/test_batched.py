@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import bergman.domains as dom
 from bergman import opnorm as on
 from bergman import quadrature as quad
+from bergman import reproduce
 from bergman import transforms as tr
 from bergman.errors import NonFiniteValue, PointOutsideDomain
 
@@ -581,3 +582,51 @@ def test_one_point_projection_forms_no_whole_rule_array():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * CHUNK * 16 < len(rule) * 16
+
+
+# Product rules form each chunk's nodes and weights from their axes until the whole
+# arrays are read; from then on the chunks are sliced from those.  Either way the
+# sums are the same bits.  16 points reach the pool's 2^21 entries on each rule.
+FORMED_RULES = {"disc": (dom.disc(), (80, 1024)), "ball2": (dom.ball(2), (12, 24)),
+                "bidisc": (dom.polydisc(2), (8, 24)), "hartogs": (dom.hartogs_triangle(), (10, 24))}
+
+
+@pytest.mark.parametrize("workers", ["serial", "pool"])
+@pytest.mark.parametrize("name", sorted(FORMED_RULES))
+def test_formed_rows_equal_the_whole_arrays_in_every_consumer(monkeypatch, pool, name, workers):
+    domain, grid = FORMED_RULES[name]
+    points = _points(domain, 16, seed=len(name))
+    if workers == "serial":
+        monkeypatch.setattr(quad, "_POOL", None)
+    consumers = [lambda rule, op=op: getattr(tr, op)(domain, _complex_symbol, points, rule)
+                 for op in OPERATORS]
+    consumers += [lambda rule: tr.unit_mass(domain, points, rule),
+                  lambda rule: quad.integrate(rule, _complex_symbol)]
+    read = quad.build_rule(domain, *grid)
+    read.nodes  # forms the whole arrays, which every consumer then slices
+    calls = pool.calls
+    for consumer, op in zip(consumers, OPERATORS + ("unit_mass", "integrate")):
+        fresh = quad.build_rule(domain, *grid)
+        assert len(points) * len(fresh) >= quad._BUFFER
+        assert _bits(consumer(fresh)) == _bits(consumer(read))
+        # only the adjoint reads the whole nodes, for its node diagonal K(w, w)
+        assert ("_whole" in vars(fresh)) == (op == "berezin_adjoint")
+    # unit_mass is a product of passes over the factors where the rule has them
+    mass = sum(len(points) * len(f) >= quad._BUFFER for f in read.factors or (read,))
+    pooled = 2 * (len(OPERATORS) + mass)
+    assert pool.calls - calls == (pooled if workers == "pool" else 0)
+
+
+@pytest.mark.parametrize("check", [reproduce.check_01_normalization, reproduce.check_09_weak_pairing,
+                                   reproduce.check_13_domination], ids=lambda c: c.__name__[:8])
+def test_checks_on_big_product_rules_peak_below_48_mb_traced(check):
+    # Their rules of 2.3 to 3.7 M nodes are read a chunk at a time, formed from the axes.
+    # Built as whole arrays, checks 01, 09 and 13 peaked at 156.7, 156.8 and 103.5 MB traced.
+    reproduce.rule_disc_rows(), reproduce.rule_disc()  # cached, shared with other checks
+    tracemalloc.start()
+    try:
+        result = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed and peak < 48e6

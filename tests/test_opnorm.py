@@ -245,7 +245,7 @@ class TestRingRowSums:
         matrix = on.discretize_berezin(domain, rule, row_nodes=rows)
         sums = matrix.row_sums()
         assert matrix.meta["rings"] is None and b1_points == [len(rows)]
-        assert _bits(sums) == _bits(tr._per_diag(domain, rows, rule, rule.weights.__getitem__).real)
+        assert _bits(sums) == _bits(tr._per_diag(domain, rows, rule, tr._unit).real)
 
     @given(grid=st.sampled_from([(8, 7), (12, 45), (16, 96), reproduce.ROWS_GRID]),
            ring=st.integers(0, 10**6), k=st.integers(0, 10**6))

@@ -3,12 +3,15 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
 from bergman import quadrature as quad
+from bergman import reproduce
 from bergman.errors import (
     BorderlineExponent,
     InvalidResolution,
@@ -180,6 +183,106 @@ class TestProductFactors:
         assert quad.disc_patch_rule(0.1, 0.2).factors == ()
 
 
+def _formed(rule) -> bool:
+    """Whether the rule holds its whole node and weight arrays."""
+    return "_whole" in vars(rule)
+
+
+def _row_bits(pair):
+    nodes, weights = pair
+    return nodes.tobytes(), weights.tobytes(), nodes.shape, weights.shape
+
+
+# every kind build_rule makes as a tensor product: (domain, origin grading, largest radial_n)
+TENSOR_KINDS = {
+    "disc": (dom.disc(), None, 9), "bidisc": (dom.polydisc(2), None, 8),
+    "tridisc": (dom.polydisc(3), None, 4), "ball2": (dom.ball(2), None, 8),
+    "hartogs": (dom.hartogs_triangle(), None, 8),
+    "hartogs-origin": (dom.hartogs_triangle(), 12.0, 8),
+}
+
+
+class TestRowsFromAxes:
+    """Product rules keep their 1-D axes and form the rows asked for, bit for bit."""
+
+    @given(kind=st.sampled_from(sorted(TENSOR_KINDS)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_whole_arrays(self, kind, data):
+        domain, origin, top = TENSOR_KINDS[kind]
+        grid = (data.draw(st.integers(4, top)), data.draw(st.integers(4, 9 if top > 4 else 5)))
+        fresh = quad.build_rule(domain, *grid, origin_grading=origin)
+        whole = quad.build_rule(domain, *grid, origin_grading=origin)
+        nodes, weights, n = whole.nodes, whole.weights, len(whole)
+        width = fresh._axes.width
+        # a range anywhere, one across a slab boundary, a lone node, the last rows
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start, n))
+        edge = data.draw(st.integers(1, n // width)) * width
+        across = slice(max(0, edge - data.draw(st.integers(0, width + 1))),
+                       min(n, edge + data.draw(st.integers(0, width + 1))))
+        i = data.draw(st.integers(0, n - 1))
+        tail = slice(data.draw(st.integers(0, n - 1)), n)
+        for rows in (slice(start, stop), across, slice(i, i + 1), [i, i], tail, slice(None)):
+            assert _row_bits(fresh.rows(rows)) == _row_bits((nodes[rows], weights[rows]))
+        assert not _formed(fresh)
+
+    @pytest.mark.parametrize("domain, grid", [
+        (dom.polydisc(2), (8, 24)), (dom.ball(2), (12, 24)), (dom.hartogs_triangle(), (10, 24)),
+        (dom.disc(), (80, 1024))], ids=["bidisc", "ball2", "hartogs", "disc"])
+    def test_every_chunk_and_the_last_node(self, domain, grid):
+        # 147,456 / 138,240 / 230,400 / 163,840 nodes: chunk boundaries cut slabs
+        fresh, whole = quad.build_rule(domain, *grid), quad.build_rule(domain, *grid)
+        nodes, weights, n = whole.nodes, whole.weights, len(whole)
+        assert n > 2 * quad._CHUNK
+        for rows in quad._slices(0, n, quad._CHUNK) + [[n - 1, n - 1], slice(n - 1, n)]:
+            assert _row_bits(fresh.rows(rows)) == _row_bits((nodes[rows], weights[rows]))
+        assert not _formed(fresh)
+
+    def test_whole_arrays_are_formed_once_read_only_and_then_sliced(self):
+        rule = quad.build_rule(dom.hartogs_triangle(), 5, 12)
+        nodes = rule.nodes
+        assert _formed(rule) and rule.weights is rule.weights and rule.nodes is nodes
+        assert not (nodes.flags.writeable or rule.weights.flags.writeable)
+        part, weights = rule.rows(slice(100, 300))
+        assert np.shares_memory(part, nodes) and np.shares_memory(weights, rule.weights)
+
+    def test_explicit_arrays_are_sliced(self):
+        base = quad.build_rule(dom.disc(), 4, 8)
+        nodes, weights = base.nodes.copy(), base.weights.copy()
+        rule = quad.QuadratureRule(nodes, weights, base.meta)
+        assert rule.nodes is nodes and rule.weights is weights
+        got, w = rule.rows([3, 3])
+        assert got.tobytes() == nodes[[3, 3]].tobytes() and w.tobytes() == weights[[3, 3]].tobytes()
+
+    @pytest.mark.parametrize("rows", [[-1, -1], [0, 5, 2], range(3, 40, 7), slice(40, 3, -5),
+                                      slice(7, 7), []], ids=str)
+    def test_index_lists_and_steps(self, rows):
+        fresh, whole = (quad.build_rule(dom.ball(2), 4, 4) for _ in range(2))
+        index = list(rows) if isinstance(rows, range) else rows
+        assert _row_bits(fresh.rows(rows)) == _row_bits((whole.nodes[index], whole.weights[index]))
+        with pytest.raises(IndexError):
+            fresh.rows([len(fresh)])
+
+    def test_length_dimension_and_grid_form_nothing(self):
+        rule = quad.build_rule(dom.hartogs_triangle(), 20, 48)
+        assert (len(rule), rule.dim) == (3686400, 2)
+        grid = reproduce._grid(rule)
+        assert grid["nodes"] == len(rule) and grid["shape"] == (40, 48, 40, 48)
+        assert not _formed(rule) and not any(_formed(f) for f in rule.factors)
+
+    def test_a_hartogs_rule_of_3_7_m_nodes_is_built_in_under_1_mb(self):
+        quad.build_rule(dom.hartogs_triangle(), 4, 4)  # lazy imports and cached Gauss rules
+        quad.gauss_legendre(20)
+        tracemalloc.start()
+        try:
+            rule = quad.build_rule(dom.hartogs_triangle(), 20, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole arrays alone are N x 40 bytes = 147 MB; built whole, the rule peaked at 149 MB
+        assert len(rule) * 40 > 100 * 2 ** 20 and peak < 2 ** 20
+
+
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", [1, 7, 160])
     def test_equals_leggauss(self, n):
@@ -307,7 +410,42 @@ class TestTailExponents:
         assert not quad.tail_exponent_classify([(-1.0, "infinity")])
 
 
+def _save_rule_whole(rule, path):
+    """``save_rule`` as it was before it streamed: one (N, 2 dim + 1) record array."""
+    m = rule.meta
+    header = (f"bergman-rule v1 kind={m.domain} dim={m.dim} n={len(rule)} "
+              f"radial_n={m.radial_n} angular_n={m.angular_n} "
+              f"grading={m.grading!r} origin_grading={m.origin_grading!r} "
+              f"shape={','.join(map(str, m.shape))} region={m.region}\n")
+    records = np.empty((len(rule), 2 * rule.dim + 1), dtype="<f8")
+    records[:, 0:-1:2] = rule.nodes.real
+    records[:, 1:-1:2] = rule.nodes.imag
+    records[:, -1] = rule.weights
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.write(records.tobytes())
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("make", [
+        lambda: quad.build_rule(dom.disc(), 80, 1024), lambda: quad.disc_patch_rule(0.2j, 0.5),
+        lambda: quad.build_rule(dom.ball(2), 12, 24), lambda: quad.build_rule(dom.polydisc(2), 8, 24),
+        lambda: quad.build_rule(dom.hartogs_triangle(), 10, 24, origin_grading=6.0)],
+        ids=["disc", "patch", "ball2", "bidisc", "hartogs"])
+    def test_streamed_file_is_the_whole_array_file(self, tmp_path, make):
+        # rules of 2 to 4 chunks: the file streamed from rows is byte-identical, and a fresh
+        # product rule is written without forming its whole arrays
+        rule, ref = make(), make()
+        streamed, whole = (os.path.join(tmp_path, name) for name in ("streamed.bin", "whole.bin"))
+        quad.save_rule(rule, streamed)
+        assert _formed(rule) == rule.meta.region.startswith("patch")  # explicit arrays
+        _save_rule_whole(ref, whole)
+        with open(streamed, "rb") as a, open(whole, "rb") as b:
+            assert a.read() == b.read()
+        back = quad.load_rule(streamed)
+        assert back.nodes.tobytes() == ref.nodes.tobytes()
+        assert back.weights.tobytes() == ref.weights.tobytes()
+
     def test_round_trip(self, tmp_path):
         rule = quad.build_rule(dom.hartogs_triangle(), 6, 6)
         path = os.path.join(tmp_path, "rule.bin")
