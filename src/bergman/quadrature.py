@@ -24,16 +24,17 @@ coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
 conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
 its coefficients in place.  A chunk's nodes and coefficients are formed once per
-call, inside the pass, and dropped after its last point group.  A chunk is reduced
-from its one block where one block spans it (on a rule of one chunk the points
-are grouped so that one does) and gathered from its blocks into a buffer
-otherwise, so the blocked sum reproduces
-``compensated_sum`` of the same summands chunk for chunk, bit for bit, whatever
-the number of points.  ``discretize_berezin`` and ``br_scan`` fill their kernel
-arrays in row blocks of the same size.  A call of at
-least 2^21 point-node entries runs on a thread pool, one thread per core the process
-may run on (at most its cgroup's CPU quota); its threads split one serial pass's block
-and buffer sizes, and the calling thread fsums the chunk sums in chunk order.
+call, inside the pass, and dropped after its last point group.  numpy's pairwise
+sum is a binary tree with fixed split points, so a chunk is split at those points
+into blocks, each block is reduced where it lies, and the sibling sums are added up
+the tree: the chunk's ``np.sum`` bit for bit, with no (points x chunk) array formed
+(on a rule of one chunk the points are grouped so that one block spans it).  So the
+blocked sum reproduces ``compensated_sum`` of the same summands chunk for chunk, bit
+for bit, whatever the number of points.  ``discretize_berezin`` and ``br_scan`` fill
+their kernel arrays in row blocks of the same size.  A call of at least 2^21
+point-node entries runs on a thread pool, one thread per core the process may run on
+(at most its cgroup's CPU quota); its threads split one serial pass's block size, and
+the calling thread fsums the chunk sums in chunk order.
 """
 
 from __future__ import annotations
@@ -185,16 +186,18 @@ class QuadratureRule:
 
     @cached_property
     def node_diag(self) -> np.ndarray:
-        """K(w_j, w_j) at the nodes on the domain ``meta`` names, formed on first access and kept
-        read-only with the rule (a disc rule serving the punctured disc: one formula).
+        """K(w_j, w_j) at the nodes on the domain ``meta`` names, formed on first access one
+        _CHUNK of rows at a time and kept read-only with the rule (a disc rule serving the
+        punctured disc: one formula).
 
         It is kept in its own anonymous page mapping: placed in the allocator's heap, the
         long-lived array split the space that later calls' transient whole-rule arrays reuse,
         and cost the point-queries benchmark about 2 MB of peak RSS beyond its own 4.2 MB.
         """
-        diag = DomainSpec(self.meta.domain, self.meta.dim).diag(self.nodes)
-        kept = np.frombuffer(mmap.mmap(-1, max(1, diag.nbytes)), dtype=float, count=diag.size)
-        np.copyto(kept, diag)
+        domain, n = DomainSpec(self.meta.domain, self.meta.dim), len(self)
+        kept = np.frombuffer(mmap.mmap(-1, max(1, 8 * n)), dtype=float, count=n)
+        for s in _slices(0, n, _CHUNK):  # from ``rows``: no whole node array is formed
+            kept[s] = domain.diag(self.rows(_rows(s))[0])[:s.stop - s.start]
         kept.flags.writeable = False
         return kept
 
@@ -250,8 +253,8 @@ class GridFunction:
 _CHUNK = 65536
 # entries of one evaluated kernel block (M points x block nodes)
 _BLOCK = 1 << 17
-# entries of the (points x chunk) buffer that gathers a chunk spanned by several blocks;
-# also the size of call from which the thread pool runs
+# the size of call from which the thread pool runs; a point group spans _BUFFER / workers
+# entries of a chunk on a rule of several chunks
 _BUFFER = 16 * _BLOCK
 
 
@@ -343,6 +346,23 @@ class _Once:
         return self._value
 
 
+def _pairwise_sums(leaf, start: int, stop: int, fits: int):
+    """numpy's pairwise sum of the entries [start, stop) of a row, from the sums
+    ``leaf(a, b)`` of pieces of it.  Of n > 128 entries ``np.sum`` adds the sums of the
+    first h = n//2 - (n//2) % 8 entries and of the rest, and it sums n <= 128 entries
+    unsplit; so the row is split at those points until a piece has at most ``fits`` or
+    128 entries, and sibling sums are added bottom-up: ``np.sum`` of the row bit for bit,
+    whatever ``fits``.  A module function, not a closure that calls itself: such a
+    closure is a reference cycle, which would keep each task's chunk nodes and
+    coefficients alive until the cycle collector runs."""
+    n = stop - start
+    if n <= max(fits, 128):
+        return leaf(start, stop)
+    h = n // 2 - n // 2 % 8
+    return (_pairwise_sums(leaf, start, start + h, fits)
+            + _pairwise_sums(leaf, start + h, stop, fits))
+
+
 def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
     of pair(w_j, z_m) * c_j.  ``pair`` is a kernel form such as ``DomainSpec.kernel``
@@ -351,18 +371,18 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     weights)`` maps the rows of one chunk of nodes (a slice, or a lone node's index
     twice), with their nodes and weights from ``rule.rows``, to their c_j.
 
-    Each (_CHUNK nodes, point group) pair is one task of ``_map``, in chunk order,
-    evaluated in node blocks of about _BLOCK / workers entries.  A chunk's nodes are formed
-    once per call, by the first of its tasks, and its coefficients by the first task to
-    finish a kernel block, so a block's kernel temporaries never meet the coefficients'
-    forming.  Both are dropped after the chunk's last task, so no whole-rule node or
-    coefficient array is formed.  A chunk filled by one block is reduced
-    along the block's rows; the blocks of any other chunk are first gathered into a
-    (points, chunk) buffer of at most _BUFFER / workers entries.  On a rule of one
-    chunk the points are grouped so that one block spans it.  Fsumming the chunk sums
-    in chunk order makes each sum equal ``compensated_sum`` of that point's full
-    summand array, bit for bit.  Returns an (M,) complex array; real summands give
-    zero imaginary parts.
+    Each (_CHUNK nodes, point group) pair is one task of ``_map``, in chunk order.  A
+    chunk's nodes are formed once per call, by the first of its tasks, and its
+    coefficients by the first task to finish a kernel block, so a block's kernel
+    temporaries never meet the coefficients' forming.  Both are dropped after the
+    chunk's last task, so no whole-rule node or coefficient array is formed.  A task
+    splits its chunk at numpy's pairwise split points (``_pairwise_sums``) into pieces
+    of at most _BLOCK / workers / points nodes, evaluates each piece as one kernel block,
+    reduces it where it lies, and adds the sibling sums: the chunk's ``np.sum``, bit for
+    bit, with no (points, chunk) array formed.  On a rule of one chunk the points are
+    grouped so that one block spans it.  Fsumming the chunk sums in chunk order makes
+    each sum equal ``compensated_sum`` of that point's full summand array, bit for bit.
+    Returns an (M,) complex array; real summands give zero imaginary parts.
     """
     n, workers = len(rule), _workers(len(Z) * len(rule))
     span = _BLOCK if n <= _CHUNK else _BUFFER  # entries of one group over one chunk
@@ -375,30 +395,26 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
 
     def chunk_sums(item):
         k, r = item
-        c, stop = k * _CHUNK, min((k + 1) * _CHUNK, n)
         chunk_nodes, chunk_coef = chunks[k].take()
-        step = max(1, min(_CHUNK, _BLOCK // workers // (r.stop - r.start)))
-        buf = None
-        for s in _slices(c, stop, step):
-            rows = _rows(slice(s.start - c, s.stop - c))
+
+        def leaf(a, b):  # rows [a, b) of the chunk as one block, reduced where it lies
+            rows = _rows(slice(a, b))
             block = pair(chunk_nodes[None, rows], Z[r, None])
             part = chunk_coef()[rows]
             block = (block * part if np.iscomplexobj(part) and not np.iscomplexobj(block)
-                     else np.multiply(block, part, out=block))
-            if step >= stop - c:  # the chunk's one block: reduced where it lies
-                buf = block[:, :stop - c]
-            else:
-                if buf is None:
-                    buf = np.empty((r.stop - r.start, stop - c), block.dtype)
-                buf[:, s.start - c:s.stop - c] = block[:, :s.stop - s.start]
-        return np.sum(buf.real, axis=1), np.sum(buf.imag, axis=1) if np.iscomplexobj(buf) else None
+                     else np.multiply(block, part, out=block))[:, :b - a]
+            if np.iscomplexobj(block):
+                return np.array([np.sum(block.real, axis=1), np.sum(block.imag, axis=1)])
+            return np.sum(block, axis=1)[None]
+        size = min(_CHUNK, n - k * _CHUNK)
+        return _pairwise_sums(leaf, 0, size, _BLOCK // workers // (r.stop - r.start))
 
     parts = _map(chunk_sums, [(k, r) for k in range(len(chunks)) for r in groups], len(Z) * n)
     sums = np.zeros(len(Z), dtype=complex)
     for g, r in enumerate(groups if n else ()):
-        re, im = zip(*parts[g::len(groups)])
-        sums.real[r] = [math.fsum(col) for col in zip(*re)]
-        im = [part for part in im if part is not None]  # a real chunk adds exact zeros
+        group = parts[g::len(groups)]  # its (real[, imaginary]) sums of each chunk
+        sums.real[r] = [math.fsum(col) for col in zip(*(part[0] for part in group))]
+        im = [part[1] for part in group if len(part) > 1]  # a real chunk adds exact zeros
         if im:
             sums.imag[r] = [math.fsum(col) for col in zip(*im)]
     return sums

@@ -378,21 +378,28 @@ def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n,
 
 
 def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
+    # K(w, w) is evaluated at each node once, one chunk of rows at a time, on the first
+    # call alone; the whole node array is never formed
     domain = dom.ball(2)
-    rule = quad.build_rule(domain, 12, 24)
+    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes: three chunks
     points = _points(domain, 37, seed=12)
     diag = type(domain).diag
-    node_calls = []
+    read = []
 
     def counting(self, z):
-        if np.shares_memory(z, rule.nodes):
-            node_calls.append(len(z))
+        read.append(z.copy())
         return diag(self, z)
     monkeypatch.setattr(type(domain), "diag", counting)
     calls = pool.calls
-    tr.berezin_adjoint(domain, _real_symbol, points, rule)
-    assert pool.calls == calls + 1
-    assert node_calls == [len(rule)]
+    for first in (True, False):
+        read.clear()
+        tr.berezin_adjoint(domain, _real_symbol, points, rule)
+        node_reads = [z for z in read if len(z) != len(points)]
+        assert [len(z) for z in node_reads] == ([CHUNK, CHUNK, len(rule) - 2 * CHUNK] if first
+                                                 else [])
+        if first:
+            assert _bits(np.concatenate(node_reads)) == _bits(quad.build_rule(domain, 12, 24).nodes)
+    assert "_whole" not in vars(rule) and pool.calls == calls + 2
     # the call spans several point groups, each with every chunk of nodes
     groups = pool.items // -(-len(rule) // CHUNK)
     assert groups >= 2 and (quad._CORES != 2 or groups == 3)
@@ -442,10 +449,45 @@ def test_call_below_the_gate_starts_no_thread():
     assert out.split() == ["1", "1"]
 
 
+@pytest.mark.skipif(quad._CORES < 2, reason="on one core the module has no pool")
+def test_pooled_calls_share_one_thread_per_core():
+    # 32 points over 8 chunks of disc nodes: 2^24 entries, 8 tasks per point group
+    script = (
+        "import threading, numpy as np\n"
+        "import bergman.domains as dom, bergman.quadrature as quad, bergman.transforms as tr\n"
+        "d = dom.disc(); rule = quad.build_rule(d, 64, 4096)\n"
+        "z = np.array(dom.sample_interior(d, 32, seed=1))\n"
+        "assert len(rule) == 8 * quad._CHUNK\n"
+        "counts = [threading.active_count()]\n"
+        "for _ in range(2):\n"
+        "    tr.berezin(d, np.ones(len(rule)), z, rule)\n"
+        "    counts.append(threading.active_count())\n"
+        "print(quad._CORES, *counts)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(quad.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    threads, before, first, second = map(int, out.split())
+    assert (before, first, second) == (1, 1 + threads, 1 + threads)
+
+
+@pytest.mark.parametrize("failing", [0, 37], ids=["first-task", "later-task"])
+def test_a_failed_pool_task_surfaces_from_the_call(pool, failing):
+    # the first failed task in item order raises, whichever thread ran it
+    def task(i):
+        if i >= failing:
+            raise NonFiniteValue(f"task {i}")
+        return i
+    calls = pool.calls
+    with pytest.raises(NonFiniteValue, match=f"task {failing}$"):
+        quad._map(task, list(range(100)), quad._BUFFER)
+    assert pool.calls == calls + 1
+
+
 def _assert_peak_within_buffers(pool):
-    # The workers that run at once split one (points x chunk) buffer and one kernel
-    # block between them, so neither the rule nor the number of workers sets the
-    # peak: it stays within 2.5 buffers on two rules 8.4x apart.
+    # The workers that run at once split one kernel block between them and reduce each
+    # block where it lies, so neither the rule nor the number of workers sets the peak:
+    # it stays within 0.75 of the 20-point (points x chunk) array, which is never formed,
+    # on two rules 8.4x apart.  Gathering each chunk into such an array, it reached 30.6 MB.
     domain = dom.hartogs_triangle()
     points = _points(domain, 20, seed=5)
     buffer_bytes = 20 * CHUNK * 16
@@ -459,7 +501,7 @@ def _assert_peak_within_buffers(pool):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * buffer_bytes
+        assert peak <= 0.75 * buffer_bytes
     assert pool.calls == calls + 2
 
 
@@ -609,12 +651,22 @@ def test_formed_rows_equal_the_whole_arrays_in_every_consumer(monkeypatch, pool,
         fresh = quad.build_rule(domain, *grid)
         assert len(points) * len(fresh) >= quad._BUFFER
         assert _bits(consumer(fresh)) == _bits(consumer(read))
-        # only the adjoint reads the whole nodes, for its node diagonal K(w, w)
-        assert ("_whole" in vars(fresh)) == (op == "berezin_adjoint")
+        # none reads the whole nodes: the adjoint's node diagonal is formed chunk by chunk
+        assert "_whole" not in vars(fresh)
     # unit_mass is a product of passes over the factors where the rule has them
     mass = sum(len(points) * len(f) >= quad._BUFFER for f in read.factors or (read,))
     pooled = 2 * (len(OPERATORS) + mass)
     assert pool.calls - calls == (pooled if workers == "pool" else 0)
+
+
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak it reached."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("check", [reproduce.check_01_normalization, reproduce.check_09_weak_pairing,
@@ -622,11 +674,18 @@ def test_formed_rows_equal_the_whole_arrays_in_every_consumer(monkeypatch, pool,
 def test_checks_on_big_product_rules_peak_below_48_mb_traced(check):
     # Their rules of 2.3 to 3.7 M nodes are read a chunk at a time, formed from the axes.
     # Built as whole arrays, checks 01, 09 and 13 peaked at 156.7, 156.8 and 103.5 MB traced.
+    # Check 01's 20-point passes form no (points x chunk) array: gathering each chunk into
+    # one, it peaked at 27.6 MB.
     reproduce.rule_disc_rows(), reproduce.rule_disc()  # cached, shared with other checks
-    tracemalloc.start()
-    try:
-        result = check()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.passed and peak < 48e6
+    result, peak = _traced_peak(check)
+    assert result.passed and peak < (16e6 if check is reproduce.check_01_normalization else 48e6)
+
+
+def test_twenty_point_unit_mass_on_the_ball_peaks_below_12_mb_traced():
+    # 20 points over the 2.3 M-node ball(2) rule of check 01, pooled: its kernel blocks are
+    # reduced where they lie.  Gathering each chunk into a (points x chunk) array, it
+    # peaked at 27.6 MB.
+    domain, rule = dom.ball(2), reproduce.rule_ball2()
+    points = _points(domain, 20, seed=20)
+    mass, peak = _traced_peak(lambda: tr.unit_mass(domain, points, rule))
+    assert np.all(np.abs(mass - 1.0) < 1e-6) and peak < 12e6

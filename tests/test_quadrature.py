@@ -522,3 +522,37 @@ class TestCoreCount:
                              ids=["no-quota", "one-and-a-half", "one-half"])
     def test_cgroup_quota(self, line, cores):
         assert quad._quota_cores(line) == cores
+
+
+def _pinned_chunk_lengths():
+    """The lengths of the chunks ``_kernel_sums`` reduces on reproduce's rules and their
+    factor rules (65,536 and each rule's tail), and odd ones that split off multiples of 8."""
+    rules = [getattr(reproduce, name)() for name in dir(reproduce) if name.startswith("rule_")]
+    rules += [factor for rule in rules for factor in rule.factors]
+    lengths = {min(len(rule) - k, quad._CHUNK) for rule in rules
+               for k in range(0, len(rule), quad._CHUNK)}
+    return sorted(lengths | {129, 4097, 7168, 33792})
+
+
+class TestPairwiseSums:
+    """``_pairwise_sums`` of leaf sums is numpy's own pairwise ``np.sum`` of the whole row."""
+
+    @pytest.mark.parametrize("rows", ["real", "complex.real", "complex.imag"])
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_leaf_sums_added_up_the_tree_are_np_sum(self, m, rows):
+        rng = np.random.default_rng(m)
+        lengths = _pinned_chunk_lengths()
+        size = (m, max(lengths))
+        # summands over 16 decades, so that any other order of the additions rounds apart
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        if rows != "real":
+            block = x + 1j * rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            x = block.real if rows == "complex.real" else block.imag
+        for n in lengths:
+            row = x[:, :n]
+            want = np.sum(row, axis=1)
+            for fits in 2 ** np.arange(7, 17):  # leaves of 128 to 65,536 rows
+                got = quad._pairwise_sums(lambda a, b: np.sum(row[:, a:b], axis=1), 0, n, fits)
+                assert got.tobytes() == want.tobytes(), (
+                    f"numpy {np.__version__} splits its pairwise sum of {n} entries elsewhere: "
+                    f"leaves of at most {fits} rows added up differ from np.sum")
