@@ -71,27 +71,22 @@ def _require_finite(values: np.ndarray):
 
 
 def _ring_width(domain: DomainSpec, rule: QuadratureRule, rows: np.ndarray) -> Optional[int]:
-    """The angular count A of ``rule`` when ``rows`` are whole rotation rings of it, else None.
+    """The angular count A of ``rule`` when it and ``rows`` are whole rotation orbits, else None.
 
     On a rotation-invariant domain B1(e^{2 pi i k / A} z) = B1(z) for a rule that the rotation
-    by 2 pi / A maps onto itself, so B1 takes one value on each ring.  That is checked from the
-    arrays, not read from ``RuleMeta``: the nodes reshape to ``meta.shape`` = (R, A), each ring
-    has one weight exactly and its nodes are its first node times e^{2 pi i k / A} to 4 ulps,
-    and the rows equal consecutive rings of the rule in rule order.
+    by 2 pi / A maps onto itself, so B1 takes one value on each orbit of the rows.  That is
+    checked from the arrays, not read from ``RuleMeta``: the nodes reshape to ``meta.shape`` =
+    (R, A), each ring has one weight exactly, and the nodes and the rows are each whole orbits
+    of the A turns e^{2 pi i k / A}, bit for bit (``_orbit_width``).
     """
     shape = rule.meta.shape
     if not (domain.rotation_invariant and len(shape) == 2 and len(rows)
-            and rule.nodes.shape == (shape[0] * shape[1], 1) and len(rows) % shape[1] == 0):
+            and rule.nodes.shape == (shape[0] * shape[1], 1)):
         return None
-    width = shape[1]
-    rings, weights = rule.nodes.reshape(shape), rule.weights.reshape(shape)
-    first = rings[:, :1]
-    turns = np.exp(1j * _angles(width)[0])
-    if not (np.all(weights == weights[:, :1])
-            and np.all(np.abs(rings - first * turns) <= 4 * np.finfo(float).eps * np.abs(first))):
-        return None
-    start = np.flatnonzero(first[:, 0] == rows[0, 0])[:1] * width
-    whole = len(start) and np.array_equal(rows[:, 0], rule.nodes[start[0]:start[0] + len(rows), 0])
+    width, weights = shape[1], rule.weights.reshape(shape)
+    turns = np.exp(1j * _angles(width)[0])[:, None]
+    whole = (np.all(weights == weights[:, :1]) and _orbit_width(rule.nodes, turns) == width
+             and _orbit_width(rows, turns) == width)
     return width if whole else None
 
 
@@ -100,9 +95,9 @@ class _BerezinMatrix(OperatorMatrix):
 
     Its row sums are B1 at the rows, by the blocked compensated pass of
     ``transforms.unit_mass``: sum_j |K(w_j, z_i)|^2 w_j, divided by K(z_i, z_i)
-    after summing, so no row block of the matrix is formed.  Where the rows are whole
-    rotation rings of the rule (``_ring_width``), the pass runs at the first row of each
-    ring and its value is repeated across the ring.  The entries are nonnegative, so a
+    after summing, so no row block of the matrix is formed.  Where the rule and the
+    rows are whole rotation orbits (``_ring_width``), the pass runs at the first row of each
+    orbit and its value is repeated across the orbit.  The entries are nonnegative, so a
     non-finite entry of an evaluated row makes its row sum non-finite, and both raise the
     same ValueError.
     """
@@ -135,9 +130,9 @@ def discretize_berezin(domain: DomainSpec, rule: QuadratureRule,
     both are checked here.  The entries are formed on first access of
     ``entries`` (by ``apply``, ``witness_lower_bound`` or ``estimate_norm`` at
     finite p); ``row_sums``, and so ``estimate_norm`` at p = infinity, reads B1
-    at the rows and never forms them: once per ring where the rows are whole
-    rotation rings of the rule, and ``meta["rings"]`` counts those rings (None
-    where B1 is read at every row).
+    at the rows and never forms them: once per orbit where the rule and the rows
+    are whole rotation orbits (``_ring_width``), and ``meta["rings"]`` counts those
+    orbits (None where B1 is read at every row).
     """
     rows = rule.nodes if row_nodes is None else np.asarray(row_nodes)
     if rows.ndim == 1:
@@ -420,7 +415,7 @@ _TIE = 1e-12
 
 def _orbit_width(Z: np.ndarray, turns: Optional[np.ndarray]) -> int:
     """W = len(turns) when the (M, dim) grid Z is exactly each row of Z[::W] times each of the W
-    ``turns`` (``DomainSpec.scan_turns``) in that order, else 1.
+    ``turns`` (``DomainSpec.scan_turns``, or a rule's rotations) in that order, else 1.
 
     The turns form a group that leaves |K(w, z)| / K(z, z) unchanged when one turn multiplies
     both z and w, so a grid of whole orbits is mapped onto itself by each turn, and the row of

@@ -14,27 +14,23 @@ formed on first access and kept read-only; from then on ``rows`` slices them, so
 a caller making repeated calls on one rule forms no chunk twice.  Patch, loaded
 and hand-built rules keep explicit arrays, which ``rows`` slices.
 
-Integrands and symbols are read by ``evaluate_on_rule`` alone, one 65536-node
-chunk at a time, so ``integrate`` and the transforms share one error contract and
-form no whole-rule array of values: a callable receives node chunks and must act
-row by row.  Sums are accumulated in a fixed node order with compensated
-summation, so results are bit-reproducible: numpy's pairwise sum of each chunk,
-then an exact fsum of the chunk sums.  An operator is a kernel form F and one
-coefficient c_j per node, summed as F(w_j, z) c_j for many points z: F is |K|^2
-from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its root for P+, and
-conj K for P, evaluated in node blocks of about 2^17 entries, each multiplied by
-its coefficients in place.  A chunk's nodes and coefficients are formed once per
-call, inside the pass, and dropped after its last point group.  numpy's pairwise
-sum is a binary tree with fixed split points, so a chunk is split at those points
-into blocks, each block is reduced where it lies, and the sibling sums are added up
-the tree: the chunk's ``np.sum`` bit for bit, with no (points x chunk) array formed
-(on a rule of one chunk the points are grouped so that one block spans it).  So the
-blocked sum reproduces ``compensated_sum`` of the same summands chunk for chunk, bit
-for bit, whatever the number of points.  ``discretize_berezin`` and ``br_scan`` fill
-their kernel arrays in row blocks of the same size.  A call of at least 2^21
-point-node entries runs on a thread pool, one thread per core the process may run on
-(at most its cgroup's CPU quota); its threads split one serial pass's block size, and
-the calling thread fsums the chunk sums in chunk order.
+Integrands and symbols are read by ``evaluate_on_rule`` alone, one _CHUNK of nodes
+at a time, so ``integrate`` and the transforms share one error contract and form no
+whole-rule array of values: a callable receives node chunks and must act row by row.
+Every sum follows one contract, so results are bit-reproducible whatever the chunk,
+block or thread count: the summands are cut in node order into leaves of _LEAF = 1024
+(the last leaf alone may be shorter), each leaf is summed by ``np.sum``, and the leaf
+sums are added by an exact ``math.fsum``, real and imaginary parts apart.  An operator
+is a kernel form F and one coefficient c_j per node, summed as F(w_j, z) c_j for many
+points z: F is |K|^2 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its
+root for P+, and conj K for P.  ``_kernel_sums`` cuts the rule into leaf-aligned spans
+of at most _CHUNK nodes, forms each span's nodes and coefficients once per call, and
+evaluates F over it in leaf-aligned blocks of about 2^17 / workers entries, each
+multiplied by its coefficients in place and reduced to its leaf sums where it lies, so
+no (points x span) array is formed.  ``discretize_berezin`` and ``br_scan`` fill their
+kernel arrays in row blocks of the same size.  A call of at least 2^21 point-node
+entries runs on a thread pool, one thread per core the process may run on (at most its
+cgroup's CPU quota), one span a task; the calling thread fsums the leaf sums.
 """
 
 from __future__ import annotations
@@ -44,8 +40,7 @@ import math
 import mmap
 import numbers
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -249,12 +244,13 @@ class GridFunction:
         return self.values
 
 
-# nodes per pairwise-summed chunk of compensated_sum
-_CHUNK = 65536
+# summands per leaf: every sum is the fsum, in node order, of the np.sum of each leaf
+_LEAF = 1024
+# nodes per chunk of a rule read at once, and the most one task of ``_kernel_sums`` spans
+_CHUNK = 32 * _LEAF
 # entries of one evaluated kernel block (M points x block nodes)
 _BLOCK = 1 << 17
-# the size of call from which the thread pool runs; a point group spans _BUFFER / workers
-# entries of a chunk on a rule of several chunks
+# the size of call from which the thread pool runs
 _BUFFER = 16 * _BLOCK
 
 
@@ -279,11 +275,20 @@ _CORES = _usable_cores()
 _POOL = ThreadPoolExecutor(_CORES) if _CORES > 1 else None
 
 
+def _leaf_sums(rows: np.ndarray) -> np.ndarray:
+    """The (M, L) ``np.sum`` of each _LEAF entries, in order, of the (M, n) real ``rows``:
+    L = ceil(n / _LEAF) leaves, the last alone shorter when _LEAF does not divide n."""
+    m, n = rows.shape
+    full = n // _LEAF
+    sums = rows[:, :full * _LEAF].reshape(m, full, _LEAF).sum(axis=2)
+    if n == full * _LEAF:
+        return sums
+    return np.concatenate([sums, rows[:, full * _LEAF:].sum(axis=1, keepdims=True)], axis=1)
+
+
 def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic compensated sum: pairwise chunks, then exact fsum of partials."""
-    v = np.asarray(values, dtype=float)
-    partials = [float(np.sum(v[i:i + _CHUNK])) for i in range(0, len(v), _CHUNK)]
-    return math.fsum(partials)
+    """The summation contract: an exact fsum of the ``np.sum`` of each _LEAF values, in order."""
+    return math.fsum(_leaf_sums(np.asarray(values, dtype=float)[None])[0])
 
 
 def _slices(start: int, stop: int, step: int) -> list:
@@ -296,8 +301,21 @@ def _workers(entries: int) -> int:
 
 
 def _map(fn, items: list, entries: int) -> list:
-    """``[fn(item) for item in items]`` in item order, pooled for 2+ items if _workers(entries) > 1."""
-    return list((_POOL.map if len(items) > 1 and _workers(entries) > 1 else map)(fn, items))
+    """``[fn(item) for item in items]`` in item order, pooled for 2+ items if _workers(entries) > 1.
+
+    A pooled call that raises cancels its tasks not yet started and waits for the running
+    ones, so none outlives it; the exception is the first failed item's.
+    """
+    if len(items) < 2 or _workers(entries) < 2:
+        return [fn(item) for item in items]
+    futures = [_POOL.submit(fn, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 def _kernel_rows(pair, Z: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -317,107 +335,53 @@ def _rows(s: slice):
     return s if s.stop - s.start > 1 else [s.start, s.start]
 
 
-class _Shared:
-    """A value ``form()`` made by the first of ``readers`` readers and dropped by the last."""
-
-    def __init__(self, form, readers: int):
-        self._form, self._left, self._value, self._lock = form, readers, None, threading.Lock()
-
-    def take(self):
-        with self._lock:
-            if self._value is None:
-                self._value = self._form()
-            value, self._left = self._value, self._left - 1
-            if not self._left:
-                self._value = None
-        return value
-
-
-class _Once:
-    """``form()`` at the first call, by one thread, and its value at every call."""
-
-    def __init__(self, form):
-        self._form, self._lock = form, threading.Lock()
-
-    def __call__(self):
-        with self._lock:
-            if self._form is not None:
-                self._value, self._form = self._form(), None
-        return self._value
-
-
-def _pairwise_sums(leaf, start: int, stop: int, fits: int):
-    """numpy's pairwise sum of the entries [start, stop) of a row, from the sums
-    ``leaf(a, b)`` of pieces of it.  Of n > 128 entries ``np.sum`` adds the sums of the
-    first h = n//2 - (n//2) % 8 entries and of the rest, and it sums n <= 128 entries
-    unsplit; so the row is split at those points until a piece has at most ``fits`` or
-    128 entries, and sibling sums are added bottom-up: ``np.sum`` of the row bit for bit,
-    whatever ``fits``.  A module function, not a closure that calls itself: such a
-    closure is a reference cycle, which would keep each task's chunk nodes and
-    coefficients alive until the cycle collector runs."""
-    n = stop - start
-    if n <= max(fits, 128):
-        return leaf(start, stop)
-    h = n // 2 - n // 2 % 8
-    return (_pairwise_sums(leaf, start, start + h, fits)
-            + _pairwise_sums(leaf, start + h, stop, fits))
-
-
 def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
-    """Per row z_m of the (M, dim) points Z, the compensated sum over the nodes w_j
-    of pair(w_j, z_m) * c_j.  ``pair`` is a kernel form such as ``DomainSpec.kernel``
-    or ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
+    """Per row z_m of the (M, dim) points Z, the sum over the nodes w_j of
+    pair(w_j, z_m) * c_j by the summation contract (``compensated_sum``), real and
+    imaginary parts apart.  ``pair`` is a kernel form such as ``DomainSpec.kernel`` or
+    ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
     coefficients in place, unless a complex c meets a real block.  ``coef(rows, nodes,
-    weights)`` maps the rows of one chunk of nodes (a slice, or a lone node's index
-    twice), with their nodes and weights from ``rule.rows``, to their c_j.
+    weights)`` maps the rows of one span of nodes (a slice, or a lone node's index twice),
+    with their nodes and weights from ``rule.rows``, to their c_j.
 
-    Each (_CHUNK nodes, point group) pair is one task of ``_map``, in chunk order.  A
-    chunk's nodes are formed once per call, by the first of its tasks, and its
-    coefficients by the first task to finish a kernel block, so a block's kernel
-    temporaries never meet the coefficients' forming.  Both are dropped after the
-    chunk's last task, so no whole-rule node or coefficient array is formed.  A task
-    splits its chunk at numpy's pairwise split points (``_pairwise_sums``) into pieces
-    of at most _BLOCK / workers / points nodes, evaluates each piece as one kernel block,
-    reduces it where it lies, and adds the sibling sums: the chunk's ``np.sum``, bit for
-    bit, with no (points, chunk) array formed.  On a rule of one chunk the points are
-    grouped so that one block spans it.  Fsumming the chunk sums in chunk order makes
-    each sum equal ``compensated_sum`` of that point's full summand array, bit for bit.
-    Returns an (M,) complex array; real summands give zero imaginary parts.
+    One task of ``_map`` is one leaf-aligned span of min(_CHUNK, ceil(N / workers)) nodes,
+    rounded up to whole leaves, so even a rule of one chunk splits across the workers.  A
+    task forms its span's nodes once, and its coefficients after its first kernel block, so
+    that block's kernel temporaries never meet the coefficients' forming; it then runs over
+    point groups and leaf-aligned node blocks of about _BLOCK / workers entries (at least
+    one leaf), reduces each block to its leaf sums, and returns the span's (M, leaves)
+    sums.  No whole-rule node or coefficient array and no (points, span) array is formed.
+    The caller fsums each point's leaf sums in node order.  Returns an (M,) complex array;
+    real summands give zero imaginary parts.
     """
     n, workers = len(rule), _workers(len(Z) * len(rule))
-    span = _BLOCK if n <= _CHUNK else _BUFFER  # entries of one group over one chunk
-    groups = _slices(0, len(Z), max(1, span // workers // max(1, min(n, _CHUNK))))
+    span = min(_CHUNK, _LEAF * max(1, -(-n // (workers * _LEAF))))
+    entries = max(1, _BLOCK // workers)
+    width = min(span, max(_LEAF, entries // max(1, len(Z)) // _LEAF * _LEAF))  # block nodes
+    groups = _slices(0, len(Z), max(1, entries // width))
 
-    def chunk(rows):  # the chunk's nodes, and its coefficients on first need
+    def span_sums(s):
+        rows, size = _rows(s), s.stop - s.start
         nodes, weights = rule.rows(rows)
-        return nodes, _Once(lambda: coef(rows, nodes, weights))
-    chunks = [_Shared(lambda s=s: chunk(_rows(s)), len(groups)) for s in _slices(0, n, _CHUNK)]
+        sums, part = np.zeros((len(Z), -(-size // _LEAF)), dtype=complex), None
+        for r in groups:
+            for b in _slices(0, size, width):
+                block = pair(nodes[None, _rows(b)], Z[r, None])
+                if part is None:
+                    part = coef(rows, nodes, weights)
+                c = part[_rows(b)]
+                block = (block * c if np.iscomplexobj(c) and not np.iscomplexobj(block)
+                         else np.multiply(block, c, out=block))[:, :b.stop - b.start]
+                leaves = slice(b.start // _LEAF, -(-b.stop // _LEAF))
+                sums.real[r, leaves] = _leaf_sums(block.real)
+                if np.iscomplexobj(block):
+                    sums.imag[r, leaves] = _leaf_sums(block.imag)
+        return sums
 
-    def chunk_sums(item):
-        k, r = item
-        chunk_nodes, chunk_coef = chunks[k].take()
-
-        def leaf(a, b):  # rows [a, b) of the chunk as one block, reduced where it lies
-            rows = _rows(slice(a, b))
-            block = pair(chunk_nodes[None, rows], Z[r, None])
-            part = chunk_coef()[rows]
-            block = (block * part if np.iscomplexobj(part) and not np.iscomplexobj(block)
-                     else np.multiply(block, part, out=block))[:, :b - a]
-            if np.iscomplexobj(block):
-                return np.array([np.sum(block.real, axis=1), np.sum(block.imag, axis=1)])
-            return np.sum(block, axis=1)[None]
-        size = min(_CHUNK, n - k * _CHUNK)
-        return _pairwise_sums(leaf, 0, size, _BLOCK // workers // (r.stop - r.start))
-
-    parts = _map(chunk_sums, [(k, r) for k in range(len(chunks)) for r in groups], len(Z) * n)
-    sums = np.zeros(len(Z), dtype=complex)
-    for g, r in enumerate(groups if n else ()):
-        group = parts[g::len(groups)]  # its (real[, imaginary]) sums of each chunk
-        sums.real[r] = [math.fsum(col) for col in zip(*(part[0] for part in group))]
-        im = [part[1] for part in group if len(part) > 1]  # a real chunk adds exact zeros
-        if im:
-            sums.imag[r] = [math.fsum(col) for col in zip(*im)]
-    return sums
+    parts = _map(span_sums, _slices(0, n, span), len(Z) * n)
+    leaves = np.concatenate(parts, axis=1) if parts else np.zeros((len(Z), 0), dtype=complex)
+    return np.array([complex(math.fsum(re), math.fsum(im))  # fsum reads lists fastest
+                     for re, im in zip(leaves.real.tolist(), leaves.imag.tolist())], dtype=complex)
 
 
 def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.ndarray, bool]:
@@ -471,18 +435,20 @@ def _csum(values: np.ndarray) -> complex:
 
 
 def integrate(rule: QuadratureRule, f) -> complex:
-    """Sum w_j f(node_j) in fixed order with compensated summation.
+    """Sum w_j f(node_j) by the summation contract (``compensated_sum``), real and
+    imaginary parts apart.
 
-    ``f`` is read one _CHUNK of nodes at a time, and each chunk's w f is summed
-    and dropped: ``compensated_sum`` of the whole summand array, bit for bit.
+    ``f`` is read one _CHUNK of nodes at a time, and each chunk's w f is reduced to its
+    leaf sums and dropped: ``compensated_sum`` of the whole summand array, bit for bit.
     """
     re, im = [], []
     for s in _slices(0, len(rule), _CHUNK):
         rows = _rows(s)
         nodes, weights = rule.rows(rows)
-        terms = (weights * evaluate_on_rule(rule, f, rows, nodes))[:s.stop - s.start]
-        re.append(float(np.sum(terms.real)))
-        im.append(float(np.sum(terms.imag)) if np.iscomplexobj(terms) else 0.0)
+        terms = (weights * evaluate_on_rule(rule, f, rows, nodes))[None, :s.stop - s.start]
+        re.extend(_leaf_sums(terms.real)[0])
+        if np.iscomplexobj(terms):
+            im.extend(_leaf_sums(terms.imag)[0])
     return complex(math.fsum(re), math.fsum(im))
 
 

@@ -4,14 +4,16 @@ Each operator is one weighted kernel sum over the rule's nodes w_j, evaluated in
 blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, ``_modulus``
 |K| or conj K) times one coefficient per node (the weight times the symbol's value,
 over K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
-The coefficients are formed one chunk of nodes at a time inside that pass, from the
-chunk's nodes and weights that ``QuadratureRule.rows`` forms, so no whole-rule node,
-symbol or coefficient array is made (the adjoint's node diagonal aside).  A symbol is
-a callable of the nodes, an ndarray of one value per node, or a GridFunction, read
-chunk by chunk by ``quadrature.evaluate_on_rule``, so a callable receives node chunks
-and must act row by row: ValueError for a wrong length or another rule's GridFunction,
-NonFiniteValue for NaN or infinity in any chunk, TypeError for anything else, and
-ValueError for a rule of another domain too.
+Each sum keeps the summation contract of ``quadrature.compensated_sum`` (an exact fsum
+of the np.sum of each 1,024 summands), so a value does not depend on the number of
+points or threads.  The coefficients are formed one span of at most 32,768 nodes at a
+time inside that pass, from the span's nodes and weights that ``QuadratureRule.rows``
+forms, so no whole-rule node, symbol or coefficient array is made (the adjoint's node
+diagonal aside).  A symbol is a callable of the nodes, an ndarray of one value per
+node, or a GridFunction, read span by span by ``quadrature.evaluate_on_rule``, so a
+callable receives node spans and must act row by row: ValueError for a wrong length or
+another rule's GridFunction, NonFiniteValue for NaN or infinity in any span, TypeError
+for anything else, and ValueError for a rule of another domain too.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _modulus(domain: DomainSpec):
 
 
 def _weighted(rule: QuadratureRule, f: Symbol, read=lambda values: values):
-    """The coefficients of ``_kernel_sums``: a chunk's rows, nodes and weights to
+    """The coefficients of ``_kernel_sums``: a span's rows, nodes and weights to
     w_j read(f(w_j)) there."""
     return lambda rows, nodes, weights: weights * read(evaluate_on_rule(rule, f, rows, nodes))
 
@@ -63,7 +65,7 @@ def _unit(rows, nodes, weights):
 
 def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef):
     """sum_j c_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing; ``coef``
-    maps the rows, nodes and weights of a chunk to their c_j, as in ``_kernel_sums``."""
+    maps the rows, nodes and weights of a span to their c_j, as in ``_kernel_sums``."""
     diag = domain.positive_diag(Z)
     sums = _kernel_sums(domain.kernel_abs2, rule, Z, coef)
     sums.real /= diag

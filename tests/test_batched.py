@@ -1,10 +1,14 @@
 """Operators over point arrays: the blocked pass against per-point references."""
 
 import inspect
+import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,8 +42,8 @@ def _complex_symbol(w):
     return np.exp(1j * first.real) + first
 
 
-def _reference(op, domain, phi, z, rule):
-    """The per-point operator: its summands over the whole rule, then compensated_sum.
+def _reference(op, domain, phi, z, rule, total=quad.compensated_sum):
+    """The per-point operator: its summands over the whole rule, then ``total`` of them.
 
     Each summand is the kernel form times the node coefficient, as in the blocked
     pass: |K|^2 comes from ``kernel_abs2`` and |K| is its root; P alone uses the
@@ -55,13 +59,12 @@ def _reference(op, domain, phi, z, rule):
     elif op == "berezin_adjoint":
         terms = k2 * (w / dom.kernel_diag_values(domain, rule.nodes) * vals)
     elif op == "absolute_projection":
-        return quad.compensated_sum(np.sqrt(k2) * (w * np.abs(vals)))
+        return total(np.sqrt(k2) * (w * np.abs(vals)))
     else:
         terms = np.conj(dom.kernel_values(domain, zp, rule.nodes)) * (w * vals)
     if np.iscomplexobj(terms):
-        return complex(quad.compensated_sum(terms.real) / scale,
-                       quad.compensated_sum(terms.imag) / scale)
-    return complex(quad.compensated_sum(terms) / scale, 0.0)
+        return complex(total(terms.real) / scale, total(terms.imag) / scale)
+    return complex(total(terms) / scale, 0.0)
 
 
 def _complex_form(op, domain, phi, z, rule):
@@ -185,7 +188,56 @@ def long_rules():
             "hartogs": (dom.hartogs_triangle(), quad.build_rule(dom.hartogs_triangle(), 10, 24))}
 
 
-CHUNK = 65536
+CHUNK, LEAF = quad._CHUNK, quad._LEAF
+
+
+def _fsum_of_leaves(row):
+    """The summation contract, leaf by leaf: an exact fsum of the np.sum of each 1,024 entries."""
+    return math.fsum(float(np.sum(row[i:i + 1024])) for i in range(0, len(row), 1024))
+
+
+@given(name=st.sampled_from(["disc", "hartogs"]),
+       n=st.sampled_from([1, LEAF - 1, LEAF, LEAF + 1, 5 * LEAF + 3, 3 * CHUNK + LEAF + 1])
+       | st.integers(1, 3 * CHUNK + 2 * LEAF),
+       m=st.integers(1, 12), chunk=st.sampled_from([1, 2, 3, 32]),
+       block=st.sampled_from([1, 3, 16, 128]), workers=st.sampled_from(["serial", "pool", "many"]))
+@settings(max_examples=25, deadline=None)
+def test_every_sum_is_the_fsum_of_its_leaf_sums(long_rules, name, n, m, chunk, block, workers):
+    # compensated_sum, integrate and the operators, at chunks and kernel blocks of other whole
+    # numbers of leaves, serial, pooled and on more workers than cores: each sum is the
+    # fsum of the np.sum of each 1,024 summands of the whole row, bit for bit
+    assert LEAF == 1024
+    domain, full = long_rules[name]
+    rule = quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
+    points = _points(domain, m, seed=n)
+    threads = 2 * quad._CORES + 1 if workers == "many" else 2
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(threads) as own:
+        patch.setattr(quad, "_CHUNK", chunk * LEAF)
+        patch.setattr(quad, "_BLOCK", block * LEAF)
+        if workers == "serial":
+            patch.setattr(quad, "_POOL", None)
+        else:
+            patch.setattr(quad, "_BUFFER", 0)  # every call of two or more spans is pooled
+            counting = _lend_pool(patch, own, threads)
+        got = {op: getattr(tr, op)(domain, _complex_symbol, points, rule) for op in OPERATORS}
+        integral = quad.integrate(rule, _complex_symbol)
+        terms = rule.weights * quad.evaluate_on_rule(rule, _complex_symbol)
+        total = quad.compensated_sum(terms.imag)
+    if workers != "serial":  # one task per span of whole leaves
+        span = min(chunk, -(-n // (threads * LEAF))) * LEAF
+        assert counting.calls == (len(OPERATORS) if n > span else 0)
+        assert counting.items == (-(-n // span) if n > span else 0)
+    assert _bits(total) == _bits(_fsum_of_leaves(terms.imag))
+    # summands over 16 decades, so that any other order of the additions rounds apart
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+    assert _bits(quad.compensated_sum(wide)) == _bits(_fsum_of_leaves(wide))
+    assert _bits(integral) == _bits(complex(_fsum_of_leaves(terms.real),
+                                            _fsum_of_leaves(terms.imag)))
+    for op in OPERATORS:
+        want = [_reference(op, domain, _complex_symbol, tuple(z), rule, _fsum_of_leaves)
+                for z in points]
+        assert _bits(got[op]) == _bits(np.array(want, dtype=got[op].dtype)), op
 
 
 @example(name="disc", n=1, m=1, op="bergman_project")
@@ -228,14 +280,17 @@ def test_wrong_dimension_is_refused(rules):
 
 
 class _CountingPool:
-    """A pool standing in for the module's, counting the calls that reach it."""
+    """A pool standing in for the module's, counting the calls that reach it: a call is a
+    run of submits of one function, and ``items`` counts the last call's submits."""
 
     def __init__(self, pool):
-        self.pool, self.calls, self.items = pool, 0, 0
+        self.pool, self.calls, self.items, self._fn = pool, 0, 0, lambda: None
 
-    def map(self, fn, items):
-        self.calls, self.items = self.calls + 1, len(items)
-        return self.pool.map(fn, items)
+    def submit(self, fn, item):
+        if self._fn() is not fn:  # weakly held: a new call's function is a new object
+            self.calls, self.items, self._fn = self.calls + 1, 0, weakref.ref(fn)
+        self.items += 1
+        return self.pool.submit(fn, item)
 
 
 def _lend_pool(monkeypatch, executor, workers):
@@ -349,30 +404,37 @@ def test_pooled_equals_per_point_bit_for_bit(pool, long_rules, big_disc_rule, op
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pooled"])
-@pytest.mark.parametrize("n, m, block", [(CHUNK, 37, None), (1, 100, 4)], ids=["chunk", "one-node"])
+@pytest.mark.parametrize("n, m, block", [(CHUNK, 37, 1 << 14), (1, 100, 4)], ids=["chunk", "one-node"])
 @pytest.mark.parametrize("name", ["disc", "hartogs"])
 @pytest.mark.parametrize("op", OPERATORS)
 def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n, m, block, pooled,
                                                op):
-    # A rule of one chunk is reduced from the one block spanning it, in groups of
-    # _BLOCK / workers / n points, and the m points fill several groups.  The one-node
-    # rule runs at a block of 4 entries, where 100 points reach the pool (at 2^17
-    # entries it takes 2^21 points) and fill 25 or 50 groups.
-    if block:
-        monkeypatch.setattr(quad, "_BLOCK", block)
-        monkeypatch.setattr(quad, "_BUFFER", 16 * block)
+    # A rule of one chunk splits into one span per worker, and each span is reduced over
+    # groups of points: at a block of 2^14 entries a leaf-wide block holds 16 points
+    # serially and 8 pooled, so the 37 points fill several groups.  The one-node rule runs
+    # at a block of 4 entries, where 100 points reach the pool's gate but form one span,
+    # so it runs as one task of 100 one-point groups.
+    monkeypatch.setattr(quad, "_BLOCK", block)
+    monkeypatch.setattr(quad, "_BUFFER", 16 * block)
     domain, full = long_rules[name]
     rule = quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
     points = _points(domain, m, seed=n)
+    groups = []
+    for form in ("kernel", "kernel_abs2"):  # the point count of each kernel block
+        def spy(self, a, b, real=getattr(type(domain), form)):
+            groups.append(len(b))
+            return real(self, a, b)
+        monkeypatch.setattr(type(domain), form, spy)
     with ThreadPoolExecutor(2) as own:
         if pooled:
             counting = _lend_pool(monkeypatch, own, 2)
         else:
             monkeypatch.setattr(quad, "_POOL", None)
         got = getattr(tr, op)(domain, _complex_symbol, points, rule)
+    assert 1 < len(groups) and max(groups) < m
     if pooled:
-        assert m * n >= quad._BUFFER and counting.calls == 1
-        assert counting.items == -(-m // (quad._BLOCK // 2 // n)) > 1
+        assert m * n >= quad._BUFFER
+        assert (counting.calls, counting.items) == ((1, 2) if n > 1 else (0, 0))
     ref = [_reference(op, domain, _complex_symbol, tuple(z), rule) for z in points]
     assert _bits(got) == _bits(np.array(ref, dtype=got.dtype))
 
@@ -381,7 +443,7 @@ def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
     # K(w, w) is evaluated at each node once, one chunk of rows at a time, on the first
     # call alone; the whole node array is never formed
     domain = dom.ball(2)
-    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes: three chunks
+    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes: four chunks and a tail
     points = _points(domain, 37, seed=12)
     diag = type(domain).diag
     read = []
@@ -395,14 +457,13 @@ def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
         read.clear()
         tr.berezin_adjoint(domain, _real_symbol, points, rule)
         node_reads = [z for z in read if len(z) != len(points)]
-        assert [len(z) for z in node_reads] == ([CHUNK, CHUNK, len(rule) - 2 * CHUNK] if first
+        assert [len(z) for z in node_reads] == ([CHUNK] * 4 + [len(rule) - 4 * CHUNK] if first
                                                  else [])
         if first:
             assert _bits(np.concatenate(node_reads)) == _bits(quad.build_rule(domain, 12, 24).nodes)
     assert "_whole" not in vars(rule) and pool.calls == calls + 2
-    # the call spans several point groups, each with every chunk of nodes
-    groups = pool.items // -(-len(rule) // CHUNK)
-    assert groups >= 2 and (quad._CORES != 2 or groups == 3)
+    # one task per span: a whole chunk each, the tail the last
+    assert pool.items == -(-len(rule) // CHUNK)
 
 
 def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypatch, long_rules):
@@ -451,13 +512,13 @@ def test_call_below_the_gate_starts_no_thread():
 
 @pytest.mark.skipif(quad._CORES < 2, reason="on one core the module has no pool")
 def test_pooled_calls_share_one_thread_per_core():
-    # 32 points over 8 chunks of disc nodes: 2^24 entries, 8 tasks per point group
+    # 32 points over 16 chunks of disc nodes: 2^24 entries, 16 tasks
     script = (
         "import threading, numpy as np\n"
         "import bergman.domains as dom, bergman.quadrature as quad, bergman.transforms as tr\n"
         "d = dom.disc(); rule = quad.build_rule(d, 64, 4096)\n"
         "z = np.array(dom.sample_interior(d, 32, seed=1))\n"
-        "assert len(rule) == 8 * quad._CHUNK\n"
+        "assert len(rule) == 16 * quad._CHUNK\n"
         "counts = [threading.active_count()]\n"
         "for _ in range(2):\n"
         "    tr.berezin(d, np.ones(len(rule)), z, rule)\n"
@@ -483,14 +544,36 @@ def test_a_failed_pool_task_surfaces_from_the_call(pool, failing):
     assert pool.calls == calls + 1
 
 
+def test_a_failed_pooled_call_leaves_no_task_running(pool):
+    # task 0 fails while the others sleep: the call cancels the tasks not yet started and
+    # waits for the running ones, so no task starts or finishes after it returns
+    lock, started, finished = threading.Lock(), [], []
+
+    def task(i):
+        with lock:
+            started.append(i)
+        time.sleep(0.01 if i == 0 else 0.05)
+        if i == 0:
+            raise NonFiniteValue("task 0")
+        with lock:
+            finished.append(i)
+    with pytest.raises(NonFiniteValue, match="task 0$"):
+        quad._map(task, list(range(6)), quad._BUFFER)
+    with lock:
+        seen = sorted(started), sorted(finished)
+    time.sleep(0.2)
+    assert (sorted(started), sorted(finished)) == seen and seen[1] == seen[0][1:]
+
+
 def _assert_peak_within_buffers(pool):
     # The workers that run at once split one kernel block between them and reduce each
     # block where it lies, so neither the rule nor the number of workers sets the peak:
-    # it stays within 0.75 of the 20-point (points x chunk) array, which is never formed,
-    # on two rules 8.4x apart.  Gathering each chunk into such an array, it reached 30.6 MB.
+    # it stays within 0.75 of a 20-point (points x 65,536 nodes) array, which is never
+    # formed, on two rules 8.4x apart.  Gathering each 65,536-node chunk into such an
+    # array, it reached 30.6 MB.
     domain = dom.hartogs_triangle()
     points = _points(domain, 20, seed=5)
-    buffer_bytes = 20 * CHUNK * 16
+    buffer_bytes = 20 * 65536 * 16
     calls = pool.calls
     for radial_n in (10, 29):  # 230,400 and 1,937,664 nodes
         rule = quad.build_rule(domain, radial_n, 24)
@@ -516,8 +599,9 @@ def test_buffer_bounds_the_working_memory_of_more_workers_than_cores(monkeypatch
 
 
 # Symbols and integrands are read one chunk of nodes at a time: a lone tail node
-# (65,537 nodes), three chunks of the disc rule and four of the Hartogs rule.
-CUTS = [pytest.param("disc", CHUNK + 1, id="lone-tail"),
+# (65,537 nodes), five chunks of the disc rule and eight of the Hartogs rule, the
+# last a short one.
+CUTS = [pytest.param("disc", 2 * CHUNK + 1, id="lone-tail"),
         pytest.param("disc", 163840, id="three-chunks"),
         pytest.param("hartogs", 230400, id="four-chunks")]
 
@@ -563,9 +647,9 @@ def test_integrate_reads_chunk_by_chunk_bit_for_bit(long_rules, name, n):
                                         (100, "many")])
 @pytest.mark.parametrize("op", OPERATORS)
 def test_each_node_is_read_once_per_call(monkeypatch, pool, long_rules, op, m, workers):
-    # 100 points fill 4 point groups serially and 7 or more through a pool; each chunk's
-    # symbol values are formed once and shared by its groups.  With more workers than
-    # cores and fast switching, a lost update of the sharing would read a chunk twice.
+    # 100 points fill several point groups in each span; each span's symbol values are
+    # formed once and read by all its groups, also with more workers than cores and fast
+    # switching.
     domain, rule = _cut(long_rules, "disc", 163840)
     points = _points(domain, m, seed=m)
     want = getattr(tr, op)(domain, _complex_symbol, points, rule)
@@ -587,13 +671,13 @@ def test_each_node_is_read_once_per_call(monkeypatch, pool, long_rules, op, m, w
         finally:
             sys.setswitchinterval(interval)
     if workers != "serial":
-        assert pool.calls == calls + 1 and pool.items // 3 >= 3
-    assert sorted(len(w) for w in reads) == [32768, CHUNK, CHUNK]
+        assert pool.calls == calls + 1 and pool.items == 5
+    assert [len(w) for w in reads] == [CHUNK] * 5
     assert _bits(np.sort(np.concatenate(reads))) == _bits(np.sort(rule.nodes[:, 0]))
     assert _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("n", [CHUNK + 1, 163840], ids=["lone-tail", "three-chunks"])
+@pytest.mark.parametrize("n", [2 * CHUNK + 1, 163840], ids=["lone-tail", "three-chunks"])
 @pytest.mark.parametrize("consumer", OPERATORS + ("integrate",))
 def test_non_finite_in_the_last_chunk_is_refused(long_rules, consumer, n):
     domain, rule = _cut(long_rules, "disc", n)
@@ -623,7 +707,7 @@ def test_one_point_projection_forms_no_whole_rule_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * CHUNK * 16 < len(rule) * 16
+    assert peak <= 6 * 65536 * 16 < len(rule) * 16
 
 
 # Product rules form each chunk's nodes and weights from their axes until the whole

@@ -525,17 +525,19 @@ class TestCoreCount:
 
 
 def _pinned_chunk_lengths():
-    """The lengths of the chunks ``_kernel_sums`` reduces on reproduce's rules and their
-    factor rules (65,536 and each rule's tail), and odd ones that split off multiples of 8."""
+    """The lengths of the spans ``_kernel_sums`` reduces on reproduce's rules and their
+    factor rules (_CHUNK and each rule's tail), and odd ones around a leaf and a chunk."""
     rules = [getattr(reproduce, name)() for name in dir(reproduce) if name.startswith("rule_")]
     rules += [factor for rule in rules for factor in rule.factors]
     lengths = {min(len(rule) - k, quad._CHUNK) for rule in rules
                for k in range(0, len(rule), quad._CHUNK)}
-    return sorted(lengths | {129, 4097, 7168, 33792})
+    return sorted(lengths | {1, 129, quad._LEAF - 1, quad._LEAF + 1, 4097, quad._CHUNK + 7})
 
 
 class TestPairwiseSums:
-    """``_pairwise_sums`` of leaf sums is numpy's own pairwise ``np.sum`` of the whole row."""
+    """``_leaf_sums`` of M rows is, leaf by leaf, numpy's own pairwise ``np.sum`` of each
+    _LEAF entries of each row, also on the strided real and imaginary parts of complex rows;
+    the leaf sums added up by fsum are ``compensated_sum`` of the row."""
 
     @pytest.mark.parametrize("rows", ["real", "complex.real", "complex.imag"])
     @pytest.mark.parametrize("m", [1, 3, 16])
@@ -548,11 +550,16 @@ class TestPairwiseSums:
         if rows != "real":
             block = x + 1j * rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
             x = block.real if rows == "complex.real" else block.imag
+        leaf = quad._LEAF
         for n in lengths:
             row = x[:, :n]
-            want = np.sum(row, axis=1)
-            for fits in 2 ** np.arange(7, 17):  # leaves of 128 to 65,536 rows
-                got = quad._pairwise_sums(lambda a, b: np.sum(row[:, a:b], axis=1), 0, n, fits)
-                assert got.tobytes() == want.tobytes(), (
-                    f"numpy {np.__version__} splits its pairwise sum of {n} entries elsewhere: "
-                    f"leaves of at most {fits} rows added up differ from np.sum")
+            got = quad._leaf_sums(row)
+            want = np.array([[np.sum(r[i:i + leaf]) for i in range(0, n, leaf)] for r in row])
+            assert got.shape == (m, -(-n // leaf))
+            assert got.tobytes() == want.tobytes(), (
+                f"numpy {np.__version__}: the leaf sums of {m} rows of {n} entries differ "
+                f"from the np.sum of each leaf")
+            for r, sums in zip(row, got):
+                assert struct.pack("d", math.fsum(sums)) == struct.pack("d", quad.compensated_sum(r))
+            if n <= leaf:  # one leaf: the contract is np.sum itself
+                assert got[:, 0].tobytes() == np.sum(row, axis=1).tobytes()

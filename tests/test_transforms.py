@@ -162,9 +162,9 @@ class TestAdjoint:
             assert got.tobytes() == want.tobytes()
 
     def test_node_diagonal_is_evaluated_once_per_rule(self, monkeypatch):
-        # at each node once, a chunk of 65,536 rows at a time, on the first call only
+        # at each node once, a chunk of 32,768 rows at a time, on the first call only
         domain = dom.ball(2)
-        rule = quad.build_rule(domain, 8, 24)  # 73,728 nodes: a chunk and a tail
+        rule = quad.build_rule(domain, 8, 24)  # 73,728 nodes: two chunks and a tail
         calls = []
         diag = type(domain).diag
 
@@ -173,9 +173,10 @@ class TestAdjoint:
             return diag(self, z)
         monkeypatch.setattr(type(domain), "diag", spy)
         first = tr.berezin_adjoint(domain, ONE, (0.1, 0.2j), rule)
-        assert calls == [1, 65536, len(rule) - 65536]  # the point, then the node chunks
+        chunk = quad._CHUNK
+        assert calls == [1, chunk, chunk, len(rule) - 2 * chunk]  # the point, then the chunks
         assert tr.berezin_adjoint(domain, ONE, (0.1, 0.2j), rule) == first
-        assert calls[3:] == [1] and "_whole" not in vars(rule)
+        assert calls[4:] == [1] and "_whole" not in vars(rule)
 
 
 class TestProjections:
