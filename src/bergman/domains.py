@@ -127,7 +127,9 @@ class DomainSpec:
     any dim >= 1).  Every kind defines ``volume()``, the strict membership ``_inside(Z)`` (its
     inequalities carry the relative slack BOUNDARY_MARGIN) and its kernel once, as
     ``_form``; ``kernel`` and ``kernel_abs2`` derive from it here.  Membership and
-    kernels take (..., dim) complex arrays; one point is the one-point case.
+    kernels take (..., dim) complex arrays; one point is the one-point case.  The kernels
+    also take a sequence of dim per-coordinate arrays that broadcast together, such as the
+    open mesh of a product rule's slabs, so work on one coordinate is done on its own axes.
     """
 
     kind: str
@@ -163,19 +165,26 @@ class DomainSpec:
             raise ValueError(f"expected points in C^{self.dim}, got shape {np.shape(Z)}")
         return self._inside(np.asarray(Z))
 
-    def _form(self, a: np.ndarray, b: np.ndarray):
-        """K(a, b) = c num / prod k_i l_i^e_i as (c, num, [(k_i, l_i, e_i), ...]): real c and k_i,
-        fresh complex arrays num (None for 1) and l_i over the broadcast of (..., dim) arrays a
-        and b, and integer powers e_i >= 2."""
+    def _form(self, a, b):
+        """K(a, b) = c num / prod k_i l_i^e_i as (c, num, [(k_i, l_i, e_i), ...]) for sequences a
+        and b of dim per-coordinate arrays that broadcast: real c and k_i, fresh complex arrays
+        num (None for 1) and l_i, each over the broadcast of the coordinates it reads, and
+        integer powers e_i >= 2."""
         raise UnsupportedKind(f"no closed-form kernel on {self}")
 
-    def kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """K(a, b) over broadcasting (..., dim) arrays, as a new complex array."""
-        return _evaluate(*self._form(a, b), squared=False)
+    def _coordinates(self, a):
+        """The per-coordinate arrays of a (..., dim) array; a sequence of them as it is."""
+        return [a[..., i] for i in range(self.dim)] if isinstance(a, np.ndarray) else a
 
-    def kernel_abs2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """|K(a, b)|^2 over broadcasting (..., dim) arrays, as a new real array."""
-        return _evaluate(*self._form(a, b), squared=True)
+    def kernel(self, a, b) -> np.ndarray:
+        """K(a, b) over broadcasting (..., dim) arrays or per-coordinate sequences, as a new
+        complex array."""
+        return _evaluate(*self._form(self._coordinates(a), self._coordinates(b)), squared=False)
+
+    def kernel_abs2(self, a, b) -> np.ndarray:
+        """|K(a, b)|^2 over broadcasting (..., dim) arrays or per-coordinate sequences, as a new
+        real array."""
+        return _evaluate(*self._form(self._coordinates(a), self._coordinates(b)), squared=True)
 
     def diag(self, z: np.ndarray) -> np.ndarray:
         """K(z, z) over (..., dim) arrays, cancellation-safe near the boundary on every
@@ -291,9 +300,9 @@ def _parts(z: np.ndarray) -> np.ndarray:
     return z.view(float).reshape(z.shape + (2,))
 
 
-def _pair(op, a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
-    """op(a_i, conj(b_i)) over the broadcast of (..., dim) arrays, always as a fresh array."""
-    return np.asarray(op(a[..., i], np.conj(b[..., i])))
+def _pair(op, a, b, i: int) -> np.ndarray:
+    """op(a_i, conj(b_i)) over the broadcast of coordinate i of a and b, as a fresh array."""
+    return np.asarray(op(a[i], np.conj(b[i])))
 
 
 def _abs2(l: np.ndarray) -> np.ndarray:
@@ -304,18 +313,21 @@ def _abs2(l: np.ndarray) -> np.ndarray:
     return np.add(f[0::2], f[1::2], out=f[:l.size]).reshape(l.shape)
 
 
-def _own(x: np.ndarray) -> np.ndarray:
-    """x as the output of a product with operand x, or a fresh array for one value: numpy
-    rounds a one-element complex product written over its operand in another loop."""
-    return x if x.size > 1 else np.empty_like(x)
+def _own(x: np.ndarray, *operands) -> np.ndarray:
+    """x as the output of an operation on x and ``operands`` where it holds their broadcast
+    and more than one value, else a fresh array of that broadcast: numpy rounds a
+    one-element complex product written over its operand in another loop."""
+    shape = np.broadcast(x, *operands).shape
+    return x if x.shape == shape and x.size > 1 else np.empty(shape, x.dtype)
 
 
 def _evaluate(c: float, num, factors: list, squared: bool) -> np.ndarray:
     """c num / prod k l^e from a ``DomainSpec._form``, or with ``squared`` c^2 |num|^2 / prod
     k^2 |l|^(2e) in real arithmetic.  Powers are repeated products (a complex ** is slower; the
-    first by np.square, as l ** 2 rounds), each taken in its factor's storage, their product in
-    the first one's and the quotient in the denominator's: fresh whole-block arrays are each
-    paged in afresh."""
+    first by np.square, as l ** 2 rounds), each taken over its factor's own broadcast and in
+    its storage; their product and the quotient are written into the denominator where it
+    holds the broadcast: fresh whole-block arrays are each paged in afresh.  Each complex
+    product keeps its operand order, which its rounding depends on."""
     den = None
     for k, l, e in factors:
         if squared:
@@ -325,12 +337,12 @@ def _evaluate(c: float, num, factors: list, squared: bool) -> np.ndarray:
             p = np.multiply(p, l, out=_own(p))
         if k != 1.0:
             np.multiply(p, k, out=p)
-        den = p if den is None else np.multiply(den, p, out=_own(den))
+        den = p if den is None else np.multiply(den, p, out=_own(den, p))
     if squared:
         c, num = c ** 2, None if num is None else _abs2(num)
     if num is None:
         return np.divide(c, den, out=den)
-    return np.divide(num if c == 1.0 else np.multiply(num, c, out=num), den, out=den)
+    return np.divide(num if c == 1.0 else np.multiply(num, c, out=num), den, out=_own(den, num))
 
 
 def _scan_axes(level: int):
@@ -434,7 +446,8 @@ class _Ball(_PairScan, DomainSpec):
         n = self.dim
         inner = _pair(np.multiply, a, b, 0)
         for i in range(1, n):
-            np.add(inner, _pair(np.multiply, a, b, i), out=inner)
+            q = _pair(np.multiply, a, b, i)
+            inner = np.add(inner, q, out=_own(inner, q))
         return math.factorial(n) / np.pi ** n, None, [(1.0, np.subtract(1.0, inner, out=inner),
                                                        n + 1)]
 
@@ -497,7 +510,7 @@ class _Hartogs(DomainSpec):
     def _form(self, a, b):
         # x / (pi^2 (x - y)^2 (1 - x)^2) with x = a1 conj(b1), y = a2 conj(b2)
         x, y = _pair(np.multiply, a, b, 0), _pair(np.multiply, a, b, 1)
-        return 1.0, x, [(np.pi ** 2, np.subtract(x, y, out=y), 2),
+        return 1.0, x, [(np.pi ** 2, np.subtract(x, y, out=_own(y, x)), 2),
                         (1.0, np.subtract(1.0, x, out=np.empty_like(x)), 2)]
 
     def diag(self, z):

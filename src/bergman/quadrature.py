@@ -5,14 +5,16 @@ loci) with uniform angular grids, which are spectrally accurate for periodic
 integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
-Every rule ``build_rule`` makes is a tensor product and keeps only its 1-D axes:
-``QuadratureRule.rows`` forms the nodes and weights of the rows asked for from
-them, a slab of the leading axes at a time, bit for bit the rows of the whole
-arrays.  The operators, ``integrate`` and ``save_rule`` read a rule one chunk of
-rows at a time through ``rows`` alone.  The whole ``nodes`` and ``weights`` are
-formed on first access and kept read-only; from then on ``rows`` slices them, so
-a caller making repeated calls on one rule forms no chunk twice.  Patch, loaded
-and hand-built rules keep explicit arrays, which ``rows`` slices.
+Every rule ``build_rule`` makes is a tensor product and keeps only its 1-D axes and
+one coordinate former, the open mesh of a range of slabs of the leading axes: one
+complex array per coordinate, which broadcast together to the slab block.
+``QuadratureRule.rows`` writes the mesh into the nodes of the rows asked for and
+forms their weights, bit for bit the rows of the whole arrays.  Symbols, integrands
+and ``save_rule`` read a rule one chunk of rows at a time through ``rows`` (weights
+alone where they read no nodes).  The whole ``nodes`` and ``weights`` are formed on
+first access and kept read-only; from then on ``rows`` slices them, so a caller
+making repeated calls on one rule forms no chunk twice.  Patch, loaded and
+hand-built rules keep explicit arrays, which ``rows`` slices.
 
 Integrands and symbols are read by ``evaluate_on_rule`` alone, one _CHUNK of nodes
 at a time, so ``integrate`` and the transforms share one error contract and form no
@@ -24,11 +26,13 @@ sums are added by an exact ``math.fsum``, real and imaginary parts apart.  An op
 is a kernel form F and one coefficient c_j per node, summed as F(w_j, z) c_j for many
 points z: F is |K|^2 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its
 root for P+, and conj K for P.  ``_kernel_sums`` cuts the rule into leaf-aligned spans
-of at most _CHUNK nodes, forms each span's nodes and coefficients once per call, and
-evaluates F over it in leaf-aligned blocks of about 2^17 / workers entries, each
-multiplied by its coefficients in place and reduced to its leaf sums where it lies, so
-no (points x span) array is formed.  ``discretize_berezin`` and ``br_scan`` fill their
-kernel arrays in row blocks of the same size.  A call of at least 2^21 point-node
+of at most _CHUNK nodes, forms each span's coefficients once per call, and evaluates F
+over it in leaf-aligned blocks of about 2^17 / workers entries, each multiplied by its
+coefficients in place and reduced to its leaf sums where it lies, so no (points x span)
+array is formed.  F reads a product rule's open mesh as it is, so terms of one
+coordinate are formed once per slab or angle and only cross terms once per node.
+``discretize_berezin`` and ``br_scan`` fill their kernel arrays in row blocks of the
+same size.  A call of at least 2^21 point-node
 entries runs on a thread pool, one thread per core the process may run on (at most its
 cgroup's CPU quota), one span a task; the calling thread fsums the leaf sums.
 """
@@ -40,6 +44,7 @@ import math
 import mmap
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -179,6 +184,34 @@ class QuadratureRule:
         nodes, weights = self._axes.rows(lo, hi)
         return nodes[index - lo], weights[index - lo]
 
+    def _weights(self, rows) -> np.ndarray:
+        """The weights of ``rows`` as ``_rows`` gives them (a slice within the rule, or a lone
+        row twice), forming no nodes."""
+        if "_whole" in self.__dict__:
+            return self._whole[1][rows]
+        if isinstance(rows, slice):
+            return self._axes.weights(rows.start, rows.stop)
+        return self._axes.weights(rows[0], rows[0] + 1)[[0] * len(rows)]
+
+    def _mesh(self, start: int, stop: int) -> tuple:
+        """Per-coordinate arrays that broadcast to a block holding the rows [start, stop),
+        flattened, at the cut returned with them: the open mesh of at least two slabs
+        covering them on a product rule, else the columns of the rows, a lone row read twice
+        (and on a formed rule of one coordinate, whose mesh is its nodes).  One-element
+        complex products round in another numpy loop, and two slabs or two rows keep every
+        product of the form and of the coefficients to two or more."""
+        formed = "_whole" in self.__dict__
+        if self._axes is None or stop - start == 1 or self.dim == 1 and formed:
+            rows = _rows(slice(start, stop))
+            nodes = self._whole[0][rows] if formed else self.rows(rows)[0]
+            return [nodes[:, i] for i in range(self.dim)], slice(0, len(nodes))
+        a0, a1, cut = self._axes.cover(start, stop)
+        if a1 - a0 == 1:
+            a1 = a0 + 2 if a1 * self._axes.width < len(self) else a1
+            a0 = a1 - 2
+            cut = slice(start - a0 * self._axes.width, stop - a0 * self._axes.width)
+        return self._axes.mesh(a0, a1), cut
+
     @cached_property
     def node_diag(self) -> np.ndarray:
         """K(w_j, w_j) at the nodes on the domain ``meta`` names, formed on first access one
@@ -203,23 +236,50 @@ class _Axes:
     Row i is row i % width of slab i // width: a slab is one index of the leading axes,
     and width the number of rows of the trailing axes.  The weights are ``_outer`` of
     ``lead_weights`` (the leading axes' left-associated product, flattened) and the
-    ``trailing`` weight axes; ``slabs(a0, a1)`` returns the nodes of slabs a0..a1-1 as an
-    (a1 - a0, width, dim) array, by the arithmetic of the whole array.  Rows [start, stop)
-    are cut from the slabs that cover them, so they equal the whole arrays' rows bit for bit.
+    ``trailing`` weight axes.  ``mesh(a0, a1)`` is the open mesh of slabs a0..a1-1: one
+    complex array per coordinate, which broadcast together to the slab block, a slab the
+    first axis and its rows the rest in row order.  It is the one coordinate former: the
+    kernel forms read it as it is, so work on one coordinate is done on its own axes, and
+    ``rows(start, stop)`` writes it into the rows of the slabs that cover [start, stop)
+    and cuts them, the whole arrays' rows bit for bit.  Each thread keeps the last mesh it
+    formed, read-only, so a callable symbol's nodes reuse the mesh its kernel block read.
     """
 
-    def __init__(self, dim: int, lead_weights: np.ndarray, trailing: tuple, slabs):
-        self.dim, self.lead_weights, self.trailing, self.slabs = dim, lead_weights, trailing, slabs
+    def __init__(self, dim: int, lead_weights: np.ndarray, trailing: tuple, mesh):
+        self.dim, self.lead_weights, self.trailing, self._former = dim, lead_weights, trailing, mesh
         self.width = math.prod(len(axis) for axis in trailing)
+        self._last = threading.local()
+
+    def mesh(self, a0: int, a1: int) -> tuple:
+        """The open mesh of slabs a0..a1-1, kept as this thread's last."""
+        last = getattr(self._last, "mesh", None)
+        if last is None or last[0] != (a0, a1):
+            mesh = self._former(a0, a1)
+            for c in mesh:
+                c.flags.writeable = False  # shared by the forms and rows that read it
+            last = self._last.mesh = ((a0, a1), mesh)
+        return last[1]
 
     def __len__(self):
         return len(self.lead_weights) * self.width
 
-    def rows(self, start: int, stop: int) -> tuple:
+    def cover(self, start: int, stop: int) -> tuple:
+        """The slabs a0..a1-1 that cover rows [start, stop), and the cut of those rows from
+        their flattened block."""
         a0, a1 = start // self.width, -(-stop // self.width)
-        cut = slice(start - a0 * self.width, stop - a0 * self.width)
-        nodes = self.slabs(a0, a1).reshape(-1, self.dim)[cut]
-        return nodes, _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
+        return a0, a1, slice(start - a0 * self.width, stop - a0 * self.width)
+
+    def weights(self, start: int, stop: int) -> np.ndarray:
+        a0, a1, cut = self.cover(start, stop)
+        return _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
+
+    def rows(self, start: int, stop: int) -> tuple:
+        a0, a1, cut = self.cover(start, stop)
+        mesh = self.mesh(a0, a1)
+        nodes = np.empty(np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,), dtype=complex)
+        for i, c in enumerate(mesh):
+            nodes[..., i] = c
+        return nodes.reshape(-1, self.dim)[cut], self.weights(start, stop)
 
 
 @dataclass(frozen=True)
@@ -340,16 +400,20 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     pair(w_j, z_m) * c_j by the summation contract (``compensated_sum``), real and
     imaginary parts apart.  ``pair`` is a kernel form such as ``DomainSpec.kernel`` or
     ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
-    coefficients in place, unless a complex c meets a real block.  ``coef(rows, nodes,
-    weights)`` maps the rows of one span of nodes (a slice, or a lone node's index twice),
-    with their nodes and weights from ``rule.rows``, to their c_j.
+    coefficients in place, unless a complex c meets a real block.  ``coef(rows, weights)``
+    maps the rows of one span of nodes (a slice, or a lone node's index twice), with their
+    weights from the rule, to their c_j; it forms nodes only where it reads them.
 
     One task of ``_map`` is one leaf-aligned span of min(_CHUNK, ceil(N / workers)) nodes,
     rounded up to whole leaves, so even a rule of one chunk splits across the workers.  A
-    task forms its span's nodes once, and its coefficients after its first kernel block, so
-    that block's kernel temporaries never meet the coefficients' forming; it then runs over
-    point groups and leaf-aligned node blocks of about _BLOCK / workers entries (at least
-    one leaf), reduces each block to its leaf sums, and returns the span's (M, leaves)
+    task cuts its span at the multiples of a block width of about _BLOCK / workers entries
+    per point group: whole slabs and whole leaves where one point's block of them fits,
+    point groups shrinking to fit, else whole leaves.  Each block hands the form
+    ``rule._mesh`` as it is, with the group's points shaped (m, 1, ..., dim), so terms of
+    one coordinate are formed once per slab or angle and only cross terms once per node.
+    The task forms its coefficients after its first kernel block, so that block's kernel
+    temporaries never meet the coefficients' forming, cuts each block's rows out of the
+    covering slabs, reduces them to their leaf sums, and returns the span's (M, leaves)
     sums.  No whole-rule node or coefficient array and no (points, span) array is formed.
     The caller fsums each point's leaf sums in node order.  Returns an (M,) complex array;
     real summands give zero imaginary parts.
@@ -357,22 +421,31 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     n, workers = len(rule), _workers(len(Z) * len(rule))
     span = min(_CHUNK, _LEAF * max(1, -(-n // (workers * _LEAF))))
     entries = max(1, _BLOCK // workers)
-    width = min(span, max(_LEAF, entries // max(1, len(Z)) // _LEAF * _LEAF))  # block nodes
-    groups = _slices(0, len(Z), max(1, entries // width))
+    # blocks of whole leaves that are whole slabs where one point's block of them fits
+    step = _LEAF if rule._axes is None else math.lcm(rule._axes.width, _LEAF)
+    if step > min(span, entries):
+        step = _LEAF  # the slabs covering a block are cut
+    width = max(step, entries // max(1, len(Z)) // step * step)  # block nodes, at most
+    groups = _slices(0, len(Z), max(1, entries // min(width, span)))
 
     def span_sums(s):
-        rows, size = _rows(s), s.stop - s.start
-        nodes, weights = rule.rows(rows)
-        sums, part = np.zeros((len(Z), -(-size // _LEAF)), dtype=complex), None
-        for r in groups:
-            for b in _slices(0, size, width):
-                block = pair(nodes[None, _rows(b)], Z[r, None])
+        rows, part = _rows(s), None
+        sums = np.zeros((len(Z), -(-(s.stop - s.start) // _LEAF)), dtype=complex)
+        cuts = range((s.start // width + 1) * width, s.stop, width) if width < span else ()
+        edges = [s.start, *cuts, s.stop]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]  # only a lone span has a lone block: it is read twice
+        for b0, b1 in zip(edges, edges[1:]):
+            mesh, cut = rule._mesh(b0, b1)
+            points = Z.reshape((len(Z),) + (1,) * max(np.ndim(c) for c in mesh) + (rule.dim,))
+            leaves = slice((b0 - s.start) // _LEAF, -(-(b1 - s.start) // _LEAF))
+            for r in groups:
+                block = pair(mesh, points[r]).reshape(r.stop - r.start, -1)[:, cut]
                 if part is None:
-                    part = coef(rows, nodes, weights)
-                c = part[_rows(b)]
+                    part = coef(rows, rule._weights(rows))
+                c = part[b0 - s.start:b0 - s.start + block.shape[1]]
                 block = (block * c if np.iscomplexobj(c) and not np.iscomplexobj(block)
-                         else np.multiply(block, c, out=block))[:, :b.stop - b.start]
-                leaves = slice(b.start // _LEAF, -(-b.stop // _LEAF))
+                         else np.multiply(block, c, out=block))[:, :b1 - b0]
                 sums.real[r, leaves] = _leaf_sums(block.real)
                 if np.iscomplexobj(block):
                     sums.imag[r, leaves] = _leaf_sums(block.imag)
@@ -394,10 +467,10 @@ def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.nda
     return inside_points(domain, z)
 
 
-def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None), nodes=None) -> np.ndarray:
+def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
     """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a slice or
-    an index list): the one reading of an integrand or symbol.  ``nodes`` are the nodes
-    of ``rows`` where the caller has them from ``rule.rows``; else a callable's are formed.
+    an index list): the one reading of an integrand or symbol.  Only a callable's nodes
+    are formed, from ``rule.rows``.
 
     ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
     per node of the rule, or a callable of the (R, dim) nodes ((R,) on a
@@ -414,15 +487,15 @@ def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None), nodes=None) -> n
             raise ValueError(f"expected one value per node, shape ({len(rule)},), got {f.shape}")
         vals = f[rows]
     elif callable(f):
-        if nodes is None:
-            nodes = rule.rows(rows)[0]
+        nodes = rule.rows(rows)[0]
         vals = np.asarray(f(nodes[:, 0] if rule.dim == 1 else nodes))
         if vals.shape != (len(nodes),):
             raise ValueError(f"expected one value per node read, shape ({len(nodes)},), "
                              f"got {vals.shape}")
     else:
         raise TypeError(f"cannot evaluate an object of type {type(f)!r} on a rule")
-    if not np.all(np.isfinite(vals)):
+    # a sum is not finite where a value is not (nor where finite values overflow it)
+    if not np.isfinite(vals.sum()) and not np.all(np.isfinite(vals)):
         raise NonFiniteValue("values are not finite at some quadrature node")
     return vals
 
@@ -444,8 +517,7 @@ def integrate(rule: QuadratureRule, f) -> complex:
     re, im = [], []
     for s in _slices(0, len(rule), _CHUNK):
         rows = _rows(s)
-        nodes, weights = rule.rows(rows)
-        terms = (weights * evaluate_on_rule(rule, f, rows, nodes))[None, :s.stop - s.start]
+        terms = (rule._weights(rows) * evaluate_on_rule(rule, f, rows))[None, :s.stop - s.start]
         re.extend(_leaf_sums(terms.real)[0])
         if np.iscomplexobj(terms):
             im.extend(_leaf_sums(terms.imag)[0])
@@ -492,7 +564,7 @@ def _polar_axes(x, wx, angular_n: int) -> _Axes:
     th, wth = _angles(angular_n)
     phase = np.exp(1j * th)
     return _Axes(1, x * wx, (np.full(angular_n, wth),),
-                 lambda a0, a1: (x[a0:a1, None] * phase[None, :])[..., None])
+                 lambda a0, a1: (x[a0:a1, None] * phase[None, :],))
 
 
 def _outer(*factors) -> np.ndarray:
@@ -505,7 +577,8 @@ def _outer(*factors) -> np.ndarray:
 
 def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     """Tensor power of the polar disc rule; the disc is the case dim = 1.  A slab is one
-    node of each of the first dim - 1 factors, its rows the nodes of the last factor."""
+    node of each of the first dim - 1 factors, its rows the nodes of the last factor: in the
+    mesh the leading coordinates have shape (slabs, 1) and the last one (1, n)."""
     dim = domain.dim
     polar = _polar_axes(*_radial_line(radial_n, origin_grading, grading), angular_n)
     factor = QuadratureRule._of_axes(polar, RuleMeta("disc", 1, radial_n, angular_n, grading,
@@ -520,13 +593,8 @@ def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     for i in range(dim - 1):
         lead[..., i] = z.reshape((n,) + (1,) * (dim - 2 - i))
     lead = lead.reshape(-1, dim - 1)
-
-    def slabs(a0, a1):
-        nodes = np.empty((a1 - a0, n, dim), dtype=complex)
-        nodes[..., :-1] = lead[a0:a1, None]
-        nodes[..., -1] = z
-        return nodes
-    axes = _Axes(dim, _outer(*(w,) * (dim - 1)).ravel(), (w,), slabs)
+    axes = _Axes(dim, _outer(*(w,) * (dim - 1)).ravel(), (w,),
+                 lambda a0, a1: (*lead[a0:a1, :, None].transpose(1, 0, 2), z[None, :]))
     return QuadratureRule._of_axes(axes, meta, (factor,) * dim)
 
 
@@ -542,14 +610,11 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
     phase = np.exp(1j * th)
     c1, c2 = (rho[:, None] * np.cos(al)).ravel(), (rho[:, None] * np.sin(al)).ravel()
 
-    def slabs(a0, a1):  # (rho, alpha) pairs times the angle pairs, written in place
-        nodes = np.empty((a1 - a0, angular_n, angular_n, 2), dtype=complex)
-        nodes[..., 0] = c1[a0:a1, None, None] * phase[:, None]
-        nodes[..., 1] = c2[a0:a1, None, None] * phase
-        return nodes
+    def mesh(a0, a1):  # (rho, alpha) pairs times each angle: (slabs, A, 1) and (slabs, 1, A)
+        return c1[a0:a1, None, None] * phase[:, None], c2[a0:a1, None, None] * phase
     wth = np.full(angular_n, wth)
     axes = _Axes(2, _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal).ravel(), (wth, wth),
-                 slabs)
+                 mesh)
     meta = RuleMeta("ball", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, alpha_n, angular_n, angular_n))
     return QuadratureRule._of_axes(axes, meta)
@@ -557,7 +622,7 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
     """A slab is one node z1 of the rule in z1, its rows z1 with each node t of the rule in
-    z2/z1."""
+    z2/z1: in the mesh z1 has shape (slabs, 1) and z2 = t z1 shape (slabs, len(t))."""
     # z1 = r e^{i t1}, z2 = z1 * s e^{i t2}; dV = r^3 s dr dt1 ds dt2 = |z1|^2 dA(z1) dA(z2/z1)
     r, wr = _radial_line(radial_n, origin_grading, grading)
     s, ws = _radial_line(radial_n, 1.0, grading)  # ungraded on [0, 1/2]
@@ -568,15 +633,12 @@ def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
         "disc", 1, radial_n, angular_n, grading, 1.0, shape))
     z1, t = f1.rows()[0][:, 0], f2.rows()[0][:, 0]
 
-    def slabs(a0, a1):  # written in place: no raveled coordinate copies
-        nodes = np.empty((a1 - a0, len(t), 2), dtype=complex)
-        nodes[..., 0] = z1[a0:a1, None]
+    def mesh(a0, a1):
         # t * z1, not z1 * t: the complex product rounds differently with its operands swapped
-        np.multiply(t, z1[a0:a1, None], out=nodes[..., 1])
-        return nodes
+        return z1[a0:a1, None], np.multiply(t, z1[a0:a1, None])
     # the factor weights r wr dt1 and s ws dt2 times the Jacobian r^2, rounded as r^3 wr
     wth = np.full(angular_n, _angles(angular_n)[1])
-    axes = _Axes(2, _outer(r ** 3 * wr, wth).ravel(), (s * ws, wth), slabs)
+    axes = _Axes(2, _outer(r ** 3 * wr, wth).ravel(), (s * ws, wth), mesh)
     meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading, shape * 2)
     return QuadratureRule._of_axes(axes, meta, (f1, f2))
 

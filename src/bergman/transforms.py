@@ -6,14 +6,17 @@ blocks by ``quadrature._kernel_sums``: a kernel form F(w_j, z) (|K|^2, ``_modulu
 over K(w_j, w_j) for the adjoint), then a 1/K(z, z) scale for the Berezin transform.
 Each sum keeps the summation contract of ``quadrature.compensated_sum`` (an exact fsum
 of the np.sum of each 1,024 summands), so a value does not depend on the number of
-points or threads.  The coefficients are formed one span of at most 32,768 nodes at a
-time inside that pass, from the span's nodes and weights that ``QuadratureRule.rows``
-forms, so no whole-rule node, symbol or coefficient array is made (the adjoint's node
-diagonal aside).  A symbol is a callable of the nodes, an ndarray of one value per
-node, or a GridFunction, read span by span by ``quadrature.evaluate_on_rule``, so a
-callable receives node spans and must act row by row: ValueError for a wrong length or
-another rule's GridFunction, NonFiniteValue for NaN or infinity in any span, TypeError
-for anything else, and ValueError for a rule of another domain too.
+points or threads.  On a product rule the form reads the rule's open mesh, one array
+per coordinate, so its one-coordinate terms are formed once per slab or angle.  The
+coefficients are formed one span of at most 32,768 nodes at a time inside that pass,
+from the span's weights and, for a callable symbol alone, the nodes that
+``QuadratureRule.rows`` forms, so no whole-rule node, symbol or coefficient array is
+made (the adjoint's node diagonal aside), and B1 forms no nodes.  A symbol is a
+callable of the nodes, an ndarray of one value per node, or a GridFunction, read span
+by span by ``quadrature.evaluate_on_rule``, so a callable receives node spans and must
+act row by row: ValueError for a wrong length or another rule's GridFunction,
+NonFiniteValue for NaN or infinity in any span, TypeError for anything else, and
+ValueError for a rule of another domain too.
 """
 
 from __future__ import annotations
@@ -53,19 +56,19 @@ def _modulus(domain: DomainSpec):
 
 
 def _weighted(rule: QuadratureRule, f: Symbol, read=lambda values: values):
-    """The coefficients of ``_kernel_sums``: a span's rows, nodes and weights to
-    w_j read(f(w_j)) there."""
-    return lambda rows, nodes, weights: weights * read(evaluate_on_rule(rule, f, rows, nodes))
+    """The coefficients of ``_kernel_sums``: a span's rows and weights to w_j read(f(w_j))
+    there."""
+    return lambda rows, weights: weights * read(evaluate_on_rule(rule, f, rows))
 
 
-def _unit(rows, nodes, weights):
-    """The coefficients of B1 for ``_kernel_sums``: the weights."""
+def _unit(rows, weights):
+    """The coefficients of B1 for ``_kernel_sums``: the weights, which need no nodes."""
     return weights
 
 
 def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef):
     """sum_j c_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing; ``coef``
-    maps the rows, nodes and weights of a span to their c_j, as in ``_kernel_sums``."""
+    maps the rows and weights of a span to their c_j, as in ``_kernel_sums``."""
     diag = domain.positive_diag(Z)
     sums = _kernel_sums(domain.kernel_abs2, rule, Z, coef)
     sums.real /= diag
@@ -109,8 +112,8 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     domain.positive_diag(z)  # validates the running positivity assumption at z
     diag = rule.node_diag  # formed here, not by the first of several pooled chunks
 
-    def coef(rows, nodes, weights):
-        vals = evaluate_on_rule(rule, psi, rows, nodes)
+    def coef(rows, weights):
+        vals = evaluate_on_rule(rule, psi, rows)
         c = weights / diag[rows]  # times psi in place where psi is real
         return np.multiply(c, vals, out=None if np.iscomplexobj(vals) else c)
     return _kernel_sums(domain.kernel_abs2, rule, z, coef)

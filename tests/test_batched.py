@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bergman.domains as dom
 from bergman import opnorm as on
@@ -467,15 +467,19 @@ def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
 
 
 def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypatch, long_rules):
-    # workers share the output matrix and the summand's inputs: a lost or
-    # crossed update would change a bit against the serial pass
+    # workers share the output matrix and the summand's inputs, and each keeps the last mesh
+    # of a product rule it formed: a lost or crossed update would change a bit against the
+    # serial pass
     domain, rule = long_rules["disc"]
     points = _points(domain, 37, seed=8)
     rows = _points(domain, 40, seed=9)
+    hartogs = dom.hartogs_triangle()
+    fresh = quad.build_rule(hartogs, 10, 24)  # its whole arrays unformed: the mesh forms the nodes
 
     def both():
         return (tr.bergman_project(domain, _complex_symbol, points, rule),
-                on.discretize_berezin(domain, rule, row_nodes=rows).entries)
+                on.discretize_berezin(domain, rule, row_nodes=rows).entries,
+                tr.berezin(hartogs, _complex_symbol, _points(hartogs, 10, seed=10), fresh))
     monkeypatch.setattr(quad, "_POOL", None)
     serial = both()
     interval = sys.getswitchinterval()
@@ -487,7 +491,7 @@ def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypat
             pooled = both()
         finally:
             sys.setswitchinterval(interval)
-    assert quad._POOL.calls == 2
+    assert quad._POOL.calls == 3 and "_whole" not in vars(fresh)
     assert [_bits(a) for a in pooled] == [_bits(a) for a in serial]
 
 
@@ -741,6 +745,97 @@ def test_formed_rows_equal_the_whole_arrays_in_every_consumer(monkeypatch, pool,
     mass = sum(len(points) * len(f) >= quad._BUFFER for f in read.factors or (read,))
     pooled = 2 * (len(OPERATORS) + mass)
     assert pool.calls - calls == (pooled if workers == "pool" else 0)
+
+
+# Every kind build_rule makes as a tensor product, at small grids: (domain, origin grading,
+# largest radial_n, largest angular_n)
+MESH_KINDS = {
+    "disc": (dom.disc(), None, 6, 9), "punctured-disc": (dom.punctured_disc(), None, 6, 9),
+    "bidisc": (dom.polydisc(2), None, 5, 6), "tridisc": (dom.polydisc(3), None, 4, 4),
+    "ball2": (dom.ball(2), None, 5, 6), "hartogs": (dom.hartogs_triangle(), None, 5, 6),
+    "hartogs-origin": (dom.hartogs_triangle(), 12.0, 5, 6),
+}
+
+
+def _kernel_forms(domain):
+    """The forms the operators sum: |K|^2, |K| and conj K."""
+    def conj_kernel(a, b):
+        k = domain.kernel(a, b)
+        return np.conj(k, out=k)
+    return {"abs2": domain.kernel_abs2, "modulus": tr._modulus(domain), "conj-K": conj_kernel}
+
+
+# blocks that cut slabs (lcm(32, 3) exceeds a 12-node span), spans inside one slab (4 of its
+# 32 or 8 nodes, one point), a lone tail node (1,024 = 341 spans of 3, and one) and blocks of
+# one slab each
+@example(kind="hartogs", grid=(4, 4), leaf=3, chunk=4, block=7, m=3, pooled=False, seed=1)
+@example(kind="hartogs", grid=(4, 4), leaf=1, chunk=4, block=3, m=1, pooled=False, seed=5)
+@example(kind="disc", grid=(4, 8), leaf=1, chunk=4, block=2, m=1, pooled=True, seed=2)
+@example(kind="bidisc", grid=(4, 4), leaf=3, chunk=1, block=5, m=1, pooled=False, seed=3)
+@example(kind="tridisc", grid=(4, 4), leaf=1024, chunk=1, block=200, m=9, pooled=True, seed=4)
+@given(kind=st.sampled_from(sorted(MESH_KINDS)),
+       grid=st.tuples(st.integers(4, 6), st.integers(4, 9)),
+       leaf=st.sampled_from([1, 3, 8, 64, 1024]), chunk=st.integers(1, 4),
+       block=st.integers(1, 3000), m=st.integers(1, 9), pooled=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_kernel_sums_on_the_mesh_equal_them_on_the_explicit_arrays(kind, grid, leaf, chunk, block,
+                                                                   m, pooled, seed):
+    # The open mesh of a product rule and the rows of its explicit arrays are two layouts of one
+    # rule: each form and coefficient sums to the same bits on both, at any leaf, span, block
+    # and point group (patched alike on both), serial and pooled.
+    domain, origin, top_radial, top_angular = MESH_KINDS[kind]
+    grid = (min(grid[0], top_radial), min(grid[1], top_angular))
+    mesh = quad.build_rule(domain, *grid, origin_grading=origin)
+    rows = quad.QuadratureRule(*quad.build_rule(domain, *grid, origin_grading=origin).rows(),
+                               mesh.meta)
+    assume(len(mesh) <= 64 * leaf * chunk)  # at most 64 spans
+    points = _points(domain, m, seed=seed)
+    with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as own:
+        patch.setattr(quad, "_LEAF", leaf)
+        patch.setattr(quad, "_CHUNK", chunk * leaf)
+        patch.setattr(quad, "_BLOCK", block)
+        if pooled:
+            patch.setattr(quad, "_BUFFER", 0)
+            _lend_pool(patch, own, 2)
+        else:
+            patch.setattr(quad, "_POOL", None)
+        for name, form in _kernel_forms(domain).items():
+            for coef in (tr._unit, tr._weighted(mesh, _complex_symbol)):
+                got = quad._kernel_sums(form, mesh, points, coef)
+                want = quad._kernel_sums(form, rows, points, coef)
+                assert _bits(got) == _bits(want), name
+    assert "_whole" not in vars(mesh)
+
+
+def _spy_rows(monkeypatch):
+    """The (start, stop) of each call of ``_Axes.rows``."""
+    calls, real = [], quad._Axes.rows
+    def spy(self, start, stop):
+        calls.append((start, stop))
+        return real(self, start, stop)
+    monkeypatch.setattr(quad._Axes, "rows", spy)
+    return calls
+
+
+def test_unit_coefficients_form_no_nodes(monkeypatch):
+    # B1 reads the weights alone: neither the ball's mass nor the disc matrix's row sums form
+    # an (R, dim) node array.  A callable symbol's nodes are formed once per span.
+    domain = dom.ball(2)
+    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes: five spans
+    points = _points(domain, 3, seed=6)
+    disc = quad.build_rule(dom.disc(), 8, 16)
+    matrix = on.discretize_berezin(dom.disc(), disc)
+    calls = _spy_rows(monkeypatch)
+    read = []
+    monkeypatch.setattr(quad.QuadratureRule, "rows",
+                        lambda self, s=slice(None), real=quad.QuadratureRule.rows:
+                        read.append(s) or real(self, s))
+    tr.unit_mass(domain, points, rule)
+    matrix.row_sums()
+    assert calls == [] and read == [] and "_whole" not in vars(rule)
+    tr.berezin(domain, _real_symbol, points, rule)
+    assert calls == [(s.start, s.stop) for s in quad._slices(0, len(rule), CHUNK)]
 
 
 def _traced_peak(call):
