@@ -4,9 +4,13 @@ Closed-form kernels on the unit disc, the unit ball, polydiscs, the upper half
 plane, the punctured disc and the Hartogs triangle: each kind declares K once,
 and one evaluator derives K and |K|^2 from it; the one-point ``kernel``,
 ``kernel_ratio`` and ``normalized_kernel`` use ``kernel_values`` and
-``kernel_diag``.  A Reinhardt profile (a rotation-invariant domain in C^2
-described in modulus space, with declared radial asymptotics) classifies and
-measures the square-integrable monomials.
+``kernel_diag``.  ``kernel_values`` and ``kernel_diag_values`` evaluate a node
+array in blocks of _BLOCK_ROWS nodes written into one new array, so no temporary
+of the form spans the array, and ``normalized_kernel`` divides that array by
+sqrt K(z, z) in place; the values are those of the whole-array forms bit for bit.
+A Reinhardt profile (a rotation-invariant domain in C^2 described in modulus
+space, with declared radial asymptotics) classifies and measures the
+square-integrable monomials.
 
 All integrals use unnormalized Lebesgue volume, so the disc kernel carries the
 1/pi factor explicitly.
@@ -240,8 +244,9 @@ def _reduce_last(op, A: np.ndarray) -> np.ndarray:
 
 # x + _GRID - _GRID rounds |x| < 2^25 to a multiple of 2^-26 (Veltkamp's splitting on a fixed grid)
 _GRID = 1.5 * 2.0 ** 26
-# rows that _one_minus_sum_squares splits together: their work arrays stay small enough to reuse
-_SPLIT_ROWS = 4096
+# rows evaluated together: the node blocks of kernel_values and kernel_diag_values, and the
+# rows _one_minus_sum_squares splits together; their work arrays stay in cache
+_BLOCK_ROWS = 16384
 # sums of squares above this take the exact split; at or below it 1 - sum cancels by at most 4x
 _CANCELS = 0.75
 
@@ -260,8 +265,8 @@ def _one_minus_sum_squares(P: np.ndarray) -> np.ndarray:
     s = _reduce_last(np.add, flat * flat)
     r = 1.0 - s
     near = (s > _CANCELS).nonzero()[0]
-    for i in range(0, len(near), _SPLIT_ROWS):
-        rows = near[i:i + _SPLIT_ROWS]
+    for i in range(0, len(near), _BLOCK_ROWS):
+        rows = near[i:i + _BLOCK_ROWS]
         r[rows] = _one_minus_split(flat[rows].T.copy())
     return r.reshape(P.shape[:-1])
 
@@ -317,7 +322,9 @@ def _own(x: np.ndarray, *operands) -> np.ndarray:
     """x as the output of an operation on x and ``operands`` where it holds their broadcast
     and more than one value, else a fresh array of that broadcast: numpy rounds a
     one-element complex product written over its operand in another loop."""
-    shape = np.broadcast(x, *operands).shape
+    shape = x.shape
+    if any(o.shape != shape for o in operands):
+        shape = np.broadcast(x, *operands).shape
     return x if x.shape == shape and x.size > 1 else np.empty(shape, x.dtype)
 
 
@@ -656,16 +663,30 @@ def kernel_diag(domain: DomainSpec, z) -> float:
     return float(domain.positive_diag(inside_points(domain, z)[0])[0])
 
 
+def _by_blocks(form, W: np.ndarray, dtype) -> np.ndarray:
+    """form(W) of an (N, dim) node array as a new (N,) array, filled _BLOCK_ROWS nodes at a
+    time, so no temporary of the form spans the whole array.  The forms act node by node (a
+    lone node included, see ``_own``), so the values are those of form(W) bit for bit."""
+    if len(W) <= _BLOCK_ROWS:
+        return form(W)
+    out = np.empty(len(W), dtype)
+    for a in range(0, len(W), _BLOCK_ROWS):
+        out[a:a + _BLOCK_ROWS] = form(W[a:a + _BLOCK_ROWS])
+    return out
+
+
 def kernel_values(domain: DomainSpec, z, nodes: np.ndarray) -> np.ndarray:
     """Vectorized K(w_j, z) over an (N, dim) array of nodes, for a point z strictly inside
-    the domain (PointOutsideDomain otherwise).  Membership of the nodes is the caller's
-    responsibility (they normally come from a quadrature rule)."""
-    return domain.kernel(_as_nodes(domain, nodes), np.asarray(require_inside(domain, z)))
+    the domain (PointOutsideDomain otherwise), evaluated in blocks of _BLOCK_ROWS nodes into
+    one new array.  Membership of the nodes is the caller's responsibility (they normally
+    come from a quadrature rule)."""
+    zp = np.asarray(require_inside(domain, z))
+    return _by_blocks(lambda W: domain.kernel(W, zp), _as_nodes(domain, nodes), complex)
 
 
 def kernel_diag_values(domain: DomainSpec, nodes: np.ndarray) -> np.ndarray:
-    """Vectorized K(w_j, w_j), accurate as kernel_diag."""
-    return domain.diag(_as_nodes(domain, nodes))
+    """Vectorized K(w_j, w_j), accurate as kernel_diag, evaluated as ``kernel_values`` is."""
+    return _by_blocks(domain.diag, _as_nodes(domain, nodes), float)
 
 
 def kernel_ratio(domain: DomainSpec, z, w) -> float:
@@ -685,7 +706,9 @@ def normalized_kernel(domain: DomainSpec, z) -> Callable:
 
     def k_z(w):
         if isinstance(w, np.ndarray) and w.ndim >= 1:
-            return kernel_values(domain, zp, w) / root
+            k = kernel_values(domain, zp, w)
+            k /= root  # in the new array: no second one
+            return k
         return complex(kernel_values(domain, zp, [require_inside(domain, w)])[0]) / root
 
     return k_z

@@ -12,7 +12,8 @@ complex array per coordinate, which broadcast together to the slab block.
 forms their weights, bit for bit the rows of the whole arrays.  Symbols, integrands
 and ``save_rule`` read a rule one chunk of rows at a time through ``rows`` (weights
 alone where they read no nodes).  The whole ``nodes`` and ``weights`` are formed on
-first access and kept read-only; from then on ``rows`` slices them, so a caller
+first access, the nodes written into the kept array whole slabs of about _CHUNK rows at
+a time, and kept read-only; from then on ``rows`` slices them, so a caller
 making repeated calls on one rule forms no chunk twice.  Patch, loaded and
 hand-built rules keep explicit arrays, which ``rows`` slices.
 
@@ -119,8 +120,9 @@ class QuadratureRule:
     the disc included, the ball in C^2 and the Hartogs triangle) keeps only its 1-D
     axes, and ``rows`` forms the nodes and weights of the rows asked for from them,
     bit for bit the rows of the whole arrays.  The whole ``nodes`` and ``weights``
-    are formed together on first access and kept read-only with the rule; from then
-    on ``rows`` slices them.  A rule made from explicit arrays, as
+    are formed together on first access, the nodes into their kept array whole slabs
+    of about _CHUNK rows at a time, and kept read-only with the rule; from then on
+    ``rows`` slices them.  A rule made from explicit arrays, as
     ``QuadratureRule(nodes, weights, meta)`` (loaded and patch rules too), serves
     ``rows`` by slicing them.  ``len`` and ``dim`` form nothing.
 
@@ -156,7 +158,13 @@ class QuadratureRule:
 
     @cached_property
     def _whole(self) -> tuple:
-        nodes, weights = self._axes.rows(0, len(self))
+        """The whole nodes and weights; the nodes are written into the array kept whole slabs
+        of about _CHUNK rows at a time, so no mesh of the whole rule is formed or kept."""
+        axes, n = self._axes, len(self)
+        nodes, weights = np.empty((n, self.dim), dtype=complex), axes.weights(0, n)
+        step = axes.width * max(1, _CHUNK // axes.width)
+        for a in range(0, n, step):
+            axes.slab_nodes(a // axes.width, min(a + step, n) // axes.width, out=nodes[a:a + step])
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
@@ -204,7 +212,7 @@ class QuadratureRule:
         if self._axes is None or stop - start == 1 or self.dim == 1 and formed:
             rows = _rows(slice(start, stop))
             nodes = self._whole[0][rows] if formed else self.rows(rows)[0]
-            return [nodes[:, i] for i in range(self.dim)], slice(0, len(nodes))
+            return list(nodes.T), slice(0, len(nodes))
         a0, a1, cut = self._axes.cover(start, stop)
         if a1 - a0 == 1:
             a1 = a0 + 2 if a1 * self._axes.width < len(self) else a1
@@ -273,13 +281,18 @@ class _Axes:
         a0, a1, cut = self.cover(start, stop)
         return _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
 
-    def rows(self, start: int, stop: int) -> tuple:
-        a0, a1, cut = self.cover(start, stop)
+    def slab_nodes(self, a0: int, a1: int, out=None) -> np.ndarray:
+        """The (rows, dim) nodes of slabs a0..a1-1, written into ``out`` when it is given."""
         mesh = self.mesh(a0, a1)
-        nodes = np.empty(np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,), dtype=complex)
+        shape = np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,)
+        nodes = np.empty(shape, dtype=complex) if out is None else out.reshape(shape, copy=False)
         for i, c in enumerate(mesh):
             nodes[..., i] = c
-        return nodes.reshape(-1, self.dim)[cut], self.weights(start, stop)
+        return nodes.reshape(-1, self.dim)
+
+    def rows(self, start: int, stop: int) -> tuple:
+        a0, a1, cut = self.cover(start, stop)
+        return self.slab_nodes(a0, a1)[cut], self.weights(start, stop)
 
 
 @dataclass(frozen=True)
@@ -437,7 +450,8 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
             del edges[-2]  # only a lone span has a lone block: it is read twice
         for b0, b1 in zip(edges, edges[1:]):
             mesh, cut = rule._mesh(b0, b1)
-            points = Z.reshape((len(Z),) + (1,) * max(np.ndim(c) for c in mesh) + (rule.dim,))
+            # every coordinate of a mesh has the block's axes
+            points = Z.reshape((len(Z),) + (1,) * mesh[0].ndim + (rule.dim,))
             leaves = slice((b0 - s.start) // _LEAF, -(-(b1 - s.start) // _LEAF))
             for r in groups:
                 block = pair(mesh, points[r]).reshape(r.stop - r.start, -1)[:, cut]
@@ -451,8 +465,8 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
                     sums.imag[r, leaves] = _leaf_sums(block.imag)
         return sums
 
-    parts = _map(span_sums, _slices(0, n, span), len(Z) * n)
-    leaves = np.concatenate(parts, axis=1) if parts else np.zeros((len(Z), 0), dtype=complex)
+    parts = _map(span_sums, _slices(0, n, span), len(Z) * n) or [np.zeros((len(Z), 0), complex)]
+    leaves = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return np.array([complex(math.fsum(re), math.fsum(im))  # fsum reads lists fastest
                      for re, im in zip(leaves.real.tolist(), leaves.imag.tolist())], dtype=complex)
 

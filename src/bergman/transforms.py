@@ -36,13 +36,15 @@ Symbol = Union[Callable, np.ndarray, GridFunction]
 
 def _on_points(op):
     """The operators' front door: ``z`` is one point (the result is a Python number) or an
-    (M, dim) array of points inside ``domain`` (an (M,) array), on a rule built for it."""
+    (M, dim) array of points inside ``domain`` (an (M,) array), on a rule built for it.  Every
+    operator takes (domain, ..., z, rule); a call giving them all by position binds nothing."""
     signature = inspect.signature(op)
     @functools.wraps(op)
     def front(*args, **kwargs):
-        call = signature.bind(*args, **kwargs).arguments
-        Z, single = _points_on_rule(call["domain"], call["z"], call["rule"])
-        sums = op(**call | {"z": Z})
+        if kwargs or len(args) != len(signature.parameters):
+            args = signature.bind(*args, **kwargs).args
+        Z, single = _points_on_rule(args[0], args[-2], args[-1])
+        sums = op(*args[:-2], Z, args[-1])
         return sums[0].item() if single else sums
     return front
 

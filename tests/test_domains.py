@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bergman.domains as dom
+import bergman.quadrature as quad
 from bergman.errors import (
     PointOutsideDomain,
     UndeclaredAsymptotics,
@@ -305,6 +307,42 @@ class TestOneFormula:
         wr = tuple(u * c for u, c in zip(rot, w))
         k = abs(dom.kernel(domain, z, w))
         assert abs(abs(dom.kernel(domain, zr, wr)) - k) <= 1e-11 * k
+
+
+class TestBlockedEvaluation:
+    """kernel_values and kernel_diag_values fill one array _BLOCK_ROWS nodes at a time."""
+
+    @pytest.mark.parametrize("domain", ALL_DOMAINS, ids=str)
+    @given(block=st.integers(2, 6), extra=st.sampled_from([None, -1, 0, 1, "2b+1"]),
+           z=COORDS, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_blocks_equal_the_whole_array_forms(self, domain, block, extra, z, data):
+        # node counts 1, block - 1, block, block + 1 and 2 block + 1 (a lone last node)
+        n = 1 if extra is None else 2 * block + 1 if extra == "2b+1" else block + extra
+        nodes = np.array([_point(domain, c) for c in data.draw(st.lists(COORDS, min_size=n,
+                                                                        max_size=n))])
+        zp = _point(domain, z)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dom, "_BLOCK_ROWS", block)
+            got, diag = dom.kernel_values(domain, zp, nodes), dom.kernel_diag_values(domain, nodes)
+        assert got.tobytes() == domain.kernel(nodes, np.array(zp)).tobytes()
+        assert diag.tobytes() == domain.diag(nodes).tobytes()
+        assert got.shape == diag.shape == (n,)
+
+    def test_normalized_kernel_peaks_at_its_output_and_two_node_blocks(self):
+        domain = dom.hartogs_triangle()
+        nodes = quad.build_rule(domain, 10, 24).nodes  # 230,400 nodes, formed before tracing
+        k = dom.normalized_kernel(domain, (0.5, 0.2))
+        block = dom._BLOCK_ROWS * domain.dim * 16  # the bytes of one block of nodes
+        tracemalloc.start()
+        try:
+            values = k(nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three block-sized temporaries of the Hartogs form (1.5 node blocks) over the output;
+        # evaluated whole, the form's temporaries alone were three times the output
+        assert values.nbytes == len(nodes) * 16 and peak <= values.nbytes + 2 * block
 
 
 # a point (a1, a1 t) of the Hartogs triangle: |a1| in [0.01, 0.99], |t| <= 0.95

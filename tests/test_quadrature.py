@@ -246,6 +246,33 @@ class TestRowsFromAxes:
         part, weights = rule.rows(slice(100, 300))
         assert np.shares_memory(part, nodes) and np.shares_memory(weights, rule.weights)
 
+    @given(kind=st.sampled_from(sorted(TENSOR_KINDS)), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_whole_arrays_formed_in_steps_are_the_one_block_rows(self, kind, data):
+        domain, origin, top = TENSOR_KINDS[kind]
+        grid = (data.draw(st.integers(4, top)), data.draw(st.integers(4, 9 if top > 4 else 5)))
+        rule = quad.build_rule(domain, *grid, origin_grading=origin)
+        # steps of one slab up to the whole rule, a short last step among them
+        chunk = data.draw(st.integers(1, len(rule)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quad, "_CHUNK", chunk)
+            whole = rule.nodes, rule.weights
+        assert _row_bits(whole) == _row_bits(rule._axes.rows(0, len(rule)))
+
+    @pytest.mark.parametrize("domain, grid", [
+        (dom.polydisc(2), (8, 24)), (dom.ball(2), (12, 24)), (dom.hartogs_triangle(), (10, 24))],
+        ids=["bidisc", "ball2", "hartogs"])
+    def test_first_access_keeps_the_two_arrays_and_at_most_one_chunk(self, domain, grid):
+        rule = quad.build_rule(domain, *grid)
+        tracemalloc.start()
+        try:
+            nodes = rule.nodes
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # formed whole, the Hartogs rule also kept the 3.7 MB mesh of every slab
+        assert kept <= nodes.nbytes + rule.weights.nbytes + quad._CHUNK * rule.dim * 16
+
     def test_explicit_arrays_are_sliced(self):
         base = quad.build_rule(dom.disc(), 4, 8)
         nodes, weights = base.nodes.copy(), base.weights.copy()

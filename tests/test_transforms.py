@@ -1,5 +1,6 @@
 """Berezin transform, adjoint and projections."""
 
+import inspect
 import math
 import os
 
@@ -89,6 +90,28 @@ def _consume(name, rule, f):
     if name == "integrate":
         return quad.integrate(rule, f)
     return getattr(tr, name)(dom.disc(), f, 0.2 + 0.1j, rule)
+
+
+class TestFrontDoor:
+    """The operators bind their arguments only when a call does not give them all by position."""
+
+    def test_keywords_give_the_positional_values(self, disc_rule):
+        d, z = dom.disc(), 0.3 + 0.2j
+        for op, args in [(tr.berezin, (d, ONE)), (tr.berezin_adjoint, (d, ONE)),
+                         (tr.absolute_projection, (d, ONE)), (tr.bergman_project, (d, ONE)),
+                         (tr.unit_mass, (d,))]:
+            want = op(*args, z, disc_rule)
+            names = list(inspect.signature(op).parameters)
+            assert op(*args, rule=disc_rule, z=z) == want
+            assert op(**dict(zip(names, (*args, z, disc_rule)))) == want
+
+    @pytest.mark.parametrize("call", [lambda r: tr.berezin(dom.disc(), ONE, 0.1),
+                                      lambda r: tr.berezin(dom.disc(), ONE, 0.1, r, r),
+                                      lambda r: tr.unit_mass(dom.disc(), 0.1, r, z=0.2)],
+                             ids=["missing", "extra", "twice"])
+    def test_a_call_that_does_not_bind_is_a_type_error(self, disc_rule, call):
+        with pytest.raises(TypeError):
+            call(disc_rule)
 
 
 @pytest.mark.parametrize("name", CONSUMERS)
