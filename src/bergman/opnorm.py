@@ -10,7 +10,8 @@ L^2 norm is computed on the radial sector matrices, where boundary depth
 
 For p outside {2, infinity} matrix p-norms are NP-hard in general; this
 module reports certified lower bounds (dual ascent in ``estimate_norm``, a
-radial-power witness sweep in ``witness_lower_bound``) labelled as such.
+radial-power witness sweep in ``witness_lower_bound``) labelled as such.  On
+the nonnegative operators built here dual ascent runs without signs or absolute values.
 """
 
 from __future__ import annotations
@@ -226,55 +227,74 @@ def _weighted_pnorm(w, values, p):
     return float(np.sum(w * v ** p) ** (1.0 / p))
 
 
-def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray,
+def _pnorm(v: np.ndarray, o: float) -> float:
+    """The l^o norm of a nonnegative v over all entries, by the steps of ``np.linalg.norm``."""
+    return float(np.add.reduce(v.ravel() ** o) ** (1.0 / o))
+
+
+def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bool = False,
                        tol: float = 1e-10, max_iter: int = 300):
-    """Power scheme for the induced p-norm of an unweighted operator M.
+    """Power scheme for the induced p-norm of an unweighted operator M (Boyd 1974).
 
     ``apply`` and ``apply_t`` act as M and its transpose on arrays of x0's
     shape, and norms are taken over all entries.  Produces a monotone sequence
     of lower bounds; for entrywise nonnegative M and a positive start it
-    converges to a stationary ratio.
+    converges to a stationary ratio.  ``nonnegative`` says M is entrywise >= 0, so every
+    iterate is too and the absolute values and signs are skipped, with the same bits.
     """
     q = p / (p - 1.0)
     x = np.abs(x0)
-    x /= np.linalg.norm(x.ravel(), ord=p)
+    x /= _pnorm(x, p)
     best = 0.0
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
         y = apply(x)
-        gamma = float(np.linalg.norm(y.ravel(), ord=p))
+        y_abs = y if nonnegative else np.abs(y)
+        gamma = _pnorm(y_abs, p)
         if gamma == 0.0:
             converged = True
             break
-        z = apply_t(np.abs(y) ** (p - 1.0) * np.sign(y))
+        dual = y_abs ** (p - 1.0)
+        z = apply_t(dual if nonnegative else dual * np.sign(y))
         stalled = iters > 1 and gamma <= best * (1.0 + tol)
         best = max(best, gamma)
         z_dot_x = float(z.ravel() @ x.ravel())
-        if stalled or np.linalg.norm(z.ravel(), ord=q) <= z_dot_x * (1.0 + 1e-14):
+        z_abs = z if nonnegative else np.abs(z)
+        if stalled or _pnorm(z_abs, q) <= z_dot_x * (1.0 + 1e-14):
             converged = True
             break
-        x = np.abs(z) ** (q - 1.0) * np.sign(z)
-        x /= np.linalg.norm(x.ravel(), ord=p)
+        x = z_abs ** (q - 1.0)
+        x /= _pnorm(x, p)
+        if not nonnegative:
+            x *= np.sign(z)
     return best, converged, iters
 
 
-def _power_sigma(gram, start: np.ndarray, tol: float = 1e-12, max_iter: int = 5000):
-    """(sigma, converged, iterations): the largest singular value of S by power iteration on
-    S^T S, given by its action ``gram``, and the number of ``gram`` calls it took."""
-    v = start / np.linalg.norm(start.ravel())
+def _gram_power_sigma(G1: np.ndarray, G2: np.ndarray, start: np.ndarray,
+                      tol: float = 1e-12, max_squarings: int = 12):
+    """(sigma, converged, squarings): the largest singular value of S1 kron S2 from the Grams
+    Gi = Si^T Si, by power iteration on X -> G1 X G2 in steps of 2^k.
+
+    Each pass maps X to P1 X P2 (renormalised) and reads sigma = sqrt ||G1 X G2||, then
+    squares each Pi (from Gi, renormalised): pass k reads the plain iteration's step 2^k.  It
+    stops when two successive passes agree to ``tol`` relative.
+    """
+    P1, P2 = (G / (np.linalg.norm(G) or 1.0) for G in (G1, G2))
+    X = start / np.linalg.norm(start)
     sigma = 0.0
-    for it in range(1, max_iter + 1):
-        v_new = gram(v)
-        nrm = float(np.linalg.norm(v_new.ravel()))
+    for squarings in range(max_squarings + 1):
+        X = P1 @ X @ P2
+        nrm = float(np.linalg.norm(X))
         if nrm == 0.0:
-            return 0.0, True, it
-        new_sigma = math.sqrt(nrm)
-        v = v_new / nrm
+            return 0.0, True, squarings
+        X /= nrm
+        new_sigma = math.sqrt(float(np.linalg.norm(G1 @ X @ G2)))
         if abs(new_sigma - sigma) <= tol * new_sigma:
-            return new_sigma, True, it
+            return new_sigma, True, squarings
         sigma = new_sigma
-    return sigma, False, max_iter
+        P1, P2 = (Q / np.linalg.norm(Q) for Q in (P1 @ P1, P2 @ P2))
+    return sigma, False, max_squarings
 
 
 def _scaled(A: OperatorMatrix, p: float) -> np.ndarray:
@@ -288,9 +308,11 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
 
     An array X on the grid (nodes of A1 by nodes of A2) maps to M1 X M2^T, so
     no (n1 n2)^2 matrix is formed.  At p = 2 the power iteration runs on (S1 kron S2)^T
-    (S1 kron S2), which acts as X -> G1 X G2 with the factor Gram matrices Gi = Si^T Si.  These
-    maps keep a rank-one X of rank one, so the start (an outer product of the weights) carries
-    seeded noise: the product of the factor norms is not built into the estimate.
+    (S1 kron S2), which acts as X -> G1 X G2 with the factor Gram matrices Gi = Si^T Si, in
+    steps of 2^k (``_gram_power_sigma``; ``resolution`` records its ``squarings`` and the
+    plain ``iterations`` they stand for).  These maps keep a rank-one X of rank one, so the
+    start (an outer product of the weights) carries seeded noise: the product of the factor
+    norms is not built into the estimate.
     """
     if len(factors) != 2 or not all(isinstance(f, OperatorMatrix) and f.is_square
                                     for f in factors):
@@ -305,12 +327,13 @@ def _kronecker_norm(factors, p: float) -> NormEstimate:
     jitter = 1.0 + start["noise"] * np.random.default_rng(start["seed"]).random((len(w1), len(w2)))
     M1, M2 = _scaled(A1, p), _scaled(A2, p)
     if p == 2.0:
-        G1, G2 = M1.T @ M1, M2.T @ M2
-        value, res["converged"], res["iterations"] = _power_sigma(
-            lambda X: G1 @ X @ G2, np.outer(np.sqrt(w1), np.sqrt(w2)) * jitter)
+        value, res["converged"], res["squarings"] = _gram_power_sigma(
+            M1.T @ M1, M2.T @ M2, np.outer(np.sqrt(w1), np.sqrt(w2)) * jitter)
+        res["iterations"] = 2 ** (res["squarings"] + 1)
         return NormEstimate(value, p, "kronecker-power-iteration", "approximate", res)
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
-        lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2) * jitter)
+        lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2, p, np.outer(w1, w2) * jitter,
+        bool((M1 >= 0).all() and (M2 >= 0).all()))
     return NormEstimate(best, p, "p-power-iteration", "lower", res)
 
 
@@ -324,8 +347,9 @@ def estimate_norm(A, p: float) -> NormEstimate:
     operator; other p yield certified lower bounds by dual ascent (on the disc
     matrices it is never below ``witness_lower_bound``).  At p = infinity only
     ``A.row_sums()`` is read, so a ``discretize_berezin`` matrix is never
-    formed.  A Kronecker product is estimated by power iteration at p = 2 and
-    dual ascent at other finite p.
+    formed.  A Kronecker product is estimated by power iteration, squared to steps
+    of 2^k, at p = 2 and dual ascent at other finite p; on an entrywise nonnegative
+    scaled matrix dual ascent skips its signs and absolute values.
     """
     if not 1.0 < p:
         raise ValueError("p must lie in (1, infinity]")
@@ -347,7 +371,7 @@ def estimate_norm(A, p: float) -> NormEstimate:
 
     # the weighted induced p-norm is the l^p norm of M
     best, res["converged"], res["iterations"] = _dual_ascent_pnorm(
-        lambda x: M @ x, lambda x: M.T @ x, p, x0=A.col_weights.copy())
+        lambda x: M @ x, lambda x: M.T @ x, p, A.col_weights.copy(), bool((M >= 0).all()))
     return NormEstimate(best, p, "p-power-iteration", "lower", res)
 
 

@@ -370,12 +370,16 @@ def check_10_boas() -> CheckResult:
 
 
 def check_11_product_norm() -> CheckResult:
-    # the estimates of product_norm_check(2.0), keeping the Kronecker estimate's record
+    # the estimates of product_norm_check(2.0), keeping the Kronecker estimate's record; an
+    # estimate that did not converge fails the check whatever its value
     est, factor = on._product_estimates(2.0)
     big, small_sq = est.value, factor.value ** 2
     rel = abs(big - small_sq) / small_sq
-    return CheckResult(11, "P+ norm multiplies across the bidisc", rel <= 0.05,
-                       {"bidisc": big, "disc_squared": small_sq, "rel": rel},
+    converged = {"bidisc": est.resolution["converged"], "disc": factor.resolution["converged"]}
+    return CheckResult(11, "P+ norm multiplies across the bidisc",
+                       rel <= 0.05 and all(converged.values()),
+                       {"bidisc": big, "disc_squared": small_sq, "rel": rel,
+                        "converged": converged},
                        "5% at p=2", resolution=est.resolution)
 
 

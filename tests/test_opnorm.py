@@ -1,5 +1,6 @@
 """Operator discretization, norm estimation, BR scanning, product norms."""
 
+import dataclasses
 import json
 import math
 import re
@@ -505,6 +506,24 @@ class TestProductNorms:
         with pytest.raises(ValueError):
             on.product_norm_check(math.inf)
 
+    @pytest.mark.parametrize("stalled", ["bidisc", "disc"])
+    def test_check_11_fails_on_an_unconverged_estimate(self, monkeypatch, stalled):
+        # rel <= 0.05 alone would pass a value read off an iteration that never settled
+        product_estimates = on._product_estimates
+
+        def unconverged(p):
+            ests = dict(zip(("bidisc", "disc"), product_estimates(p)))
+            est = ests[stalled]
+            ests[stalled] = dataclasses.replace(
+                est, resolution={**est.resolution, "converged": False})
+            return ests["bidisc"], ests["disc"]
+        healthy = reproduce.check_11_product_norm()
+        monkeypatch.setattr(on, "_product_estimates", unconverged)
+        result = reproduce.check_11_product_norm()
+        assert healthy.passed and healthy.measured["converged"] == {"bidisc": True, "disc": True}
+        assert result.measured["rel"] == healthy.measured["rel"] <= 0.05
+        assert not result.passed and result.measured["converged"][stalled] is False
+
 
 class TestKroneckerNorm:
     @pytest.fixture(scope="class")
@@ -529,18 +548,28 @@ class TestKroneckerNorm:
         assert got.resolution["converged"]
 
     def test_p2_records_its_iterations(self, monkeypatch, factor):
-        # as at p = 3: the record counts the power iteration's applications of X -> G1 X G2
-        grams = []
+        # the record counts the work: each pass makes the 4 products of X -> P1 X P2 and
+        # G1 X G2, each of the `squarings` the 2 of Pi -> Pi^2, and the estimate is the plain
+        # iteration's sigma at the `iterations` = 2^(squarings + 1) steps they stand for
+        calls, products = [], []
 
-        def counting(gram, *args, **kwargs):
-            def counted(X):
-                grams.append(1)
-                return gram(X)
-            return power_sigma(counted, *args, **kwargs)
-        power_sigma = on._power_sigma
-        monkeypatch.setattr(on, "_power_sigma", counting)
-        res = on.estimate_norm((factor, factor), 2.0).resolution
-        assert res["converged"] and res["iterations"] == len(grams) > 1
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.ndarray.__matmul__(self, other)
+
+        def counting(G1, G2, start, **kwargs):
+            calls.append((G1, G2, start))
+            return gram_power_sigma(G1.view(Counted), G2.view(Counted), start, **kwargs)
+        gram_power_sigma = on._gram_power_sigma
+        monkeypatch.setattr(on, "_gram_power_sigma", counting)
+        est = on.estimate_norm((factor, factor), 2.0)
+        res = est.resolution
+        assert res["converged"] and res["squarings"] > 0
+        assert len(products) == 4 * (res["squarings"] + 1) + 2 * res["squarings"]
+        assert res["iterations"] == 2 ** (res["squarings"] + 1)
+        want = _plain_power_sigmas(*calls[0], res["iterations"])[-1]
+        assert abs(est.value - want) <= 1e-11 * want
 
     def test_factors_need_not_agree(self, factor):
         other = on.discretize_absolute_radial(radial_n=12, depth=20.0)
@@ -551,18 +580,22 @@ class TestKroneckerNorm:
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_first_iterate_is_not_of_rank_one(self, monkeypatch, p):
         # X -> G1 X G2, X -> M1 X M2^T and the duality map keep a rank-one array of rank one,
-        # so an outer-product start would give the product of the factor iterations
+        # so an outer-product start would give the product of the factor iterations; at p = 2
+        # the first iterate G1 X G2 is formed here from the arguments of the squared iteration
         iterates = []
 
-        def spy(run):
-            def wrapped(act, *args, **kwargs):
-                def recorded(X):
-                    iterates.append(act(X))
-                    return iterates[-1]
-                return run(recorded, *args, **kwargs)
-            return wrapped
-        monkeypatch.setattr(on, "_power_sigma", spy(on._power_sigma))
-        monkeypatch.setattr(on, "_dual_ascent_pnorm", spy(on._dual_ascent_pnorm))
+        def spy_gram(G1, G2, start, **kwargs):
+            iterates.append(G1 @ start @ G2)
+            return gram_power_sigma(G1, G2, start, **kwargs)
+
+        def spy_dual(act, *args, **kwargs):
+            def recorded(X):
+                iterates.append(act(X))
+                return iterates[-1]
+            return dual_ascent(recorded, *args, **kwargs)
+        gram_power_sigma, dual_ascent = on._gram_power_sigma, on._dual_ascent_pnorm
+        monkeypatch.setattr(on, "_gram_power_sigma", spy_gram)
+        monkeypatch.setattr(on, "_dual_ascent_pnorm", spy_dual)
         factor = on.discretize_absolute_radial()
         est = on.estimate_norm((factor, factor), p)
         assert np.linalg.matrix_rank(iterates[0]) > 1
@@ -575,3 +608,75 @@ class TestKroneckerNorm:
     def test_refuses_non_square_factors(self, factor, small_matrix):
         with pytest.raises(ValueError):
             on.estimate_norm((factor, small_matrix), 2.0)
+
+
+def _plain_power_sigmas(G1, G2, start, steps):
+    """sigma after each of ``steps`` plain power steps X -> G1 X G2 from ``start``: the
+    iteration that ``_gram_power_sigma`` takes in steps of 2^k."""
+    X, sigmas = start / np.linalg.norm(start), []
+    for _ in range(steps):
+        Y = G1 @ X @ G2
+        nrm = float(np.linalg.norm(Y))
+        sigmas.append(math.sqrt(nrm))
+        X = Y / nrm
+    return sigmas
+
+
+def _random_factor(rng, n, zero_share=0.0, low=0.0):
+    """A square OperatorMatrix of n nodes with entries in [low, low + 1), a share of them
+    exactly 0."""
+    entries = (low + rng.random((n, n))) * (rng.random((n, n)) >= zero_share)
+    nodes = np.zeros((n, 1), dtype=complex)
+    return on.OperatorMatrix(entries, nodes, nodes, rng.uniform(0.1, 1.0, n))
+
+
+class TestNormEngineProperties:
+    @given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(2, 12), n2=st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_squared_iteration_matches_the_plain_power_iteration(self, seed, n1, n2):
+        rng = np.random.default_rng(seed)
+        # entries in [0.5, 1.5) keep the Perron gap wide, so both iterations settle
+        A1, A2 = _random_factor(rng, n1, low=0.5), _random_factor(rng, n2 + (n2 >= n1), low=0.5)
+        est = on.estimate_norm((A1, A2), 2.0)
+        M1, M2 = on._scaled(A1, 2.0), on._scaled(A2, 2.0)
+        start = rng.random((n1, len(A2.col_weights))) + 0.5
+        sigmas = _plain_power_sigmas(M1.T @ M1, M2.T @ M2, start, 200)
+        assert est.resolution["converged"]
+        assert abs(est.value - sigmas[-1]) <= 1e-11 * sigmas[-1]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n1=st.integers(1, 10), n2=st.integers(1, 10),
+           zero_share=st.sampled_from([0.0, 0.3, 0.7]), p=st.sampled_from([1.5, 3.0, 4.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_nonnegative_dual_ascent_is_the_general_path_bit_for_bit(self, seed, n1, n2,
+                                                                    zero_share, p):
+        rng = np.random.default_rng(seed)
+        M1 = _random_factor(rng, n1, zero_share).entries
+        M2 = _random_factor(rng, n2, zero_share).entries
+        cases = [(lambda x: M1 @ x, lambda x: M1.T @ x, rng.uniform(0.1, 1.0, n1)),
+                 (lambda X: M1 @ X @ M2.T, lambda X: M1.T @ X @ M2,
+                  rng.uniform(0.1, 1.0, (n1, n2)))]
+        for apply, apply_t, x0 in cases:
+            general = on._dual_ascent_pnorm(apply, apply_t, p, x0.copy(), False)
+            signless = on._dual_ascent_pnorm(apply, apply_t, p, x0.copy(), True)
+            assert _bits(np.array([general[0]])) == _bits(np.array([signless[0]]))
+            assert general[1:] == signless[1:]
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 8), p=st.sampled_from([1.5, 3.0]),
+           kronecker=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_one_negative_entry_takes_the_general_path(self, seed, n, p, kronecker):
+        rng = np.random.default_rng(seed)
+        paths = []
+
+        def spy(apply, apply_t, p, x0, nonnegative=False, **kwargs):
+            paths.append(nonnegative)
+            return dual_ascent(apply, apply_t, p, x0, nonnegative, **kwargs)
+        dual_ascent = on._dual_ascent_pnorm
+        A = _random_factor(rng, n)
+        B = _random_factor(rng, n)
+        B.entries[divmod(int(rng.integers(n * n)), n)] = -0.25
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(on, "_dual_ascent_pnorm", spy)
+            for matrix, nonnegative in ((A, True), (B, False)):
+                on.estimate_norm((A, matrix) if kronecker else matrix, p)
+                assert paths.pop() is nonnegative
