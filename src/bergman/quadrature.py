@@ -8,14 +8,15 @@ whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 Every rule ``build_rule`` makes is a tensor product and keeps only its 1-D axes and
 one coordinate former, the open mesh of a range of slabs of the leading axes: one
 complex array per coordinate, which broadcast together to the slab block.
-``QuadratureRule.rows`` writes the mesh into the nodes of the rows asked for and
-forms their weights, bit for bit the rows of the whole arrays.  Symbols, integrands
+``QuadratureRule.rows`` writes the mesh into the nodes of a contiguous slice of rows
+and forms their weights, bit for bit the rows of the whole arrays.  Symbols, integrands
 and ``save_rule`` read a rule one chunk of rows at a time through ``rows`` (weights
 alone where they read no nodes).  The whole ``nodes`` and ``weights`` are formed on
 first access, the nodes written into the kept array whole slabs of about _CHUNK rows at
 a time, and kept read-only; from then on ``rows`` slices them, so a caller
 making repeated calls on one rule forms no chunk twice.  Patch, loaded and
-hand-built rules keep explicit arrays, which ``rows`` slices.
+hand-built rules keep explicit arrays, which ``rows`` slices.  A rule has two or more
+nodes, and ``_slices`` gives a one-entry remainder to the slice before it.
 
 Integrands and symbols are read by ``evaluate_on_rule`` alone, one _CHUNK of nodes
 at a time, so ``integrate`` and the transforms share one error contract and form no
@@ -26,14 +27,13 @@ block or thread count: the summands are cut in node order into leaves of _LEAF =
 sums are added by an exact ``math.fsum``, real and imaginary parts apart.  An operator
 is a kernel form F and one coefficient c_j per node, summed as F(w_j, z) c_j for many
 points z: F is |K|^2 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its
-root for P+, and conj K for P.  ``_kernel_sums`` cuts the rule into leaf-aligned spans
-of at most _CHUNK nodes, forms each span's coefficients once per call, and evaluates F
-over it in leaf-aligned blocks of about 2^17 / workers entries, each multiplied by its
-coefficients in place and reduced to its leaf sums where it lies, so no (points x span)
-array is formed.  F reads a product rule's open mesh as it is, so terms of one
-coordinate are formed once per slab or angle and only cross terms once per node.
-``discretize_berezin`` and ``br_scan`` fill their kernel arrays in row blocks of the
-same size.  A call of at least 2^21 point-node
+root for P+, and conj K for P.  ``_kernel_sums`` walks the rule in spans of whole blocks
+of whole leaves (and slabs) of about 2^17 / workers entries, forms each span's
+coefficients once per call, and multiplies each block of F by them in place and reduces
+it to its leaf sums where it lies, so no (points x span) array is formed.  F reads a
+product rule's open mesh as it is, so terms of one coordinate are formed once per slab
+or angle and only cross terms once per node.  ``discretize_berezin`` and ``br_scan`` fill
+their kernel arrays in row blocks of the same size.  A call of at least 2^21 point-node
 entries runs on a thread pool, one thread per core the process may run on (at most its
 cgroup's CPU quota), one span a task; the calling thread fsums the leaf sums.
 """
@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import mmap
 import numbers
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -114,7 +112,7 @@ class RuleMeta:
 
 
 class QuadratureRule:
-    """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain.
+    """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain, N >= 2.
 
     A rule ``build_rule`` makes as a tensor product (the polydisc of any dimension,
     the disc included, the ball in C^2 and the Hartogs triangle) keeps only its 1-D
@@ -124,7 +122,8 @@ class QuadratureRule:
     of about _CHUNK rows at a time, and kept read-only with the rule; from then on
     ``rows`` slices them.  A rule made from explicit arrays, as
     ``QuadratureRule(nodes, weights, meta)`` (loaded and patch rules too), serves
-    ``rows`` by slicing them.  ``len`` and ``dim`` form nothing.
+    ``rows`` by slicing them: (N, meta.dim) and (N,) (else ValueError), finite (NonFiniteValue),
+    N >= 2 and weights > 0 (InvalidResolution).  ``len`` and ``dim`` form nothing.
 
     ``factors`` are the 1-D disc rules a product rule is built from, one per
     coordinate of ``DomainSpec.factor_points``: a polydisc rule is their tensor
@@ -134,9 +133,15 @@ class QuadratureRule:
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, meta: RuleMeta,
                  factors: tuple = ()):
-        if len(weights) != nodes.shape[0]:
-            raise ValueError("weights and nodes disagree in length")
         self.meta, self.factors, self._axes, self._shape = meta, factors, None, nodes.shape
+        if nodes.ndim != 2 or nodes.shape[1:] != (meta.dim,) or weights.shape != nodes.shape[:1]:
+            raise ValueError(f"expected nodes (N, {meta.dim}) and weights (N,), "
+                             f"got {nodes.shape} and {weights.shape}")
+        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+            raise NonFiniteValue("a rule's nodes and weights must be finite")
+        if len(weights) < 2 or not np.all(weights > 0.0):
+            raise InvalidResolution(f"a rule needs two or more nodes, all of weight > 0: got "
+                                    f"{len(weights)}, least {np.min(weights, initial=np.inf)}")
         self.__dict__["_whole"] = nodes, weights
 
     @classmethod
@@ -176,43 +181,29 @@ class QuadratureRule:
     def weights(self) -> np.ndarray:
         return self._whole[1]
 
-    def rows(self, s=slice(None)) -> tuple:
-        """The (R, dim) nodes and (R,) weights of the rows ``s``: a slice, or a list of
-        row indices (a lone row read twice, say).  Formed from the axes unless the whole
-        arrays are."""
+    def rows(self, s: slice = slice(None)) -> tuple:
+        """The (R, dim) nodes and (R,) weights of the contiguous slice of rows ``s``;
+        ValueError for anything else.  Formed from the axes unless the whole arrays are."""
+        if not isinstance(s, slice) or s.step not in (None, 1):
+            raise ValueError(f"rows takes a contiguous slice, got {s!r}")
         if "_whole" in self.__dict__:
-            nodes, weights = self._whole
-            return nodes[s], weights[s]
-        if isinstance(s, slice) and s.step in (None, 1):
-            start, stop, _ = s.indices(len(self))
-            return self._axes.rows(start, max(start, stop))
-        span = range(len(self))  # its indexing checks and normalizes the indices
-        index = np.array(span[s] if isinstance(s, slice) else [span[i] for i in s], dtype=np.intp)
-        lo, hi = (int(index.min()), int(index.max()) + 1) if index.size else (0, 0)
-        nodes, weights = self._axes.rows(lo, hi)
-        return nodes[index - lo], weights[index - lo]
+            return self._whole[0][s], self._whole[1][s]
+        start, stop, _ = s.indices(len(self))
+        return self._axes.rows(start, max(start, stop))
 
-    def _weights(self, rows) -> np.ndarray:
-        """The weights of ``rows`` as ``_rows`` gives them (a slice within the rule, or a lone
-        row twice), forming no nodes."""
+    def _weights(self, s: slice) -> np.ndarray:
+        """The weights of the rows ``s`` (a slice within the rule), forming no nodes."""
         if "_whole" in self.__dict__:
-            return self._whole[1][rows]
-        if isinstance(rows, slice):
-            return self._axes.weights(rows.start, rows.stop)
-        return self._axes.weights(rows[0], rows[0] + 1)[[0] * len(rows)]
+            return self._whole[1][s]
+        return self._axes.weights(s.start, s.stop)
 
     def _mesh(self, start: int, stop: int) -> tuple:
         """Per-coordinate arrays that broadcast to a block holding the rows [start, stop),
-        flattened, at the cut returned with them: the open mesh of at least two slabs
-        covering them on a product rule, else the columns of the rows, a lone row read twice
-        (and on a formed rule of one coordinate, whose mesh is its nodes).  One-element
-        complex products round in another numpy loop, and two slabs or two rows keep every
-        product of the form and of the coefficients to two or more."""
-        formed = "_whole" in self.__dict__
-        if self._axes is None or stop - start == 1 or self.dim == 1 and formed:
-            rows = _rows(slice(start, stop))
-            nodes = self._whole[0][rows] if formed else self.rows(rows)[0]
-            return list(nodes.T), slice(0, len(nodes))
+        flattened, at the cut returned with them: the open mesh of the two or more slabs
+        covering them on a product rule (one-element complex products round in another
+        numpy loop), else the columns of the rows, as on a formed rule of one coordinate."""
+        if self._axes is None or self.dim == 1 and "_whole" in self.__dict__:
+            return list(self._whole[0][start:stop].T), slice(0, stop - start)
         a0, a1, cut = self._axes.cover(start, stop)
         if a1 - a0 == 1:
             a1 = a0 + 2 if a1 * self._axes.width < len(self) else a1
@@ -223,17 +214,12 @@ class QuadratureRule:
     @cached_property
     def node_diag(self) -> np.ndarray:
         """K(w_j, w_j) at the nodes on the domain ``meta`` names, formed on first access one
-        _CHUNK of rows at a time and kept read-only with the rule (a disc rule serving the
-        punctured disc: one formula).
-
-        It is kept in its own anonymous page mapping: placed in the allocator's heap, the
-        long-lived array split the space that later calls' transient whole-rule arrays reuse,
-        and cost the point-queries benchmark about 2 MB of peak RSS beyond its own 4.2 MB.
-        """
+        _CHUNK of rows at a time from ``rows``, so no whole node array is formed, and kept
+        read-only with the rule (a disc rule serving the punctured disc: one formula)."""
         domain, n = DomainSpec(self.meta.domain, self.meta.dim), len(self)
-        kept = np.frombuffer(mmap.mmap(-1, max(1, 8 * n)), dtype=float, count=n)
-        for s in _slices(0, n, _CHUNK):  # from ``rows``: no whole node array is formed
-            kept[s] = domain.diag(self.rows(_rows(s))[0])[:s.stop - s.start]
+        kept = np.empty(n)
+        for s in _slices(0, n, _CHUNK):
+            kept[s] = domain.diag(self.rows(s)[0])
         kept.flags.writeable = False
         return kept
 
@@ -249,24 +235,12 @@ class _Axes:
     first axis and its rows the rest in row order.  It is the one coordinate former: the
     kernel forms read it as it is, so work on one coordinate is done on its own axes, and
     ``rows(start, stop)`` writes it into the rows of the slabs that cover [start, stop)
-    and cuts them, the whole arrays' rows bit for bit.  Each thread keeps the last mesh it
-    formed, read-only, so a callable symbol's nodes reuse the mesh its kernel block read.
+    and cuts them, the whole arrays' rows bit for bit.
     """
 
     def __init__(self, dim: int, lead_weights: np.ndarray, trailing: tuple, mesh):
-        self.dim, self.lead_weights, self.trailing, self._former = dim, lead_weights, trailing, mesh
+        self.dim, self.lead_weights, self.trailing, self.mesh = dim, lead_weights, trailing, mesh
         self.width = math.prod(len(axis) for axis in trailing)
-        self._last = threading.local()
-
-    def mesh(self, a0: int, a1: int) -> tuple:
-        """The open mesh of slabs a0..a1-1, kept as this thread's last."""
-        last = getattr(self._last, "mesh", None)
-        if last is None or last[0] != (a0, a1):
-            mesh = self._former(a0, a1)
-            for c in mesh:
-                c.flags.writeable = False  # shared by the forms and rows that read it
-            last = self._last.mesh = ((a0, a1), mesh)
-        return last[1]
 
     def __len__(self):
         return len(self.lead_weights) * self.width
@@ -365,7 +339,12 @@ def compensated_sum(values: np.ndarray) -> float:
 
 
 def _slices(start: int, stop: int, step: int) -> list:
-    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+    """[start, stop) cut in order every ``step`` entries; a one-entry remainder of a longer
+    range joins the slice before it."""
+    starts = list(range(start, stop, step))
+    if len(starts) > 1 and stop - starts[-1] == 1 < step:
+        del starts[-1]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [stop])]
 
 
 def _workers(entries: int) -> int:
@@ -402,70 +381,58 @@ def _kernel_rows(pair, Z: np.ndarray, W: np.ndarray, scale: np.ndarray) -> np.nd
     return out
 
 
-def _rows(s: slice):
-    """The rows ``s``, or its lone row twice: one-entry arrays take numpy loops differing in
-    the last bit."""
-    return s if s.stop - s.start > 1 else [s.start, s.start]
-
-
 def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     """Per row z_m of the (M, dim) points Z, the sum over the nodes w_j of
     pair(w_j, z_m) * c_j by the summation contract (``compensated_sum``), real and
     imaginary parts apart.  ``pair`` is a kernel form such as ``DomainSpec.kernel`` or
     ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
     coefficients in place, unless a complex c meets a real block.  ``coef(rows, weights)``
-    maps the rows of one span of nodes (a slice, or a lone node's index twice), with their
-    weights from the rule, to their c_j; it forms nodes only where it reads them.
+    maps the slice of rows of one span of nodes, with their weights from the rule, to their
+    c_j; it forms nodes only where it reads them.
 
-    One task of ``_map`` is one leaf-aligned span of min(_CHUNK, ceil(N / workers)) nodes,
-    rounded up to whole leaves, so even a rule of one chunk splits across the workers.  A
-    task cuts its span at the multiples of a block width of about _BLOCK / workers entries
-    per point group: whole slabs and whole leaves where one point's block of them fits,
-    point groups shrinking to fit, else whole leaves.  Each block hands the form
-    ``rule._mesh`` as it is, with the group's points shaped (m, 1, ..., dim), so terms of
-    one coordinate are formed once per slab or angle and only cross terms once per node.
-    The task forms its coefficients after its first kernel block, so that block's kernel
-    temporaries never meet the coefficients' forming, cuts each block's rows out of the
-    covering slabs, reduces them to their leaf sums, and returns the span's (M, leaves)
-    sums.  No whole-rule node or coefficient array and no (points, span) array is formed.
-    The caller fsums each point's leaf sums in node order.  Returns an (M,) complex array;
-    real summands give zero imaginary parts.
+    Blocks are whole leaves, whole slabs too where one point's block of them fits in
+    _BLOCK / workers entries, of about that many entries per point group (groups shrinking
+    to fit) and two or more nodes.  One task of ``_map`` is one span of whole blocks, of at
+    most min(_CHUNK, ceil(N / workers)) nodes or one block, so even a rule of one chunk
+    splits across the workers.  Each block hands the form ``rule._mesh`` as it is, with
+    the group's points shaped (m, 1, ..., dim).  The task forms its coefficients after its
+    first kernel block, so that block's temporaries never meet their forming, cuts each
+    block's rows out of the covering slabs, reduces them to their leaf sums, and returns
+    the span's (M, leaves) sums; the caller fsums each point's leaf sums in node order.
+    No whole-rule node or coefficient array and no (points, span) array is formed.
+    Returns an (M,) complex array; real summands give zero imaginary parts.
     """
     n, workers = len(rule), _workers(len(Z) * len(rule))
-    span = min(_CHUNK, _LEAF * max(1, -(-n // (workers * _LEAF))))
-    entries = max(1, _BLOCK // workers)
+    limit, entries = min(_CHUNK, -(-n // workers)), max(1, _BLOCK // workers)
     # blocks of whole leaves that are whole slabs where one point's block of them fits
     step = _LEAF if rule._axes is None else math.lcm(rule._axes.width, _LEAF)
-    if step > min(span, entries):
+    if step > min(limit, entries):
         step = _LEAF  # the slabs covering a block are cut
-    width = max(step, entries // max(1, len(Z)) // step * step)  # block nodes, at most
-    groups = _slices(0, len(Z), max(1, entries // min(width, span)))
+    width = max(2, step, min(entries // max(1, len(Z)), limit) // step * step)  # block nodes
+    groups = _slices(0, len(Z), max(1, entries // width))
 
     def span_sums(s):
-        rows, part = _rows(s), None
+        part = None
         sums = np.zeros((len(Z), -(-(s.stop - s.start) // _LEAF)), dtype=complex)
-        cuts = range((s.start // width + 1) * width, s.stop, width) if width < span else ()
-        edges = [s.start, *cuts, s.stop]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]  # only a lone span has a lone block: it is read twice
-        for b0, b1 in zip(edges, edges[1:]):
-            mesh, cut = rule._mesh(b0, b1)
+        for b in _slices(s.start, s.stop, width):
+            mesh, cut = rule._mesh(b.start, b.stop)
             # every coordinate of a mesh has the block's axes
             points = Z.reshape((len(Z),) + (1,) * mesh[0].ndim + (rule.dim,))
-            leaves = slice((b0 - s.start) // _LEAF, -(-(b1 - s.start) // _LEAF))
+            at = slice(b.start - s.start, b.stop - s.start)
+            leaves = slice(at.start // _LEAF, -(-at.stop // _LEAF))
             for r in groups:
                 block = pair(mesh, points[r]).reshape(r.stop - r.start, -1)[:, cut]
                 if part is None:
-                    part = coef(rows, rule._weights(rows))
-                c = part[b0 - s.start:b0 - s.start + block.shape[1]]
+                    part = coef(s, rule._weights(s))
+                c = part[at]
                 block = (block * c if np.iscomplexobj(c) and not np.iscomplexobj(block)
-                         else np.multiply(block, c, out=block))[:, :b1 - b0]
+                         else np.multiply(block, c, out=block))
                 sums.real[r, leaves] = _leaf_sums(block.real)
                 if np.iscomplexobj(block):
                     sums.imag[r, leaves] = _leaf_sums(block.imag)
         return sums
 
-    parts = _map(span_sums, _slices(0, n, span), len(Z) * n) or [np.zeros((len(Z), 0), complex)]
+    parts = _map(span_sums, _slices(0, n, width * max(1, limit // width)), len(Z) * n)
     leaves = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return np.array([complex(math.fsum(re), math.fsum(im))  # fsum reads lists fastest
                      for re, im in zip(leaves.real.tolist(), leaves.imag.tolist())], dtype=complex)
@@ -482,8 +449,8 @@ def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.nda
 
 
 def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
-    """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a slice or
-    an index list): the one reading of an integrand or symbol.  Only a callable's nodes
+    """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a contiguous
+    slice): the one reading of an integrand or symbol.  Only a callable's nodes
     are formed, from ``rule.rows``.
 
     ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
@@ -530,8 +497,7 @@ def integrate(rule: QuadratureRule, f) -> complex:
     """
     re, im = [], []
     for s in _slices(0, len(rule), _CHUNK):
-        rows = _rows(s)
-        terms = (rule._weights(rows) * evaluate_on_rule(rule, f, rows))[None, :s.stop - s.start]
+        terms = (rule._weights(s) * evaluate_on_rule(rule, f, s))[None]
         re.extend(_leaf_sums(terms.real)[0])
         if np.iscomplexobj(terms):
             im.extend(_leaf_sums(terms.imag)[0])
@@ -545,6 +511,12 @@ def integrate(rule: QuadratureRule, f) -> complex:
 GRADING = 2.0  # of build_rule toward the outer boundaries when the caller gives none
 
 
+def _check_counts(radial_n, angular_n) -> None:
+    if not all(isinstance(n, numbers.Integral) and n >= 4 for n in (radial_n, angular_n)):
+        raise InvalidResolution(f"radial_n and angular_n must be integers >= 4, "
+                                f"got {radial_n!r} and {angular_n!r}")
+
+
 def build_rule(domain: DomainSpec, radial_n: int, angular_n: int,
                grading: float = GRADING, origin_grading: Optional[float] = None) -> QuadratureRule:
     """Tensor rule in polar/toroidal coordinates for a model domain.
@@ -554,9 +526,7 @@ def build_rule(domain: DomainSpec, radial_n: int, angular_n: int,
     3 on the Hartogs triangle, else ``grading``) controls clustering toward
     r = 0 where integrands such as negative powers of |w1| concentrate.
     """
-    if not all(isinstance(n, numbers.Integral) and n >= 4 for n in (radial_n, angular_n)):
-        raise InvalidResolution(f"radial_n and angular_n must be integers >= 4, "
-                                f"got {radial_n!r} and {angular_n!r}")
+    _check_counts(radial_n, angular_n)
     if not all(math.isfinite(g) and g >= 1.0 for g in (grading, origin_grading) if g is not None):
         raise InvalidResolution(f"grading exponents must be finite and >= 1, "
                                 f"got {grading!r} and {origin_grading!r}")
@@ -667,6 +637,7 @@ def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
 
     Suitable for compactly supported symbols; weights sum to the patch area.
     """
+    _check_counts(radial_n, angular_n)
     c = complex(center)
     if not (cmath.isfinite(c) and radius > 0.0):
         raise InvalidResolution(f"patch needs a finite centre and a radius > 0, got {c!r}, {radius!r}")
@@ -753,7 +724,8 @@ def load_rule(path: str) -> QuadratureRule:
             data = np.frombuffer(fh.read(), dtype="<f8").reshape(int(fields["n"]), 2 * meta.dim + 1)
         except (KeyError, ValueError, UnsupportedKind) as exc:
             raise ValueError(f"{path} is not a valid rule file: {exc!r}") from None
-    if not (np.all(np.isfinite(data)) and np.all(data[:, -1] > 0.0)):
-        raise ValueError(f"{path} has a non-finite node or weight, or a weight <= 0")
     nodes = (data[:, 0:2 * meta.dim:2] + 1j * data[:, 1:2 * meta.dim:2]).astype(complex)
-    return QuadratureRule(nodes, np.ascontiguousarray(data[:, -1]), meta)
+    try:
+        return QuadratureRule(nodes, np.ascontiguousarray(data[:, -1]), meta)
+    except (InvalidResolution, NonFiniteValue) as exc:
+        raise ValueError(f"{path} is not a valid rule file: {exc}") from None

@@ -20,7 +20,7 @@ from bergman import opnorm as on
 from bergman import quadrature as quad
 from bergman import reproduce
 from bergman import transforms as tr
-from bergman.errors import NonFiniteValue, PointOutsideDomain
+from bergman.errors import InvalidResolution, NonFiniteValue, PointOutsideDomain
 
 OPERATORS = ("berezin", "berezin_adjoint", "absolute_projection", "bergman_project")
 
@@ -196,9 +196,34 @@ def _fsum_of_leaves(row):
     return math.fsum(float(np.sum(row[i:i + 1024])) for i in range(0, len(row), 1024))
 
 
+def _walk(patch, rule):
+    """Record the spans of each ``_map`` call and the blocks of rows ``rule._mesh`` forms."""
+    spans, blocks, real_map, real_mesh = [], set(), quad._map, rule._mesh
+    patch.setattr(quad, "_map", lambda fn, items, entries: spans.append(items)
+                  or real_map(fn, items, entries))
+    patch.setattr(rule, "_mesh", lambda start, stop: blocks.add((start, stop))
+                  or real_mesh(start, stop))
+    return spans, blocks
+
+
+def _assert_spans_of_whole_blocks(spans, blocks, n, most):
+    """The blocks tile [0, n) in order, each of two or more nodes from a leaf boundary on;
+    the spans tile it too, each of whole blocks and, but for a lone node joining the last,
+    of at most ``most`` nodes or one block."""
+    blocks = sorted(blocks)
+    edges = [0] + [b for _, b in blocks]
+    assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == n
+    assert all(b - a >= 2 and a % quad._LEAF == 0 for a, b in blocks)
+    assert [s.start for s in spans] + [n] == [0] + [s.stop for s in spans]
+    assert all(s.start in edges and s.stop in edges for s in spans)
+    widest = max(b - a for a, b in blocks)
+    assert all(s.stop - s.start <= max(most, widest) for s in spans[:-1])
+    assert spans[-1].stop - spans[-1].start <= max(most, widest) + 1
+
+
 @given(name=st.sampled_from(["disc", "hartogs"]),
-       n=st.sampled_from([1, LEAF - 1, LEAF, LEAF + 1, 5 * LEAF + 3, 3 * CHUNK + LEAF + 1])
-       | st.integers(1, 3 * CHUNK + 2 * LEAF),
+       n=st.sampled_from([2, LEAF - 1, LEAF, LEAF + 1, 5 * LEAF + 3, 3 * CHUNK + LEAF + 1])
+       | st.integers(2, 3 * CHUNK + 2 * LEAF),
        m=st.integers(1, 12), chunk=st.sampled_from([1, 2, 3, 32]),
        block=st.sampled_from([1, 3, 16, 128]), workers=st.sampled_from(["serial", "pool", "many"]))
 @settings(max_examples=25, deadline=None)
@@ -219,14 +244,18 @@ def test_every_sum_is_the_fsum_of_its_leaf_sums(long_rules, name, n, m, chunk, b
         else:
             patch.setattr(quad, "_BUFFER", 0)  # every call of two or more spans is pooled
             counting = _lend_pool(patch, own, threads)
+        spans, blocks = _walk(patch, rule)
         got = {op: getattr(tr, op)(domain, _complex_symbol, points, rule) for op in OPERATORS}
         integral = quad.integrate(rule, _complex_symbol)
         terms = rule.weights * quad.evaluate_on_rule(rule, _complex_symbol)
         total = quad.compensated_sum(terms.imag)
-    if workers != "serial":  # one task per span of whole leaves
-        span = min(chunk, -(-n // (threads * LEAF))) * LEAF
-        assert counting.calls == (len(OPERATORS) if n > span else 0)
-        assert counting.items == (-(-n // span) if n > span else 0)
+    # every operator walks the same spans, one task each, of whole blocks of whole leaves
+    assert len(spans) == len(OPERATORS) and all(s == spans[0] for s in spans)
+    cores = 1 if workers == "serial" else threads
+    _assert_spans_of_whole_blocks(spans[0], blocks, n, min(chunk * LEAF, -(-n // cores)))
+    if workers != "serial":
+        pooled = len(spans[0]) > 1
+        assert (counting.calls, counting.items) == (len(OPERATORS) * pooled, len(spans[0]) * pooled)
     assert _bits(total) == _bits(_fsum_of_leaves(terms.imag))
     # summands over 16 decades, so that any other order of the additions rounds apart
     rng = np.random.default_rng(n)
@@ -240,10 +269,10 @@ def test_every_sum_is_the_fsum_of_its_leaf_sums(long_rules, name, n, m, chunk, b
         assert _bits(got[op]) == _bits(np.array(want, dtype=got[op].dtype)), op
 
 
-@example(name="disc", n=1, m=1, op="bergman_project")
+@example(name="disc", n=2, m=1, op="bergman_project")
 @given(name=st.sampled_from(["disc", "hartogs"]),
-       n=st.sampled_from([1, 4000, CHUNK - 1, CHUNK, 2 * CHUNK, CHUNK + 4321, 2 * CHUNK + 7])
-       | st.integers(1, 2 * CHUNK + 30000),
+       n=st.sampled_from([2, 4000, CHUNK - 1, CHUNK, 2 * CHUNK, CHUNK + 4321, 2 * CHUNK + 7])
+       | st.integers(2, 2 * CHUNK + 30000),
        m=st.sampled_from([1, 2, 37]), op=st.sampled_from(OPERATORS))
 @settings(max_examples=25, deadline=None)
 def test_chunk_boundaries(long_rules, name, n, m, op):
@@ -411,12 +440,17 @@ def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n,
                                                op):
     # A rule of one chunk splits into one span per worker, and each span is reduced over
     # groups of points: at a block of 2^14 entries a leaf-wide block holds 16 points
-    # serially and 8 pooled, so the 37 points fill several groups.  The one-node rule runs
-    # at a block of 4 entries, where 100 points reach the pool's gate but form one span,
-    # so it runs as one task of 100 one-point groups.
+    # serially and 8 pooled, so the 37 points fill several groups.  A rule of one node is
+    # refused; the smallest, of two nodes, runs at a block of 4 entries, where 100 points
+    # reach the pool's gate but form one span, so it runs as one task of 100 one-point
+    # groups.
     monkeypatch.setattr(quad, "_BLOCK", block)
     monkeypatch.setattr(quad, "_BUFFER", 16 * block)
     domain, full = long_rules[name]
+    if n == 1:
+        with pytest.raises(InvalidResolution, match="two or more nodes"):
+            quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
+        n = 2
     rule = quad.QuadratureRule(full.nodes[:n], full.weights[:n], full.meta)
     points = _points(domain, m, seed=n)
     groups = []
@@ -432,9 +466,11 @@ def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n,
             monkeypatch.setattr(quad, "_POOL", None)
         got = getattr(tr, op)(domain, _complex_symbol, points, rule)
     assert 1 < len(groups) and max(groups) < m
+    if n == 2:
+        assert groups == [1] * m
     if pooled:
         assert m * n >= quad._BUFFER
-        assert (counting.calls, counting.items) == ((1, 2) if n > 1 else (0, 0))
+        assert (counting.calls, counting.items) == ((1, 2) if n > 2 else (0, 0))
     ref = [_reference(op, domain, _complex_symbol, tuple(z), rule) for z in points]
     assert _bits(got) == _bits(np.array(ref, dtype=got.dtype))
 
@@ -820,9 +856,10 @@ def _spy_rows(monkeypatch):
 
 def test_unit_coefficients_form_no_nodes(monkeypatch):
     # B1 reads the weights alone: neither the ball's mass nor the disc matrix's row sums form
-    # an (R, dim) node array.  A callable symbol's nodes are formed once per span.
+    # an (R, dim) node array.  A callable symbol's nodes are formed once per span, and the
+    # spans are of whole blocks of whole slabs.
     domain = dom.ball(2)
-    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes: five spans
+    rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes of 240 slabs of 576
     points = _points(domain, 3, seed=6)
     disc = quad.build_rule(dom.disc(), 8, 16)
     matrix = on.discretize_berezin(dom.disc(), disc)
@@ -834,8 +871,39 @@ def test_unit_coefficients_form_no_nodes(monkeypatch):
     tr.unit_mass(domain, points, rule)
     matrix.row_sums()
     assert calls == [] and read == [] and "_whole" not in vars(rule)
+    spans, blocks = _walk(monkeypatch, rule)
     tr.berezin(domain, _real_symbol, points, rule)
-    assert calls == [(s.start, s.stop) for s in quad._slices(0, len(rule), CHUNK)]
+    assert calls == [(s.start, s.stop) for s in spans[0]]
+    _assert_spans_of_whole_blocks(spans[0], blocks, len(rule), CHUNK)
+    assert all(a % rule._axes.width == 0 for block in blocks for a in block)
+
+
+@pytest.mark.parametrize("workers", ["serial", "pool"])
+@pytest.mark.parametrize("name, m", [("ball2", 20), ("hartogs", 1)])
+def test_one_pass_forms_each_mesh_node_once(monkeypatch, name, m, workers):
+    # Blocks of whole slabs in spans of whole blocks: one pass over the rule forms the open
+    # mesh of each slab once.  Spans of _CHUNK nodes cut slabs at their edges, and the
+    # 20-point pass of check 01 formed 2,541,312 mesh nodes for its 2,322,432 rows.
+    if name == "ball2":
+        domain, rule = dom.ball(2), reproduce.rule_ball2()
+    else:
+        domain = dom.hartogs_triangle()
+        rule = quad.build_rule(domain, 10, 24)
+    points = _points(domain, m, seed=m)
+    formed, former = [], rule._axes.mesh
+    def counting(a0, a1):
+        mesh = former(a0, a1)
+        formed.append(math.prod(np.broadcast_shapes(*(c.shape for c in mesh))))
+        return mesh
+    monkeypatch.setattr(rule._axes, "mesh", counting)
+    with ThreadPoolExecutor(2) as own:
+        if workers == "pool":
+            monkeypatch.setattr(quad, "_BUFFER", 0)
+            _lend_pool(monkeypatch, own, 2)
+        else:
+            monkeypatch.setattr(quad, "_POOL", None)
+        quad._kernel_sums(domain.kernel_abs2, rule, points, tr._unit)
+    assert sum(formed) == len(rule) and "_whole" not in vars(rule)
 
 
 def _traced_peak(call):

@@ -114,12 +114,15 @@ class TestDiscretization:
                 read(matrix)
 
     def test_single_node_degenerate_rule(self):
+        # a rule of one node is refused; the degenerate rule of the origin twice, of total
+        # weight pi, still discretizes B1 = 1 there
         meta = RuleMeta("disc", 1, 4, 4, 1.0, 1.0, (1,))
-        rule = QuadratureRule(np.zeros((1, 1), dtype=complex),
-                              np.array([math.pi]), meta)
+        with pytest.raises(InvalidResolution, match="two or more nodes"):
+            QuadratureRule(np.zeros((1, 1), dtype=complex), np.array([math.pi]), meta)
+        rule = QuadratureRule(np.zeros((2, 1), dtype=complex), np.full(2, math.pi / 2), meta)
         m = on.discretize_berezin(dom.disc(), rule)
-        assert m.entries[0, 0] == pytest.approx(1 / math.pi)
-        assert m.apply(np.ones(1))[0] == pytest.approx(1.0)
+        assert m.entries == pytest.approx(np.full((2, 2), 1 / math.pi))
+        assert m.apply(np.ones(2)) == pytest.approx(np.ones(2))
 
     def test_rows_outside_are_refused(self, small_rule):
         rows = np.array([[0.2 + 0j], [1.5 + 0j]])

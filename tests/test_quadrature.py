@@ -214,7 +214,7 @@ class TestRowsFromAxes:
         whole = quad.build_rule(domain, *grid, origin_grading=origin)
         nodes, weights, n = whole.nodes, whole.weights, len(whole)
         width = fresh._axes.width
-        # a range anywhere, one across a slab boundary, a lone node, the last rows
+        # a range anywhere, one across a slab boundary, a lone node, the last rows, the whole
         start = data.draw(st.integers(0, n))
         stop = data.draw(st.integers(start, n))
         edge = data.draw(st.integers(1, n // width)) * width
@@ -222,7 +222,7 @@ class TestRowsFromAxes:
                        min(n, edge + data.draw(st.integers(0, width + 1))))
         i = data.draw(st.integers(0, n - 1))
         tail = slice(data.draw(st.integers(0, n - 1)), n)
-        for rows in (slice(start, stop), across, slice(i, i + 1), [i, i], tail, slice(None)):
+        for rows in (slice(start, stop), across, slice(i, i + 1), tail, slice(None)):
             assert _row_bits(fresh.rows(rows)) == _row_bits((nodes[rows], weights[rows]))
         assert not _formed(fresh)
 
@@ -234,7 +234,7 @@ class TestRowsFromAxes:
         fresh, whole = quad.build_rule(domain, *grid), quad.build_rule(domain, *grid)
         nodes, weights, n = whole.nodes, whole.weights, len(whole)
         assert n > 2 * quad._CHUNK
-        for rows in quad._slices(0, n, quad._CHUNK) + [[n - 1, n - 1], slice(n - 1, n)]:
+        for rows in quad._slices(0, n, quad._CHUNK) + [slice(n - 1, n)]:
             assert _row_bits(fresh.rows(rows)) == _row_bits((nodes[rows], weights[rows]))
         assert not _formed(fresh)
 
@@ -278,17 +278,24 @@ class TestRowsFromAxes:
         nodes, weights = base.nodes.copy(), base.weights.copy()
         rule = quad.QuadratureRule(nodes, weights, base.meta)
         assert rule.nodes is nodes and rule.weights is weights
-        got, w = rule.rows([3, 3])
-        assert got.tobytes() == nodes[[3, 3]].tobytes() and w.tobytes() == weights[[3, 3]].tobytes()
+        got, w = rule.rows(slice(3, 5))
+        assert np.shares_memory(got, nodes) and np.shares_memory(w, weights)
+        assert got.tobytes() == nodes[3:5].tobytes() and w.tobytes() == weights[3:5].tobytes()
 
     @pytest.mark.parametrize("rows", [[-1, -1], [0, 5, 2], range(3, 40, 7), slice(40, 3, -5),
                                       slice(7, 7), []], ids=str)
     def test_index_lists_and_steps(self, rows):
+        # rows takes contiguous slices alone, formed or not: index lists, ranges and steps
+        # are refused, and an empty slice gives no rows
         fresh, whole = (quad.build_rule(dom.ball(2), 4, 4) for _ in range(2))
-        index = list(rows) if isinstance(rows, range) else rows
-        assert _row_bits(fresh.rows(rows)) == _row_bits((whole.nodes[index], whole.weights[index]))
-        with pytest.raises(IndexError):
-            fresh.rows([len(fresh)])
+        whole.nodes
+        if isinstance(rows, slice) and rows.step is None:
+            assert _row_bits(fresh.rows(rows)) == _row_bits((whole.nodes[rows], whole.weights[rows]))
+            assert _row_bits(whole.rows(rows))[2:] == ((0, 2), (0,))
+        else:
+            for rule in (fresh, whole):
+                with pytest.raises(ValueError, match="contiguous slice"):
+                    rule.rows(rows)
 
     def test_length_dimension_and_grid_form_nothing(self):
         rule = quad.build_rule(dom.hartogs_triangle(), 20, 48)
@@ -412,6 +419,63 @@ class TestPatchRule:
     def test_degenerate_patch_is_refused(self, center, radius):
         with pytest.raises(InvalidResolution):
             quad.disc_patch_rule(center, radius)
+
+    @pytest.mark.parametrize("counts", [(0, 32), (-3, 32), (24, 2.5), (24, True), (1, 1)],
+                             ids=["zero", "negative", "fractional", "bool", "one-node"])
+    def test_resolution_is_checked_as_build_rule_checks_it(self, counts):
+        for make in (lambda: quad.disc_patch_rule(0.1, 0.2, *counts),
+                     lambda: quad.build_rule(dom.disc(), *counts)):
+            with pytest.raises(InvalidResolution, match="integers >= 4"):
+                make()
+
+
+class TestHandBuiltRules:
+    """``QuadratureRule(nodes, weights, meta)`` checks what ``load_rule`` checks of a file."""
+
+    @pytest.fixture
+    def arrays(self):
+        rule = quad.build_rule(dom.disc(), 4, 4)
+        return rule.nodes.copy(), rule.weights.copy(), rule.meta
+
+    def test_a_nan_node_is_refused(self, arrays):
+        nodes, weights, meta = arrays
+        nodes[5, 0] = complex(0.1, math.nan)
+        with pytest.raises(NonFiniteValue):
+            quad.QuadratureRule(nodes, weights, meta)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.inf])
+    def test_a_weight_not_positive_and_finite_is_refused(self, arrays, bad):
+        nodes, weights, meta = arrays
+        weights[3] = bad
+        with pytest.raises(NonFiniteValue if bad == math.inf else InvalidResolution):
+            quad.QuadratureRule(nodes, weights, meta)
+
+    @pytest.mark.parametrize("shape", ["1-d-nodes", "wrong-dim", "short-weights"])
+    def test_arrays_of_the_wrong_shape_are_refused(self, arrays, shape):
+        nodes, weights, meta = arrays
+        if shape == "1-d-nodes":
+            nodes = nodes[:, 0]
+        elif shape == "wrong-dim":
+            nodes = np.repeat(nodes, 2, axis=1)
+        else:
+            weights = weights[:-1]
+        with pytest.raises(ValueError, match=r"nodes \(N, 1\) and weights \(N,\)"):
+            quad.QuadratureRule(nodes, weights, meta)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_nodes_are_refused(self, arrays, tmp_path, n):
+        nodes, weights, meta = arrays
+        with pytest.raises(InvalidResolution, match="two or more nodes"):
+            quad.QuadratureRule(nodes[:n], weights[:n], meta)
+        # a file of that many records is refused by load_rule as any other bad file is
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(quad.QuadratureRule(nodes[:2], weights[:2], meta), path)
+        with open(path, "rb") as fh:
+            header, records = fh.readline(), fh.read()
+        with open(path, "wb") as fh:
+            fh.write(header.replace(b" n=2 ", f" n={n} ".encode()) + records[:n * 24])
+        with pytest.raises(ValueError, match="two or more nodes"):
+            quad.load_rule(path)
 
 
 class TestTailExponents:
@@ -540,6 +604,19 @@ class TestSerialization:
             fh.write(b"not a rule\n")
         with pytest.raises(ValueError):
             quad.load_rule(path)
+
+
+class TestSlices:
+    @given(start=st.integers(0, 50), length=st.integers(0, 200), step=st.integers(1, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_slices_cover_the_range_in_order_without_a_lone_entry(self, start, length, step):
+        stop = start + length
+        got = quad._slices(start, stop, step)
+        assert [i for s in got for i in range(s.start, s.stop)] == list(range(start, stop))
+        assert all(s.step is None and s.stop - s.start <= step + 1 for s in got)
+        if step > 1 and length > 1:  # a one-entry remainder joins the slice before it
+            assert all(s.stop - s.start > 1 for s in got)
+        assert [s.start for s in got] == list(range(start, stop, step))[:len(got)]
 
 
 class TestCoreCount:
