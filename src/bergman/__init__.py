@@ -26,7 +26,6 @@ from .domains import (
     volume,
 )
 from .quadrature import (
-    GridFunction,
     QuadratureRule,
     build_rule,
     disc_patch_rule,

@@ -48,10 +48,11 @@ def kernel_series(w, z) -> complex:
 
     Sums basis_coefficient (w1 conj(z1))^n (w2 conj(z2))^m over k = n+m+1 and m, both up
     to SERIES_TRUNCATION; converges geometrically for |w1 z1| < 1 and
-    |w2 z2| < |w1 z1|.
+    |w2 z2| < |w1 z1|.  Both points must lie inside the triangle (PointOutsideDomain).
     """
-    x = complex(w[0]) * complex(z[0]).conjugate()
-    y = complex(w[1]) * complex(z[1]).conjugate()
+    w, z = require_inside(_HARTOGS, w), require_inside(_HARTOGS, z)
+    x = w[0] * z[0].conjugate()
+    y = w[1] * z[1].conjugate()
     K, M = np.indices((SERIES_TRUNCATION + 1, SERIES_TRUNCATION + 1))
     N = K - M - 1
     terms = basis_coefficient(N, M) * np.power(x, N) * np.power(y, M)

@@ -232,6 +232,12 @@ def _pnorm(v: np.ndarray, o: float) -> float:
     return float(np.add.reduce(v.ravel() ** o) ** (1.0 / o))
 
 
+def _check_p(p: float) -> None:
+    if not 1.0 < p:
+        raise ValueError(f"p must lie in (1, infinity], got {p!r}")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bool = False,
                        tol: float = 1e-10, max_iter: int = 300):
     """Power scheme for the induced p-norm of an unweighted operator M (Boyd 1974).
@@ -241,6 +247,8 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bo
     of lower bounds; for entrywise nonnegative M and a positive start it
     converges to a stationary ratio.  ``nonnegative`` says M is entrywise >= 0, so every
     iterate is too and the absolute values and signs are skipped, with the same bits.
+    An iterate that is not finite (its power |z|^(q-1) overflows for p near 1) raises
+    NonFiniteValue, and no floating-point warning escapes.
     """
     q = p / (p - 1.0)
     x = np.abs(x0)
@@ -265,7 +273,11 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bo
             converged = True
             break
         x = z_abs ** (q - 1.0)
-        x /= _pnorm(x, p)
+        norm = _pnorm(x, p)  # not finite where x is not; at 0 or inf, x / norm is no iterate
+        if not 0.0 < norm < math.inf:
+            raise NonFiniteValue(f"dual ascent at p = {p!r} reached a non-finite iterate "
+                                 f"at iteration {iters}")
+        x /= norm
         if not nonnegative:
             x *= np.sign(z)
     return best, converged, iters
@@ -351,8 +363,7 @@ def estimate_norm(A, p: float) -> NormEstimate:
     of 2^k, at p = 2 and dual ascent at other finite p; on an entrywise nonnegative
     scaled matrix dual ascent skips its signs and absolute values.
     """
-    if not 1.0 < p:
-        raise ValueError("p must lie in (1, infinity]")
+    _check_p(p)
     if isinstance(A, tuple):
         return _kronecker_norm(A, p)
     res = dict(A.meta)
@@ -388,8 +399,9 @@ def witness_lower_bound(matrix: OperatorMatrix, p: float) -> NormEstimate:
     column nodes; each member is screened for membership in L^p by power
     comparison (the constant, a = b = 0, passes at every p), and the ratios
     ||A f||_p / ||f||_p are evaluated through the discrete operator, so the
-    bound never exceeds the matched discrete norm.
+    bound never exceeds the matched discrete norm.  p must lie in (1, infinity] (ValueError).
     """
+    _check_p(p)
     if not math.isinf(p) and not matrix.is_square:
         raise ValueError("finite-p witness ratios need a square matrix")
     u = np.sum(np.abs(matrix.col_nodes) ** 2, axis=1)

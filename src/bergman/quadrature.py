@@ -5,18 +5,15 @@ loci) with uniform angular grids, which are spectrally accurate for periodic
 integrands.  The Hartogs triangle is parametrized as z2 = z1 * t with |t| < 1,
 whose Jacobian |z1|^2 flattens the singular edge |z2| = |z1| onto |t| = 1.
 
-Every rule ``build_rule`` makes is a tensor product and keeps only its 1-D axes and
-one coordinate former, the open mesh of a range of slabs of the leading axes: one
-complex array per coordinate, which broadcast together to the slab block.
-``QuadratureRule.rows`` writes the mesh into the nodes of a contiguous slice of rows
-and forms their weights, bit for bit the rows of the whole arrays.  Symbols, integrands
-and ``save_rule`` read a rule one chunk of rows at a time through ``rows`` (weights
-alone where they read no nodes).  The whole ``nodes`` and ``weights`` are formed on
-first access, the nodes written into the kept array whole slabs of about _CHUNK rows at
-a time, and kept read-only; from then on ``rows`` slices them, so a caller
-making repeated calls on one rule forms no chunk twice.  Patch, loaded and
-hand-built rules keep explicit arrays, which ``rows`` slices.  A rule has two or more
-nodes, and ``_slices`` gives a one-entry remainder to the slice before it.
+Every rule has one representation, a product of slabs (``QuadratureRule``): the tensor
+products ``build_rule`` makes keep only their 1-D axes, and a rule of explicit arrays
+(patch, loaded, hand-built) is the case of one-row slabs.  ``QuadratureRule.rows`` forms
+the nodes of a contiguous slice of rows alone, bit for bit the rows of the whole arrays,
+and ``_weights`` their weights alone.  Symbols, integrands and ``save_rule`` read a rule
+one chunk of rows at a time; the whole ``nodes`` and ``weights`` are formed on first
+access and kept read-only, and from then on ``rows`` slices them, so repeated calls on one
+rule form no chunk twice.  A rule has two or more nodes, and ``_slices`` gives a one-entry
+remainder to the slice before it.
 
 Integrands and symbols are read by ``evaluate_on_rule`` alone, one _CHUNK of nodes
 at a time, so ``integrate`` and the transforms share one error contract and form no
@@ -114,16 +111,21 @@ class RuleMeta:
 class QuadratureRule:
     """Nodes (N, dim) and positive weights (N,) discretizing dV on a domain, N >= 2.
 
-    A rule ``build_rule`` makes as a tensor product (the polydisc of any dimension,
-    the disc included, the ball in C^2 and the Hartogs triangle) keeps only its 1-D
-    axes, and ``rows`` forms the nodes and weights of the rows asked for from them,
-    bit for bit the rows of the whole arrays.  The whole ``nodes`` and ``weights``
-    are formed together on first access, the nodes into their kept array whole slabs
-    of about _CHUNK rows at a time, and kept read-only with the rule; from then on
-    ``rows`` slices them.  A rule made from explicit arrays, as
-    ``QuadratureRule(nodes, weights, meta)`` (loaded and patch rules too), serves
-    ``rows`` by slicing them: (N, meta.dim) and (N,) (else ValueError), finite (NonFiniteValue),
-    N >= 2 and weights > 0 (InvalidResolution).  ``len`` and ``dim`` form nothing.
+    Every rule is a product of slabs.  Row i is row i % width of slab i // width: a slab is
+    one index of the leading axes, and ``width`` the number of rows of the ``trailing``
+    weight axes.  The weights are ``_outer`` of ``lead_weights`` (the leading axes'
+    left-associated product, flattened) and ``trailing``.  ``mesh(a0, a1)`` is the open mesh
+    of slabs a0..a1-1: one complex array per coordinate, which broadcast together to the slab
+    block, a slab the first axis and its rows the rest in row order.  It is the one
+    coordinate former: the kernel forms read it as it is, so work on one coordinate is done on
+    its own axes, and ``rows`` writes it into the nodes asked for.  ``build_rule`` makes the
+    polydisc of any dimension (the disc included), the ball in C^2 and the Hartogs triangle
+    so.  ``QuadratureRule(nodes, weights, meta)`` is the case of one-row slabs: its lead
+    weights are its weights, it has no trailing axes, and its mesh is the columns of its
+    nodes, which must be (N, meta.dim) with weights (N,) (else ValueError), finite
+    (NonFiniteValue), N >= 2 and weights > 0 (InvalidResolution).  The whole ``nodes`` and
+    ``weights`` are written whole slabs of about _CHUNK rows at a time; ``len``, ``dim`` and
+    ``width`` form nothing.
 
     ``factors`` are the 1-D disc rules a product rule is built from, one per
     coordinate of ``DomainSpec.factor_points``: a polydisc rule is their tensor
@@ -133,7 +135,7 @@ class QuadratureRule:
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, meta: RuleMeta,
                  factors: tuple = ()):
-        self.meta, self.factors, self._axes, self._shape = meta, factors, None, nodes.shape
+        self._slabs(meta, weights, (), lambda a0, a1: list(nodes[a0:a1].T), factors)
         if nodes.ndim != 2 or nodes.shape[1:] != (meta.dim,) or weights.shape != nodes.shape[:1]:
             raise ValueError(f"expected nodes (N, {meta.dim}) and weights (N,), "
                              f"got {nodes.shape} and {weights.shape}")
@@ -145,31 +147,36 @@ class QuadratureRule:
         self.__dict__["_whole"] = nodes, weights
 
     @classmethod
-    def _of_axes(cls, axes: "_Axes", meta: RuleMeta, factors: tuple = ()) -> "QuadratureRule":
-        """The rule whose rows ``axes`` forms."""
-        rule = cls.__new__(cls)
-        rule.meta, rule.factors, rule._axes, rule._shape = meta, factors, axes, (len(axes), axes.dim)
-        return rule
+    def _product(cls, meta: RuleMeta, lead_weights: np.ndarray, trailing: tuple, mesh,
+                 factors: tuple = ()) -> "QuadratureRule":
+        """The rule of the slabs that ``lead_weights``, ``trailing`` and ``mesh`` describe."""
+        return cls.__new__(cls)._slabs(meta, lead_weights, trailing, mesh, factors)
+
+    def _slabs(self, meta, lead_weights, trailing, mesh, factors) -> "QuadratureRule":
+        self.meta, self.factors, self.mesh = meta, factors, mesh
+        self.lead_weights, self.trailing = lead_weights, trailing
+        self.width = math.prod(len(axis) for axis in trailing)
+        return self
 
     def __len__(self):
-        return self._shape[0]
+        return len(self.lead_weights) * self.width
 
     def __repr__(self):
         return f"QuadratureRule({self.meta!r}, nodes={len(self)})"
 
     @property
     def dim(self) -> int:
-        return self._shape[1]
+        return self.meta.dim
 
     @cached_property
     def _whole(self) -> tuple:
         """The whole nodes and weights; the nodes are written into the array kept whole slabs
         of about _CHUNK rows at a time, so no mesh of the whole rule is formed or kept."""
-        axes, n = self._axes, len(self)
-        nodes, weights = np.empty((n, self.dim), dtype=complex), axes.weights(0, n)
-        step = axes.width * max(1, _CHUNK // axes.width)
+        n, width = len(self), self.width
+        nodes, weights = np.empty((n, self.dim), dtype=complex), self._weights(slice(0, n))
+        step = width * max(1, _CHUNK // width)
         for a in range(0, n, step):
-            axes.slab_nodes(a // axes.width, min(a + step, n) // axes.width, out=nodes[a:a + step])
+            self._slab_nodes(a // width, min(a + step, n) // width, out=nodes[a:a + step])
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
@@ -181,35 +188,53 @@ class QuadratureRule:
     def weights(self) -> np.ndarray:
         return self._whole[1]
 
-    def rows(self, s: slice = slice(None)) -> tuple:
-        """The (R, dim) nodes and (R,) weights of the contiguous slice of rows ``s``;
-        ValueError for anything else.  Formed from the axes unless the whole arrays are."""
+    def _cover(self, s: slice) -> tuple:
+        """The slabs a0..a1-1 that cover the contiguous rows ``s``, and the cut of those rows
+        from their flattened block."""
+        start, stop, _ = s.indices(len(self))
+        stop = max(start, stop)
+        a0, a1 = start // self.width, -(-stop // self.width)
+        return a0, a1, slice(start - a0 * self.width, stop - a0 * self.width)
+
+    def _slab_nodes(self, a0: int, a1: int, out=None) -> np.ndarray:
+        """The (rows, dim) nodes of slabs a0..a1-1, written into ``out`` when it is given."""
+        mesh = self.mesh(a0, a1)
+        shape = np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,)
+        nodes = np.empty(shape, dtype=complex) if out is None else out.reshape(shape, copy=False)
+        for i, c in enumerate(mesh):
+            nodes[..., i] = c
+        return nodes.reshape(-1, self.dim)
+
+    def rows(self, s: slice = slice(None)) -> np.ndarray:
+        """The (R, dim) nodes of the contiguous slice of rows ``s``; ValueError for anything
+        else.  Written from the mesh unless the whole arrays are formed, which it slices."""
         if not isinstance(s, slice) or s.step not in (None, 1):
             raise ValueError(f"rows takes a contiguous slice, got {s!r}")
         if "_whole" in self.__dict__:
-            return self._whole[0][s], self._whole[1][s]
-        start, stop, _ = s.indices(len(self))
-        return self._axes.rows(start, max(start, stop))
+            return self._whole[0][s]
+        a0, a1, cut = self._cover(s)
+        return self._slab_nodes(a0, a1)[cut]
 
     def _weights(self, s: slice) -> np.ndarray:
-        """The weights of the rows ``s`` (a slice within the rule), forming no nodes."""
+        """The weights of the contiguous rows ``s``, forming no nodes."""
         if "_whole" in self.__dict__:
             return self._whole[1][s]
-        return self._axes.weights(s.start, s.stop)
+        a0, a1, cut = self._cover(s)
+        return _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
 
     def _mesh(self, start: int, stop: int) -> tuple:
         """Per-coordinate arrays that broadcast to a block holding the rows [start, stop),
         flattened, at the cut returned with them: the open mesh of the two or more slabs
-        covering them on a product rule (one-element complex products round in another
-        numpy loop), else the columns of the rows, as on a formed rule of one coordinate."""
-        if self._axes is None or self.dim == 1 and "_whole" in self.__dict__:
+        covering them (one-element complex products round in another numpy loop), or the
+        columns of the rows of a formed rule of one coordinate, whose nodes are its mesh."""
+        if self.dim == 1 and "_whole" in self.__dict__:
             return list(self._whole[0][start:stop].T), slice(0, stop - start)
-        a0, a1, cut = self._axes.cover(start, stop)
+        a0, a1, cut = self._cover(slice(start, stop))
         if a1 - a0 == 1:
-            a1 = a0 + 2 if a1 * self._axes.width < len(self) else a1
+            a1 = a0 + 2 if a1 * self.width < len(self) else a1
             a0 = a1 - 2
-            cut = slice(start - a0 * self._axes.width, stop - a0 * self._axes.width)
-        return self._axes.mesh(a0, a1), cut
+            cut = slice(start - a0 * self.width, stop - a0 * self.width)
+        return self.mesh(a0, a1), cut
 
     @cached_property
     def node_diag(self) -> np.ndarray:
@@ -219,76 +244,9 @@ class QuadratureRule:
         domain, n = DomainSpec(self.meta.domain, self.meta.dim), len(self)
         kept = np.empty(n)
         for s in _slices(0, n, _CHUNK):
-            kept[s] = domain.diag(self.rows(s)[0])
+            kept[s] = domain.diag(self.rows(s))
         kept.flags.writeable = False
         return kept
-
-
-class _Axes:
-    """The rows of a product rule, formed from its 1-D axes a slab at a time.
-
-    Row i is row i % width of slab i // width: a slab is one index of the leading axes,
-    and width the number of rows of the trailing axes.  The weights are ``_outer`` of
-    ``lead_weights`` (the leading axes' left-associated product, flattened) and the
-    ``trailing`` weight axes.  ``mesh(a0, a1)`` is the open mesh of slabs a0..a1-1: one
-    complex array per coordinate, which broadcast together to the slab block, a slab the
-    first axis and its rows the rest in row order.  It is the one coordinate former: the
-    kernel forms read it as it is, so work on one coordinate is done on its own axes, and
-    ``rows(start, stop)`` writes it into the rows of the slabs that cover [start, stop)
-    and cuts them, the whole arrays' rows bit for bit.
-    """
-
-    def __init__(self, dim: int, lead_weights: np.ndarray, trailing: tuple, mesh):
-        self.dim, self.lead_weights, self.trailing, self.mesh = dim, lead_weights, trailing, mesh
-        self.width = math.prod(len(axis) for axis in trailing)
-
-    def __len__(self):
-        return len(self.lead_weights) * self.width
-
-    def cover(self, start: int, stop: int) -> tuple:
-        """The slabs a0..a1-1 that cover rows [start, stop), and the cut of those rows from
-        their flattened block."""
-        a0, a1 = start // self.width, -(-stop // self.width)
-        return a0, a1, slice(start - a0 * self.width, stop - a0 * self.width)
-
-    def weights(self, start: int, stop: int) -> np.ndarray:
-        a0, a1, cut = self.cover(start, stop)
-        return _outer(self.lead_weights[a0:a1], *self.trailing).ravel()[cut]
-
-    def slab_nodes(self, a0: int, a1: int, out=None) -> np.ndarray:
-        """The (rows, dim) nodes of slabs a0..a1-1, written into ``out`` when it is given."""
-        mesh = self.mesh(a0, a1)
-        shape = np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,)
-        nodes = np.empty(shape, dtype=complex) if out is None else out.reshape(shape, copy=False)
-        for i, c in enumerate(mesh):
-            nodes[..., i] = c
-        return nodes.reshape(-1, self.dim)
-
-    def rows(self, start: int, stop: int) -> tuple:
-        a0, a1, cut = self.cover(start, stop)
-        return self.slab_nodes(a0, a1)[cut], self.weights(start, stop)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Complex samples aligned with a rule's nodes."""
-
-    rule: QuadratureRule
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != len(self.rule):
-            raise ValueError("values length does not match the rule")
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("grid function has non-finite entries")
-
-    def values_on(self, rule: QuadratureRule) -> np.ndarray:
-        """The samples, refused unless they were taken on ``rule`` itself."""
-        if self.rule is not rule:
-            raise ValueError("grid function belongs to a different rule")
-        return self.values
 
 
 # summands per leaf: every sum is the fsum, in node order, of the np.sum of each leaf
@@ -405,7 +363,7 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     n, workers = len(rule), _workers(len(Z) * len(rule))
     limit, entries = min(_CHUNK, -(-n // workers)), max(1, _BLOCK // workers)
     # blocks of whole leaves that are whole slabs where one point's block of them fits
-    step = _LEAF if rule._axes is None else math.lcm(rule._axes.width, _LEAF)
+    step = math.lcm(rule.width, _LEAF)
     if step > min(limit, entries):
         step = _LEAF  # the slabs covering a block are cut
     width = max(2, step, min(entries // max(1, len(Z)), limit) // step * step)  # block nodes
@@ -453,22 +411,18 @@ def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
     slice): the one reading of an integrand or symbol.  Only a callable's nodes
     are formed, from ``rule.rows``.
 
-    ``f`` is a GridFunction sampled on ``rule`` itself, an ndarray of one value
-    per node of the rule, or a callable of the (R, dim) nodes ((R,) on a
-    one-dimensional rule).  The operators and ``integrate`` read one chunk of
-    nodes at a time, so a callable must act row by row.  Raises ValueError
-    unless there is exactly one value per node (a GridFunction of another rule
-    included), NonFiniteValue on NaN or infinity, and TypeError for any other
-    kind of object.
+    ``f`` is an ndarray of one value per node of the rule, or a callable of the
+    (R, dim) nodes ((R,) on a one-dimensional rule).  The operators and
+    ``integrate`` read one chunk of nodes at a time, so a callable must act row
+    by row.  Raises ValueError unless there is exactly one value per node,
+    NonFiniteValue on NaN or infinity, and TypeError for any other kind of object.
     """
-    if isinstance(f, GridFunction):
-        f = f.values_on(rule)
     if isinstance(f, np.ndarray):
         if f.shape != (len(rule),):
             raise ValueError(f"expected one value per node, shape ({len(rule)},), got {f.shape}")
         vals = f[rows]
     elif callable(f):
-        nodes = rule.rows(rows)[0]
+        nodes = rule.rows(rows)
         vals = np.asarray(f(nodes[:, 0] if rule.dim == 1 else nodes))
         if vals.shape != (len(nodes),):
             raise ValueError(f"expected one value per node read, shape ({len(nodes)},), "
@@ -542,13 +496,13 @@ def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n, 2.0 * np.pi / n
 
 
-def _polar_axes(x, wx, angular_n: int) -> _Axes:
+def _polar_rule(x, wx, angular_n: int, meta: RuleMeta) -> QuadratureRule:
     """The disc rule x e^{i th} with weights x wx dth: radii x (weights wx) times equispaced
     angles, one radius a slab."""
     th, wth = _angles(angular_n)
     phase = np.exp(1j * th)
-    return _Axes(1, x * wx, (np.full(angular_n, wth),),
-                 lambda a0, a1: (x[a0:a1, None] * phase[None, :],))
+    return QuadratureRule._product(meta, x * wx, (np.full(angular_n, wth),),
+                                   lambda a0, a1: (x[a0:a1, None] * phase[None, :],))
 
 
 def _outer(*factors) -> np.ndarray:
@@ -564,22 +518,22 @@ def _polydisc_rule(domain, radial_n, angular_n, grading, origin_grading):
     node of each of the first dim - 1 factors, its rows the nodes of the last factor: in the
     mesh the leading coordinates have shape (slabs, 1) and the last one (1, n)."""
     dim = domain.dim
-    polar = _polar_axes(*_radial_line(radial_n, origin_grading, grading), angular_n)
-    factor = QuadratureRule._of_axes(polar, RuleMeta("disc", 1, radial_n, angular_n, grading,
-                                                     origin_grading, (2 * radial_n, angular_n)))
+    factor = _polar_rule(*_radial_line(radial_n, origin_grading, grading), angular_n,
+                         RuleMeta("disc", 1, radial_n, angular_n, grading, origin_grading,
+                                  (2 * radial_n, angular_n)))
     meta = RuleMeta(domain.kind, dim, radial_n, angular_n, grading, origin_grading,
                     factor.meta.shape * dim)
     if dim == 1:
-        return QuadratureRule._of_axes(polar, meta, (factor,))
-    z, w = factor.rows()
-    z, n = z[:, 0], len(z)
-    lead = np.empty((n,) * (dim - 1) + (dim - 1,), dtype=complex)
+        return QuadratureRule._product(meta, factor.lead_weights, factor.trailing, factor.mesh,
+                                       (factor,))
+    z, w = factor.rows()[:, 0], factor._weights(slice(None))
+    lead = np.empty((len(z),) * (dim - 1) + (dim - 1,), dtype=complex)
     for i in range(dim - 1):
-        lead[..., i] = z.reshape((n,) + (1,) * (dim - 2 - i))
+        lead[..., i] = z.reshape((len(z),) + (1,) * (dim - 2 - i))
     lead = lead.reshape(-1, dim - 1)
-    axes = _Axes(dim, _outer(*(w,) * (dim - 1)).ravel(), (w,),
-                 lambda a0, a1: (*lead[a0:a1, :, None].transpose(1, 0, 2), z[None, :]))
-    return QuadratureRule._of_axes(axes, meta, (factor,) * dim)
+    return QuadratureRule._product(
+        meta, _outer(*(w,) * (dim - 1)).ravel(), (w,),
+        lambda a0, a1: (*lead[a0:a1, :, None].transpose(1, 0, 2), z[None, :]), (factor,) * dim)
 
 
 def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
@@ -597,11 +551,10 @@ def _ball2_rule(domain, radial_n, angular_n, grading, origin_grading):
     def mesh(a0, a1):  # (rho, alpha) pairs times each angle: (slabs, A, 1) and (slabs, 1, A)
         return c1[a0:a1, None, None] * phase[:, None], c2[a0:a1, None, None] * phase
     wth = np.full(angular_n, wth)
-    axes = _Axes(2, _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal).ravel(), (wth, wth),
-                 mesh)
     meta = RuleMeta("ball", 2, radial_n, angular_n, grading, origin_grading,
                     (2 * radial_n, alpha_n, angular_n, angular_n))
-    return QuadratureRule._of_axes(axes, meta)
+    return QuadratureRule._product(
+        meta, _outer(rho ** 3 * wrho, np.cos(al) * np.sin(al) * wal).ravel(), (wth, wth), mesh)
 
 
 def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
@@ -611,20 +564,20 @@ def _hartogs_rule(domain, radial_n, angular_n, grading, origin_grading):
     r, wr = _radial_line(radial_n, origin_grading, grading)
     s, ws = _radial_line(radial_n, 1.0, grading)  # ungraded on [0, 1/2]
     shape = (2 * radial_n, angular_n)
-    f1 = QuadratureRule._of_axes(_polar_axes(r, wr, angular_n), RuleMeta(
-        "disc", 1, radial_n, angular_n, grading, origin_grading, shape))
-    f2 = QuadratureRule._of_axes(_polar_axes(s, ws, angular_n), RuleMeta(
-        "disc", 1, radial_n, angular_n, grading, 1.0, shape))
-    z1, t = f1.rows()[0][:, 0], f2.rows()[0][:, 0]
+    f1 = _polar_rule(r, wr, angular_n, RuleMeta("disc", 1, radial_n, angular_n, grading,
+                                                origin_grading, shape))
+    f2 = _polar_rule(s, ws, angular_n, RuleMeta("disc", 1, radial_n, angular_n, grading, 1.0,
+                                                shape))
+    z1, t = f1.rows()[:, 0], f2.rows()[:, 0]
 
     def mesh(a0, a1):
         # t * z1, not z1 * t: the complex product rounds differently with its operands swapped
         return z1[a0:a1, None], np.multiply(t, z1[a0:a1, None])
     # the factor weights r wr dt1 and s ws dt2 times the Jacobian r^2, rounded as r^3 wr
     wth = np.full(angular_n, _angles(angular_n)[1])
-    axes = _Axes(2, _outer(r ** 3 * wr, wth).ravel(), (s * ws, wth), mesh)
     meta = RuleMeta("hartogs", 2, radial_n, angular_n, grading, origin_grading, shape * 2)
-    return QuadratureRule._of_axes(axes, meta, (f1, f2))
+    return QuadratureRule._product(meta, _outer(r ** 3 * wr, wth).ravel(), (s * ws, wth), mesh,
+                                   (f1, f2))
 
 
 _RULE_BUILDERS = {"disc": _polydisc_rule, "punctured-disc": _polydisc_rule, "polydisc": _polydisc_rule,
@@ -645,9 +598,8 @@ def disc_patch_rule(center: complex, radius: float, radial_n: int = 24,
         raise InvalidResolution("patch must stay inside the unit disc")
     meta = RuleMeta("disc", 1, radial_n, angular_n, 1.0, 1.0,
                     (radial_n, angular_n), region=f"patch({c:.3f},{radius:.3f})")
-    polar = _polar_axes(*_gauss(radial_n, 0.0, radius), angular_n)
-    nodes, weights = polar.rows(0, len(polar))
-    return QuadratureRule(c + nodes, weights, meta)
+    polar = _polar_rule(*_gauss(radial_n, 0.0, radius), angular_n, meta)
+    return QuadratureRule(c + polar.rows(), polar._weights(slice(None)), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +650,7 @@ def save_rule(rule: QuadratureRule, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for s in _slices(0, len(rule), _CHUNK):
-            nodes, weights = rule.rows(s)
+            nodes, weights = rule.rows(s), rule._weights(s)
             records = np.empty((len(weights), 2 * rule.dim + 1), dtype="<f8")
             records[:, 0:-1:2] = nodes.real
             records[:, 1:-1:2] = nodes.imag

@@ -12,11 +12,11 @@ coefficients are formed one span of at most 32,768 nodes at a time inside that p
 from the span's weights and, for a callable symbol alone, the nodes that
 ``QuadratureRule.rows`` forms, so no whole-rule node, symbol or coefficient array is
 made (the adjoint's node diagonal aside), and B1 forms no nodes.  A symbol is a
-callable of the nodes, an ndarray of one value per node, or a GridFunction, read span
-by span by ``quadrature.evaluate_on_rule``, so a callable receives node spans and must
-act row by row: ValueError for a wrong length or another rule's GridFunction,
-NonFiniteValue for NaN or infinity in any span, TypeError for anything else, and
-ValueError for a rule of another domain too.
+callable of the nodes or an ndarray of one value per node, read span by span by
+``quadrature.evaluate_on_rule``, so a callable receives node spans and must act row by
+row: ValueError for a wrong length, NonFiniteValue for NaN or infinity in any span,
+TypeError for anything else, and ValueError for a rule of another domain too.
+``pairing`` reads its two value arrays the same way.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from typing import Callable, Union
 import numpy as np
 
 from .domains import DomainSpec, disc
-from .quadrature import (GridFunction, QuadratureRule, _csum, _kernel_sums, _points_on_rule,
-                         evaluate_on_rule)
+from .quadrature import QuadratureRule, _csum, _kernel_sums, _points_on_rule, evaluate_on_rule
 
-Symbol = Union[Callable, np.ndarray, GridFunction]
+Symbol = Union[Callable, np.ndarray]
 
 
 def _on_points(op):
@@ -137,8 +136,10 @@ def bergman_project(domain: DomainSpec, f: Symbol, z, rule: QuadratureRule):
 
 
 def pairing(rule: QuadratureRule, f_values: np.ndarray, g_values: np.ndarray) -> complex:
-    """Discrete L^2 pairing <f, g> = sum w_j f_j conj(g_j)."""
-    return _csum(rule.weights * np.asarray(f_values) * np.conj(g_values))
+    """Discrete L^2 pairing <f, g> = sum w_j f_j conj(g_j) of two arrays of one value per
+    node, each read by ``evaluate_on_rule`` (ValueError, NonFiniteValue)."""
+    f, g = (evaluate_on_rule(rule, v) for v in (f_values, g_values))
+    return _csum(rule.weights * f * np.conj(g))
 
 
 def pointwise_domination(domain: DomainSpec, phi: Symbol, z, C: float,

@@ -677,7 +677,7 @@ def test_integrate_reads_chunk_by_chunk_bit_for_bit(long_rules, name, n):
     # against compensated_sum of the whole summand array, real and imaginary parts apart
     rule = _cut(long_rules, name, n)[1]
     values = _complex_symbol(rule.nodes[:, 0] if rule.dim == 1 else rule.nodes)
-    for f in (_real_symbol, _complex_symbol, values, quad.GridFunction(rule, values)):
+    for f in (_real_symbol, _complex_symbol, values):
         whole = rule.weights * quad.evaluate_on_rule(rule, f)
         want = complex(quad.compensated_sum(whole.real), quad.compensated_sum(whole.imag))
         assert _bits(quad.integrate(rule, f)) == _bits(want)
@@ -823,8 +823,8 @@ def test_kernel_sums_on_the_mesh_equal_them_on_the_explicit_arrays(kind, grid, l
     domain, origin, top_radial, top_angular = MESH_KINDS[kind]
     grid = (min(grid[0], top_radial), min(grid[1], top_angular))
     mesh = quad.build_rule(domain, *grid, origin_grading=origin)
-    rows = quad.QuadratureRule(*quad.build_rule(domain, *grid, origin_grading=origin).rows(),
-                               mesh.meta)
+    formed = quad.build_rule(domain, *grid, origin_grading=origin)
+    rows = quad.QuadratureRule(formed.rows(), formed._weights(slice(None)), mesh.meta)
     assume(len(mesh) <= 64 * leaf * chunk)  # at most 64 spans
     points = _points(domain, m, seed=seed)
     with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as own:
@@ -844,13 +844,13 @@ def test_kernel_sums_on_the_mesh_equal_them_on_the_explicit_arrays(kind, grid, l
     assert "_whole" not in vars(mesh)
 
 
-def _spy_rows(monkeypatch):
-    """The (start, stop) of each call of ``_Axes.rows``."""
-    calls, real = [], quad._Axes.rows
-    def spy(self, start, stop):
-        calls.append((start, stop))
-        return real(self, start, stop)
-    monkeypatch.setattr(quad._Axes, "rows", spy)
+def _spy_slab_nodes(monkeypatch):
+    """The rows (start, stop) of the slabs of each call of ``_slab_nodes``, the node former."""
+    calls, real = [], quad.QuadratureRule._slab_nodes
+    def spy(self, a0, a1, out=None):
+        calls.append((a0 * self.width, a1 * self.width))
+        return real(self, a0, a1, out)
+    monkeypatch.setattr(quad.QuadratureRule, "_slab_nodes", spy)
     return calls
 
 
@@ -863,7 +863,7 @@ def test_unit_coefficients_form_no_nodes(monkeypatch):
     points = _points(domain, 3, seed=6)
     disc = quad.build_rule(dom.disc(), 8, 16)
     matrix = on.discretize_berezin(dom.disc(), disc)
-    calls = _spy_rows(monkeypatch)
+    calls = _spy_slab_nodes(monkeypatch)
     read = []
     monkeypatch.setattr(quad.QuadratureRule, "rows",
                         lambda self, s=slice(None), real=quad.QuadratureRule.rows:
@@ -875,7 +875,7 @@ def test_unit_coefficients_form_no_nodes(monkeypatch):
     tr.berezin(domain, _real_symbol, points, rule)
     assert calls == [(s.start, s.stop) for s in spans[0]]
     _assert_spans_of_whole_blocks(spans[0], blocks, len(rule), CHUNK)
-    assert all(a % rule._axes.width == 0 for block in blocks for a in block)
+    assert all(a % rule.width == 0 for block in blocks for a in block)
 
 
 @pytest.mark.parametrize("workers", ["serial", "pool"])
@@ -890,12 +890,12 @@ def test_one_pass_forms_each_mesh_node_once(monkeypatch, name, m, workers):
         domain = dom.hartogs_triangle()
         rule = quad.build_rule(domain, 10, 24)
     points = _points(domain, m, seed=m)
-    formed, former = [], rule._axes.mesh
+    formed, former = [], rule.mesh
     def counting(a0, a1):
         mesh = former(a0, a1)
         formed.append(math.prod(np.broadcast_shapes(*(c.shape for c in mesh))))
         return mesh
-    monkeypatch.setattr(rule._axes, "mesh", counting)
+    monkeypatch.setattr(rule, "mesh", counting)
     with ThreadPoolExecutor(2) as own:
         if workers == "pool":
             monkeypatch.setattr(quad, "_BUFFER", 0)

@@ -148,6 +148,12 @@ class TestFlags:
         assert code == 2
         assert "unrecognized arguments" in err
 
+    def test_p_near_one_is_a_typed_error(self, capsys):
+        # dual ascent overflows at p = 1.001; it once exited 0 with a NaN-iterated 0.9994
+        code, out, err = run_cli(capsys, ["norm", "--domain", "disc", "--p", "1.001"])
+        assert (code, out) == (2, "")
+        assert "non-finite iterate" in err
+
     @pytest.mark.parametrize("p", ["2", "3"])
     def test_angular_n_at_finite_p_is_config_error(self, capsys, p):
         # the radial-sector matrix of p = 2, 3 has no angular grid to size

@@ -10,7 +10,8 @@ import pytest
 import bergman.domains as dom
 from bergman import hartogs as ht
 from bergman import quadrature as quad
-from bergman.errors import DuplicateEpsilon, EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue
+from bergman.errors import (DuplicateEpsilon, EpsilonOutOfRange, InadmissibleIndex, NonFiniteValue,
+                            PointOutsideDomain)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,14 @@ class TestCoefficients:
             want = dom.kernel(domain, w, z)
             got = ht.kernel_series(w, z)
             assert abs(got - want) <= 1e-8 * abs(want)
+
+    @pytest.mark.parametrize("outside", [(0.5, 0.6), (1.0, 0.1), (0.0, 0.0)])
+    def test_kernel_series_refuses_points_outside(self, outside):
+        # (0.5, 0.6) has |w2| > |w1|: its series once summed to 1.2474
+        inside = (0.5, 0.1)
+        for w, z in [(outside, inside), (inside, outside)]:
+            with pytest.raises(PointOutsideDomain):
+                ht.kernel_series(w, z)
 
 
 class TestFeps:

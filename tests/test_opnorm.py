@@ -337,6 +337,19 @@ class TestEstimateNorm:
         with pytest.raises(NonFiniteValue), np.errstate(invalid="ignore"):
             on.witness_lower_bound(matrix, 3.0)
 
+    @pytest.mark.parametrize("p", [math.nan, 1.0, 0.5, -2.0])
+    @pytest.mark.parametrize("routine", [on.estimate_norm, on.witness_lower_bound])
+    def test_both_norm_routines_refuse_p_outside_one_to_infinity(self, small_matrix, routine, p):
+        # the sweep once gave -inf "converged" at p = nan and 3.62 at p = 0.5
+        with pytest.raises(ValueError, match="p must lie"):
+            routine(small_matrix, p)
+
+    def test_dual_ascent_refuses_a_non_finite_iterate(self, radial_matrix):
+        # at p = 1.001 the power |z|^1000 overflows: 300 NaN iterations once read 0.9994
+        with pytest.raises(NonFiniteValue, match="non-finite iterate"):
+            on.estimate_norm(radial_matrix, 1.001)
+        assert math.isfinite(on.estimate_norm(radial_matrix, 1.01).value)
+
     @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.0, 8.0])
     def test_dual_ascent_is_never_below_the_witness(self, radial_matrix, p):
         # why estimate_norm runs no witness sweep of its own on the radial disc matrices

@@ -62,19 +62,6 @@ class TestBerezin:
             got = tr.berezin(dom.disc(), lambda w: np.abs(w) ** 2, z, rule)
             assert abs(got - want) <= 1e-14, z
 
-    def test_grid_function_symbol(self, disc_rule):
-        import bergman.quadrature as quad
-        gf = quad.GridFunction(disc_rule, np.ones(len(disc_rule)))
-        got = tr.berezin(dom.disc(), gf, 0.2 + 0j, disc_rule)
-        assert got.real == pytest.approx(1.0, abs=1e-8)
-
-    def test_foreign_grid_function_rejected(self, disc_rule):
-        # the same symbol sampled on another rule of the same length
-        other = quad.build_rule(dom.disc(), 24, 48, grading=3.0)
-        gf = quad.GridFunction(other, np.abs(other.nodes[:, 0]) ** 2)
-        with pytest.raises(ValueError):
-            tr.berezin(dom.disc(), gf, 0.2 + 0j, disc_rule)
-
     def test_punctured_disc_normalization(self, disc_rule):
         domain = dom.punctured_disc()
         for z in dom.sample_interior(domain, 5, seed=19):
@@ -122,7 +109,6 @@ class TestSymbolContract:
         ones = np.ones(len(disc_rule))
         want = _consume(name, disc_rule, ONE)
         assert _consume(name, disc_rule, ones) == want
-        assert _consume(name, disc_rule, quad.GridFunction(disc_rule, ones)) == want
 
     @pytest.mark.parametrize("f", [np.ones(5), np.ones((24 * 2 * 48, 1)),
                                    lambda w: np.ones(len(w) + 1), lambda w: 1.0],
@@ -130,11 +116,6 @@ class TestSymbolContract:
     def test_wrong_length_raises_value_error(self, disc_rule, name, f):
         with pytest.raises(ValueError):
             _consume(name, disc_rule, f)
-
-    def test_grid_function_of_another_rule_raises_value_error(self, disc_rule, name):
-        other = quad.build_rule(dom.disc(), 24, 48, grading=3.0)
-        with pytest.raises(ValueError):
-            _consume(name, disc_rule, quad.GridFunction(other, np.ones(len(other))))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises(self, disc_rule, name, bad):
@@ -149,6 +130,18 @@ class TestSymbolContract:
     def test_not_callable_raises_type_error(self, disc_rule, name, obj):
         with pytest.raises(TypeError):
             _consume(name, disc_rule, obj)
+
+
+class TestPairing:
+    def test_values_are_read_as_symbols_are(self, disc_rule):
+        # a NaN once paired to nan+0j and a short array met numpy's broadcast error
+        ones, r2 = np.ones(len(disc_rule)), np.abs(disc_rule.nodes[:, 0]) ** 2
+        assert tr.pairing(disc_rule, ones, r2) == pytest.approx(math.pi / 2, rel=1e-12)
+        for f, g in [(np.full(len(disc_rule), np.nan), ones), (ones, r2 * np.inf)]:
+            with pytest.raises(NonFiniteValue):
+                tr.pairing(disc_rule, f, g)
+        with pytest.raises(ValueError, match="one value per node"):
+            tr.pairing(disc_rule, ones, ones[:5])
 
 
 class TestAdjoint:
