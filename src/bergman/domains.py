@@ -72,11 +72,11 @@ class ReinhardtProfile:
     allows_negative: tuple[bool, ...] = (False, False)
 
 
-def validate_profile(profile: ReinhardtProfile, rel_tol: float = 0.01) -> None:
+def validate_profile(profile: ReinhardtProfile) -> None:
     """Probe the bound function at radii 1e-3 and 1e3 against the declared exponents.
 
     The probed quantity is the local log-log slope of ``bound``; it must match
-    the declared exponent to ``rel_tol``.  Raises UndeclaredAsymptotics when the
+    the declared exponent to 0.01 max(1, |exponent|).  Raises UndeclaredAsymptotics when the
     data is missing or inconsistent.
     """
     if profile.bound is None:
@@ -99,7 +99,7 @@ def validate_profile(profile: ReinhardtProfile, rel_tol: float = 0.01) -> None:
         if r >= profile.r1_max:
             continue
         got = slope_at(r)
-        if abs(got - declared) > rel_tol * max(1.0, abs(declared)):
+        if abs(got - declared) > 0.01 * max(1.0, abs(declared)):
             raise UndeclaredAsymptotics(
                 f"profile {profile.name!r}: declared exponent {declared} at r={r} "
                 f"but probed slope {got:.6f}"

@@ -238,14 +238,14 @@ def _check_p(p: float) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bool = False,
-                       tol: float = 1e-10, max_iter: int = 300):
+def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bool = False):
     """Power scheme for the induced p-norm of an unweighted operator M (Boyd 1974).
 
     ``apply`` and ``apply_t`` act as M and its transpose on arrays of x0's
     shape, and norms are taken over all entries.  Produces a monotone sequence
     of lower bounds; for entrywise nonnegative M and a positive start it
-    converges to a stationary ratio.  ``nonnegative`` says M is entrywise >= 0, so every
+    converges to a stationary ratio; it stops when the bound gains at most 1e-10 relative, or
+    after 300 iterations.  ``nonnegative`` says M is entrywise >= 0, so every
     iterate is too and the absolute values and signs are skipped, with the same bits.
     An iterate that is not finite (its power |z|^(q-1) overflows for p near 1) raises
     NonFiniteValue, and no floating-point warning escapes.
@@ -256,7 +256,7 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bo
     best = 0.0
     converged = False
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, 301):
         y = apply(x)
         y_abs = y if nonnegative else np.abs(y)
         gamma = _pnorm(y_abs, p)
@@ -265,7 +265,7 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bo
             break
         dual = y_abs ** (p - 1.0)
         z = apply_t(dual if nonnegative else dual * np.sign(y))
-        stalled = iters > 1 and gamma <= best * (1.0 + tol)
+        stalled = iters > 1 and gamma <= best * (1.0 + 1e-10)
         best = max(best, gamma)
         z_dot_x = float(z.ravel() @ x.ravel())
         z_abs = z if nonnegative else np.abs(z)
@@ -283,30 +283,29 @@ def _dual_ascent_pnorm(apply, apply_t, p: float, x0: np.ndarray, nonnegative: bo
     return best, converged, iters
 
 
-def _gram_power_sigma(G1: np.ndarray, G2: np.ndarray, start: np.ndarray,
-                      tol: float = 1e-12, max_squarings: int = 12):
+def _gram_power_sigma(G1: np.ndarray, G2: np.ndarray, start: np.ndarray):
     """(sigma, converged, squarings): the largest singular value of S1 kron S2 from the Grams
     Gi = Si^T Si, by power iteration on X -> G1 X G2 in steps of 2^k.
 
     Each pass maps X to P1 X P2 (renormalised) and reads sigma = sqrt ||G1 X G2||, then
     squares each Pi (from Gi, renormalised): pass k reads the plain iteration's step 2^k.  It
-    stops when two successive passes agree to ``tol`` relative.
+    stops when two successive passes agree to 1e-12 relative, or after 12 squarings.
     """
     P1, P2 = (G / (np.linalg.norm(G) or 1.0) for G in (G1, G2))
     X = start / np.linalg.norm(start)
     sigma = 0.0
-    for squarings in range(max_squarings + 1):
+    for squarings in range(13):
         X = P1 @ X @ P2
         nrm = float(np.linalg.norm(X))
         if nrm == 0.0:
             return 0.0, True, squarings
         X /= nrm
         new_sigma = math.sqrt(float(np.linalg.norm(G1 @ X @ G2)))
-        if abs(new_sigma - sigma) <= tol * new_sigma:
+        if abs(new_sigma - sigma) <= 1e-12 * new_sigma:
             return new_sigma, True, squarings
         sigma = new_sigma
         P1, P2 = (Q / np.linalg.norm(Q) for Q in (P1 @ P1, P2 @ P2))
-    return sigma, False, max_squarings
+    return sigma, False, 12
 
 
 def _scaled(A: OperatorMatrix, p: float) -> np.ndarray:

@@ -15,24 +15,25 @@ access and kept read-only, and from then on ``rows`` slices them, so repeated ca
 rule form no chunk twice.  A rule has two or more nodes, and ``_slices`` gives a one-entry
 remainder to the slice before it.
 
-Integrands and symbols are read by ``evaluate_on_rule`` alone, one _CHUNK of nodes
-at a time, so ``integrate`` and the transforms share one error contract and form no
-whole-rule array of values: a callable receives node chunks and must act row by row.
+Integrands and symbols are read by ``evaluate_on_rule`` alone, at most _CHUNK nodes at a
+time, so ``integrate`` and the transforms share one error contract and form no whole-rule
+array of values: a callable receives node chunks or blocks and must act row by row.
 Every sum follows one contract, so results are bit-reproducible whatever the chunk,
 block or thread count: the summands are cut in node order into leaves of _LEAF = 1024
 (the last leaf alone may be shorter), each leaf is summed by ``np.sum``, and the leaf
 sums are added by an exact ``math.fsum``, real and imaginary parts apart.  An operator
 is a kernel form F and one coefficient c_j per node, summed as F(w_j, z) c_j for many
 points z: F is |K|^2 from ``DomainSpec.kernel_abs2`` for the Berezin transforms, its
-root for P+, and conj K for P.  ``_kernel_sums`` walks the rule in spans of whole blocks
-of whole leaves (and slabs) of about 2^17 / workers entries, forms each span's
-coefficients once per call, and multiplies each block of F by them in place and reduces
-it to its leaf sums where it lies, so no (points x span) array is formed.  F reads a
-product rule's open mesh as it is, so terms of one coordinate are formed once per slab
-or angle and only cross terms once per node.  ``discretize_berezin`` and ``br_scan`` fill
-their kernel arrays in row blocks of the same size.  A call of at least 2^21 point-node
-entries runs on a thread pool, one thread per core the process may run on (at most its
-cgroup's CPU quota), one span a task; the calling thread fsums the leaf sums.
+root for P+, and conj K for P.  ``_kernel_sums`` walks the rule in blocks of whole leaves
+(and slabs) of about 2^17 / workers entries and at most _CHUNK nodes, forms each block's
+coefficients once per call, multiplies F by them in place and reduces it to its leaf sums
+where it lies, so no (points x block) array is formed.  F reads a product rule's open
+mesh as it is, so terms of one coordinate are formed once per slab or angle and only
+cross terms once per node; a callable symbol's nodes are written from that mesh, or
+sliced from the formed whole nodes.  ``discretize_berezin`` and ``br_scan`` fill their
+kernel arrays in row blocks of the same size.  A call of at least 2^21 point-node entries
+runs on a thread pool, one thread per core the process may run on (at most its cgroup's
+CPU quota), one block a task; the calling thread fsums the leaf sums.
 """
 
 from __future__ import annotations
@@ -120,12 +121,12 @@ class QuadratureRule:
     coordinate former: the kernel forms read it as it is, so work on one coordinate is done on
     its own axes, and ``rows`` writes it into the nodes asked for.  ``build_rule`` makes the
     polydisc of any dimension (the disc included), the ball in C^2 and the Hartogs triangle
-    so.  ``QuadratureRule(nodes, weights, meta)`` is the case of one-row slabs: its lead
-    weights are its weights, it has no trailing axes, and its mesh is the columns of its
-    nodes, which must be (N, meta.dim) with weights (N,) (else ValueError), finite
-    (NonFiniteValue), N >= 2 and weights > 0 (InvalidResolution).  The whole ``nodes`` and
-    ``weights`` are written whole slabs of about _CHUNK rows at a time; ``len``, ``dim`` and
-    ``width`` form nothing.
+    so.  ``QuadratureRule(nodes, weights, meta)`` is the case of one-row slabs: it keeps
+    read-only copies of the complex nodes and float weights it is given, its lead weights are
+    its weights, it has no trailing axes, and its mesh is the columns of its nodes, which must
+    be (N, meta.dim) with weights (N,) (else ValueError), finite (NonFiniteValue), N >= 2 and
+    weights > 0 (InvalidResolution).  The whole ``nodes`` and ``weights`` are written whole
+    slabs of about _CHUNK rows at a time; ``len``, ``dim`` and ``width`` form nothing.
 
     ``factors`` are the 1-D disc rules a product rule is built from, one per
     coordinate of ``DomainSpec.factor_points``: a polydisc rule is their tensor
@@ -135,6 +136,8 @@ class QuadratureRule:
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray, meta: RuleMeta,
                  factors: tuple = ()):
+        nodes, weights = np.array(nodes, dtype=complex), np.array(weights, dtype=float)
+        nodes.flags.writeable = weights.flags.writeable = False  # the rule's own, kept as checked
         self._slabs(meta, weights, (), lambda a0, a1: list(nodes[a0:a1].T), factors)
         if nodes.ndim != 2 or nodes.shape[1:] != (meta.dim,) or weights.shape != nodes.shape[:1]:
             raise ValueError(f"expected nodes (N, {meta.dim}) and weights (N,), "
@@ -176,7 +179,7 @@ class QuadratureRule:
         nodes, weights = np.empty((n, self.dim), dtype=complex), self._weights(slice(0, n))
         step = width * max(1, _CHUNK // width)
         for a in range(0, n, step):
-            self._slab_nodes(a // width, min(a + step, n) // width, out=nodes[a:a + step])
+            nodes[a:a + step] = self.rows(slice(a, a + step))
         nodes.flags.writeable = weights.flags.writeable = False
         return nodes, weights
 
@@ -196,24 +199,22 @@ class QuadratureRule:
         a0, a1 = start // self.width, -(-stop // self.width)
         return a0, a1, slice(start - a0 * self.width, stop - a0 * self.width)
 
-    def _slab_nodes(self, a0: int, a1: int, out=None) -> np.ndarray:
-        """The (rows, dim) nodes of slabs a0..a1-1, written into ``out`` when it is given."""
-        mesh = self.mesh(a0, a1)
-        shape = np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,)
-        nodes = np.empty(shape, dtype=complex) if out is None else out.reshape(shape, copy=False)
-        for i, c in enumerate(mesh):
-            nodes[..., i] = c
-        return nodes.reshape(-1, self.dim)
-
-    def rows(self, s: slice = slice(None)) -> np.ndarray:
-        """The (R, dim) nodes of the contiguous slice of rows ``s``; ValueError for anything
-        else.  Written from the mesh unless the whole arrays are formed, which it slices."""
+    def rows(self, s: slice = slice(None), _block=None) -> np.ndarray:
+        """The (R, dim) nodes of the contiguous slice of rows ``s`` (else ValueError): sliced
+        from the whole arrays once formed, else written from the mesh of the slabs covering
+        ``s``, or from ``_block``, the (mesh, cut) ``_mesh`` gave a kernel block of those rows."""
         if not isinstance(s, slice) or s.step not in (None, 1):
             raise ValueError(f"rows takes a contiguous slice, got {s!r}")
         if "_whole" in self.__dict__:
             return self._whole[0][s]
-        a0, a1, cut = self._cover(s)
-        return self._slab_nodes(a0, a1)[cut]
+        if _block is None:
+            a0, a1, cut = self._cover(s)
+            _block = self.mesh(a0, a1), cut
+        mesh, cut = _block
+        nodes = np.empty(np.broadcast_shapes(*(c.shape for c in mesh)) + (self.dim,), dtype=complex)
+        for i, c in enumerate(mesh):
+            nodes[..., i] = c
+        return nodes.reshape(-1, self.dim)[cut]
 
     def _weights(self, s: slice) -> np.ndarray:
         """The weights of the contiguous rows ``s``, forming no nodes."""
@@ -251,7 +252,7 @@ class QuadratureRule:
 
 # summands per leaf: every sum is the fsum, in node order, of the np.sum of each leaf
 _LEAF = 1024
-# nodes per chunk of a rule read at once, and the most one task of ``_kernel_sums`` spans
+# nodes per chunk of a rule read at once, and the most one block of ``_kernel_sums`` holds
 _CHUNK = 32 * _LEAF
 # entries of one evaluated kernel block (M points x block nodes)
 _BLOCK = 1 << 17
@@ -344,21 +345,22 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     pair(w_j, z_m) * c_j by the summation contract (``compensated_sum``), real and
     imaginary parts apart.  ``pair`` is a kernel form such as ``DomainSpec.kernel`` or
     ``kernel_abs2`` that returns a new array; each block of it is multiplied by its
-    coefficients in place, unless a complex c meets a real block.  ``coef(rows, weights)``
-    maps the slice of rows of one span of nodes, with their weights from the rule, to their
-    c_j; it forms nodes only where it reads them.
+    coefficients in place, unless a complex c meets a real block.  ``coef(rows, weights,
+    block)`` maps the slice of rows of one block of nodes, with their weights from the rule
+    and the block's (mesh, cut) from ``rule._mesh``, to their c_j; it forms nodes only where
+    it reads them, written from that mesh by ``rule.rows``.
 
     Blocks are whole leaves, whole slabs too where one point's block of them fits in
     _BLOCK / workers entries, of about that many entries per point group (groups shrinking
-    to fit) and two or more nodes.  One task of ``_map`` is one span of whole blocks, of at
-    most min(_CHUNK, ceil(N / workers)) nodes or one block, so even a rule of one chunk
-    splits across the workers.  Each block hands the form ``rule._mesh`` as it is, with
-    the group's points shaped (m, 1, ..., dim).  The task forms its coefficients after its
-    first kernel block, so that block's temporaries never meet their forming, cuts each
-    block's rows out of the covering slabs, reduces them to their leaf sums, and returns
-    the span's (M, leaves) sums; the caller fsums each point's leaf sums in node order.
-    No whole-rule node or coefficient array and no (points, span) array is formed.
-    Returns an (M,) complex array; real summands give zero imaginary parts.
+    to fit) and two or more nodes, and of at most min(_CHUNK, ceil(N / workers)) nodes or
+    one leaf, so even a rule of one chunk splits across the workers.  One task of ``_map``
+    is one block: it hands the form ``rule._mesh`` as it is, with the group's points shaped
+    (m, 1, ..., dim), forms its coefficients after its first point group, so that group's
+    temporaries never meet their forming, cuts the block's rows out of the covering slabs,
+    reduces them to their leaf sums, and returns the block's (M, leaves) sums; the caller
+    fsums each point's leaf sums in node order.  No whole-rule node or coefficient array
+    and no (points, block) array is formed.  Returns an (M,) complex array; real summands
+    give zero imaginary parts.
     """
     n, workers = len(rule), _workers(len(Z) * len(rule))
     limit, entries = min(_CHUNK, -(-n // workers)), max(1, _BLOCK // workers)
@@ -369,28 +371,24 @@ def _kernel_sums(pair, rule: QuadratureRule, Z: np.ndarray, coef) -> np.ndarray:
     width = max(2, step, min(entries // max(1, len(Z)), limit) // step * step)  # block nodes
     groups = _slices(0, len(Z), max(1, entries // width))
 
-    def span_sums(s):
-        part = None
-        sums = np.zeros((len(Z), -(-(s.stop - s.start) // _LEAF)), dtype=complex)
-        for b in _slices(s.start, s.stop, width):
-            mesh, cut = rule._mesh(b.start, b.stop)
-            # every coordinate of a mesh has the block's axes
-            points = Z.reshape((len(Z),) + (1,) * mesh[0].ndim + (rule.dim,))
-            at = slice(b.start - s.start, b.stop - s.start)
-            leaves = slice(at.start // _LEAF, -(-at.stop // _LEAF))
-            for r in groups:
-                block = pair(mesh, points[r]).reshape(r.stop - r.start, -1)[:, cut]
-                if part is None:
-                    part = coef(s, rule._weights(s))
-                c = part[at]
-                block = (block * c if np.iscomplexobj(c) and not np.iscomplexobj(block)
-                         else np.multiply(block, c, out=block))
-                sums.real[r, leaves] = _leaf_sums(block.real)
-                if np.iscomplexobj(block):
-                    sums.imag[r, leaves] = _leaf_sums(block.imag)
+    def block_sums(b):
+        mesh, cut = rule._mesh(b.start, b.stop)
+        # every coordinate of a mesh has the block's axes
+        points = Z.reshape((len(Z),) + (1,) * mesh[0].ndim + (rule.dim,))
+        sums = np.zeros((len(Z), -(-(b.stop - b.start) // _LEAF)), dtype=complex)
+        c = None
+        for r in groups:
+            block = pair(mesh, points[r]).reshape(r.stop - r.start, -1)[:, cut]
+            if c is None:
+                c = coef(b, rule._weights(b), (mesh, cut))
+            block = (block * c if np.iscomplexobj(c) and not np.iscomplexobj(block)
+                     else np.multiply(block, c, out=block))
+            sums.real[r] = _leaf_sums(block.real)
+            if np.iscomplexobj(block):
+                sums.imag[r] = _leaf_sums(block.imag)
         return sums
 
-    parts = _map(span_sums, _slices(0, n, width * max(1, limit // width)), len(Z) * n)
+    parts = _map(block_sums, _slices(0, n, width), len(Z) * n)
     leaves = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return np.array([complex(math.fsum(re), math.fsum(im))  # fsum reads lists fastest
                      for re, im in zip(leaves.real.tolist(), leaves.imag.tolist())], dtype=complex)
@@ -406,10 +404,11 @@ def _points_on_rule(domain: DomainSpec, z, rule: QuadratureRule) -> tuple[np.nda
     return inside_points(domain, z)
 
 
-def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
+def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None), _block=None) -> np.ndarray:
     """The values of ``f`` at the rule's nodes ``rows`` (all of them by default; a contiguous
-    slice): the one reading of an integrand or symbol.  Only a callable's nodes
-    are formed, from ``rule.rows``.
+    slice): the one reading of an integrand or symbol.  Only a callable's nodes are formed,
+    by ``rule.rows``: sliced from the whole nodes once they are formed, else written from the
+    open mesh, that of ``_block`` when a kernel block of these rows hands over its own.
 
     ``f`` is an ndarray of one value per node of the rule, or a callable of the
     (R, dim) nodes ((R,) on a one-dimensional rule).  The operators and
@@ -422,7 +421,7 @@ def evaluate_on_rule(rule: QuadratureRule, f, rows=slice(None)) -> np.ndarray:
             raise ValueError(f"expected one value per node, shape ({len(rule)},), got {f.shape}")
         vals = f[rows]
     elif callable(f):
-        nodes = rule.rows(rows)
+        nodes = rule.rows(rows, _block)
         vals = np.asarray(f(nodes[:, 0] if rule.dim == 1 else nodes))
         if vals.shape != (len(nodes),):
             raise ValueError(f"expected one value per node read, shape ({len(nodes)},), "
@@ -676,8 +675,8 @@ def load_rule(path: str) -> QuadratureRule:
             data = np.frombuffer(fh.read(), dtype="<f8").reshape(int(fields["n"]), 2 * meta.dim + 1)
         except (KeyError, ValueError, UnsupportedKind) as exc:
             raise ValueError(f"{path} is not a valid rule file: {exc!r}") from None
-    nodes = (data[:, 0:2 * meta.dim:2] + 1j * data[:, 1:2 * meta.dim:2]).astype(complex)
+    nodes = data[:, 0:2 * meta.dim:2] + 1j * data[:, 1:2 * meta.dim:2]
     try:
-        return QuadratureRule(nodes, np.ascontiguousarray(data[:, -1]), meta)
+        return QuadratureRule(nodes, data[:, -1], meta)
     except (InvalidResolution, NonFiniteValue) as exc:
         raise ValueError(f"{path} is not a valid rule file: {exc}") from None

@@ -439,9 +439,9 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(checks=None) -> list[CheckResult]:
+def run_all() -> list[CheckResult]:
     results = []
-    for fn in (ALL_CHECKS if checks is None else checks):
+    for fn in ALL_CHECKS:
         t0 = time.perf_counter()
         res = fn()
         res.seconds = time.perf_counter() - t0

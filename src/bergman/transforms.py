@@ -8,13 +8,14 @@ Each sum keeps the summation contract of ``quadrature.compensated_sum`` (an exac
 of the np.sum of each 1,024 summands), so a value does not depend on the number of
 points or threads.  On a product rule the form reads the rule's open mesh, one array
 per coordinate, so its one-coordinate terms are formed once per slab or angle.  The
-coefficients are formed one span of at most 32,768 nodes at a time inside that pass,
-from the span's weights and, for a callable symbol alone, the nodes that
-``QuadratureRule.rows`` forms, so no whole-rule node, symbol or coefficient array is
-made (the adjoint's node diagonal aside), and B1 forms no nodes.  A symbol is a
-callable of the nodes or an ndarray of one value per node, read span by span by
-``quadrature.evaluate_on_rule``, so a callable receives node spans and must act row by
-row: ValueError for a wrong length, NonFiniteValue for NaN or infinity in any span,
+coefficients are formed one kernel block of at most 32,768 nodes at a time inside that
+pass, from the block's weights and, for a callable symbol alone, its nodes, which
+``QuadratureRule.rows`` writes from the block's own mesh (or slices from the whole nodes
+once they are formed), so no whole-rule node, symbol or coefficient array is made (the
+adjoint's node diagonal aside), and B1 forms no nodes.  A symbol is a callable of the
+nodes or an ndarray of one value per node, read block by block by
+``quadrature.evaluate_on_rule``, so a callable receives node blocks and must act row by
+row: ValueError for a wrong length, NonFiniteValue for NaN or infinity in any block,
 TypeError for anything else, and ValueError for a rule of another domain too.
 ``pairing`` reads its two value arrays the same way.
 """
@@ -57,19 +58,19 @@ def _modulus(domain: DomainSpec):
 
 
 def _weighted(rule: QuadratureRule, f: Symbol, read=lambda values: values):
-    """The coefficients of ``_kernel_sums``: a span's rows and weights to w_j read(f(w_j))
-    there."""
-    return lambda rows, weights: weights * read(evaluate_on_rule(rule, f, rows))
+    """The coefficients of ``_kernel_sums``: a block's rows, weights and mesh to
+    w_j read(f(w_j)) there."""
+    return lambda rows, weights, block: weights * read(evaluate_on_rule(rule, f, rows, block))
 
 
-def _unit(rows, weights):
+def _unit(rows, weights, block):
     """The coefficients of B1 for ``_kernel_sums``: the weights, which need no nodes."""
     return weights
 
 
 def _per_diag(domain: DomainSpec, Z: np.ndarray, rule: QuadratureRule, coef):
     """sum_j c_j |K(w_j, z)|^2 / K(z, z) per point z of Z, divided after summing; ``coef``
-    maps the rows and weights of a span to their c_j, as in ``_kernel_sums``."""
+    maps the rows, weights and mesh of a block to their c_j, as in ``_kernel_sums``."""
     diag = domain.positive_diag(Z)
     sums = _kernel_sums(domain.kernel_abs2, rule, Z, coef)
     sums.real /= diag
@@ -113,8 +114,8 @@ def berezin_adjoint(domain: DomainSpec, psi: Symbol, z, rule: QuadratureRule):
     domain.positive_diag(z)  # validates the running positivity assumption at z
     diag = rule.node_diag  # formed here, not by the first of several pooled chunks
 
-    def coef(rows, weights):
-        vals = evaluate_on_rule(rule, psi, rows)
+    def coef(rows, weights, block):
+        vals = evaluate_on_rule(rule, psi, rows, block)
         c = weights / diag[rows]  # times psi in place where psi is real
         return np.multiply(c, vals, out=None if np.iscomplexobj(vals) else c)
     return _kernel_sums(domain.kernel_abs2, rule, z, coef)

@@ -197,7 +197,7 @@ def _fsum_of_leaves(row):
 
 
 def _walk(patch, rule):
-    """Record the spans of each ``_map`` call and the blocks of rows ``rule._mesh`` forms."""
+    """Record the tasks of each ``_map`` call and the blocks of rows ``rule._mesh`` forms."""
     spans, blocks, real_map, real_mesh = [], set(), quad._map, rule._mesh
     patch.setattr(quad, "_map", lambda fn, items, entries: spans.append(items)
                   or real_map(fn, items, entries))
@@ -208,17 +208,15 @@ def _walk(patch, rule):
 
 def _assert_spans_of_whole_blocks(spans, blocks, n, most):
     """The blocks tile [0, n) in order, each of two or more nodes from a leaf boundary on;
-    the spans tile it too, each of whole blocks and, but for a lone node joining the last,
-    of at most ``most`` nodes or one block."""
+    each task is one block and, but for a lone node joining the last, of at most ``most``
+    nodes or one leaf."""
     blocks = sorted(blocks)
+    assert [(s.start, s.stop) for s in spans] == blocks
     edges = [0] + [b for _, b in blocks]
     assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == n
     assert all(b - a >= 2 and a % quad._LEAF == 0 for a, b in blocks)
-    assert [s.start for s in spans] + [n] == [0] + [s.stop for s in spans]
-    assert all(s.start in edges and s.stop in edges for s in spans)
-    widest = max(b - a for a, b in blocks)
-    assert all(s.stop - s.start <= max(most, widest) for s in spans[:-1])
-    assert spans[-1].stop - spans[-1].start <= max(most, widest) + 1
+    assert all(b - a <= max(most, quad._LEAF) for a, b in blocks[:-1])
+    assert blocks[-1][1] - blocks[-1][0] <= max(most, quad._LEAF) + 1
 
 
 @given(name=st.sampled_from(["disc", "hartogs"]),
@@ -242,14 +240,14 @@ def test_every_sum_is_the_fsum_of_its_leaf_sums(long_rules, name, n, m, chunk, b
         if workers == "serial":
             patch.setattr(quad, "_POOL", None)
         else:
-            patch.setattr(quad, "_BUFFER", 0)  # every call of two or more spans is pooled
+            patch.setattr(quad, "_BUFFER", 0)  # every call of two or more blocks is pooled
             counting = _lend_pool(patch, own, threads)
         spans, blocks = _walk(patch, rule)
         got = {op: getattr(tr, op)(domain, _complex_symbol, points, rule) for op in OPERATORS}
         integral = quad.integrate(rule, _complex_symbol)
         terms = rule.weights * quad.evaluate_on_rule(rule, _complex_symbol)
         total = quad.compensated_sum(terms.imag)
-    # every operator walks the same spans, one task each, of whole blocks of whole leaves
+    # every operator walks the same blocks of whole leaves, one task each
     assert len(spans) == len(OPERATORS) and all(s == spans[0] for s in spans)
     cores = 1 if workers == "serial" else threads
     _assert_spans_of_whole_blocks(spans[0], blocks, n, min(chunk * LEAF, -(-n // cores)))
@@ -438,12 +436,12 @@ def test_pooled_equals_per_point_bit_for_bit(pool, long_rules, big_disc_rule, op
 @pytest.mark.parametrize("op", OPERATORS)
 def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n, m, block, pooled,
                                                op):
-    # A rule of one chunk splits into one span per worker, and each span is reduced over
+    # A rule of one chunk splits into blocks, one task each, and each block is reduced over
     # groups of points: at a block of 2^14 entries a leaf-wide block holds 16 points
-    # serially and 8 pooled, so the 37 points fill several groups.  A rule of one node is
-    # refused; the smallest, of two nodes, runs at a block of 4 entries, where 100 points
-    # reach the pool's gate but form one span, so it runs as one task of 100 one-point
-    # groups.
+    # serially and 8 pooled, so the 37 points fill several groups of each of 32 blocks.  A
+    # rule of one node is refused; the smallest, of two nodes, runs at a block of 4 entries,
+    # where 100 points reach the pool's gate but form one block, so it runs as one task of
+    # 100 one-point groups.
     monkeypatch.setattr(quad, "_BLOCK", block)
     monkeypatch.setattr(quad, "_BUFFER", 16 * block)
     domain, full = long_rules[name]
@@ -470,7 +468,7 @@ def test_one_chunk_rule_over_many_point_groups(monkeypatch, long_rules, name, n,
         assert groups == [1] * m
     if pooled:
         assert m * n >= quad._BUFFER
-        assert (counting.calls, counting.items) == ((1, 2) if n > 2 else (0, 0))
+        assert (counting.calls, counting.items) == ((1, n // LEAF) if n > 2 else (0, 0))
     ref = [_reference(op, domain, _complex_symbol, tuple(z), rule) for z in points]
     assert _bits(got) == _bits(np.array(ref, dtype=got.dtype))
 
@@ -498,8 +496,8 @@ def test_adjoint_evaluates_the_node_diagonal_once(pool, monkeypatch):
         if first:
             assert _bits(np.concatenate(node_reads)) == _bits(quad.build_rule(domain, 12, 24).nodes)
     assert "_whole" not in vars(rule) and pool.calls == calls + 2
-    # one task per span: a whole chunk each, the tail the last
-    assert pool.items == -(-len(rule) // CHUNK)
+    # one task per block: 15 of 16 slabs of 576 nodes each, whole leaves too
+    assert pool.items == len(rule) // 9216 == 15
 
 
 def test_more_workers_than_cores_with_fast_switching_agree_with_serial(monkeypatch, long_rules):
@@ -687,9 +685,9 @@ def test_integrate_reads_chunk_by_chunk_bit_for_bit(long_rules, name, n):
                                         (100, "many")])
 @pytest.mark.parametrize("op", OPERATORS)
 def test_each_node_is_read_once_per_call(monkeypatch, pool, long_rules, op, m, workers):
-    # 100 points fill several point groups in each span; each span's symbol values are
+    # 100 points fill several point groups in each block; each block's symbol values are
     # formed once and read by all its groups, also with more workers than cores and fast
-    # switching.
+    # switching.  One point reads a chunk a block, 100 points a leaf.
     domain, rule = _cut(long_rules, "disc", 163840)
     points = _points(domain, m, seed=m)
     want = getattr(tr, op)(domain, _complex_symbol, points, rule)
@@ -706,13 +704,16 @@ def test_each_node_is_read_once_per_call(monkeypatch, pool, long_rules, op, m, w
             pool = _lend_pool(monkeypatch, many, 2 * quad._CORES + 1)
             sys.setswitchinterval(1e-6)
         calls = pool.calls
+        blocks = _walk(monkeypatch, rule)[0]
         try:
             got = getattr(tr, op)(domain, counting, points, rule)
         finally:
             sys.setswitchinterval(interval)
+    width = CHUNK if m == 1 else LEAF
     if workers != "serial":
-        assert pool.calls == calls + 1 and pool.items == 5
-    assert [len(w) for w in reads] == [CHUNK] * 5
+        assert pool.calls == calls + 1 and pool.items == len(rule) // width
+    assert [len(w) for w in reads] == [s.stop - s.start for s in blocks[0]] == [width] * (
+        len(rule) // width)
     assert _bits(np.sort(np.concatenate(reads))) == _bits(np.sort(rule.nodes[:, 0]))
     assert _bits(got) == _bits(want)
 
@@ -801,8 +802,8 @@ def _kernel_forms(domain):
     return {"abs2": domain.kernel_abs2, "modulus": tr._modulus(domain), "conj-K": conj_kernel}
 
 
-# blocks that cut slabs (lcm(32, 3) exceeds a 12-node span), spans inside one slab (4 of its
-# 32 or 8 nodes, one point), a lone tail node (1,024 = 341 spans of 3, and one) and blocks of
+# blocks that cut slabs (lcm(32, 3) exceeds a 12-node block), blocks inside one slab (4 of its
+# 32 or 8 nodes, one point), a lone tail node (1,024 = 341 blocks of 3, and one) and blocks of
 # one slab each
 @example(kind="hartogs", grid=(4, 4), leaf=3, chunk=4, block=7, m=3, pooled=False, seed=1)
 @example(kind="hartogs", grid=(4, 4), leaf=1, chunk=4, block=3, m=1, pooled=False, seed=5)
@@ -818,14 +819,14 @@ def _kernel_forms(domain):
 def test_kernel_sums_on_the_mesh_equal_them_on_the_explicit_arrays(kind, grid, leaf, chunk, block,
                                                                    m, pooled, seed):
     # The open mesh of a product rule and the rows of its explicit arrays are two layouts of one
-    # rule: each form and coefficient sums to the same bits on both, at any leaf, span, block
+    # rule: each form and coefficient sums to the same bits on both, at any leaf, chunk, block
     # and point group (patched alike on both), serial and pooled.
     domain, origin, top_radial, top_angular = MESH_KINDS[kind]
     grid = (min(grid[0], top_radial), min(grid[1], top_angular))
     mesh = quad.build_rule(domain, *grid, origin_grading=origin)
     formed = quad.build_rule(domain, *grid, origin_grading=origin)
     rows = quad.QuadratureRule(formed.rows(), formed._weights(slice(None)), mesh.meta)
-    assume(len(mesh) <= 64 * leaf * chunk)  # at most 64 spans
+    assume(len(mesh) <= 64 * leaf * chunk)  # at most 64 chunks
     points = _points(domain, m, seed=seed)
     with pytest.MonkeyPatch.context() as patch, ThreadPoolExecutor(2) as own:
         patch.setattr(quad, "_LEAF", leaf)
@@ -844,46 +845,77 @@ def test_kernel_sums_on_the_mesh_equal_them_on_the_explicit_arrays(kind, grid, l
     assert "_whole" not in vars(mesh)
 
 
-def _spy_slab_nodes(monkeypatch):
-    """The rows (start, stop) of the slabs of each call of ``_slab_nodes``, the node former."""
-    calls, real = [], quad.QuadratureRule._slab_nodes
-    def spy(self, a0, a1, out=None):
-        calls.append((a0 * self.width, a1 * self.width))
-        return real(self, a0, a1, out)
-    monkeypatch.setattr(quad.QuadratureRule, "_slab_nodes", spy)
+def _spy_rows(monkeypatch):
+    """The rows (start, stop) of each call of ``QuadratureRule.rows``, the node former, and
+    whether a kernel block's mesh was handed to it."""
+    calls, real = [], quad.QuadratureRule.rows
+    def spy(self, s=slice(None), _block=None):
+        calls.append((s.start, s.stop, _block is not None))
+        return real(self, s, _block)
+    monkeypatch.setattr(quad.QuadratureRule, "rows", spy)
     return calls
 
 
 def test_unit_coefficients_form_no_nodes(monkeypatch):
     # B1 reads the weights alone: neither the ball's mass nor the disc matrix's row sums form
-    # an (R, dim) node array.  A callable symbol's nodes are formed once per span, and the
-    # spans are of whole blocks of whole slabs.
+    # an (R, dim) node array.  A callable symbol's nodes are written once per block, from the
+    # block's own mesh, and the blocks are whole slabs.
     domain = dom.ball(2)
     rule = quad.build_rule(domain, 12, 24)  # 138,240 nodes of 240 slabs of 576
     points = _points(domain, 3, seed=6)
     disc = quad.build_rule(dom.disc(), 8, 16)
     matrix = on.discretize_berezin(dom.disc(), disc)
-    calls = _spy_slab_nodes(monkeypatch)
-    read = []
-    monkeypatch.setattr(quad.QuadratureRule, "rows",
-                        lambda self, s=slice(None), real=quad.QuadratureRule.rows:
-                        read.append(s) or real(self, s))
+    calls = _spy_rows(monkeypatch)
     tr.unit_mass(domain, points, rule)
     matrix.row_sums()
-    assert calls == [] and read == [] and "_whole" not in vars(rule)
+    assert calls == [] and "_whole" not in vars(rule)
     spans, blocks = _walk(monkeypatch, rule)
     tr.berezin(domain, _real_symbol, points, rule)
-    assert calls == [(s.start, s.stop) for s in spans[0]]
+    assert calls == [(s.start, s.stop, True) for s in spans[0]]
     _assert_spans_of_whole_blocks(spans[0], blocks, len(rule), CHUNK)
     assert all(a % rule.width == 0 for block in blocks for a in block)
+
+
+# rules of each tensor kind, of 4,096 nodes in slabs of 64 or 128
+TENSOR_RULES = {"disc": (dom.disc(), (16, 128)), "bidisc": (dom.polydisc(2), (4, 8)),
+                "ball2": (dom.ball(2), (4, 8)), "hartogs": (dom.hartogs_triangle(), (4, 8))}
+
+
+@pytest.mark.parametrize("op", OPERATORS + ("unit_mass",))
+@pytest.mark.parametrize("name", sorted(TENSOR_RULES))
+def test_a_callable_symbol_reads_its_blocks_mesh(monkeypatch, name, op):
+    # A callable symbol's nodes are written from the mesh its kernel block formed, so one
+    # call forms each row's mesh once; the 40 points cut the rule into blocks of whole slabs.
+    # Reading the nodes from a mesh of their own, each call formed every row's mesh twice.
+    # B1 forms no nodes: its mesh is the kernel's alone, and on a rule of factors the
+    # factors' own.
+    domain, grid = TENSOR_RULES[name]
+    rule = quad.build_rule(domain, *grid)
+    points = _points(domain, 40, seed=7)
+    if op == "berezin_adjoint":
+        rule.node_diag  # kept with the rule, formed once for every call
+    formed, former = [], rule.mesh
+    def counting(a0, a1):
+        mesh = former(a0, a1)
+        formed.append(math.prod(np.broadcast_shapes(*(c.shape for c in mesh))))
+        return mesh
+    monkeypatch.setattr(rule, "mesh", counting)
+    if op == "unit_mass":
+        calls = _spy_rows(monkeypatch)
+        tr.unit_mass(domain, points, rule)
+        assert calls == [] and sum(formed) == (0 if rule.factors else len(rule))
+    else:
+        getattr(tr, op)(domain, _real_symbol, points, rule)
+        assert sum(formed) == len(rule) and len(formed) > 1
+    assert "_whole" not in vars(rule)
 
 
 @pytest.mark.parametrize("workers", ["serial", "pool"])
 @pytest.mark.parametrize("name, m", [("ball2", 20), ("hartogs", 1)])
 def test_one_pass_forms_each_mesh_node_once(monkeypatch, name, m, workers):
-    # Blocks of whole slabs in spans of whole blocks: one pass over the rule forms the open
-    # mesh of each slab once.  Spans of _CHUNK nodes cut slabs at their edges, and the
-    # 20-point pass of check 01 formed 2,541,312 mesh nodes for its 2,322,432 rows.
+    # Blocks of whole slabs, one task each: one pass over the rule forms the open
+    # mesh of each slab once.  Walked in chunks of _CHUNK nodes, which cut slabs at their
+    # edges, the 20-point pass of check 01 formed 2,541,312 mesh nodes for its 2,322,432 rows.
     if name == "ball2":
         domain, rule = dom.ball(2), reproduce.rule_ball2()
     else:

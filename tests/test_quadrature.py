@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import bergman.domains as dom
 from bergman import quadrature as quad
 from bergman import reproduce
+from bergman import transforms as tr
 from bergman.errors import (
     BorderlineExponent,
     InvalidResolution,
@@ -282,9 +283,8 @@ class TestRowsFromAxes:
         base = quad.build_rule(dom.disc(), 4, 8)
         nodes, weights = base.nodes.copy(), base.weights.copy()
         rule = quad.QuadratureRule(nodes, weights, base.meta)
-        assert rule.nodes is nodes and rule.weights is weights
         got, w = _rule_rows(rule, slice(3, 5))
-        assert np.shares_memory(got, nodes) and np.shares_memory(w, weights)
+        assert np.shares_memory(got, rule.nodes) and np.shares_memory(w, rule.weights)
         assert got.tobytes() == nodes[3:5].tobytes() and w.tobytes() == weights[3:5].tobytes()
 
     @pytest.mark.parametrize("rows", [[-1, -1], [0, 5, 2], range(3, 40, 7), slice(40, 3, -5),
@@ -460,6 +460,31 @@ class TestHandBuiltRules:
         with pytest.raises(ValueError, match=r"nodes \(N, 1\) and weights \(N,\)"):
             quad.QuadratureRule(nodes, weights, meta)
 
+    def test_the_rule_keeps_read_only_copies(self, arrays, tmp_path):
+        # A write to the caller's arrays after construction reached the rule past its checks:
+        # a NaN node made berezin return nan+0j, and a weight of -1 made the integral of 1 on
+        # disc(8, 16) read 2.1416, not pi.
+        nodes, weights, meta = arrays
+        rule = quad.QuadratureRule(nodes, weights, meta)
+        one = quad.integrate(rule, np.ones(len(rule)))
+        nodes[5, 0], weights[7] = complex(0.1, math.nan), -1.0
+        assert not (np.shares_memory(rule.nodes, nodes) or np.shares_memory(rule.weights, weights))
+        assert quad.integrate(rule, np.ones(len(rule))) == one
+        assert np.isfinite(tr.berezin(dom.disc(), lambda w: w, 0.1, rule))
+        path = os.path.join(tmp_path, "rule.bin")
+        quad.save_rule(rule, path)
+        for made in (rule, quad.disc_patch_rule(0.1, 0.2), quad.load_rule(path)):
+            assert made.nodes.dtype == complex and made.weights.dtype == float
+            for array in (made.nodes, made.weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1.0
+
+    def test_real_nodes_become_complex(self, arrays):
+        nodes, weights, meta = arrays
+        rule = quad.QuadratureRule(nodes.real.copy(), weights.astype(np.float32), meta)
+        assert rule.nodes.dtype == complex and rule.weights.dtype == float
+        assert rule.nodes.tobytes() == nodes.real.astype(complex).tobytes()
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_nodes_are_refused(self, arrays, tmp_path, n):
         nodes, weights, meta = arrays
@@ -627,7 +652,7 @@ class TestCoreCount:
 
 
 def _pinned_chunk_lengths():
-    """The lengths of the spans ``_kernel_sums`` reduces on reproduce's rules and their
+    """The lengths of the blocks ``_kernel_sums`` reduces on reproduce's rules and their
     factor rules (_CHUNK and each rule's tail), and odd ones around a leaf and a chunk."""
     rules = [getattr(reproduce, name)() for name in dir(reproduce) if name.startswith("rule_")]
     rules += [factor for rule in rules for factor in rule.factors]

@@ -173,7 +173,7 @@ class TestAdjoint:
         for psi in (ONE, lambda w: np.exp(1j * w.reshape(len(w), -1)[:, 0].real)):  # real, complex
             coef = rule.weights / diag * quad.evaluate_on_rule(rule, psi)
             want = quad._kernel_sums(domain.kernel_abs2, rule, points,
-                                     lambda rows, weights: coef[rows])
+                                     lambda rows, weights, block: coef[rows])
             got = tr.berezin_adjoint(domain, psi, points, rule)
             assert got.tobytes() == want.tobytes()
 
